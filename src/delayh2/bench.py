@@ -135,9 +135,9 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
     if "4" in summary["delayed"] and "6" in summary["free"]:
         checks["mse_delayed4_lt_free6"] = bool(
             summary["delayed"]["4"]["mse"] < summary["free"]["6"]["mse"])
-    if "2" in summary["delayed"] and "4" in summary["free"]:
-        checks["gap_delayed2_lt_free4"] = bool(
-            summary["delayed"]["2"]["gap"] < summary["free"]["4"]["gap"])
+    if "2" in summary["delayed"] and "3" in summary["free"]:
+        checks["gap_delayed2_lt_free3"] = bool(
+            summary["delayed"]["2"]["gap"] < summary["free"]["3"]["gap"])
     summary["checks"] = checks
     write_json(os.path.join(outdir, "bench-report.json"), summary)
     return summary

@@ -18,11 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .errors import DelayH2Error, NonFiniteObjective
-from .h2 import _cross_eval, _hp_terms, _payload_dps
+from .h2 import _cross_eval, _cross_tensor, _delay_sum
 from .models import DelayBlock, PoleResidueModel
+from .precision import FLOAT, backend_for
 
 _FP_CHUNK = 4096
 
@@ -100,72 +100,14 @@ class _Objective:
 
     def __init__(self, g: PoleResidueModel, h: PoleResidueModel,
                  act_in: np.ndarray, act_out: np.ndarray, threads: int):
-        self.g, self.h = g, h
+        self.g = g
         self.act_in, self.act_out = act_in, act_out
         self.threads = threads
-        self.hp = g.hp is not None or h.hp is not None
-        dmat = 1.0 / (-g.poles[:, None] - h.poles[None, :])
-        hval = np.einsum("km,kl,jk->jml", h.left, h.right, dmat)
-        self.ktensor = np.einsum("jm,jml,jl->jml", g.left, hval, g.right)
-        if self.hp:
-            self.dps = _payload_dps(g, h)
-            ny, nu = g.ny, g.nu
-            with mp.workdps(self.dps):
-                gp, gl, gr = _hp_terms(g)
-                hpoles, hl, hr = _hp_terms(h)
-                self.mp_mu = gp
-                ktensor = []
-                for j, muj in enumerate(gp):
-                    hv = [[mp.mpc(0)] * nu for _ in range(ny)]
-                    for k, lamk in enumerate(hpoles):
-                        w = 1 / (-muj - lamk)
-                        for m in range(ny):
-                            lw = hl[k][m] * w
-                            for l in range(nu):
-                                hv[m][l] += lw * hr[k][l]
-                    ktensor.append([[gl[j][m] * hv[m][l] * gr[j][l]
-                                     for l in range(nu)] for m in range(ny)])
-                self.mp_k = ktensor
-
-    def _eval_hp(self, x: np.ndarray, order: int):
-        """Exact-precision objective (and derivatives) from the cached tensor."""
-        tau, gam = self.full_vectors(x)
-        ny, nu = self.g.ny, self.g.nu
-        with mp.workdps(self.dps):
-            mtau = [mp.mpf(float(v)) for v in tau]
-            mgam = [mp.mpf(float(v)) for v in gam]
-            f = mp.mpc(0)
-            g_in = [mp.mpc(0)] * nu
-            g_out = [mp.mpc(0)] * ny
-            hess = [[mp.mpc(0) for _ in range(nu + ny)]
-                    for _ in range(nu + ny)] if order >= 2 else None
-            one = mp.mpc(1)
-            for j, muj in enumerate(self.mp_mu):
-                kj = self.mp_k[j]
-                eo = [mp.exp(muj * v) if v else one for v in mgam]
-                ei = [mp.exp(muj * v) if v else one for v in mtau]
-                mu2 = muj * muj
-                for m in range(ny):
-                    row = kj[m]
-                    eom = eo[m]
-                    for l in range(nu):
-                        c = row[l] * eom * ei[l]
-                        f += c
-                        if order >= 1:
-                            g_in[l] += muj * c
-                            g_out[m] += muj * c
-                        if order >= 2:
-                            c2 = mu2 * c
-                            hess[l][l] += c2
-                            hess[nu + m][nu + m] += c2
-                            hess[l][nu + m] += c2
-                            hess[nu + m][l] += c2
-            fc = complex(f)
-            gi = np.array([complex(v) for v in g_in])
-            go = np.array([complex(v) for v in g_out])
-            hs = (np.array([[complex(v) for v in row] for row in hess])
-                  if order >= 2 else None)
-        return fc, gi, go, hs
+        self.bk = backend_for(g, h)
+        self.hp = self.bk.dps is not None
+        self.mu, self.k = _cross_tensor(self.bk, g, h)
+        # the screen always runs on the float views
+        self.ktensor = _cross_tensor(FLOAT, g, h)[1] if self.hp else self.k
 
     def full_vectors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tau = np.zeros(self.g.nu)
@@ -174,28 +116,17 @@ class _Objective:
         gam[self.act_out] = x[self.act_in.size:]
         return tau, gam
 
+    def _sum(self, x: np.ndarray, order: int):
+        return _delay_sum(self.bk, self.mu, self.k, *self.full_vectors(x), order)
+
     def value(self, x: np.ndarray) -> float:
-        if self.hp:
-            return float(np.real(self._eval_hp(x, 0)[0]))
-        tau, gam = self.full_vectors(x)
-        f, _, _, _ = _cross_eval(self.g, self.h, tau, gam, order=0)
-        return float(np.real(f))
+        return float(np.real(self._sum(x, 0)[0]))
 
     def value_grad_hess(self, x: np.ndarray):
-        if self.hp:
-            f, g_in, g_out, hess = self._eval_hp(x, 2)
-        else:
-            tau, gam = self.full_vectors(x)
-            f, g_in, g_out, hess = _cross_eval(self.g, self.h, tau, gam, order=2)
+        f, g_in, g_out, hess = self._sum(x, 2)
         idx = np.concatenate([self.act_in, self.g.nu + self.act_out])
         grad = np.concatenate([np.real(g_in), np.real(g_out)])[idx]
         return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)]
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
-        """Exact objective at many active-coordinate points, shape (P,)."""
-        if self.hp:
-            return np.array([self.value(p) for p in points])
-        return self.prescreen(points)
 
     def prescreen(self, points: np.ndarray) -> np.ndarray:
         """Float-precision objective over many points (ranking quality)."""

@@ -9,16 +9,19 @@ summed over the full model's terms (mu_j, l_j, r_j), together with its first
 and second derivatives in the delays (each derivative multiplies the (m, l)
 channel term by mu_j once more). Norms are the zero-delay self case, the gap
 is assembled from three such numbers, and the delay gradient of the gap is
--2x the cross derivative. When a model carries the high-precision payload the
-kernel runs term-wise in mpmath, because the float64 sum loses everything to
-cancellation for badly conditioned residue sets.
+-2x the cross derivative. The kernel has two stages: the zero-delay term
+tensor K[j, m, l] = l_jm H(-mu_j)_ml r_jl, and the delayed sum of K against
+e^{mu_j (gamma_m + tau_l)}, which the delay search reuses on a cached K.
+Both are written once against :mod:`delayh2.precision`: when a model
+carries the high-precision payload they run in its precision, because the
+float64 sum loses everything to cancellation for badly conditioned residue
+sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy.integrate import simpson
 
@@ -34,11 +37,11 @@ from .models import (
     HighPrecisionTerms,
     PoleResidueModel,
     _as_delayed,
-    _mpc,
     eval_transfer,
     eval_transfer_derivative,
     eval_transfer_grid,
 )
+from .precision import Backend, backend_for
 
 
 @dataclass(frozen=True)
@@ -90,104 +93,57 @@ class OptimalityResiduals:
 # the cross kernel
 
 
-def _payload_dps(*models: PoleResidueModel) -> int | None:
-    dps = [m.hp.dps for m in models if m.hp is not None]
-    return max(dps) if dps else None
+def _cross_tensor(bk: Backend, g: PoleResidueModel, h: PoleResidueModel):
+    """g's poles mu and the zero-delay cross terms
+    K[j, m, l] = l_jm H(-mu_j)_ml r_jl, both in ``bk``'s precision."""
+    with bk.context():
+        mu, gl, gr = bk.terms(g)
+        lam, hl, hr = bk.terms(h)
+        dmat = 1.0 / (-mu[:, None] - lam[None, :])  # (N, n)
+        hval = np.einsum("km,kl,jk->jml", hl, hr, dmat)
+        return mu, np.einsum("jm,jml,jl->jml", gl, hval, gr)
 
 
-def _hp_terms(m: PoleResidueModel):
-    if m.hp is not None:
-        return m.hp.poles, m.hp.left, m.hp.right
-    poles = tuple(_mpc(p) for p in m.poles)
-    left = tuple(tuple(_mpc(v) for v in row) for row in m.left)
-    right = tuple(tuple(_mpc(v) for v in row) for row in m.right)
-    return poles, left, right
+def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
+               order: int):
+    """Sum of the cross terms under delays (tau, gamma), with derivatives.
+
+    Returns (f, grad_in, grad_out, hess) as complex128 data; entries past
+    ``order`` are None. ``hess`` is over the stacked coordinates
+    (inputs first, then outputs).
+    """
+    with bk.context():
+        e_out = bk.exp(np.outer(mu, bk.lift(gam)))  # (N, ny)
+        e_in = bk.exp(np.outer(mu, bk.lift(tau)))   # (N, nu)
+        core = ktensor * e_out[:, :, None] * e_in[:, None, :]
+        f = bk.to_complex(core.sum())
+        g_in = g_out = hess = None
+        if order >= 1:
+            g_in = bk.to_complex(np.einsum("j,jml->l", mu, core))
+            g_out = bk.to_complex(np.einsum("j,jml->m", mu, core))
+        if order >= 2:
+            mu2 = mu * mu
+            nu, ny = tau.size, gam.size
+            hess = np.zeros((nu + ny, nu + ny), dtype=complex)
+            hess[:nu, :nu] = np.diag(bk.to_complex(np.einsum("j,jml->l", mu2, core)))
+            hess[nu:, nu:] = np.diag(bk.to_complex(np.einsum("j,jml->m", mu2, core)))
+            hess[:nu, nu:] = bk.to_complex(np.einsum("j,jml->lm", mu2, core))
+            hess[nu:, :nu] = hess[:nu, nu:].T
+    return f, g_in, g_out, hess
 
 
 def _cross_eval(g: PoleResidueModel, h: PoleResidueModel,
                 tau: np.ndarray, gam: np.ndarray, order: int = 0):
     """Cross inner product of diag(e^{-s gamma}) H diag(e^{-s tau}) against g,
-    with optional delay derivatives.
-
-    Returns (f, grad_in, grad_out, hess) as complex numpy data; entries past
-    ``order`` are None. ``hess`` is over the stacked coordinates
-    (inputs first, then outputs).
-    """
+    with optional delay derivatives (see :func:`_delay_sum`)."""
     if g.ny != h.ny or g.nu != h.nu:
         raise DimensionMismatch(
             f"channel mismatch: ({g.ny}x{g.nu}) vs ({h.ny}x{h.nu})"
         )
-    tau = np.asarray(tau, dtype=float)
-    gam = np.asarray(gam, dtype=float)
-    dps = _payload_dps(g, h)
-    if dps is not None:
-        return _cross_eval_hp(g, h, tau, gam, order, dps)
-
-    mu = g.poles
-    ex_out = np.exp(np.outer(mu, gam))              # (N, ny)
-    ex_in = np.exp(np.outer(mu, tau))               # (N, nu)
-    dmat = 1.0 / (-mu[:, None] - h.poles[None, :])  # (N, n)
-    hval = np.einsum("km,kl,jk->jml", h.left, h.right, dmat)
-    core = np.einsum("jm,jml,jl->jml", g.left * ex_out, hval, g.right * ex_in)
-    f = core.sum()
-    g_in = g_out = hess = None
-    if order >= 1:
-        g_in = np.einsum("j,jml->l", mu, core)
-        g_out = np.einsum("j,jml->m", mu, core)
-    if order >= 2:
-        mu2 = mu * mu
-        nu, ny = tau.size, gam.size
-        hess = np.zeros((nu + ny, nu + ny), dtype=complex)
-        hess[:nu, :nu] = np.diag(np.einsum("j,jml->l", mu2, core))
-        hess[nu:, nu:] = np.diag(np.einsum("j,jml->m", mu2, core))
-        cross_block = np.einsum("j,jml->lm", mu2, core)
-        hess[:nu, nu:] = cross_block
-        hess[nu:, :nu] = cross_block.T
-    return f, g_in, g_out, hess
-
-
-def _cross_eval_hp(g, h, tau, gam, order, dps):
-    with mp.workdps(dps):
-        gp, gl, gr = _hp_terms(g)
-        hp_, hl, hr = _hp_terms(h)
-        ny, nu = g.ny, g.nu
-        mtau = [mp.mpf(float(x)) for x in tau]
-        mgam = [mp.mpf(float(x)) for x in gam]
-        f = mp.mpc(0)
-        g_in = [mp.mpc(0)] * nu
-        g_out = [mp.mpc(0)] * ny
-        hess = [[mp.mpc(0) for _ in range(nu + ny)] for _ in range(nu + ny)]
-        for j, muj in enumerate(gp):
-            hv = [[mp.mpc(0) for _ in range(nu)] for _ in range(ny)]
-            for k, lamk in enumerate(hp_):
-                w = 1 / (-muj - lamk)
-                for m in range(ny):
-                    lw = hl[k][m] * w
-                    for l in range(nu):
-                        hv[m][l] += lw * hr[k][l]
-            eo = [mp.exp(muj * x) for x in mgam]
-            ei = [mp.exp(muj * x) for x in mtau]
-            mu2 = muj * muj
-            for m in range(ny):
-                lm = gl[j][m] * eo[m]
-                for l in range(nu):
-                    c = lm * hv[m][l] * ei[l] * gr[j][l]
-                    f += c
-                    if order >= 1:
-                        g_in[l] += muj * c
-                        g_out[m] += muj * c
-                    if order >= 2:
-                        c2 = mu2 * c
-                        hess[l][l] += c2
-                        hess[nu + m][nu + m] += c2
-                        hess[l][nu + m] += c2
-                        hess[nu + m][l] += c2
-        fc = complex(f)
-        gi = np.array([complex(v) for v in g_in]) if order >= 1 else None
-        go = np.array([complex(v) for v in g_out]) if order >= 1 else None
-        hs = (np.array([[complex(v) for v in row] for row in hess])
-              if order >= 2 else None)
-        return fc, gi, go, hs
+    bk = backend_for(g, h)
+    mu, ktensor = _cross_tensor(bk, g, h)
+    return _delay_sum(bk, mu, ktensor, np.asarray(tau, dtype=float),
+                      np.asarray(gam, dtype=float), order)
 
 
 def _real_or_raise(value: complex, what: str) -> float:
@@ -283,22 +239,17 @@ def build_gtilde(g: PoleResidueModel,
         raise DimensionMismatch("delay block lengths do not match model channels")
     tau = input_delays.as_array()
     gam = output_delays.as_array()
-    left = g.left * np.exp(np.outer(g.poles, gam))
-    right = g.right * np.exp(np.outer(g.poles, tau))
+    bk = backend_for(g)
+    with bk.context():
+        mu, left, right = bk.terms(g)
+        left = left * bk.exp(np.outer(mu, bk.lift(gam)))
+        right = right * bk.exp(np.outer(mu, bk.lift(tau)))
     hp = None
-    if g.hp is not None:
-        with mp.workdps(g.hp.dps):
-            mtau = [mp.mpf(float(x)) for x in tau]
-            mgam = [mp.mpf(float(x)) for x in gam]
-            pl, lv, rv = [], [], []
-            for lam, lrow, rrow in zip(g.hp.poles, g.hp.left, g.hp.right):
-                pl.append(lam)
-                lv.append(tuple(v * mp.exp(lam * x) for v, x in zip(lrow, mgam)))
-                rv.append(tuple(v * mp.exp(lam * x) for v, x in zip(rrow, mtau)))
-            hp = HighPrecisionTerms(tuple(pl), tuple(lv), tuple(rv), g.hp.dps)
-            left = np.array([[complex(v) for v in row] for row in lv])
-            right = np.array([[complex(v) for v in row] for row in rv])
-    return PoleResidueModel(g.poles.copy(), left, right, hp=hp)
+    if bk.dps is not None:
+        hp = HighPrecisionTerms(tuple(mu), tuple(map(tuple, left)),
+                                tuple(map(tuple, right)), bk.dps)
+    return PoleResidueModel(g.poles.copy(), bk.to_complex(left),
+                            bk.to_complex(right), hp=hp)
 
 
 # ---------------------------------------------------------------------------

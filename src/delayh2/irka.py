@@ -4,9 +4,10 @@ The full model is kept in pole/residue coordinates, where each projection
 "solve" (sigma I - A)^{-1} B b is a rational evaluation over the terms, O(N)
 per shift. Conjugate shift pairs contribute one complex column each; the
 pair's two columns are replaced by (real, imaginary) parts, which together
-with conjugate-closed data makes the projected pencil exactly real. For
-high-precision models the column and pencil sums run in mpmath (the entries
-cancel catastrophically in float64); the n-by-n reduced pencil is rounded to
+with conjugate-closed data makes the projected pencil exactly real. The
+column and pencil sums are written once against :mod:`delayh2.precision`;
+for high-precision models they run in the payload precision (the entries
+cancel catastrophically in float64), the n-by-n reduced pencil is rounded to
 float64 only after that cancellation, and every reduced model is plain
 float64.
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateDirections, DelayH2Error
@@ -26,9 +26,9 @@ from .h2 import h2_norm_pole_residue, optimality_residuals
 from .models import (
     DelayedModel,
     PoleResidueModel,
-    _mpc,
     canonicalize_terms,
 )
+from .precision import backend_for
 
 DIRECTION_TINY = 1e-14
 
@@ -51,7 +51,6 @@ class IrkaConfig:
     shifts0: tuple | None = None
     right_dirs0: tuple | None = None
     left_dirs0: tuple | None = None
-    retry_random_on_stall: bool = False
 
     def __post_init__(self):
         if self.order < 1:
@@ -116,79 +115,31 @@ def _pair_structure(shifts: np.ndarray) -> list[tuple[int, int | None]]:
     return groups
 
 
-def _project_fp(g: PoleResidueModel, shifts, bdirs, cdirs, groups):
-    mu = g.poles
-    denom = shifts[None, :] - mu[:, None]              # (N, n)
-    V = (g.right @ bdirs.T) / denom
-    W = (g.left @ cdirs.T) / denom
-    # A conjugate shift pair spans {v, v'}; replace with the half-sum and
-    # half-difference-over-i. With conjugate-closed data v' equals v
-    # conjugated up to the term-pairing permutation, so all pencil sums
-    # over the terms come out real.
-    for k, kc in groups:
-        if kc is not None:
-            vk, vkc = V[:, k].copy(), V[:, kc].copy()
-            V[:, k], V[:, kc] = 0.5 * (vk + vkc), -0.5j * (vk - vkc)
-            wk, wkc = W[:, k].copy(), W[:, kc].copy()
-            W[:, k], W[:, kc] = 0.5 * (wk + wkc), -0.5j * (wk - wkc)
-    Er = W.T @ V
-    Ar = W.T @ (mu[:, None] * V)
-    Br = W.T @ g.right
-    Cr = g.left.T @ V
-    return Er, Ar, Br, Cr
-
-
-def _project_hp(g: PoleResidueModel, shifts, bdirs, cdirs, groups):
-    hp = g.hp
-    N, n = g.order, shifts.size
-    ny, nu = g.ny, g.nu
-    with mp.workdps(hp.dps):
-        msh = [_mpc(s) for s in shifts]
-        mb = [[_mpc(v) for v in row] for row in bdirs]
-        mc = [[_mpc(v) for v in row] for row in cdirs]
-        V = [[mp.mpc(0)] * n for _ in range(N)]
-        W = [[mp.mpc(0)] * n for _ in range(N)]
-        for j in range(N):
-            muj = hp.poles[j]
-            rj, lj = hp.right[j], hp.left[j]
-            for k in range(n):
-                d = 1 / (msh[k] - muj)
-                V[j][k] = sum(rj[b] * mb[k][b] for b in range(nu)) * d
-                W[j][k] = sum(lj[a] * mc[k][a] for a in range(ny)) * d
-        # same pair realification as the float path, in mp arithmetic
-        half = mp.mpf("0.5")
-        ihalf = mp.mpc(0, -1) * half
+def _project(g: PoleResidueModel, shifts, bdirs, cdirs, groups):
+    bk = backend_for(g)
+    with bk.context():
+        mu, left, right = bk.terms(g)
+        shifts, bdirs, cdirs = bk.lift(shifts), bk.lift(bdirs), bk.lift(cdirs)
+        denom = shifts[None, :] - mu[:, None]              # (N, n)
+        V = (right @ bdirs.T) / denom
+        W = (left @ cdirs.T) / denom
+        # lifted once: a binary64 operand is converted per element in mpmath
+        half, ihalf = bk.lift(0.5), bk.lift(-0.5j)
+        # A conjugate shift pair spans {v, v'}; replace with the half-sum and
+        # half-difference-over-i. With conjugate-closed data v' equals v
+        # conjugated up to the term-pairing permutation, so all pencil sums
+        # over the terms come out real.
         for k, kc in groups:
-            if kc is None:
-                continue
-            for j in range(N):
-                v, vc = V[j][k], V[j][kc]
-                V[j][k] = (v + vc) * half
-                V[j][kc] = (v - vc) * ihalf
-                w, wc = W[j][k], W[j][kc]
-                W[j][k] = (w + wc) * half
-                W[j][kc] = (w - wc) * ihalf
-        Er = np.empty((n, n), dtype=complex)
-        Ar = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                se = mp.mpc(0)
-                sa = mp.mpc(0)
-                for j in range(N):
-                    w = W[j][a]
-                    se += w * V[j][b]
-                    sa += w * hp.poles[j] * V[j][b]
-                Er[a, b] = complex(se)
-                Ar[a, b] = complex(sa)
-        Br = np.empty((n, nu), dtype=complex)
-        for a in range(n):
-            for b in range(nu):
-                Br[a, b] = complex(sum(W[j][a] * hp.right[j][b] for j in range(N)))
-        Cr = np.empty((ny, n), dtype=complex)
-        for a in range(ny):
-            for b in range(n):
-                Cr[a, b] = complex(sum(hp.left[j][a] * V[j][b] for j in range(N)))
-    return Er, Ar, Br, Cr
+            if kc is not None:
+                vk, vkc = V[:, k].copy(), V[:, kc].copy()
+                V[:, k], V[:, kc] = half * (vk + vkc), ihalf * (vk - vkc)
+                wk, wkc = W[:, k].copy(), W[:, kc].copy()
+                W[:, k], W[:, kc] = half * (wk + wkc), ihalf * (wk - wkc)
+        Er = W.T @ V
+        Ar = W.T @ (mu[:, None] * V)
+        Br = W.T @ right
+        Cr = left.T @ V
+        return [bk.to_complex(M) for M in (Er, Ar, Br, Cr)]
 
 
 def _realify_pencil(*mats: np.ndarray) -> list[np.ndarray]:
@@ -214,59 +165,47 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig) -> IrkaResult:
     if not 1 <= n <= g.order:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
     shifts, bdirs, cdirs = _initial_iterate(g, cfg)
-    retried = False
     movement = np.inf
     moved_ok = False
     reflections = 0
     model = None
     iterations = 0
 
-    while True:
-        for _ in range(cfg.max_iters):
-            iterations += 1
-            groups = _pair_structure(shifts)
-            if g.hp is not None:
-                Er, Ar, Br, Cr = _project_hp(g, shifts, bdirs, cdirs, groups)
-            else:
-                Er, Ar, Br, Cr = _project_fp(g, shifts, bdirs, cdirs, groups)
-            Er, Ar, Br, Cr = _realify_pencil(Er, Ar, Br, Cr)
-            try:
-                lam, X = np.linalg.eig(np.linalg.solve(Er, Ar))
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateDirections(f"projected pencil is singular: {exc}")
-            CX = Cr @ X
-            try:
-                BX = np.linalg.solve(Er @ X, Br)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateDirections(f"eigenvector matrix is singular: {exc}")
-            unstable = lam.real >= 0
-            if np.any(unstable):
-                reflections += int(np.sum(unstable))
-                lam = np.where(unstable,
-                               np.where(lam.real > 0, lam - 2 * lam.real,
-                                        lam - 1e-8 * np.maximum(1.0, np.abs(lam))),
-                               lam)
-            poles, lv, rv = canonicalize_terms(lam, CX.T, BX)
-            model = PoleResidueModel(poles, lv, rv)
-            new_shifts = -model.poles
-            bdirs_new = model.right.copy()
-            cdirs_new = model.left.copy()
-            dir_scale = max(np.max(np.abs(bdirs_new)), np.max(np.abs(cdirs_new)))
-            if (np.min(np.linalg.norm(bdirs_new, axis=1)) < DIRECTION_TINY * dir_scale
-                    or np.min(np.linalg.norm(cdirs_new, axis=1)) < DIRECTION_TINY * dir_scale):
-                raise DegenerateDirections("tangential direction collapsed to zero")
-            denom = max(float(np.max(np.abs(shifts))), 1e-300)
-            movement = float(np.max(np.abs(new_shifts - shifts))) / denom
-            shifts, bdirs, cdirs = new_shifts, bdirs_new, cdirs_new
-            if movement < cfg.shift_tol:
-                moved_ok = True
-                break
-        if moved_ok or not cfg.retry_random_on_stall or retried:
+    for _ in range(cfg.max_iters):
+        iterations += 1
+        groups = _pair_structure(shifts)
+        Er, Ar, Br, Cr = _realify_pencil(*_project(g, shifts, bdirs, cdirs, groups))
+        try:
+            lam, X = np.linalg.eig(np.linalg.solve(Er, Ar))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDirections(f"projected pencil is singular: {exc}")
+        CX = Cr @ X
+        try:
+            BX = np.linalg.solve(Er @ X, Br)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDirections(f"eigenvector matrix is singular: {exc}")
+        unstable = lam.real >= 0
+        if np.any(unstable):
+            reflections += int(np.sum(unstable))
+            lam = np.where(unstable,
+                           np.where(lam.real > 0, lam - 2 * lam.real,
+                                    lam - 1e-8 * np.maximum(1.0, np.abs(lam))),
+                           lam)
+        poles, lv, rv = canonicalize_terms(lam, CX.T, BX)
+        model = PoleResidueModel(poles, lv, rv)
+        new_shifts = -model.poles
+        bdirs_new = model.right.copy()
+        cdirs_new = model.left.copy()
+        dir_scale = max(np.max(np.abs(bdirs_new)), np.max(np.abs(cdirs_new)))
+        if (np.min(np.linalg.norm(bdirs_new, axis=1)) < DIRECTION_TINY * dir_scale
+                or np.min(np.linalg.norm(cdirs_new, axis=1)) < DIRECTION_TINY * dir_scale):
+            raise DegenerateDirections("tangential direction collapsed to zero")
+        denom = max(float(np.max(np.abs(shifts))), 1e-300)
+        movement = float(np.max(np.abs(new_shifts - shifts))) / denom
+        shifts, bdirs, cdirs = new_shifts, bdirs_new, cdirs_new
+        if movement < cfg.shift_tol:
+            moved_ok = True
             break
-        # optional single re-init with seeded random shifts
-        retried = True
-        shifts, bdirs, cdirs = _initial_iterate(
-            g, IrkaConfig(order=n, init="random-stable", seed=cfg.seed + 1))
 
     cert_ok = False
     if moved_ok:

@@ -11,8 +11,11 @@ Pole/residue models optionally carry a high-precision payload (mpmath
 terms at a recorded decimal precision). Residues of ill-conditioned
 partial-fraction decompositions can exceed 1e15 with massive cancellation
 between terms, in which case every sum over the terms must run in extended
-precision; the complex128 arrays are then only views for inspection. All
-reduced-order models produced by this package are plain float64.
+precision; the complex128 arrays are then only views for inspection. The
+transfer and impulse sums here are written once against
+:mod:`delayh2.precision`, which runs them in the payload precision when a
+payload is present and in float64 otherwise. All reduced-order models
+produced by this package are plain float64.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -31,6 +33,7 @@ from .errors import (
     RepeatedPole,
     Unstable,
 )
+from .precision import backend_for
 
 # Absolute tolerance for the imaginary leakage of sums that must be real.
 IMAG_TOL = 1e-10
@@ -48,11 +51,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
-
-
-def _mpc(z) -> mp.mpc:
-    """Exact binary64 -> mpc conversion (both components)."""
-    return mp.mpc(mp.mpf(float(np.real(z))), mp.mpf(float(np.imag(z))))
 
 
 @dataclass(frozen=True)
@@ -414,56 +412,36 @@ def _check_not_pole(m: PoleResidueModel, s: complex) -> None:
         raise EvalAtPole(f"evaluation point {s} is within tolerance of a pole")
 
 
+def _transfer_sum(m: PoleResidueModel, s, derivative: bool) -> np.ndarray:
+    """sum_j w_j left_j right_j^T with w_j = 1/(s - lambda_j), or its
+    s-derivative, for points ``s`` of any shape: (*s.shape, ny, nu)."""
+    bk = backend_for(m)
+    with bk.context():
+        poles, left, right = bk.terms(m)
+        d = bk.lift(s)[..., None] - poles
+        w = -1.0 / d ** 2 if derivative else 1.0 / d
+        return bk.to_complex(np.einsum("...j,jm,jl->...ml", w, left, right))
+
+
 def eval_transfer(m: PoleResidueModel, s: complex) -> np.ndarray:
     """H(s) = sum_j left_j right_j^T / (s - lambda_j) as an ny-by-nu matrix."""
     _check_not_pole(m, s)
-    if m.hp is not None:
-        return _hp_matrix_to_complex(_eval_transfer_hp(m, _mpc(s), derivative=False))
-    w = 1.0 / (s - m.poles)
-    return np.einsum("j,jm,jl->ml", w, m.left, m.right)
+    return _transfer_sum(m, s, derivative=False)
 
 
 def eval_transfer_derivative(m: PoleResidueModel, s: complex) -> np.ndarray:
     """d/ds of the transfer function: -sum_j left_j right_j^T / (s - lambda_j)^2."""
     _check_not_pole(m, s)
-    if m.hp is not None:
-        return _hp_matrix_to_complex(_eval_transfer_hp(m, _mpc(s), derivative=True))
-    w = -1.0 / (s - m.poles) ** 2
-    return np.einsum("j,jm,jl->ml", w, m.left, m.right)
-
-
-def _eval_transfer_hp(m: PoleResidueModel, s: mp.mpc, derivative: bool):
-    hp = m.hp
-    with mp.workdps(hp.dps):
-        ny, nu = m.ny, m.nu
-        acc = [[mp.mpc(0) for _ in range(nu)] for _ in range(ny)]
-        for lam, lv, rv in zip(hp.poles, hp.left, hp.right):
-            d = s - lam
-            w = (-1 / (d * d)) if derivative else (1 / d)
-            for a in range(ny):
-                la = lv[a] * w
-                for b in range(nu):
-                    acc[a][b] += la * rv[b]
-        return acc
-
-
-def _hp_matrix_to_complex(acc) -> np.ndarray:
-    return np.array([[complex(v) for v in row] for row in acc], dtype=complex)
+    return _transfer_sum(m, s, derivative=True)
 
 
 def eval_transfer_grid(m: PoleResidueModel, s: np.ndarray) -> np.ndarray:
     """Vectorized transfer evaluation at many points: (len(s), ny, nu).
 
-    Float path only; high-precision models are evaluated point-wise in mp
-    and rounded, which is slow for large grids.
+    High-precision models run every point in the payload precision, which
+    is slow for large grids.
     """
-    s = np.asarray(s, dtype=complex).ravel()
-    if m.hp is not None:
-        return np.array(
-            [_hp_matrix_to_complex(_eval_transfer_hp(m, _mpc(p), derivative=False)) for p in s]
-        )
-    w = 1.0 / (s[:, None] - m.poles[None, :])
-    return np.einsum("pj,jm,jl->pml", w, m.left, m.right)
+    return _transfer_sum(m, np.asarray(s, dtype=complex).ravel(), derivative=False)
 
 
 # ---------------------------------------------------------------------------
@@ -515,35 +493,18 @@ def impulse_response(m: DelayedModel | PoleResidueModel, t_grid: np.ndarray) -> 
     gam = hd.output_delays.as_array()
     tau = hd.input_delays.as_array()
     out = np.zeros((core.ny, core.nu, t.size))
-    if core.hp is not None:
-        hp = core.hp
-        with mp.workdps(hp.dps):
-            mt = [mp.mpf(float(x)) for x in t]
-            for a in range(core.ny):
-                for b in range(core.nu):
-                    shift = float(gam[a] + tau[b])
-                    mshift = mp.mpf(shift)
-                    for it, tv in enumerate(t):
-                        if tv < shift:
-                            continue
-                        acc = mp.mpc(0)
-                        for lam, lv, rv in zip(hp.poles, hp.left, hp.right):
-                            acc += lv[a] * rv[b] * mp.exp(lam * (mt[it] - mshift))
-                        if abs(mp.im(acc)) >= IMAG_TOL:
-                            raise NonRealModel(
-                                f"imaginary leakage {float(mp.im(acc)):.3e} in impulse response"
-                            )
-                        out[a, b, it] = float(mp.re(acc))
-        return out
-    for a in range(core.ny):
-        for b in range(core.nu):
-            shift = gam[a] + tau[b]
-            alive = t >= shift
-            dt = t[alive] - shift
-            vals = np.einsum("j,jp->p", core.left[:, a] * core.right[:, b],
-                             np.exp(np.outer(core.poles, dt)))
-            leak = np.max(np.abs(vals.imag)) if vals.size else 0.0
-            if leak >= IMAG_TOL:
-                raise NonRealModel(f"imaginary leakage {leak:.3e} in impulse response")
-            out[a, b, alive] = vals.real
+    bk = backend_for(core)
+    with bk.context():
+        poles, left, right = bk.terms(core)
+        for a in range(core.ny):
+            for b in range(core.nu):
+                shift = gam[a] + tau[b]
+                alive = t >= shift
+                dt = bk.lift(t[alive]) - bk.lift(shift)
+                vals = bk.to_complex(np.einsum("j,jp->p", left[:, a] * right[:, b],
+                                               bk.exp(np.outer(poles, dt))))
+                leak = np.max(np.abs(vals.imag)) if vals.size else 0.0
+                if leak >= IMAG_TOL:
+                    raise NonRealModel(f"imaginary leakage {leak:.3e} in impulse response")
+                out[a, b, alive] = vals.real
     return out

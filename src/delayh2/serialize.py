@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 
 import mpmath
 import numpy as np
 
-from .errors import DelayH2Error
+from .errors import DelayH2Error, DimensionMismatch
 from .h2 import GapValue, OptimalityResiduals
 from .models import (
     DelayBlock,
@@ -148,57 +149,46 @@ def model_to_obj(m) -> dict:
     raise DelayH2Error(f"cannot serialize model of type {type(m).__name__}")
 
 
+def _number(value, dps: int | None, where: str):
+    """One [re, im] pair: an mpc at ``dps`` digits, or a complex for None."""
+    try:
+        re, im = value
+        if dps is None:
+            return complex(re, im)
+        return mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
+    except (TypeError, ValueError) as exc:
+        raise DelayH2Error(f"{where} is not a [re, im] number pair: {value!r}") from exc
+
+
+def _row(term: dict, key: str, width: int, dps: int | None, where: str) -> list:
+    row = _require(term, key, where)
+    if not isinstance(row, list) or len(row) != width:
+        raise DimensionMismatch(f"residue shapes disagree with ny/nu in {where}")
+    return [_number(v, dps, f"{where} {key}") for v in row]
+
+
 def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
     terms = _require(obj, "terms", where)
     ny = int(_require(obj, "ny", where))
     nu = int(_require(obj, "nu", where))
-    n = len(terms)
-    if n == 0:
+    if len(terms) == 0:
         raise DelayH2Error(f"empty term list in {where}")
     dps = obj.get("precision")
-    poles = np.empty(n, dtype=complex)
-    left = np.empty((n, ny), dtype=complex)
-    right = np.empty((n, nu), dtype=complex)
+    dps = None if dps is None else int(dps)
+    poles, left, right = [], [], []
+    with nullcontext() if dps is None else mpmath.workdps(dps):
+        for k, t in enumerate(terms):
+            at = f"{where} term {k}"
+            poles.append(_number(_require(t, "pole", at), dps, f"{at} pole"))
+            left.append(_row(t, "left", ny, dps, at))
+            right.append(_row(t, "right", nu, dps, at))
     hp = None
     if dps is not None:
-        dps = int(dps)
-        hp_p, hp_l, hp_r = [], [], []
-        with mpmath.workdps(dps):
-            for k, t in enumerate(terms):
-                _check_rows(t, ny, nu, where, k)
-                p = mpmath.mpc(mpmath.mpf(t["pole"][0]), mpmath.mpf(t["pole"][1]))
-                lrow = tuple(mpmath.mpc(mpmath.mpf(a), mpmath.mpf(b))
-                             for a, b in t["left"])
-                rrow = tuple(mpmath.mpc(mpmath.mpf(a), mpmath.mpf(b))
-                             for a, b in t["right"])
-                hp_p.append(p)
-                hp_l.append(lrow)
-                hp_r.append(rrow)
-                poles[k] = complex(p)
-                left[k] = [complex(v) for v in lrow]
-                right[k] = [complex(v) for v in rrow]
-        hp = HighPrecisionTerms(tuple(hp_p), tuple(hp_l), tuple(hp_r), dps)
-    else:
-        for k, t in enumerate(terms):
-            pole = _require(t, "pole", f"{where} term {k}")
-            lrow = _require(t, "left", f"{where} term {k}")
-            rrow = _require(t, "right", f"{where} term {k}")
-            _check_rows(t, ny, nu, where, k)
-            poles[k] = complex(pole[0], pole[1])
-            left[k] = [complex(a, b) for a, b in lrow]
-            right[k] = [complex(a, b) for a, b in rrow]
-    return PoleResidueModel(poles, left, right, hp=hp)
-
-
-class DimensionError(DelayH2Error):
-    def __init__(self, where: str):
-        super().__init__(f"residue shapes disagree with ny/nu in {where}")
-
-
-def _check_rows(term: dict, ny: int, nu: int, where: str, k: int) -> None:
-    # preallocated rows would silently broadcast a short entry
-    if len(term.get("left", ())) != ny or len(term.get("right", ())) != nu:
-        raise DimensionError(f"{where} term {k}")
+        hp = HighPrecisionTerms(tuple(poles), tuple(map(tuple, left)),
+                                tuple(map(tuple, right)), dps)
+    return PoleResidueModel(np.array(poles, dtype=complex),
+                            np.array(left, dtype=complex),
+                            np.array(right, dtype=complex), hp=hp)
 
 
 def obj_to_model(obj: dict, where: str = "model"):

@@ -259,7 +259,7 @@ def test_analyze_dimension_mismatch_exit1(tmp_path, capsys):
 @pytest.mark.slow
 def test_bench_smoke(tmp_path, capsys):
     out = tmp_path / "bench"
-    rc = main(["bench", "--out", str(out), "--orders-free", "2",
+    rc = main(["bench", "--out", str(out), "--orders-free", "2,3",
                "--orders-delayed", "2", "--points", "400"])
     assert rc == 0
     capsys.readouterr()
@@ -276,5 +276,7 @@ def test_bench_smoke(tmp_path, capsys):
     assert summary["delayed"]["2"]["input_delay"] > 1.0
     # at equal order the delay must pay for itself
     assert summary["delayed"]["2"]["gap"] < summary["free"]["2"]["gap"]
+    # and it beats the next delay-free order (the self-check of the study)
+    assert summary["checks"] == {"gap_delayed2_lt_free3": True}
     header = (out / "summary.csv").read_text().splitlines()[0]
     assert header == "order,delayed,gap,mse"

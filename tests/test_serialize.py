@@ -1,6 +1,7 @@
 """Canonical JSON / CSV serialization: byte stability and validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from delayh2 import (
     build_bench_model,
     io_dirka,
 )
+from delayh2.cli import main
 from delayh2.serialize import (
     config_to_obj,
     dumps_canonical,
@@ -187,6 +189,42 @@ def test_obj_to_model_validation():
     bad["ny"] = 2  # term rows still carry one output entry
     with pytest.raises(DelayH2Error, match="shapes disagree"):
         obj_to_model(bad)
+
+
+def _term(pole, left=((1.0, 0.0),), right=((1.0, 0.0),)):
+    return {"pole": list(pole), "left": [list(v) for v in left],
+            "right": [list(v) for v in right]}
+
+
+_HP_ONE = (("1", "0"),)
+
+
+@pytest.mark.parametrize("model_obj, message", [
+    ({"kind": "pole_residue", "ny": 1, "nu": 1, "precision": 30,
+      "terms": [{"left": [["1", "0"]], "right": [["1", "0"]]}]},
+     "missing field 'pole' in .* term 0"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1, "precision": 30,
+      "terms": [_term(("abc", "0"), _HP_ONE, _HP_ONE)]},
+     "term 0 pole is not a \\[re, im\\] number pair"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1,
+      "terms": [_term((-1.0, 0.0)), _term(("abc", 0))]},
+     "term 1 pole is not a \\[re, im\\] number pair"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1, "terms": [_term((-1,))]},
+     "term 0 pole is not a \\[re, im\\] number pair"),
+    ({"kind": "pole_residue", "ny": 2, "nu": 1, "terms": [_term((-1.0, 0.0))]},
+     "residue shapes disagree with ny/nu in .* term 0"),
+], ids=["hp-no-pole", "hp-bad-pole", "float-bad-pole", "short-pole",
+        "short-residue-row"])
+def test_malformed_model_file_exits_cleanly(tmp_path, capsys, model_obj, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model_obj))
+    good = tmp_path / "good.json"
+    save_model(good, make_siso([-1.0], [1.0]))
+    rc = main(["analyze", "--model", str(bad), "--reduced", str(good)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert re.search(message, err)
 
 
 # ---------------------------------------------------------------------------
