@@ -52,7 +52,6 @@ from .iodirka import (
     IoDirkaConfig,
     ReductionReport,
     TraceEntry,
-    certify,
     io_dirka,
     model_from_snapshot,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "optimality_residuals",
     "IrkaConfig", "IrkaResult", "hermite_residuals", "irka_reduce",
     "DelaySearchConfig", "cross_objective", "optimize_delays",
-    "IoDirkaConfig", "ReductionReport", "TraceEntry", "certify", "io_dirka",
+    "IoDirkaConfig", "ReductionReport", "TraceEntry", "io_dirka",
     "model_from_snapshot",
     "build_bench_model", "run_bench",
     "__version__",

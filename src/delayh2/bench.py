@@ -72,7 +72,7 @@ def _impulse_series(model, t: np.ndarray) -> np.ndarray:
 
 def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
               seed: int = 0, outer_max: int = 80, t_max: float = 50.0,
-              n_points: int = 2000, threads: int | None = None) -> dict:
+              n_points: int = 2000) -> dict:
     """Run the full reproduction study into ``outdir`` and return a summary."""
     os.makedirs(outdir, exist_ok=True)
     g = build_bench_model()
@@ -104,8 +104,7 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
         cfg = IoDirkaConfig(
             order=n, outer_max_iters=outer_max,
             irka=IrkaConfig(order=n, seed=seed),
-            search=DelaySearchConfig(input_mask=(True,), output_mask=(False,),
-                                     threads=threads))
+            search=DelaySearchConfig(input_mask=(True,), output_mask=(False,)))
         report = io_dirka(g, cfg)
         hd = report.model
         hi = _impulse_series(hd, t)

@@ -6,8 +6,7 @@ model file), ``analyze`` (gap and first-order residuals of a given
 full/reduced pair). Exit codes: 0 on success/convergence, 2 when a result
 was produced best-effort without meeting its convergence rule, 1 on errors
 (bad files, bad flags). Output files carry no timestamps; a given config
-and seed always produce byte-identical files. DELAY_H2_THREADS bounds the
-delay-search worker threads when --threads is not given.
+and seed always produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def _cmd_reduce(args) -> int:
     search = DelaySearchConfig(
         grid_points_per_channel=args.grid_points, tau_max=args.tau_max,
         refine_tol=args.refine_tol, input_mask=in_mask, output_mask=out_mask,
-        landscape_csv=args.landscape_csv, threads=args.threads)
+        landscape_csv=args.landscape_csv)
     irka = IrkaConfig(order=args.order, seed=args.seed,
                       shift_tol=args.shift_tol, init=args.irka_init)
     cfg = IoDirkaConfig(
@@ -109,8 +108,7 @@ def _cmd_bench(args) -> int:
     summary = run_bench(
         args.out, orders_free=tuple(args.orders_free),
         orders_delayed=tuple(args.orders_delayed), seed=args.seed,
-        outer_max=args.outer_max, t_max=args.t_max, n_points=args.points,
-        threads=args.threads)
+        outer_max=args.outer_max, t_max=args.t_max, n_points=args.points)
     ok = all(summary["checks"].values()) and all(
         d["converged"] for d in summary["delayed"].values())
     for name, val in sorted(summary["checks"].items()):
@@ -183,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--refine-tol", type=float, default=1e-10)
     r.add_argument("--landscape-csv", default=None,
                    help="dump the delay-search grid to this CSV")
-    r.add_argument("--threads", type=int, default=None)
     r.set_defaults(func=_cmd_reduce)
     r.add_argument("--no-final-irka", action="store_true",
                    help="skip the final core re-reduction pass")
@@ -196,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--orders-delayed", type=_int_list, default=[2, 4])
     b.add_argument("--t-max", type=float, default=50.0)
     b.add_argument("--points", type=int, default=2000)
-    b.add_argument("--threads", type=int, default=None)
     b.set_defaults(func=_cmd_bench)
 
     i = sub.add_parser("impulse", help="impulse-response CSV of a model")

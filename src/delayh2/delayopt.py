@@ -1,11 +1,17 @@
 """Delay optimization: maximize the cross inner product over box delays.
 
-The objective sum_j k_j e^{mu_j (gamma_m + tau_l)} oscillates through the
-complex poles mu_j, so a single local ascent is not trustworthy: the search
-runs a coarse grid over the box [0, tau_max]^k (joint for up to three active
-channels, cyclic coordinate scans above), then refines the best few cells
-with projected gradient ascent plus a Newton polish using the analytic
-delay Hessian. The box is grown (doubling, capped) while the winner presses
+The objective sum_j sum_{m,l} K_jml e^{mu_j (gamma_m + tau_l)} oscillates
+through the complex poles mu_j, so a single local ascent is not
+trustworthy: the search runs a coarse grid over the box [0, tau_max]^k
+(joint for up to three active channels, cyclic coordinate scans above),
+then refines the best few cells with projected gradient ascent plus a
+Newton polish using the analytic delay Hessian. Each term couples one
+output delay with one input delay, so the grid is screened in float as a
+broadcast sum of ny*nu two-axis tables, one matrix product over the poles
+each. On a model with an extended-precision payload that float screen can
+misrank cells by O(1) (the objective cancels far below binary64), so only
+the leaders confirmed with the exact kernel and the refinement are
+trusted. The box is grown (doubling, capped) while the winner presses
 against the right boundary with positive outward derivative, so a too-small
 default horizon cannot truncate the optimum. Ties are broken toward the
 lexicographically smallest delay vector; everything is deterministic.
@@ -13,8 +19,6 @@ lexicographically smallest delay vector; everything is deterministic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +27,6 @@ from .errors import DelayH2Error, NonFiniteObjective
 from .h2 import _cross_eval, _cross_tensor, _delay_sum
 from .models import DelayBlock, PoleResidueModel
 from .precision import FLOAT, backend_for
-
-_FP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,10 @@ class DelaySearchConfig:
     ``extend_cap`` times the initial size) while the optimum sits on the
     right boundary with positive gradient. ``input_mask``/``output_mask``
     pin masked-off channels to delay 0. ``extra_starts`` adds refinement
-    starts, e.g. the previous outer iteration's delays. ``threads=None``
-    reads DELAY_H2_THREADS (0 or unset = auto) for the float grid path.
+    starts, e.g. the previous outer iteration's delays. The grid has
+    ``grid_points_per_channel`` points per axis, fewer when a joint grid
+    would exceed ``joint_grid_budget`` points; its float screen only ranks
+    refinement starts (see the module docstring).
     """
 
     grid_points_per_channel: int = 400
@@ -52,7 +56,6 @@ class DelaySearchConfig:
     top_starts: int = 5
     extra_starts: tuple = ()
     landscape_csv: str | None = None
-    threads: int | None = None
 
     def __post_init__(self):
         if self.grid_points_per_channel < 2:
@@ -79,30 +82,21 @@ def cross_objective(g: PoleResidueModel, h: PoleResidueModel,
     return val
 
 
-def _thread_count(cfg: DelaySearchConfig) -> int:
-    raw = cfg.threads
-    if raw is None:
-        raw = int(os.environ.get("DELAY_H2_THREADS", "0") or 0)
-    if raw <= 0:
-        raw = min(4, os.cpu_count() or 1)
-    return max(1, raw)
-
-
 class _Objective:
     """Objective over the active delay coordinates, with derivatives.
 
     Active coordinates are the unmasked channels, inputs first; masked
-    channels stay pinned at 0. Grids are ranked with a fast float-precision
-    screen (exact for float models); the exact kernel is used for every
-    value that is kept: confirmed grid leaders, refinement iterates, and
-    the returned optimum.
+    channels stay pinned at 0. Grids are ranked with a float screen built
+    from per-channel-pair tables (:meth:`prescreen`); on payload models it
+    can misrank cells by O(1), so the exact kernel gives every value that is
+    kept: confirmed grid leaders, refinement iterates, and the returned
+    optimum.
     """
 
     def __init__(self, g: PoleResidueModel, h: PoleResidueModel,
-                 act_in: np.ndarray, act_out: np.ndarray, threads: int):
+                 act_in: np.ndarray, act_out: np.ndarray):
         self.g = g
         self.act_in, self.act_out = act_in, act_out
-        self.threads = threads
         self.bk = backend_for(g, h)
         self.hp = self.bk.dps is not None
         self.mu, self.k = _cross_tensor(self.bk, g, h)
@@ -128,26 +122,39 @@ class _Objective:
         grad = np.concatenate([np.real(g_in), np.real(g_out)])[idx]
         return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)]
 
-    def prescreen(self, points: np.ndarray) -> np.ndarray:
-        """Float-precision objective over many points (ranking quality)."""
+    def prescreen(self, axes: list[np.ndarray]) -> np.ndarray:
+        """Float objective on the tensor grid of one axis per active coordinate.
+
+        ``axes`` lists the inputs first; the result is raveled like
+        ``np.meshgrid(*axes, indexing="ij")``. Term (m, l) adds the table
+        Re[(K[:, m, l] E_m)^T E_l], with E = exp(mu x axis) for an active
+        channel and a column of ones for a masked one, broadcast over the
+        grid; no intermediate is larger than one such table.
+        """
         mu = self.g.poles
+        ones = np.ones((mu.size, 1))
 
-        def _chunk(block: np.ndarray) -> np.ndarray:
-            tau = np.zeros((block.shape[0], self.g.nu))
-            gam = np.zeros((block.shape[0], self.g.ny))
-            tau[:, self.act_in] = block[:, : self.act_in.size]
-            gam[:, self.act_out] = block[:, self.act_in.size:]
-            e_in = np.exp(np.einsum("j,pl->pjl", mu, tau))
-            e_out = np.exp(np.einsum("j,pm->pjm", mu, gam))
-            return np.real(np.einsum("jml,pjm,pjl->p", self.ktensor, e_out, e_in))
+        def factors(act: np.ndarray, count: int, first: int) -> list:
+            # (E, grid axis) per channel; a masked channel has no axis
+            out = [(ones, None)] * count
+            for i, c in enumerate(act):
+                out[c] = (np.exp(np.outer(mu, axes[first + i])), first + i)
+            return out
 
-        blocks = [points[lo:lo + _FP_CHUNK] for lo in range(0, len(points), _FP_CHUNK)]
-        if self.threads > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                parts = list(pool.map(_chunk, blocks))
-        else:
-            parts = [_chunk(b) for b in blocks]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        ins = factors(self.act_in, self.g.nu, 0)
+        outs = factors(self.act_out, self.g.ny, self.act_in.size)
+        total = np.zeros([a.size for a in axes])
+        for m, (e_out, a_out) in enumerate(outs):
+            for l, (e_in, a_in) in enumerate(ins):
+                table = np.real((self.ktensor[:, m, l, None] * e_out).T @ e_in)
+                # inputs precede outputs on the grid, so place the transpose
+                shape = [1] * len(axes)
+                if a_in is not None:
+                    shape[a_in] = table.shape[1]
+                if a_out is not None:
+                    shape[a_out] = table.shape[0]
+                total += table.T.reshape(shape)
+        return total.ravel()
 
 
 def _refine(obj: _Objective, x0: np.ndarray, tau_max: float,
@@ -216,7 +223,7 @@ def _scan(obj: _Objective, k_act: int, tau_max: float,
     if k_act <= 3:
         mesh = np.meshgrid(*([axis] * k_act), indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
-        return points, obj.prescreen(points)
+        return points, obj.prescreen([axis] * k_act)
     # cyclic coordinate scans from the origin, two sweeps
     x = np.zeros(k_act)
     pts, vals = [], []
@@ -224,7 +231,8 @@ def _scan(obj: _Objective, k_act: int, tau_max: float,
         for i in range(k_act):
             block = np.repeat(x[None, :], axis.size, axis=0)
             block[:, i] = axis
-            v = obj.prescreen(block)
+            v = obj.prescreen([axis if c == i else x[c:c + 1]
+                               for c in range(k_act)])
             pts.append(block)
             vals.append(v)
             x = block[int(np.argmax(v))].copy()
@@ -266,7 +274,7 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
 
     tau_max0 = cfg.tau_max if cfg.tau_max is not None \
         else 5.0 / float(np.min(np.abs(np.real(g.poles))))
-    obj = _Objective(g, h, act_in, act_out, _thread_count(cfg))
+    obj = _Objective(g, h, act_in, act_out)
 
     tau_max = float(tau_max0)
     while True:

@@ -306,19 +306,3 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                            residuals_before_final_pass=residuals_before,
                            total_reflections=reflections)
 
-
-def certify(g: PoleResidueModel, report: ReductionReport) -> OptimalityResiduals:
-    """Recompute all first-order residuals of the report's final model.
-
-    Independent of any cached value; raises if the recomputation disagrees
-    with the report beyond 1e-12 (it is the same pure function of the same
-    data, so any drift indicates corruption).
-    """
-    fresh = optimality_residuals(g, report.model)
-    for name in ("interp_right", "interp_left", "interp_hermite",
-                 "delay_in", "delay_out"):
-        a = np.asarray(getattr(fresh, name))
-        b = np.asarray(getattr(report.residuals, name))
-        if a.shape != b.shape or (a.size and np.max(np.abs(a - b)) > 1e-12):
-            raise DelayH2Error(f"certification mismatch in {name}")
-    return fresh

@@ -100,6 +100,14 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _convert(convert, value, key: str, where: str):
+    """``convert(value)``; a value it rejects fails naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise DelayH2Error(f"malformed field {key!r} in {where}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -168,13 +176,13 @@ def _row(term: dict, key: str, width: int, dps: int | None, where: str) -> list:
 
 
 def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
-    terms = _require(obj, "terms", where)
-    ny = int(_require(obj, "ny", where))
-    nu = int(_require(obj, "nu", where))
+    terms = _convert(list, _require(obj, "terms", where), "terms", where)
+    ny = _convert(int, _require(obj, "ny", where), "ny", where)
+    nu = _convert(int, _require(obj, "nu", where), "nu", where)
     if len(terms) == 0:
         raise DelayH2Error(f"empty term list in {where}")
     dps = obj.get("precision")
-    dps = None if dps is None else int(dps)
+    dps = None if dps is None else _convert(int, dps, "precision", where)
     poles, left, right = [], [], []
     with nullcontext() if dps is None else mpmath.workdps(dps):
         for k, t in enumerate(terms):
@@ -194,20 +202,24 @@ def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
 def obj_to_model(obj: dict, where: str = "model"):
     kind = _require(obj, "kind", where)
     if kind == "state_space":
-        mats = [np.asarray(_require(obj, k, where), dtype=float)
+        mats = [_convert(lambda v: np.asarray(v, dtype=float),
+                         _require(obj, k, where), k, where)
                 for k in ("E", "A", "B", "C")]
         return StateSpaceModel(*mats)
     if kind == "pole_residue":
         return _obj_to_pole_residue(obj, where)
     if kind == "delayed":
         core = _obj_to_pole_residue(obj, where)
-        din = DelayBlock(tuple(float(d) for d in _require(obj, "input_delays", where)),
-                         tuple(bool(b) for b in obj.get("input_mask",
-                               [True] * core.nu)))
-        dout = DelayBlock(tuple(float(d) for d in _require(obj, "output_delays", where)),
-                          tuple(bool(b) for b in obj.get("output_mask",
-                                [True] * core.ny)))
-        return DelayedModel(core, din, dout)
+        blocks = []
+        for side, width in (("input", core.nu), ("output", core.ny)):
+            delays = _convert(lambda v: tuple(map(float, v)),
+                              _require(obj, f"{side}_delays", where),
+                              f"{side}_delays", where)
+            mask = _convert(lambda v: tuple(map(bool, v)),
+                            obj.get(f"{side}_mask", [True] * width),
+                            f"{side}_mask", where)
+            blocks.append(DelayBlock(delays, mask))
+        return DelayedModel(core, *blocks)
     raise DelayH2Error(f"unknown model kind {kind!r} in {where}")
 
 

@@ -13,6 +13,7 @@ from delayh2 import (
     h2_norm_sq,
     optimize_delays,
 )
+from delayh2.delayopt import _Objective, _scan
 
 
 def test_self_pair_optimum_is_zero_delay():
@@ -178,15 +179,28 @@ def test_landscape_csv_written(tmp_path):
     float(row[2])
 
 
-def test_threads_do_not_change_result():
+@pytest.mark.parametrize("ny, nu, input_mask, output_mask", [
+    (1, 1, (True,), (True,)),
+    (2, 2, (True, True), (False, False)),
+    (2, 3, (True, False, True), (False, True)),
+    (2, 2, (True, True), (True, True)),
+], ids=["siso-io", "2x2-inputs", "2x3-mask-101-01", "2x2-io-cyclic"])
+def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask):
+    # the per-channel-pair table screen against the exact kernel at every
+    # returned point, on the joint grid (k <= 3) and the cyclic scans (k = 4)
     rng = np.random.default_rng(89)
-    g = random_pr(rng, 5, ny=2, nu=2)
-    h = random_pr(rng, 2, ny=2, nu=2)
-    base = dict(grid_points_per_channel=25, tau_max=3.0, extend_box=False)
-    a = optimize_delays(g, h, DelaySearchConfig(threads=1, **base))
-    b = optimize_delays(g, h, DelaySearchConfig(threads=4, **base))
-    assert a[0].delays == b[0].delays
-    assert a[1].delays == b[1].delays
+    g = random_pr(rng, 5, ny=ny, nu=nu)
+    h = random_pr(rng, 2, ny=ny, nu=nu)
+    act_in = np.flatnonzero(input_mask)
+    act_out = np.flatnonzero(output_mask)
+    k_act = act_in.size + act_out.size
+    obj = _Objective(g, h, act_in, act_out)
+    points, values = _scan(obj, k_act, 3.0,
+                           DelaySearchConfig(grid_points_per_channel=20))
+    assert points.shape == (values.size, k_act)
+    assert values.size == (20 ** k_act if k_act <= 3 else 2 * k_act * 20)
+    exact = np.array([obj.value(p) for p in points])
+    assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_config_validation():

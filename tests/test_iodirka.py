@@ -13,7 +13,6 @@ from delayh2 import (
     DelaySearchConfig,
     IoDirkaConfig,
     IrkaConfig,
-    certify,
     compute_gap,
     h2_norm_sq,
     hermite_residuals,
@@ -60,30 +59,6 @@ def test_delay_free_masks_reduce_to_plain_irka():
                        rtol=1e-8, atol=1e-10)
     r = hermite_residuals(g, rep.model.core)
     assert np.max(r) < 1e-6 * max(1.0, h2_norm_sq(g))
-
-
-def test_certify_agrees_with_report():
-    g, rep = small_report(94)
-    again = certify(g, rep)
-    assert again.max_residual() == rep.residuals.max_residual()
-    assert again.interp_right == rep.residuals.interp_right
-    assert again.delay_in == rep.residuals.delay_in
-
-
-def test_certify_detects_tampering():
-    g, rep = small_report(95)
-    hd = rep.model
-    if hd.input_delays.mask[0]:
-        moved = DelayBlock((hd.input_delays.delays[0] + 0.1,),
-                           hd.input_delays.mask)
-        tampered = DelayedModel(hd.core, moved, hd.output_delays)
-    else:
-        moved = DelayBlock((hd.output_delays.delays[0] + 0.1,),
-                           hd.output_delays.mask)
-        tampered = DelayedModel(hd.core, hd.input_delays, moved)
-    bad = dataclasses.replace(rep, model=tampered)
-    with pytest.raises(DelayH2Error):
-        certify(g, bad)
 
 
 def test_perturbed_delay_grows_residual():

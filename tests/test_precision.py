@@ -96,8 +96,8 @@ def test_parity_delay_objective(mimo_pair):
     h = random_pr(np.random.default_rng(3), 4, ny=2, nu=3)
     act_in, act_out = np.array([0, 1]), np.array([0, 1])
     x = np.array([TAU[0], TAU[1], GAM[0], GAM[1]])
-    got = _Objective(hp, h, act_in, act_out, threads=1).value_grad_hess(x)
-    want = _Objective(fp, h, act_in, act_out, threads=1).value_grad_hess(x)
+    got = _Objective(hp, h, act_in, act_out).value_grad_hess(x)
+    want = _Objective(fp, h, act_in, act_out).value_grad_hess(x)
     for a, b in zip(got, want):
         assert _rel(a, b) < PARITY_RTOL
 

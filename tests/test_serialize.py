@@ -213,8 +213,21 @@ _HP_ONE = (("1", "0"),)
      "term 0 pole is not a \\[re, im\\] number pair"),
     ({"kind": "pole_residue", "ny": 2, "nu": 1, "terms": [_term((-1.0, 0.0))]},
      "residue shapes disagree with ny/nu in .* term 0"),
+    ({"kind": "pole_residue", "ny": "x", "nu": 1, "terms": [_term((-1.0, 0.0))]},
+     "malformed field 'ny' in .*bad.json"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1, "precision": "x",
+      "terms": [_term(("-1", "0"), _HP_ONE, _HP_ONE)]},
+     "malformed field 'precision' in .*bad.json"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1, "terms": 5},
+     "malformed field 'terms' in .*bad.json"),
+    ({"kind": "state_space", "E": [[1.0]], "A": "a", "B": [[1.0]], "C": [[1.0]]},
+     "malformed field 'A' in .*bad.json"),
+    ({"kind": "delayed", "ny": 1, "nu": 1, "terms": [_term((-1.0, 0.0))],
+      "input_delays": ["x"], "output_delays": [0.0]},
+     "malformed field 'input_delays' in .*bad.json"),
 ], ids=["hp-no-pole", "hp-bad-pole", "float-bad-pole", "short-pole",
-        "short-residue-row"])
+        "short-residue-row", "bad-ny", "bad-precision", "terms-not-list",
+        "state-space-bad-matrix", "bad-input-delay"])
 def test_malformed_model_file_exits_cleanly(tmp_path, capsys, model_obj, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(model_obj))
