@@ -28,7 +28,6 @@ from .models import (
     canonicalize_terms,
     eval_transfer,
     eval_transfer_derivative,
-    eval_transfer_grid,
     impulse_response,
     pole_residue_from_state_space,
     realify_check,
@@ -41,20 +40,13 @@ from .h2 import (
     grad_delays,
     grad_residues_poles,
     h2_norm_pole_residue,
-    h2_norm_quadrature,
     h2_norm_sq,
     inner_product_delayed,
     optimality_residuals,
 )
 from .irka import IrkaConfig, IrkaResult, hermite_residuals, irka_reduce
-from .delayopt import DelaySearchConfig, cross_objective, optimize_delays
-from .iodirka import (
-    IoDirkaConfig,
-    ReductionReport,
-    TraceEntry,
-    io_dirka,
-    model_from_snapshot,
-)
+from .delayopt import DelaySearchConfig, optimize_delays
+from .iodirka import IoDirkaConfig, ReductionReport, TraceEntry, io_dirka
 from .bench import build_bench_model, run_bench
 
 __version__ = "0.1.0"
@@ -65,16 +57,14 @@ __all__ = [
     "NonRealModel", "NonRealSum", "RepeatedPole", "Unstable",
     "DelayBlock", "DelayedModel", "HighPrecisionTerms", "PoleResidueModel",
     "StateSpaceModel", "canonicalize_terms", "eval_transfer",
-    "eval_transfer_derivative", "eval_transfer_grid", "impulse_response",
+    "eval_transfer_derivative", "impulse_response",
     "pole_residue_from_state_space", "realify_check",
     "GapValue", "OptimalityResiduals", "build_gtilde", "compute_gap",
     "grad_delays", "grad_residues_poles", "h2_norm_pole_residue",
-    "h2_norm_quadrature", "h2_norm_sq", "inner_product_delayed",
-    "optimality_residuals",
+    "h2_norm_sq", "inner_product_delayed", "optimality_residuals",
     "IrkaConfig", "IrkaResult", "hermite_residuals", "irka_reduce",
-    "DelaySearchConfig", "cross_objective", "optimize_delays",
+    "DelaySearchConfig", "optimize_delays",
     "IoDirkaConfig", "ReductionReport", "TraceEntry", "io_dirka",
-    "model_from_snapshot",
     "build_bench_model", "run_bench",
     "__version__",
 ]

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: ``reduce`` (delayed reduction of a full model), ``bench``
-(benchmark reproduction study), ``impulse`` (impulse-response CSV of a
-model file), ``analyze`` (gap and first-order residuals of a given
-full/reduced pair). Exit codes: 0 on success/convergence, 2 when a result
-was produced best-effort without meeting its convergence rule, 1 on errors
-(bad files, bad flags). Output files carry no timestamps; a given config
-and seed always produce byte-identical files.
+Subcommands: ``reduce`` (delayed reduction of a full model, delays
+starting at zero), ``bench`` (benchmark reproduction study), ``impulse``
+(impulse-response CSV of a model file), ``analyze`` (gap and first-order
+residuals of a given full/reduced pair). Exit codes: 0 on
+success/convergence, 2 when a result was produced best-effort without
+meeting its convergence rule, 1 on errors (bad files, bad flags). Output
+files carry no timestamps; a given config and seed always produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -88,10 +89,9 @@ def _cmd_reduce(args) -> int:
     irka = IrkaConfig(order=args.order, seed=args.seed,
                       shift_tol=args.shift_tol, init=args.irka_init)
     cfg = IoDirkaConfig(
-        order=args.order, init_delays_mode=args.init_delays,
-        outer_max_iters=args.outer_max, outer_tol=args.outer_tol,
-        stopping_mode=args.stopping, irka=irka, search=search,
-        final_irka_pass=not args.no_final_irka)
+        order=args.order, outer_max_iters=args.outer_max,
+        outer_tol=args.outer_tol, stopping_mode=args.stopping, irka=irka,
+        search=search, final_irka_pass=not args.no_final_irka)
     report = io_dirka(g, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_model(os.path.join(args.out, "reduced-model.json"), report.model)
@@ -174,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--shift-tol", type=float, default=1e-8)
     r.add_argument("--irka-init", default="log-spaced-real",
                    choices=("log-spaced-real", "random-stable"))
-    r.add_argument("--init-delays", default="zero",
-                   choices=("zero", "correlation"))
     r.add_argument("--grid-points", type=int, default=400)
     r.add_argument("--tau-max", type=float, default=None)
     r.add_argument("--refine-tol", type=float, default=1e-10)

@@ -11,10 +11,11 @@ broadcast sum of ny*nu two-axis tables, one matrix product over the poles
 each. On a model with an extended-precision payload that float screen can
 misrank cells by O(1) (the objective cancels far below binary64), so only
 the leaders confirmed with the exact kernel and the refinement are
-trusted. The box is grown (doubling, capped) while the winner presses
-against the right boundary with positive outward derivative, so a too-small
-default horizon cannot truncate the optimum. Ties are broken toward the
-lexicographically smallest delay vector; everything is deterministic.
+trusted. The box is grown (doubling, up to EXTEND_CAP times its initial
+size) while the winner presses against the right boundary with positive
+outward derivative, so a too-small default horizon cannot truncate the
+optimum. Ties are broken toward the lexicographically smallest delay
+vector; everything is deterministic.
 """
 
 from __future__ import annotations
@@ -24,9 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayH2Error, NonFiniteObjective
-from .h2 import _cross_eval, _cross_tensor, _delay_sum
+from .h2 import _cross_tensor, _delay_sum
 from .models import DelayBlock, PoleResidueModel
 from .precision import FLOAT, backend_for
+
+# Newton/ascent steps per refinement start
+MAX_REFINE_ITERS = 100
+# the box grows to at most this multiple of its initial size
+EXTEND_CAP = 64.0
+# best-ranked grid cells refined, besides the origin and the extra starts
+TOP_STARTS = 5
 
 
 @dataclass(frozen=True)
@@ -34,26 +42,22 @@ class DelaySearchConfig:
     """Settings for :func:`optimize_delays`.
 
     ``tau_max=None`` defaults to five times the slowest time constant of the
-    full model (5 / min|Re mu|); with ``extend_box`` the box doubles (up to
-    ``extend_cap`` times the initial size) while the optimum sits on the
-    right boundary with positive gradient. ``input_mask``/``output_mask``
-    pin masked-off channels to delay 0. ``extra_starts`` adds refinement
-    starts, e.g. the previous outer iteration's delays. The grid has
-    ``grid_points_per_channel`` points per axis, fewer when a joint grid
-    would exceed ``joint_grid_budget`` points; its float screen only ranks
-    refinement starts (see the module docstring).
+    full model (5 / min|Re mu|); with ``extend_box`` the box doubles while
+    the optimum sits on the right boundary with positive gradient.
+    ``input_mask``/``output_mask`` pin masked-off channels to delay 0.
+    ``extra_starts`` adds refinement starts, e.g. the previous outer
+    iteration's delays. The grid has ``grid_points_per_channel`` points per
+    axis, fewer when a joint grid would exceed ``joint_grid_budget`` points;
+    its float screen only ranks refinement starts (see the module docstring).
     """
 
     grid_points_per_channel: int = 400
     tau_max: float | None = None
     refine_tol: float = 1e-10
-    max_refine_iters: int = 100
     input_mask: tuple | None = None
     output_mask: tuple | None = None
     extend_box: bool = True
-    extend_cap: float = 64.0
     joint_grid_budget: int = 400_000
-    top_starts: int = 5
     extra_starts: tuple = ()
     landscape_csv: str | None = None
 
@@ -62,24 +66,23 @@ class DelaySearchConfig:
             raise DelayH2Error("grid_points_per_channel must be at least 2")
         if self.tau_max is not None and not self.tau_max > 0.0:
             raise DelayH2Error("tau_max must be positive")
-        if not self.refine_tol > 0.0 or self.max_refine_iters < 1:
-            raise DelayH2Error("refinement settings must be positive")
-        if self.top_starts < 1:
-            raise DelayH2Error("top_starts must be at least 1")
+        if not self.refine_tol > 0.0:
+            raise DelayH2Error("refine_tol must be positive")
 
 
-def cross_objective(g: PoleResidueModel, h: PoleResidueModel,
-                    delays_in, delays_out) -> float:
-    """Cross inner product of the delayed candidate against g (real value)."""
-    tau = delays_in.as_array() if isinstance(delays_in, DelayBlock) \
-        else np.asarray(delays_in, dtype=float)
-    gam = delays_out.as_array() if isinstance(delays_out, DelayBlock) \
-        else np.asarray(delays_out, dtype=float)
-    f, _, _, _ = _cross_eval(g, h, tau, gam, order=0)
-    val = float(np.real(f))
-    if not np.isfinite(val):
-        raise NonFiniteObjective(f"cross objective is {val}")
-    return val
+def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
+    """(input mask, output mask, initial box) of a delay search on ``g``.
+
+    Unset masks make every channel delayable; an unset ``tau_max`` is
+    5 / min|Re mu|, five of the full model's slowest time constants.
+    """
+    in_mask = np.ones(g.nu, dtype=bool) if cfg.input_mask is None \
+        else np.asarray(cfg.input_mask, dtype=bool)
+    out_mask = np.ones(g.ny, dtype=bool) if cfg.output_mask is None \
+        else np.asarray(cfg.output_mask, dtype=bool)
+    tau_max = cfg.tau_max if cfg.tau_max is not None \
+        else 5.0 / float(np.min(np.abs(np.real(g.poles))))
+    return in_mask, out_mask, tau_max
 
 
 class _Objective:
@@ -163,7 +166,7 @@ def _refine(obj: _Objective, x0: np.ndarray, tau_max: float,
     x = np.clip(np.asarray(x0, dtype=float), 0.0, tau_max)
     f, grad, hess = obj.value_grad_hess(x)
     step = step0
-    for _ in range(cfg.max_refine_iters):
+    for _ in range(MAX_REFINE_ITERS):
         pg = grad.copy()
         pg[(x <= 0.0) & (grad < 0)] = 0.0
         pg[(x >= tau_max) & (grad > 0)] = 0.0
@@ -261,10 +264,7 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     gradient norm is below ``refine_tol`` (boundary points may carry an
     outward gradient). All-masked problems return zero delays immediately.
     """
-    in_mask = np.ones(g.nu, dtype=bool) if cfg.input_mask is None \
-        else np.asarray(cfg.input_mask, dtype=bool)
-    out_mask = np.ones(g.ny, dtype=bool) if cfg.output_mask is None \
-        else np.asarray(cfg.output_mask, dtype=bool)
+    in_mask, out_mask, tau_max0 = search_domain(g, cfg)
     act_in = np.flatnonzero(in_mask)
     act_out = np.flatnonzero(out_mask)
     k_act = act_in.size + act_out.size
@@ -272,8 +272,6 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
         return (DelayBlock.zeros(g.nu, tuple(in_mask)),
                 DelayBlock.zeros(g.ny, tuple(out_mask)))
 
-    tau_max0 = cfg.tau_max if cfg.tau_max is not None \
-        else 5.0 / float(np.min(np.abs(np.real(g.poles))))
     obj = _Objective(g, h, act_in, act_out)
 
     tau_max = float(tau_max0)
@@ -283,7 +281,7 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
             raise NonFiniteObjective("grid scan produced non-finite objective values")
         if cfg.landscape_csv:
             _write_landscape(cfg.landscape_csv, obj, points, values)
-        n_top = min(cfg.top_starts, values.size)
+        n_top = min(TOP_STARTS, values.size)
         if obj.hp:
             # screening is float-precision: confirm the leading cells with
             # the exact kernel before ranking and bounding against them
@@ -322,7 +320,7 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
             best_x = points[grid_argbest]
             best_f = grid_best
 
-        if not cfg.extend_box or tau_max >= cfg.extend_cap * tau_max0:
+        if not cfg.extend_box or tau_max >= EXTEND_CAP * tau_max0:
             break
         _, grad, _ = obj.value_grad_hess(best_x)
         pressing = (best_x >= tau_max - 2 * spacing) & (grad > 0)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (
     DimensionMismatch,
@@ -39,7 +38,6 @@ from .models import (
     _as_delayed,
     eval_transfer,
     eval_transfer_derivative,
-    eval_transfer_grid,
 )
 from .precision import Backend, backend_for
 
@@ -171,32 +169,6 @@ def h2_norm_sq(h: PoleResidueModel | DelayedModel) -> float:
 def h2_norm_pole_residue(h: PoleResidueModel | DelayedModel) -> float:
     """H2 norm from the pole/residue formula; delays do not change it."""
     return float(np.sqrt(h2_norm_sq(h)))
-
-
-def h2_norm_quadrature(h: PoleResidueModel | DelayedModel,
-                       omega_max: float = 1e4,
-                       n_points: int = 2_000_001,
-                       chunk: int = 1 << 16) -> float:
-    """Composite-Simpson frequency quadrature of the H2 norm.
-
-    Reference oracle only: O(domega^4) rule plus a 1/omega tail truncation
-    error. Delay phase factors are applied entry-wise before the Frobenius
-    norm, so delayed and undelayed models agree only up to rounding.
-    """
-    hd = _as_delayed(h)
-    core = hd.core
-    gam = hd.output_delays.as_array()
-    tau = hd.input_delays.as_array()
-    omega = np.linspace(-float(omega_max), float(omega_max), int(n_points))
-    integrand = np.empty(omega.size)
-    for lo in range(0, omega.size, chunk):
-        w = omega[lo:lo + chunk]
-        vals = eval_transfer_grid(core, 1j * w)
-        phase = np.exp(-1j * np.einsum("p,m->pm", w, gam))[:, :, None] \
-            * np.exp(-1j * np.einsum("p,l->pl", w, tau))[:, None, :]
-        integrand[lo:lo + w.size] = np.sum(np.abs(vals * phase) ** 2, axis=(1, 2))
-    val = simpson(integrand, x=omega) / (2.0 * np.pi)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Each outer iteration rebuilds the delay-advanced surrogate from the current
 delays, reduces it with the interpolatory fixed point (warm-started from the
 previous reduced model), then re-optimizes the delays against the new core.
 Stopping is configurable: combined pole+delay movement (default), maximum
-first-order-condition residual, or relative gap change. The trace stores a
-full snapshot (delays, reduced terms, gap) per iteration so every reported
-number can be recomputed from it exactly.
+first-order-condition residual, or relative gap change. The trace keeps
+every iterate's delayed model (masks included) with its gap, so every
+reported number can be recomputed from it exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .delayopt import DelaySearchConfig, optimize_delays
+from .delayopt import DelaySearchConfig, optimize_delays, search_domain
 from .errors import DelayH2Error
 from .h2 import (
     GapValue,
@@ -26,7 +26,7 @@ from .h2 import (
     optimality_residuals,
 )
 from .irka import IrkaConfig, IrkaResult, irka_reduce
-from .models import DelayBlock, DelayedModel, PoleResidueModel, impulse_response
+from .models import DelayBlock, DelayedModel, PoleResidueModel
 
 STOPPING_MODES = ("pole-variation", "optimality-residual", "h2-error")
 
@@ -38,9 +38,8 @@ class IoDirkaConfig:
     ``stopping_mode``: "pole-variation" stops when both the relative pole-set
     movement and the delay movement fall below ``outer_tol``;
     "optimality-residual" stops when every first-order residual is below it;
-    "h2-error" stops on the relative gap change. ``init_delays_mode`` is
-    "zero" (default) or "correlation" (impulse cross-correlation against a
-    delay-free reduced model, discrete argmax on the search grid).
+    "h2-error" stops on the relative gap change. Delays start at
+    ``init_input_delays``/``init_output_delays``, zero where unset.
     ``final_irka_pass`` runs one more core reduction after the last delay
     update and reports the pre-pass residuals alongside. ``accelerate``
     ("aitken" or "none") controls the outer fixed-point accelerator: every
@@ -54,7 +53,6 @@ class IoDirkaConfig:
     order: int
     init_input_delays: tuple | None = None
     init_output_delays: tuple | None = None
-    init_delays_mode: str = "zero"
     outer_max_iters: int = 50
     outer_tol: float = 1e-6
     stopping_mode: str = "pole-variation"
@@ -72,14 +70,10 @@ class IoDirkaConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One outer iteration: delays, reduced terms, and the gap they give."""
+    """One outer iteration: the delayed model it produced and its gap."""
 
     outer: int
-    input_delays: tuple
-    output_delays: tuple
-    poles: tuple
-    left: tuple
-    right: tuple
+    model: DelayedModel
     gap: GapValue
     irka_iterations: int
     irka_converged: bool
@@ -98,61 +92,6 @@ class ReductionReport:
     total_reflections: int
 
 
-def _snapshot_terms(m: PoleResidueModel):
-    poles = tuple(complex(p) for p in m.poles)
-    left = tuple(tuple(complex(v) for v in row) for row in m.left)
-    right = tuple(tuple(complex(v) for v in row) for row in m.right)
-    return poles, left, right
-
-
-def model_from_snapshot(entry: TraceEntry) -> DelayedModel:
-    """Rebuild the delayed model recorded in a trace entry."""
-    core = PoleResidueModel(np.array(entry.poles),
-                            np.array(entry.left), np.array(entry.right))
-    return DelayedModel(core,
-                        DelayBlock(entry.input_delays),
-                        DelayBlock(entry.output_delays))
-
-
-def _correlation_init(g: PoleResidueModel, irka_cfg: IrkaConfig,
-                      search: DelaySearchConfig,
-                      in_mask: np.ndarray, out_mask: np.ndarray,
-                      tau_max: float) -> tuple[DelayBlock, DelayBlock]:
-    """Discrete impulse cross-correlation heuristic for initial delays.
-
-    Correlates the full model's impulse response against a delay-free
-    reduced model's, channel by channel (inputs first, then outputs on top
-    of the chosen input shifts), and takes the grid argmax.
-    """
-    h0 = irka_reduce(g, irka_cfg).model
-    pts = 512
-    t_tail = 8.0 / float(np.min(np.abs(np.real(h0.poles))))
-    t = np.linspace(0.0, tau_max + t_tail, pts)
-    dt = t[1] - t[0]
-    k_max = int(np.floor(tau_max / dt))
-    gi = impulse_response(g, t)
-    hi = impulse_response(h0, t)
-    tau = np.zeros(g.nu)
-    gam = np.zeros(g.ny)
-    for l in np.flatnonzero(in_mask):
-        scores = [float(np.sum(gi[:, l, k:] * hi[:, l, : pts - k])) * dt
-                  for k in range(k_max + 1)]
-        tau[l] = dt * int(np.argmax(scores))
-    for m in np.flatnonzero(out_mask):
-        shifts = np.rint(tau / dt).astype(int)
-        scores = []
-        for k in range(k_max + 1):
-            acc = 0.0
-            for l in range(g.nu):
-                kk = k + shifts[l]
-                if kk < pts:
-                    acc += float(np.sum(gi[m, l, kk:] * hi[m, l, : pts - kk]))
-            scores.append(acc * dt)
-        gam[m] = dt * int(np.argmax(scores))
-    return (DelayBlock(tuple(tau), tuple(in_mask)),
-            DelayBlock(tuple(gam), tuple(out_mask)))
-
-
 def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     """Reduce ``g`` to a delayed model of the configured order.
 
@@ -165,33 +104,19 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
     if cfg.stopping_mode not in STOPPING_MODES:
         raise DelayH2Error(f"unknown stopping mode {cfg.stopping_mode!r}")
+    if cfg.accelerate not in ("aitken", "none"):
+        raise DelayH2Error(f"unknown accelerate mode {cfg.accelerate!r}")
 
     search = cfg.search if cfg.search is not None else DelaySearchConfig()
-    in_mask = np.ones(g.nu, dtype=bool) if search.input_mask is None \
-        else np.asarray(search.input_mask, dtype=bool)
-    out_mask = np.ones(g.ny, dtype=bool) if search.output_mask is None \
-        else np.asarray(search.output_mask, dtype=bool)
-    search = replace(search, input_mask=tuple(in_mask), output_mask=tuple(out_mask))
+    in_mask, out_mask, box = search_domain(g, search)
+    search = replace(search, input_mask=tuple(in_mask),
+                     output_mask=tuple(out_mask), tau_max=box)
     irka_cfg = cfg.irka if cfg.irka is not None else IrkaConfig(order=n)
     if irka_cfg.order != n:
         irka_cfg = replace(irka_cfg, order=n)
 
-    tau_max0 = search.tau_max if search.tau_max is not None \
-        else 5.0 / float(np.min(np.abs(np.real(g.poles))))
-
-    if cfg.init_input_delays is not None or cfg.init_output_delays is not None:
-        din = DelayBlock(cfg.init_input_delays or (0.0,) * g.nu, tuple(in_mask))
-        dout = DelayBlock(cfg.init_output_delays or (0.0,) * g.ny, tuple(out_mask))
-    elif cfg.init_delays_mode == "correlation" and (in_mask.any() or out_mask.any()):
-        din, dout = _correlation_init(g, irka_cfg, search, in_mask, out_mask, tau_max0)
-    elif cfg.init_delays_mode in ("zero", "correlation"):
-        din = DelayBlock.zeros(g.nu, tuple(in_mask))
-        dout = DelayBlock.zeros(g.ny, tuple(out_mask))
-    else:
-        raise DelayH2Error(f"unknown init_delays_mode {cfg.init_delays_mode!r}")
-
-    if cfg.accelerate not in ("aitken", "none"):
-        raise DelayH2Error(f"unknown accelerate mode {cfg.accelerate!r}")
+    din = DelayBlock(cfg.init_input_delays or (0.0,) * g.nu, tuple(in_mask))
+    dout = DelayBlock(cfg.init_output_delays or (0.0,) * g.ny, tuple(out_mask))
 
     norm_g_sq = h2_norm_sq(g)
     trace = []
@@ -204,14 +129,8 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
 
     for outer in range(1, cfg.outer_max_iters + 1):
         gt = build_gtilde(g, din, dout)
-        step_cfg = irka_cfg if prev_model is None else replace(
-            irka_cfg, init="user",
-            shifts0=tuple(-prev_model.poles),
-            right_dirs0=tuple(map(tuple, prev_model.right)),
-            left_dirs0=tuple(map(tuple, prev_model.left)),
-        )
         try:
-            res: IrkaResult = irka_reduce(gt, step_cfg)
+            res: IrkaResult = irka_reduce(gt, irka_cfg, prev_model)
         except DelayH2Error as exc:
             raise type(exc)(f"outer iteration {outer}: {exc}") from exc
         reflections += res.reflections
@@ -226,19 +145,12 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
             # start from it instead of re-extending every time
             mx = max(float(np.max(din.as_array(), initial=0.0)),
                      float(np.max(dout.as_array(), initial=0.0)))
-            box = search.tau_max if search.tau_max is not None else tau_max0
-            grew = False
             while mx > 0.9 * box:
                 box *= 2.0
-                grew = True
-            if grew:
-                search = replace(search, tau_max=box)
+            search = replace(search, tau_max=box)
         hd = DelayedModel(h, din, dout)
         gap = compute_gap(g, hd, norm_g_sq)
-        poles, left, right = _snapshot_terms(h)
-        trace.append(TraceEntry(outer=outer, input_delays=din.delays,
-                                output_delays=dout.delays, poles=poles,
-                                left=left, right=right, gap=gap,
+        trace.append(TraceEntry(outer=outer, model=hd, gap=gap,
                                 irka_iterations=res.iterations,
                                 irka_converged=res.converged))
 
@@ -269,7 +181,6 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
             ext = d2.copy()
             use = np.abs(den) > 1e-13 * np.maximum(1.0, np.abs(d2))
             ext[use] = d2[use] - (d2[use] - d1[use]) ** 2 / den[use]
-            box = search.tau_max if search.tau_max is not None else tau_max0
             ext = np.clip(ext, 0.0, 2.0 * box)
             ext[~np.concatenate([in_mask, out_mask])] = 0.0
             if np.max(np.abs(ext - d2), initial=0.0) > 0:
@@ -277,24 +188,13 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                 dout = DelayBlock(tuple(ext[g.nu:]), tuple(out_mask))
             plain_hist.clear()
 
-    if converged:
-        final_entry = trace[-1]
-    else:
-        final_entry = min(trace, key=lambda e: e.gap.j)
-    hd = model_from_snapshot(final_entry)
-    # snapshot DelayBlocks carry no masks; reattach them for the final model
-    hd = DelayedModel(hd.core, DelayBlock(final_entry.input_delays, tuple(in_mask)),
-                      DelayBlock(final_entry.output_delays, tuple(out_mask)))
+    hd = (trace[-1] if converged else min(trace, key=lambda e: e.gap.j)).model
 
     residuals_before = None
     if cfg.final_irka_pass:
         residuals_before = optimality_residuals(g, hd)
         gt = build_gtilde(g, hd.input_delays, hd.output_delays)
-        res = irka_reduce(gt, replace(
-            irka_cfg, init="user",
-            shifts0=tuple(-hd.core.poles),
-            right_dirs0=tuple(map(tuple, hd.core.right)),
-            left_dirs0=tuple(map(tuple, hd.core.left))))
+        res = irka_reduce(gt, irka_cfg, hd.core)
         reflections += res.reflections
         hd = DelayedModel(res.model, hd.input_delays, hd.output_delays)
 

@@ -414,7 +414,7 @@ def _check_not_pole(m: PoleResidueModel, s: complex) -> None:
 
 def _transfer_sum(m: PoleResidueModel, s, derivative: bool) -> np.ndarray:
     """sum_j w_j left_j right_j^T with w_j = 1/(s - lambda_j), or its
-    s-derivative, for points ``s`` of any shape: (*s.shape, ny, nu)."""
+    s-derivative, as an ny-by-nu matrix."""
     bk = backend_for(m)
     with bk.context():
         poles, left, right = bk.terms(m)
@@ -433,15 +433,6 @@ def eval_transfer_derivative(m: PoleResidueModel, s: complex) -> np.ndarray:
     """d/ds of the transfer function: -sum_j left_j right_j^T / (s - lambda_j)^2."""
     _check_not_pole(m, s)
     return _transfer_sum(m, s, derivative=True)
-
-
-def eval_transfer_grid(m: PoleResidueModel, s: np.ndarray) -> np.ndarray:
-    """Vectorized transfer evaluation at many points: (len(s), ny, nu).
-
-    High-precision models run every point in the payload precision, which
-    is slow for large grids.
-    """
-    return _transfer_sum(m, np.asarray(s, dtype=complex).ravel(), derivative=False)
 
 
 # ---------------------------------------------------------------------------

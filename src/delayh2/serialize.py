@@ -199,6 +199,14 @@ def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
                             np.array(right, dtype=complex), hp=hp)
 
 
+def _sized(values, convert, width: int, side: str) -> tuple:
+    """One converted entry per channel of ``side``, or ValueError."""
+    out = tuple(map(convert, values))
+    if len(out) != width:
+        raise ValueError(f"{len(out)} entries for {width} {side}s")
+    return out
+
+
 def obj_to_model(obj: dict, where: str = "model"):
     kind = _require(obj, "kind", where)
     if kind == "state_space":
@@ -212,10 +220,10 @@ def obj_to_model(obj: dict, where: str = "model"):
         core = _obj_to_pole_residue(obj, where)
         blocks = []
         for side, width in (("input", core.nu), ("output", core.ny)):
-            delays = _convert(lambda v: tuple(map(float, v)),
+            delays = _convert(lambda v: _sized(v, float, width, side),
                               _require(obj, f"{side}_delays", where),
                               f"{side}_delays", where)
-            mask = _convert(lambda v: tuple(map(bool, v)),
+            mask = _convert(lambda v: _sized(v, bool, width, side),
                             obj.get(f"{side}_mask", [True] * width),
                             f"{side}_mask", where)
             blocks.append(DelayBlock(delays, mask))
@@ -254,13 +262,14 @@ def report_to_obj(report, config_obj=None) -> dict:
     final = model_to_obj(report.model)
     trace = []
     for e in report.trace:
+        core = e.model.core
         trace.append({
             "outer": int(e.outer),
-            "input_delays": [float(d) for d in e.input_delays],
-            "output_delays": [float(d) for d in e.output_delays],
-            "poles": [_pair(p) for p in e.poles],
-            "left": [[_pair(v) for v in row] for row in e.left],
-            "right": [[_pair(v) for v in row] for row in e.right],
+            "input_delays": [float(d) for d in e.model.input_delays.delays],
+            "output_delays": [float(d) for d in e.model.output_delays.delays],
+            "poles": [_pair(p) for p in core.poles],
+            "left": [[_pair(v) for v in row] for row in core.left],
+            "right": [[_pair(v) for v in row] for row in core.right],
             "gap": gap_to_obj(e.gap),
             "irka_iterations": int(e.irka_iterations),
             "irka_converged": bool(e.irka_converged),

@@ -44,13 +44,11 @@ from delayh2 import (
     grad_delays,
     grad_residues_poles,
     h2_norm_pole_residue,
-    h2_norm_quadrature,
     h2_norm_sq,
     impulse_response,
     inner_product_delayed,
     io_dirka,
     irka_reduce,
-    model_from_snapshot,
     optimality_residuals,
 )
 from delayh2.cli import main
@@ -126,7 +124,7 @@ def test_benchmark_published_delay(bench20, study, ref_core, ref_restart):
     3e-10), by compute_gap and by the independent quadrature alike.
     """
     rep = ref_restart
-    assert STAT_TAU < rep.trace[0].input_delays[0] < REF_TAU
+    assert STAT_TAU < rep.trace[0].model.input_delays.delays[0] < REF_TAU
     assert rep.converged
     assert rep.residuals.max_residual() < 1e-8
     tau = rep.model.input_delays.delays[0]
@@ -144,7 +142,7 @@ def test_benchmark_published_poles(study, ref_restart):
     1e-3, checked on the IRKA core at the published delay (the first
     iterate of the restarted run). The run ends at the zero-start optimum.
     """
-    pole, _ = _plus_pole_term(model_from_snapshot(ref_restart.trace[0]).core)
+    pole, _ = _plus_pole_term(ref_restart.trace[0].model.core)
     assert pole.real == pytest.approx(REF_POLE.real, abs=1e-3)
     assert pole.imag == pytest.approx(REF_POLE.imag, abs=1e-3)
     final, _ = _plus_pole_term(ref_restart.model.core)
@@ -157,7 +155,7 @@ def test_benchmark_published_residues(study, ref_restart):
     to 1e-3, checked on the IRKA core at the published delay (the first
     iterate of the restarted run). The run ends at the zero-start optimum.
     """
-    _, phi = _plus_pole_term(model_from_snapshot(ref_restart.trace[0]).core)
+    _, phi = _plus_pole_term(ref_restart.trace[0].model.core)
     assert phi.real == pytest.approx(REF_RESIDUE.real, abs=1e-3)
     assert phi.imag == pytest.approx(REF_RESIDUE.imag, abs=1e-3)
     _, final = _plus_pole_term(ref_restart.model.core)
@@ -275,8 +273,8 @@ def test_norm_invariance_random_models():
         pr = h2_norm_pole_residue(core)
         assert h2_norm_pole_residue(hd) == pytest.approx(pr, rel=1e-12)
         # budget: ~4e-6 Simpson + ~2e-5 tail at this grid, margin ~5x
-        q_del = h2_norm_quadrature(hd, omega_max=6e4, n_points=3_000_001)
-        q_un = h2_norm_quadrature(core, omega_max=6e4, n_points=3_000_001)
+        q_del = oracles.h2_norm_quadrature(hd, omega_max=6e4, n_points=3_000_001)
+        q_un = oracles.h2_norm_quadrature(core, omega_max=6e4, n_points=3_000_001)
         assert abs(q_del - q_un) <= 1e-4 * pr
         assert abs(q_del - pr) <= 1e-4 * pr
         assert abs(q_un - pr) <= 1e-4 * pr

@@ -124,8 +124,10 @@ def test_usage_errors_exit1(tmp_path, capsys):
     assert main(["reduce", "--model", mpath, "--order", "one"]) == 1
     assert main(["reduce", "--model", mpath, "--order", "1",
                  "--threads", "2"]) == 1  # unknown option
+    assert main(["reduce", "--model", mpath, "--order", "1",
+                 "--init-delays", "correlation"]) == 1  # unknown option
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 5
 
 
 def test_malformed_model_exit1(tmp_path, capsys):

@@ -6,14 +6,22 @@ import pytest
 import oracles
 from conftest import REF_TAU, make_siso, random_pr
 from delayh2 import (
+    DelayBlock,
+    DelayedModel,
     DelayH2Error,
     DelaySearchConfig,
-    cross_objective,
     h2_norm_pole_residue,
     h2_norm_sq,
+    inner_product_delayed,
     optimize_delays,
 )
 from delayh2.delayopt import _Objective, _scan
+
+
+def cross_at(g, h, tau, gam):
+    """The search objective: <H delayed by (tau, gamma), G>."""
+    return inner_product_delayed(
+        DelayedModel(h, DelayBlock(tau), DelayBlock(gam)), g)
 
 
 def test_self_pair_optimum_is_zero_delay():
@@ -24,7 +32,7 @@ def test_self_pair_optimum_is_zero_delay():
             grid_points_per_channel=60, tau_max=4.0))
         x = np.concatenate([din.as_array(), dout.as_array()])
         assert np.max(x) < 1e-7
-        val = cross_objective(g, g, din.as_array(), dout.as_array())
+        val = cross_at(g, g, din.as_array(), dout.as_array())
         assert val == pytest.approx(h2_norm_sq(g), rel=1e-10)
 
 
@@ -37,10 +45,10 @@ def test_monotone_closed_form_pair():
     assert din.delays[0] == pytest.approx(0.0, abs=1e-12)
     taus = np.linspace(0.0, 5.0, 100_001)
     dense = np.exp(-taus) / 3.0
-    got = cross_objective(g, h, din.as_array(), dout.as_array())
+    got = cross_at(g, h, din.as_array(), dout.as_array())
     assert got >= np.max(dense) - 1e-12
     # spot-check the package objective against the closed form
-    probe = cross_objective(g, h, np.array([1.3]), np.array([0.0]))
+    probe = cross_at(g, h, np.array([1.3]), np.array([0.0]))
     assert probe == pytest.approx(np.exp(-1.3) / 3.0, rel=1e-12)
 
 
@@ -49,7 +57,7 @@ def test_objective_decays_to_zero():
     g = random_pr(rng, 4)
     h = random_pr(rng, 2)
     tau_max = 5.0 / float(np.min(np.abs(g.poles.real)))
-    far = cross_objective(g, h, np.array([100.0 * tau_max]), np.array([0.0]))
+    far = cross_at(g, h, np.array([100.0 * tau_max]), np.array([0.0]))
     bound = 1e-6 * h2_norm_pole_residue(g) * h2_norm_pole_residue(h)
     assert abs(far) < bound
 
@@ -69,8 +77,8 @@ def test_reference_delay_step(bench20, ref_core):
     assert tau > 5.0
     assert tau == pytest.approx(8.69862, abs=1e-3)
     assert tau == pytest.approx(REF_TAU, abs=2.5e-2)
-    got = cross_objective(bench20, ref_core, din.as_array(), dout.as_array())
-    at_ref = cross_objective(bench20, ref_core, np.array([REF_TAU]),
+    got = cross_at(bench20, ref_core, din.as_array(), dout.as_array())
+    at_ref = cross_at(bench20, ref_core, np.array([REF_TAU]),
                              np.array([0.0]))
     assert got >= at_ref
 
@@ -83,13 +91,13 @@ def test_returned_point_dominates_grid():
         cfg = DelaySearchConfig(grid_points_per_channel=41, tau_max=3.0,
                                 extend_box=False)
         din, dout = optimize_delays(g, h, cfg)
-        got = cross_objective(g, h, din.as_array(), dout.as_array())
+        got = cross_at(g, h, din.as_array(), dout.as_array())
         axis = np.linspace(0.0, 3.0, 41)
         for t_in in axis:
             for t_out in axis:
-                sample = cross_objective(g, h, np.array([t_in]), np.array([t_out]))
+                sample = cross_at(g, h, np.array([t_in]), np.array([t_out]))
                 assert got >= sample - 1e-11 * max(1.0, abs(sample))
-        assert got >= cross_objective(g, h, np.zeros(1), np.zeros(1)) - 1e-12
+        assert got >= cross_at(g, h, np.zeros(1), np.zeros(1)) - 1e-12
 
 
 def test_interior_gradient_below_tolerance():
@@ -108,7 +116,7 @@ def test_interior_gradient_below_tolerance():
         eps = 1e-5
 
         def f(v):
-            return cross_objective(g, h, v[:1], v[1:])
+            return cross_at(g, h, v[:1], v[1:])
         for i in range(2):
             xp = x.copy()
             xm = x.copy()

@@ -9,6 +9,7 @@ from delayh2 import (
     DelayedModel,
     DelayH2Error,
     IrkaConfig,
+    PoleResidueModel,
     compute_gap,
     h2_norm_sq,
     hermite_residuals,
@@ -105,18 +106,37 @@ def test_deterministic_given_seed():
     assert r1.final_shift_movement == r2.final_shift_movement
 
 
-def test_user_supplied_init():
-    g = three_pole()
-    cfg = IrkaConfig(order=2, init="user", shifts0=(1.0, 2.0),
-                     right_dirs0=((1.0,), (1.0,)), left_dirs0=((1.0,), (1.0,)))
-    res = irka_reduce(g, cfg)
+def test_warm_start_converges():
+    # shifts 1 and 2 with unit directions
+    res = irka_reduce(three_pole(), IrkaConfig(order=2),
+                      start=make_siso([-1.0, -2.0], [1.0, 1.0]))
     assert res.converged
 
 
-def test_user_init_requires_shifts():
-    g = three_pole()
+def test_warm_start_is_its_models_iterate():
+    # A warm start hands the iteration exactly its model's mirrored poles
+    # and residue rows: started from the log-spaced initial iterate itself,
+    # it repeats the default run bit for bit.
+    g = random_pr(np.random.default_rng(80), 8, ny=2, nu=2)
+    n = 3
+    mags = np.abs(g.poles)
+    shifts = np.geomspace(mags.min(), mags.max(), n) * (1.0 + 1e-9 * np.arange(n))
+    unit = np.ones((n, 2)) / np.sqrt(2.0)
+    start = PoleResidueModel(-shifts, unit, unit)
+    want = irka_reduce(g, IrkaConfig(order=n))
+    got = irka_reduce(g, IrkaConfig(order=n, init="random-stable"), start=start)
+    assert want.converged and got.converged
+    assert got.iterations == want.iterations
+    for a, b in ((got.model.poles, want.model.poles),
+                 (got.model.left, want.model.left),
+                 (got.model.right, want.model.right)):
+        assert np.array_equal(a, b)
+
+
+def test_warm_start_must_fit():
     with pytest.raises(DelayH2Error):
-        irka_reduce(g, IrkaConfig(order=2, init="user"))
+        irka_reduce(three_pole(), IrkaConfig(order=2),
+                    start=make_siso([-1.0], [1.0]))
 
 
 def test_order_validation():

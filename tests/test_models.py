@@ -19,7 +19,6 @@ from delayh2 import (
     Unstable,
     eval_transfer,
     eval_transfer_derivative,
-    eval_transfer_grid,
     impulse_response,
     pole_residue_from_state_space,
     realify_check,
@@ -60,15 +59,6 @@ def test_eval_transfer_matches_plain_loop():
         s = complex(rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0))
         want = oracles.pr_transfer(m.poles, m.left, m.right, s)
         assert np.allclose(eval_transfer(m, s), want, rtol=1e-12, atol=1e-14)
-
-
-def test_eval_transfer_grid_consistent():
-    rng = np.random.default_rng(8)
-    m = random_pr(rng, 5, ny=2, nu=2)
-    s = 1j * np.linspace(-3.0, 3.0, 11) + 0.1
-    grid = eval_transfer_grid(m, s)
-    for i, si in enumerate(s):
-        assert np.allclose(grid[i], eval_transfer(m, si), rtol=1e-12, atol=1e-14)
 
 
 def test_derivative_matches_finite_difference():

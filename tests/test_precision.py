@@ -125,3 +125,12 @@ def test_precision_stays_in_one_module():
     found = {p.name: pattern.findall(p.read_text(encoding="utf-8"))
              for p in sorted(src.glob("*.py")) if p.name not in allowed}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_library_imports_no_scipy():
+    # scipy backs the test oracles only; the library runs on numpy and mpmath
+    pattern = re.compile(r"^\s*(?:import|from)\s+scipy\b", re.M)
+    src = Path(delayh2.__file__).parent
+    found = {p.name: pattern.findall(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -225,9 +225,17 @@ _HP_ONE = (("1", "0"),)
     ({"kind": "delayed", "ny": 1, "nu": 1, "terms": [_term((-1.0, 0.0))],
       "input_delays": ["x"], "output_delays": [0.0]},
      "malformed field 'input_delays' in .*bad.json"),
+    ({"kind": "delayed", "ny": 1, "nu": 1, "terms": [_term((-1.0, 0.0))],
+      "input_delays": [1.0, 2.0], "output_delays": [0.0]},
+     "malformed field 'input_delays' in .*bad.json: 2 entries for 1 inputs"),
+    ({"kind": "delayed", "ny": 1, "nu": 1, "terms": [_term((-1.0, 0.0))],
+      "input_delays": [1.0, 2.0], "input_mask": [True, True],
+      "output_delays": [0.0]},
+     "malformed field 'input_delays' in .*bad.json: 2 entries for 1 inputs"),
 ], ids=["hp-no-pole", "hp-bad-pole", "float-bad-pole", "short-pole",
         "short-residue-row", "bad-ny", "bad-precision", "terms-not-list",
-        "state-space-bad-matrix", "bad-input-delay"])
+        "state-space-bad-matrix", "bad-input-delay", "long-input-delays",
+        "long-input-delays-and-mask"])
 def test_malformed_model_file_exits_cleanly(tmp_path, capsys, model_obj, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(model_obj))
