@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--order", required=True, type=int, help="reduced order")
     r.add_argument("--out", default=".", help="output directory")
     r.add_argument("--delays", default="io",
-                   help="none | input | output | io | mask:<bits>,<bits>")
+                   help="none | input | output | io | mask:<bits>,<bits>; "
+                        "with every channel delayed (io) the result is the "
+                        "representative with min output delay 0")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--outer-max", type=int, default=50)
     r.add_argument("--outer-tol", type=float, default=1e-6)
@@ -175,7 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--irka-init", default="log-spaced-real",
                    choices=("log-spaced-real", "random-stable"))
     r.add_argument("--grid-points", type=int, default=400)
-    r.add_argument("--tau-max", type=float, default=None)
+    r.add_argument("--tau-max", type=float, default=None,
+                   help="initial delay box (default 5 / min|Re pole|); with "
+                        "every channel delayed it bounds each path delay "
+                        "by 2 * tau-max")
     r.add_argument("--refine-tol", type=float, default=1e-10)
     r.add_argument("--landscape-csv", default=None,
                    help="dump the delay-search grid to this CSV")

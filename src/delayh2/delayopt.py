@@ -3,11 +3,11 @@
 The objective sum_j sum_{m,l} K_jml e^{mu_j (gamma_m + tau_l)} oscillates
 through the complex poles mu_j, so a single local ascent is not
 trustworthy: the search runs a coarse grid over the box [0, tau_max]^k
-(joint for up to three active channels, cyclic coordinate scans above),
-then refines the best few cells with projected gradient ascent plus a
-Newton polish using the analytic delay Hessian. Each term couples one
-output delay with one input delay, so the grid is screened in float as a
-broadcast sum of ny*nu two-axis tables, one matrix product over the poles
+(joint for up to three searched coordinates, cyclic coordinate scans
+above), then refines the best few cells with projected gradient ascent
+plus a Newton polish using the analytic delay Hessian. Each term couples
+one output delay with one input delay, so the grid is screened in float as
+a broadcast sum of ny*nu two-axis tables, one matrix product over the poles
 each. On a model with an extended-precision payload that float screen can
 misrank cells by O(1) (the objective cancels far below binary64), so only
 the leaders confirmed with the exact kernel and the refinement are
@@ -16,10 +16,21 @@ size) while the winner presses against the right boundary with positive
 outward derivative, so a too-small default horizon cannot truncate the
 optimum. Ties are broken toward the lexicographically smallest delay
 vector; everything is deterministic.
+
+Only the path delays gamma_m + tau_l enter the objective. When every input
+and every output channel is delayed, (tau + c, gamma - c) is therefore the
+same model, and the delay Hessian is singular along that ridge. The search
+then returns the representative with min_m gamma_m = 0, the inputs
+absorbing the common delay: it runs one face per output m, with gamma_m
+pinned at 0, the other outputs over [0, tau_max] and the inputs over the
+path range [0, 2 tau_max], and keeps the best face. The face grids hold
+every path-delay combination of the full box grid. Every other mask
+pattern has no such ridge and runs as a single face over the box.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +58,11 @@ class DelaySearchConfig:
     ``input_mask``/``output_mask`` pin masked-off channels to delay 0.
     ``extra_starts`` adds refinement starts, e.g. the previous outer
     iteration's delays. The grid has ``grid_points_per_channel`` points per
-    axis, fewer when a joint grid would exceed ``joint_grid_budget`` points;
-    its float screen only ranks refinement starts (see the module docstring).
+    box axis, fewer when a joint grid would exceed ``joint_grid_budget``
+    points; its float screen only ranks refinement starts (see the module
+    docstring). With every channel delayed the search returns the
+    representative with min gamma = 0, and each input delay then spans the
+    path range [0, 2 tau_max] at the same grid spacing.
     """
 
     grid_points_per_channel: int = 400
@@ -85,13 +99,33 @@ def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
     return in_mask, out_mask, tau_max
 
 
+def has_gauge(in_mask, out_mask) -> bool:
+    """Whether every channel is delayed, so that (tau + c, gamma - c) is
+    the same model and the search returns the min gamma = 0 representative."""
+    return bool(np.all(in_mask) and np.all(out_mask))
+
+
+def representative(din: DelayBlock, dout: DelayBlock) -> tuple[DelayBlock, DelayBlock]:
+    """The same delayed model in the form :func:`optimize_delays` returns.
+
+    With every channel delayed, min gamma moves onto the inputs; any other
+    mask pattern is returned unchanged.
+    """
+    if not has_gauge(din.mask, dout.mask):
+        return din, dout
+    c = min(dout.delays)
+    return (DelayBlock(tuple(din.as_array() + c), din.mask),
+            DelayBlock(tuple(dout.as_array() - c), dout.mask))
+
+
 class _Objective:
     """Objective over the active delay coordinates, with derivatives.
 
     Active coordinates are the unmasked channels, inputs first; masked
-    channels stay pinned at 0. Grids are ranked with a float screen built
-    from per-channel-pair tables (:meth:`prescreen`); on payload models it
-    can misrank cells by O(1), so the exact kernel gives every value that is
+    channels stay pinned at 0. Coordinate c ranges over [0, span[c] *
+    tau_max]. Grids are ranked with a float screen built from
+    per-channel-pair tables (:meth:`prescreen`); on payload models it can
+    misrank cells by O(1), so the exact kernel gives every value that is
     kept: confirmed grid leaders, refinement iterates, and the returned
     optimum.
     """
@@ -100,11 +134,31 @@ class _Objective:
                  act_in: np.ndarray, act_out: np.ndarray):
         self.g = g
         self.act_in, self.act_out = act_in, act_out
+        self.span = np.ones(act_in.size + act_out.size, dtype=int)
+        self.pinned = None
         self.bk = backend_for(g, h)
         self.hp = self.bk.dps is not None
         self.mu, self.k = _cross_tensor(self.bk, g, h)
         # the screen always runs on the float views
         self.ktensor = _cross_tensor(FLOAT, g, h)[1] if self.hp else self.k
+
+    def gauge_face(self, m: int) -> "_Objective":
+        """The face gamma_m = 0 of the gauge, inputs over [0, 2 tau_max]."""
+        face = copy.copy(self)
+        face.act_out = self.act_out[self.act_out != m]
+        face.span = np.concatenate([np.full(self.act_in.size, 2),
+                                    np.ones(face.act_out.size, dtype=int)])
+        face.pinned = m
+        return face
+
+    def coords(self, tau, gam) -> np.ndarray:
+        """Active coordinates of delays (tau, gamma), shifted onto the face."""
+        tau = np.asarray(tau, dtype=float)
+        gam = np.asarray(gam, dtype=float)
+        if self.pinned is not None:
+            c = gam[self.pinned]
+            tau, gam = tau + c, gam - c
+        return np.concatenate([tau[self.act_in], gam[self.act_out]])
 
     def full_vectors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tau = np.zeros(self.g.nu)
@@ -160,16 +214,16 @@ class _Objective:
         return total.ravel()
 
 
-def _refine(obj: _Objective, x0: np.ndarray, tau_max: float,
+def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
             cfg: DelaySearchConfig, step0: float) -> tuple[np.ndarray, float]:
-    """Projected ascent with Newton polish from one start; returns (x, f)."""
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, tau_max)
+    """Projected ascent with Newton polish from x0 within [0, hi]; returns (x, f)."""
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
     f, grad, hess = obj.value_grad_hess(x)
     step = step0
     for _ in range(MAX_REFINE_ITERS):
         pg = grad.copy()
         pg[(x <= 0.0) & (grad < 0)] = 0.0
-        pg[(x >= tau_max) & (grad > 0)] = 0.0
+        pg[(x >= hi) & (grad > 0)] = 0.0
         if np.max(np.abs(pg), initial=0.0) < cfg.refine_tol:
             break
         moved = False
@@ -177,7 +231,7 @@ def _refine(obj: _Objective, x0: np.ndarray, tau_max: float,
         try:
             eigs = np.linalg.eigvalsh(0.5 * (hess + hess.T))
             if np.max(eigs) < 0:
-                xn = np.clip(x + np.linalg.solve(-hess, grad), 0.0, tau_max)
+                xn = np.clip(x + np.linalg.solve(-hess, grad), 0.0, hi)
                 fn, gn, hn = obj.value_grad_hess(xn)
                 if fn >= f:
                     x, f, grad, hess = xn, fn, gn, hn
@@ -191,7 +245,7 @@ def _refine(obj: _Objective, x0: np.ndarray, tau_max: float,
             gnorm2 = float(pg @ pg)
             halvings = 0
             for _ in range(60):
-                xn = np.clip(x + t * pg, 0.0, tau_max)
+                xn = np.clip(x + t * pg, 0.0, hi)
                 fn = obj.value(xn)
                 if fn > f + 1e-4 * t * gnorm2:
                     fn, gn, hn = obj.value_grad_hess(xn)
@@ -202,39 +256,46 @@ def _refine(obj: _Objective, x0: np.ndarray, tau_max: float,
                 halvings += 1
             if not moved:
                 break
-            step = min(step * 2.0, tau_max) if halvings == 0 \
+            step = min(step * 2.0, float(np.max(hi))) if halvings == 0 \
                 else max(step * 0.5 ** halvings, step0)
     return x, f
 
 
-def _grid_axes(k_act: int, tau_max: float, cfg: DelaySearchConfig) -> np.ndarray:
+def _grid_axes(span: np.ndarray, tau_max: float,
+               cfg: DelaySearchConfig) -> tuple[list, float]:
+    """(one axis per coordinate over [0, span[c] * tau_max], common spacing).
+
+    A box axis has ``grid_points_per_channel`` points, fewer when the joint
+    grid would exceed ``joint_grid_budget`` points.
+    """
     per_axis = cfg.grid_points_per_channel
-    if k_act > 1:
-        per_axis = min(per_axis,
-                       max(2, int(cfg.joint_grid_budget ** (1.0 / k_act))))
-    return np.linspace(0.0, tau_max, per_axis)
+    if span.size > 1:
+        per_axis = min(per_axis, max(2, int(
+            (cfg.joint_grid_budget / np.prod(span)) ** (1.0 / span.size))))
+    axes = [np.linspace(0.0, s * tau_max, s * (per_axis - 1) + 1) for s in span]
+    return axes, tau_max / (per_axis - 1)
 
 
 def _scan(obj: _Objective, k_act: int, tau_max: float,
           cfg: DelaySearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse scan: joint grid for <=3 active channels, cyclic scans above.
+    """Coarse scan: joint grid for <=3 coordinates, cyclic scans above.
 
     Returns (points, screening values) of every evaluated grid point; the
     values rank cells for refinement and are float-precision.
     """
-    axis = _grid_axes(k_act, tau_max, cfg)
+    axes, _ = _grid_axes(obj.span, tau_max, cfg)
     if k_act <= 3:
-        mesh = np.meshgrid(*([axis] * k_act), indexing="ij")
+        mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
-        return points, obj.prescreen([axis] * k_act)
+        return points, obj.prescreen(axes)
     # cyclic coordinate scans from the origin, two sweeps
     x = np.zeros(k_act)
     pts, vals = [], []
     for _ in range(2):
         for i in range(k_act):
-            block = np.repeat(x[None, :], axis.size, axis=0)
-            block[:, i] = axis
-            v = obj.prescreen([axis if c == i else x[c:c + 1]
+            block = np.repeat(x[None, :], axes[i].size, axis=0)
+            block[:, i] = axes[i]
+            v = obj.prescreen([axes[i] if c == i else x[c:c + 1]
                                for c in range(k_act)])
             pts.append(block)
             vals.append(v)
@@ -242,45 +303,37 @@ def _scan(obj: _Objective, k_act: int, tau_max: float,
     return np.concatenate(pts), np.concatenate(vals)
 
 
-def _write_landscape(path: str, obj: _Objective, points: np.ndarray,
-                     values: np.ndarray) -> None:
-    nu, ny = obj.g.nu, obj.g.ny
-    header = ",".join([f"tau_{i + 1}" for i in range(nu)]
-                      + [f"gamma_{i + 1}" for i in range(ny)] + ["objective"])
+def _write_landscape(path: str, scans: list) -> None:
+    """One CSV row per grid point of every (face, points, values) scan."""
+    g = scans[0][0].g
+    header = ",".join([f"tau_{i + 1}" for i in range(g.nu)]
+                      + [f"gamma_{i + 1}" for i in range(g.ny)] + ["objective"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for p, v in zip(points, values):
-            tau, gam = obj.full_vectors(p)
-            row = np.concatenate([tau, gam, [v]])
-            fh.write(",".join("%.12e" % c for c in row) + "\n")
+        for obj, points, values in scans:
+            for p, v in zip(points, values):
+                tau, gam = obj.full_vectors(p)
+                row = np.concatenate([tau, gam, [v]])
+                fh.write(",".join("%.12e" % c for c in row) + "\n")
 
 
-def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
-                    cfg: DelaySearchConfig) -> tuple[DelayBlock, DelayBlock]:
-    """Find box-constrained delays maximizing the cross inner product.
+def _better(f: float, x: np.ndarray, best_f: float, best_x: np.ndarray) -> bool:
+    """Tie rule: higher by 1e-14 relative, or tied and lexicographically smaller."""
+    tol = 1e-14 * max(1.0, abs(best_f))
+    return f > best_f + tol or (abs(f - best_f) <= tol and tuple(x) < tuple(best_x))
 
-    Returns (input delays, output delays). The returned objective value is
-    >= every evaluated grid sample, and at an interior optimum the delay
-    gradient norm is below ``refine_tol`` (boundary points may carry an
-    outward gradient). All-masked problems return zero delays immediately.
+
+def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
+    """Grid scan and refinement over one face, growing its box.
+
+    Returns (x, f, (obj, points, values) of the last scan).
     """
-    in_mask, out_mask, tau_max0 = search_domain(g, cfg)
-    act_in = np.flatnonzero(in_mask)
-    act_out = np.flatnonzero(out_mask)
-    k_act = act_in.size + act_out.size
-    if k_act == 0:
-        return (DelayBlock.zeros(g.nu, tuple(in_mask)),
-                DelayBlock.zeros(g.ny, tuple(out_mask)))
-
-    obj = _Objective(g, h, act_in, act_out)
-
+    k_act = obj.span.size
     tau_max = float(tau_max0)
     while True:
         points, values = _scan(obj, k_act, tau_max, cfg)
         if not np.all(np.isfinite(values)):
             raise NonFiniteObjective("grid scan produced non-finite objective values")
-        if cfg.landscape_csv:
-            _write_landscape(cfg.landscape_csv, obj, points, values)
         n_top = min(TOP_STARTS, values.size)
         if obj.hp:
             # screening is float-precision: confirm the leading cells with
@@ -295,23 +348,17 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
             grid_best = float(np.max(values))
             top = np.argsort(-values, kind="stable")[:n_top]
             grid_argbest = int(np.argmax(values))
+        hi = obj.span * tau_max
         starts = [points[i] for i in top]
         starts.append(np.zeros(k_act))
         for tau_extra, gam_extra in cfg.extra_starts:
-            full = np.concatenate([np.asarray(tau_extra, dtype=float)[act_in],
-                                   np.asarray(gam_extra, dtype=float)[act_out]])
-            starts.append(np.clip(full, 0.0, tau_max))
+            starts.append(np.clip(obj.coords(tau_extra, gam_extra), 0.0, hi))
 
-        spacing = tau_max / max(_grid_axes(k_act, tau_max, cfg).size - 1, 1)
+        _, spacing = _grid_axes(obj.span, tau_max, cfg)
         best_x, best_f = None, 0.0
         for x0 in starts:
-            x, f = _refine(obj, x0, tau_max, cfg, step0=spacing)
-            if best_x is None:
-                best_x, best_f = x, f
-                continue
-            tol = 1e-14 * max(1.0, abs(best_f))
-            if f > best_f + tol or (abs(f - best_f) <= tol
-                                    and tuple(x) < tuple(best_x)):
+            x, f = _refine(obj, x0, hi, cfg, step0=spacing)
+            if best_x is None or _better(f, x, best_f, best_x):
                 best_x, best_f = x, f
 
         if best_f < grid_best:
@@ -323,12 +370,45 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
         if not cfg.extend_box or tau_max >= EXTEND_CAP * tau_max0:
             break
         _, grad, _ = obj.value_grad_hess(best_x)
-        pressing = (best_x >= tau_max - 2 * spacing) & (grad > 0)
+        pressing = (best_x >= hi - 2 * spacing) & (grad > 0)
         if not np.any(pressing):
             break
         tau_max *= 2.0
+    return best_x, best_f, (obj, points, values)
 
-    tau, gam = obj.full_vectors(best_x)
+
+def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
+                    cfg: DelaySearchConfig) -> tuple[DelayBlock, DelayBlock]:
+    """Find box-constrained delays maximizing the cross inner product.
+
+    Returns (input delays, output delays); with every channel delayed, the
+    representative with min gamma = 0 (see the module docstring). The
+    returned objective value is >= every evaluated grid sample, and at an
+    interior optimum the delay gradient norm is below ``refine_tol``
+    (boundary points may carry an outward gradient). All-masked problems
+    return zero delays immediately.
+    """
+    in_mask, out_mask, tau_max0 = search_domain(g, cfg)
+    act_in = np.flatnonzero(in_mask)
+    act_out = np.flatnonzero(out_mask)
+    if act_in.size + act_out.size == 0:
+        return (DelayBlock.zeros(g.nu, tuple(in_mask)),
+                DelayBlock.zeros(g.ny, tuple(out_mask)))
+
+    obj = _Objective(g, h, act_in, act_out)
+    faces = [obj.gauge_face(m) for m in act_out] \
+        if has_gauge(in_mask, out_mask) else [obj]
+    best, scans = None, []
+    for face in faces:
+        x, f, scan = _search_face(face, tau_max0, cfg)
+        scans.append(scan)
+        full = np.concatenate(face.full_vectors(x))
+        if best is None or _better(f, full, *best):
+            best = f, full
+    if cfg.landscape_csv:
+        _write_landscape(cfg.landscape_csv, scans)
+
+    tau, gam = best[1][:g.nu], best[1][g.nu:]
     # snap near-zero coordinates produced by clipping
     tau[np.abs(tau) < 1e-300] = 0.0
     gam[np.abs(gam) < 1e-300] = 0.0

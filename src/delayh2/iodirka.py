@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .delayopt import DelaySearchConfig, optimize_delays, search_domain
+from .delayopt import (
+    DelaySearchConfig,
+    has_gauge,
+    optimize_delays,
+    representative,
+    search_domain,
+)
 from .errors import DelayH2Error
 from .h2 import (
     GapValue,
@@ -39,7 +45,9 @@ class IoDirkaConfig:
     movement and the delay movement fall below ``outer_tol``;
     "optimality-residual" stops when every first-order residual is below it;
     "h2-error" stops on the relative gap change. Delays start at
-    ``init_input_delays``/``init_output_delays``, zero where unset.
+    ``init_input_delays``/``init_output_delays``, zero where unset; with
+    every channel delayed they start, like every iterate, at the
+    representative with min gamma = 0 (see :mod:`delayh2.delayopt`).
     ``final_irka_pass`` runs one more core reduction after the last delay
     update and reports the pre-pass residuals alongside. ``accelerate``
     ("aitken" or "none") controls the outer fixed-point accelerator: every
@@ -115,8 +123,11 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     if irka_cfg.order != n:
         irka_cfg = replace(irka_cfg, order=n)
 
-    din = DelayBlock(cfg.init_input_delays or (0.0,) * g.nu, tuple(in_mask))
-    dout = DelayBlock(cfg.init_output_delays or (0.0,) * g.ny, tuple(out_mask))
+    din, dout = representative(
+        DelayBlock(cfg.init_input_delays or (0.0,) * g.nu, tuple(in_mask)),
+        DelayBlock(cfg.init_output_delays or (0.0,) * g.ny, tuple(out_mask)))
+    # with every channel delayed the search spans [0, 2 box] on the inputs
+    in_span = 2.0 if has_gauge(in_mask, out_mask) else 1.0
 
     norm_g_sq = h2_norm_sq(g)
     trace = []
@@ -143,7 +154,7 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                 raise type(exc)(f"outer iteration {outer}: {exc}") from exc
             # remember the box the search grew into, so later iterations
             # start from it instead of re-extending every time
-            mx = max(float(np.max(din.as_array(), initial=0.0)),
+            mx = max(float(np.max(din.as_array(), initial=0.0)) / in_span,
                      float(np.max(dout.as_array(), initial=0.0)))
             while mx > 0.9 * box:
                 box *= 2.0

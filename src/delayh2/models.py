@@ -160,10 +160,6 @@ class PoleResidueModel:
     def nu(self) -> int:
         return self.right.shape[1]
 
-    @property
-    def terms(self) -> list[tuple[complex, np.ndarray, np.ndarray]]:
-        return [(self.poles[k], self.left[k], self.right[k]) for k in range(self.order)]
-
 
 @dataclass(frozen=True)
 class StateSpaceModel:
@@ -254,9 +250,6 @@ class DelayBlock:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.delays, dtype=float)
-
-    def mask_array(self) -> np.ndarray:
-        return np.asarray(self.mask, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.delays)

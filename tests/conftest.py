@@ -50,6 +50,26 @@ def make_siso(poles, residues):
                             np.ones((poles.size, 1), dtype=complex))
 
 
+def lag_cascade(rng, ny=1, nu=1, n=5):
+    """Float model whose channel (m, l) is a unit-gain cascade of n real lags.
+
+    The lags of channel c = m * nu + l are geomspace(0.8, 2) * 3^c, each
+    jittered by U(0.97, 1.03), so the bands stay disjoint. The responses
+    rise late, so the optimal delays of a low-order fit are positive.
+    """
+    poles, left, right = [], [], []
+    for c in range(ny * nu):
+        m, l = divmod(c, nu)
+        a = 3.0 ** c * np.geomspace(0.8, 2.0, n) * rng.uniform(0.97, 1.03, n)
+        for k in range(n):
+            poles.append(-a[k])
+            left.append(np.eye(ny)[m] * np.prod(a) / np.prod(np.delete(a, k) - a[k]))
+            right.append(np.eye(nu)[l])
+    return PoleResidueModel(np.array(poles, dtype=complex),
+                            np.array(left, dtype=complex),
+                            np.array(right, dtype=complex))
+
+
 def random_pr(rng, order, ny=1, nu=1, *, normalize=True):
     """Random stable conjugate-closed pole/residue model.
 

@@ -6,9 +6,12 @@ plain-loop residue sums) and shares no code with the package, so each
 test compares two routes that can only agree if both are right.
 """
 
+import functools
+
 import numpy as np
 import scipy.integrate
 import scipy.optimize
+import scipy.special
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,28 +103,56 @@ def transfer_on_grid(poles, left, right, omega):
     return np.einsum("pj,jm,jl->pml", denom, left, right)
 
 
-def h2_norm_quadrature(h, omega_max=1e4, n_points=2_000_001, chunk=1 << 16):
-    """Composite-Simpson frequency quadrature of a float model's H2 norm.
+def _delayed_sq_norm(h, omega):
+    """||H(i omega)||_F^2 of a float (possibly delayed) model on a grid.
 
-    ``h`` is a pole/residue model or a delayed one. O(domega^4) rule plus a
-    1/omega tail truncation error. Delay phase factors are applied
-    entry-wise before the Frobenius norm, so delayed and undelayed models
-    agree only up to rounding. The grid is swept in chunks of ``chunk``
-    points to bound memory.
+    Delay phase factors are applied entry-wise before the Frobenius norm,
+    so delayed and undelayed models agree only up to rounding.
     """
     core = getattr(h, "core", h)
     delayed = core is not h
     gam = np.asarray(h.output_delays.delays if delayed else np.zeros(core.ny))
     tau = np.asarray(h.input_delays.delays if delayed else np.zeros(core.nu))
+    vals = transfer_on_grid(core.poles, core.left, core.right, omega)
+    phase = np.exp(-1j * np.einsum("p,m->pm", omega, gam))[:, :, None] \
+        * np.exp(-1j * np.einsum("p,l->pl", omega, tau))[:, None, :]
+    return np.sum(np.abs(vals * phase) ** 2, axis=(1, 2))
+
+
+def h2_norm_quadrature(h, omega_max=1e4, n_points=2_000_001, chunk=1 << 16):
+    """Composite-Simpson frequency quadrature of a float model's H2 norm.
+
+    ``h`` is a pole/residue model or a delayed one. O(domega^4) rule plus a
+    1/omega tail truncation error. The grid is swept in chunks of ``chunk``
+    points to bound memory.
+    """
     omega = np.linspace(-float(omega_max), float(omega_max), int(n_points))
     integrand = np.empty(omega.size)
     for lo in range(0, omega.size, chunk):
         w = omega[lo:lo + chunk]
-        vals = transfer_on_grid(core.poles, core.left, core.right, w)
-        phase = np.exp(-1j * np.einsum("p,m->pm", w, gam))[:, :, None] \
-            * np.exp(-1j * np.einsum("p,l->pl", w, tau))[:, None, :]
-        integrand[lo:lo + w.size] = np.sum(np.abs(vals * phase) ** 2, axis=(1, 2))
+        integrand[lo:lo + w.size] = _delayed_sq_norm(h, w)
     val = scipy.integrate.simpson(integrand, x=omega) / TWO_PI
+    return float(np.sqrt(max(val, 0.0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(n_nodes):
+    return scipy.special.roots_legendre(n_nodes)
+
+
+def h2_norm_gauss(h, n_nodes=4000):
+    """Gauss-Legendre frequency quadrature of a float model's H2 norm.
+
+    ``h`` is a pole/residue model or a delayed one. The whole axis maps onto
+    theta in (-pi/2, pi/2) by omega = tan(theta), where the integrand
+    ||H(i tan theta)||_F^2 sec^2(theta) stays bounded (the 1/omega^2 tail
+    meets sec^2), so no tail is truncated; ``n_nodes`` Legendre nodes
+    integrate it.
+    """
+    x, w = _legendre(int(n_nodes))
+    theta = 0.5 * np.pi * x
+    integrand = _delayed_sq_norm(h, np.tan(theta)) / np.cos(theta) ** 2
+    val = 0.5 * np.pi * float(w @ integrand) / TWO_PI
     return float(np.sqrt(max(val, 0.0)))
 
 

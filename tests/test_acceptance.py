@@ -272,12 +272,12 @@ def test_norm_invariance_random_models():
         hd = random_delayed(rng, core)
         pr = h2_norm_pole_residue(core)
         assert h2_norm_pole_residue(hd) == pytest.approx(pr, rel=1e-12)
-        # budget: ~4e-6 Simpson + ~2e-5 tail at this grid, margin ~5x
-        q_del = oracles.h2_norm_quadrature(hd, omega_max=6e4, n_points=3_000_001)
-        q_un = oracles.h2_norm_quadrature(core, omega_max=6e4, n_points=3_000_001)
-        assert abs(q_del - q_un) <= 1e-4 * pr
-        assert abs(q_del - pr) <= 1e-4 * pr
-        assert abs(q_un - pr) <= 1e-4 * pr
+        # Gauss-Legendre in omega = tan(theta): 6e-13 worst on this seed
+        q_del = oracles.h2_norm_gauss(hd)
+        q_un = oracles.h2_norm_gauss(core)
+        assert abs(q_del - q_un) <= 1e-10 * pr
+        assert abs(q_del - pr) <= 1e-10 * pr
+        assert abs(q_un - pr) <= 1e-10 * pr
 
 
 def test_gradients_match_finite_differences():

@@ -1,10 +1,12 @@
 """Box-constrained delay search maximizing the cross inner product."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import REF_TAU, make_siso, random_pr
+from conftest import REF_TAU, lag_cascade, make_siso, random_pr
 from delayh2 import (
     DelayBlock,
     DelayedModel,
@@ -101,6 +103,10 @@ def test_returned_point_dominates_grid():
 
 
 def test_interior_gradient_below_tolerance():
+    # with both channels delayed the search returns gamma = 0 and tau over
+    # the path range [0, 2 tau_max]. gamma = 0 is the gauge, not a boundary:
+    # both derivatives are probed at the same model moved along the gauge
+    # to (tau - s, gamma + s), where gamma - eps is still a delay
     rng = np.random.default_rng(84)
     checked = 0
     for _ in range(8):
@@ -110,13 +116,15 @@ def test_interior_gradient_below_tolerance():
                                 extend_box=False)
         din, dout = optimize_delays(g, h, cfg)
         x = np.array([din.delays[0], dout.delays[0]])
-        if np.any(x <= 1e-9) or np.any(x >= 6.0 - 1e-9):
+        assert x[1] == 0.0
+        eps = 1e-5
+        s = 2 * eps
+        if x[0] <= s + eps or x[0] >= 12.0 - 1e-9:
             continue
         checked += 1
-        eps = 1e-5
 
         def f(v):
-            return cross_at(g, h, v[:1], v[1:])
+            return cross_at(g, h, v[:1] - s, v[1:] + s)
         for i in range(2):
             xp = x.copy()
             xm = x.copy()
@@ -172,6 +180,8 @@ def test_matches_independent_dense_scan():
 
 
 def test_landscape_csv_written(tmp_path):
+    # SISO io is one gauge face: gamma = 0, tau over [0, 2 tau_max] at the
+    # box spacing, so 2 * 15 - 1 points
     rng = np.random.default_rng(88)
     g = random_pr(rng, 3)
     h = random_pr(rng, 2)
@@ -181,10 +191,28 @@ def test_landscape_csv_written(tmp_path):
     optimize_delays(g, h, cfg)
     lines = path.read_text().splitlines()
     assert lines[0] == "tau_1,gamma_1,objective"
-    assert len(lines) == 1 + 15 * 15
-    row = lines[1].split(",")
-    assert len(row) == 3
-    float(row[2])
+    assert len(lines) == 1 + (2 * 15 - 1)
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (2 * 15 - 1, 3)
+    assert np.all(rows[:, 1] == 0.0)
+    assert rows[-1, 0] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_mimo_io_dominates_full_box_grid():
+    # 2x2 with every channel delayed: the gauge faces cover every model of
+    # the full box grid, and the result is the min gamma = 0 representative
+    rng = np.random.default_rng(90)
+    g = lag_cascade(rng, ny=2, nu=2)
+    h = random_pr(rng, 2, ny=2, nu=2)
+    cfg = DelaySearchConfig(grid_points_per_channel=9, tau_max=3.0,
+                            extend_box=False)
+    din, dout = optimize_delays(g, h, cfg)
+    assert min(dout.delays) == 0.0
+    got = cross_at(g, h, din.as_array(), dout.as_array())
+    axis = np.linspace(0.0, 3.0, 9)
+    for p in itertools.product(axis, repeat=4):
+        sample = cross_at(g, h, np.array(p[:2]), np.array(p[2:]))
+        assert got >= sample - 1e-11 * max(1.0, abs(sample))
 
 
 @pytest.mark.parametrize("ny, nu, input_mask, output_mask", [

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_pr
+from conftest import lag_cascade, random_pr
 from delayh2 import (
     DelayBlock,
     DelayedModel,
@@ -20,6 +20,7 @@ from delayh2 import (
     irka_reduce,
     optimality_residuals,
 )
+from delayh2.serialize import dumps_canonical, report_to_obj
 
 SMALL_SEARCH = DelaySearchConfig(grid_points_per_channel=60, tau_max=4.0,
                                  extend_box=False)
@@ -179,3 +180,30 @@ def test_report_residuals_match_final_model():
     fresh = optimality_residuals(g, rep.model)
     assert fresh.max_residual() == pytest.approx(rep.residuals.max_residual(),
                                                  rel=1e-12, abs=1e-15)
+
+
+def test_siso_io_equals_input_delay():
+    # only tau + gamma enters, so delaying both channels finds the same
+    # model as delaying the input, in the form gamma = 0
+    g = lag_cascade(np.random.default_rng(3))
+    io = io_dirka(g, IoDirkaConfig(order=2, search=SMALL_SEARCH,
+                                   outer_max_iters=60))
+    inp = io_dirka(g, IoDirkaConfig(
+        order=2, outer_max_iters=60,
+        search=dataclasses.replace(SMALL_SEARCH, output_mask=(False,))))
+    assert io.converged and inp.converged
+    assert io.model.output_delays.delays == (0.0,)
+    assert io.model.input_delays.delays[0] > 0.5
+    assert io.gap.j == pytest.approx(inp.gap.j, rel=1e-12)
+
+
+def test_init_output_delay_is_a_path_delay():
+    # under io an initial output delay is the same model as that delay on
+    # the input, and so gives the same report
+    g = lag_cascade(np.random.default_rng(4))
+    base = dict(order=2, search=SMALL_SEARCH, outer_max_iters=60)
+    on_out = io_dirka(g, IoDirkaConfig(init_output_delays=(0.7,), **base))
+    on_in = io_dirka(g, IoDirkaConfig(init_input_delays=(0.7,), **base))
+    assert on_out.trace[0].model.output_delays.delays == (0.0,)
+    assert dumps_canonical(report_to_obj(on_out)) \
+        == dumps_canonical(report_to_obj(on_in))
