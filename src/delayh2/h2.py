@@ -111,9 +111,12 @@ def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
     (inputs first, then outputs).
     """
     with bk.context():
-        e_out = bk.exp(np.outer(mu, bk.lift(gam)))  # (N, ny)
-        e_in = bk.exp(np.outer(mu, bk.lift(tau)))   # (N, nu)
-        core = ktensor * e_out[:, :, None] * e_in[:, None, :]
+        # e^0 = 1 exactly, so a side without delays skips its exponentials
+        core = ktensor
+        if np.any(gam):
+            core = core * bk.exp(np.outer(mu, bk.lift(gam)))[:, :, None]
+        if np.any(tau):
+            core = core * bk.exp(np.outer(mu, bk.lift(tau)))[:, None, :]
         f = bk.to_complex(core.sum())
         g_in = g_out = hess = None
         if order >= 1:
@@ -214,8 +217,10 @@ def build_gtilde(g: PoleResidueModel,
     bk = backend_for(g)
     with bk.context():
         mu, left, right = bk.terms(g)
-        left = left * bk.exp(np.outer(mu, bk.lift(gam)))
-        right = right * bk.exp(np.outer(mu, bk.lift(tau)))
+        if np.any(gam):
+            left = left * bk.exp(np.outer(mu, bk.lift(gam)))
+        if np.any(tau):
+            right = right * bk.exp(np.outer(mu, bk.lift(tau)))
     hp = None
     if bk.dps is not None:
         hp = HighPrecisionTerms(tuple(mu), tuple(map(tuple, left)),
@@ -275,6 +280,21 @@ def grad_residues_poles(gt: PoleResidueModel, h: PoleResidueModel):
     return db, dc, dl
 
 
+def interpolation_rows(g: PoleResidueModel, h: PoleResidueModel):
+    """Bitangential Hermite defects of ``h`` against ``g`` at h's mirrored
+    poles, as three lists over k: ||(H - G)(-lambda_k) b_k||,
+    ||c_k^T (H - G)(-lambda_k)|| and |c_k^T (H' - G')(-lambda_k) b_k|."""
+    ir, il, ih = [], [], []
+    for k in range(h.order):
+        s = -h.poles[k]
+        err = eval_transfer(h, s) - eval_transfer(g, s)
+        derr = eval_transfer_derivative(h, s) - eval_transfer_derivative(g, s)
+        ir.append(float(np.linalg.norm(err @ h.right[k])))
+        il.append(float(np.linalg.norm(h.left[k] @ err)))
+        ih.append(float(abs(h.left[k] @ derr @ h.right[k])))
+    return ir, il, ih
+
+
 def optimality_residuals(g: PoleResidueModel,
                          hd: DelayedModel) -> OptimalityResiduals:
     """All first-order condition defects of a delayed reduced candidate.
@@ -286,16 +306,9 @@ def optimality_residuals(g: PoleResidueModel,
     the projected (one-sided) derivative instead of its magnitude; a
     boundary optimum then reports 0 rather than a spurious defect.
     """
-    gt = build_gtilde(g, hd.input_delays, hd.output_delays)
     h = hd.core
-    ir, il, ih = [], [], []
-    for k in range(h.order):
-        s = -h.poles[k]
-        err = eval_transfer(h, s) - eval_transfer(gt, s)
-        derr = eval_transfer_derivative(h, s) - eval_transfer_derivative(gt, s)
-        ir.append(float(np.linalg.norm(err @ h.right[k])))
-        il.append(float(np.linalg.norm(h.left[k] @ err)))
-        ih.append(float(abs(h.left[k] @ derr @ h.right[k])))
+    ir, il, ih = interpolation_rows(
+        build_gtilde(g, hd.input_delays, hd.output_delays), h)
     _, g_in, g_out, _ = _cross_eval(g, h, hd.input_delays.as_array(),
                                     hd.output_delays.as_array(), order=1)
     def _defect(d: complex, at_zero: bool, what: str) -> float:

@@ -4,7 +4,8 @@ Every quantity the package computes is a sum over a pole/residue model's
 terms: transfer values, the impulse response, the H2 cross kernel and its
 delay derivatives, and the projected IRKA pencil. Each is written once as
 numpy array code against a :class:`Backend`, which fixes what the arrays
-hold:
+hold (the IRKA pencil alone keeps a separate float64 form, see
+:mod:`delayh2.irka`):
 
 * no model in the sum carries a high-precision payload: plain complex128
   arrays, and every operation is the ordinary float64 one;

@@ -8,6 +8,7 @@ test compares two routes that can only agree if both are right.
 
 import functools
 
+import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.optimize
@@ -86,6 +87,45 @@ def h2_norm_sq_pr(poles, left, right):
                        zeros_in, zeros_out)
 
 
+def direct_pencil(poles, left, right, shifts, bdirs, cdirs, dps, pairs=()):
+    """Projected IRKA pencil (E, A, B, C) by plain-loop contraction at ``dps``.
+
+    Over the terms (mu_k, l_k, r_k), given as mpmath numbers or binary64:
+    V_kj = (r_k . b_j) / (s_j - mu_k) and W_ki = (l_k . c_i) / (s_i - mu_k),
+    then E = W^T V, A = W^T diag(mu) V, B = W^T R and C = L^T V. For each
+    (k, kc) in ``pairs`` the columns k, kc of V and of W are first replaced
+    by their half-sum and half-difference over i. Returns complex128 arrays.
+    """
+    with mpmath.workdps(dps):
+        mpc = mpmath.mpc
+        mu = [mpc(p) for p in poles]
+        L = [[mpc(v) for v in row] for row in left]
+        R = [[mpc(v) for v in row] for row in right]
+        s = [mpc(v) for v in shifts]
+        b = [[mpc(v) for v in row] for row in bdirs]
+        c = [[mpc(v) for v in row] for row in cdirs]
+        N, n, ny, nu = len(mu), len(s), len(L[0]), len(R[0])
+        V = [[sum(R[k][l] * b[j][l] for l in range(nu)) / (s[j] - mu[k])
+              for j in range(n)] for k in range(N)]
+        W = [[sum(L[k][m] * c[i][m] for m in range(ny)) / (s[i] - mu[k])
+              for i in range(n)] for k in range(N)]
+        for k, kc in pairs:
+            for X in (V, W):
+                for row in X:
+                    a, z = row[k], row[kc]
+                    row[k], row[kc] = (a + z) / 2, (a - z) / mpc(0, 2)
+        E = [[sum(W[k][i] * V[k][j] for k in range(N)) for j in range(n)]
+             for i in range(n)]
+        A = [[sum(W[k][i] * mu[k] * V[k][j] for k in range(N)) for j in range(n)]
+             for i in range(n)]
+        B = [[sum(W[k][i] * R[k][l] for k in range(N)) for l in range(nu)]
+             for i in range(n)]
+        C = [[sum(L[k][m] * V[k][j] for k in range(N)) for j in range(n)]
+             for m in range(ny)]
+        return [np.array([[complex(v) for v in row] for row in M])
+                for M in (E, A, B, C)]
+
+
 # ---------------------------------------------------------------------------
 # frequency-domain quadrature (Simpson on a symmetric grid)
 
@@ -154,6 +194,39 @@ def h2_norm_gauss(h, n_nodes=4000):
     integrand = _delayed_sq_norm(h, np.tan(theta)) / np.cos(theta) ** 2
     val = 0.5 * np.pi * float(w @ integrand) / TWO_PI
     return float(np.sqrt(max(val, 0.0)))
+
+
+def gauss_panels(a, b, width=0.5, n_nodes=20):
+    """Composite Gauss-Legendre nodes and weights on [a, b]: ``n_nodes`` per
+    panel, panels of equal length at most ``width``."""
+    x, w = _legendre(int(n_nodes))
+    edges = np.linspace(a, b, max(1, int(np.ceil((b - a) / width))) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def cross_time_gauss(g, hd, n_slow=40, width=0.5, n_nodes=20):
+    """<delayed model hd, g>_H2 as a time integral of impulse responses.
+
+    sum over channel pairs (m, l) of int h_ml(t - gam_m - tau_l) g_ml(t) dt,
+    both responses from the plain-loop :func:`pr_impulse`. Each pair's
+    integrand is smooth from its path delay on, where the integration starts,
+    and it runs ``n_slow`` slowest time constants of either model past it
+    on :func:`gauss_panels`, so the truncated tail is below e^-n_slow.
+    """
+    core = hd.core
+    tau, gam = hd.input_delays.delays, hd.output_delays.delays
+    slow = 1.0 / min(np.min(-g.poles.real), np.min(-core.poles.real))
+    total = 0.0
+    for m in range(g.ny):
+        for l in range(g.nu):
+            d = gam[m] + tau[l]
+            t, w = gauss_panels(d, d + n_slow * slow, width, n_nodes)
+            gv = pr_impulse(g.poles, g.left, g.right, t)[m, l]
+            hv = pr_impulse(core.poles, core.left, core.right, t - d)[m, l]
+            total += float(w @ (gv * hv))
+    return total
 
 
 def simpson_norm_sq(samples, omega):

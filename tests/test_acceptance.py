@@ -329,7 +329,6 @@ def test_gradients_match_finite_differences():
 
 def test_inner_product_matches_quadrature_oracle():
     rng = np.random.default_rng(77)
-    omega = oracles.freq_grid(1e5, 4_000_001)
     kept = 0
     while kept < 50:
         g = random_pr(rng, int(rng.integers(2, 7)))
@@ -339,13 +338,9 @@ def test_inner_product_matches_quadrature_oracle():
         if abs(val) < 0.25:
             continue
         kept += 1
-        gs = oracles.transfer_on_grid(g.poles, g.left, g.right, omega)
-        hs = oracles.transfer_on_grid(h.core.poles, h.core.left,
-                                      h.core.right, omega)
-        ref = oracles.simpson_cross(gs, hs, omega,
-                                    tau_in=h.input_delays.as_array(),
-                                    gam_out=h.output_delays.as_array())
-        assert abs(val - ref) <= 1e-4 * abs(ref)
+        # Gauss-Legendre panels in time: 1.2e-15 worst on this seed
+        ref = oracles.cross_time_gauss(g, h)
+        assert abs(val - ref) <= 1e-10 * abs(ref)
 
 
 def test_impulse_advance_property():

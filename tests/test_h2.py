@@ -55,14 +55,13 @@ def test_norm_homogeneity():
 
 
 def test_norm_matches_quadrature_random():
-    # the 1e-5 agreement needs the tail pushed out: truncation at the
-    # default omega_max contributes ~|sum l_j b_j|^2 / (pi omega_max)
+    # Gauss-Legendre in omega = tan(theta) truncates no tail
     rng = np.random.default_rng(41)
     for _ in range(3):
         m = random_pr(rng, 3)
         a = h2_norm_pole_residue(m)
-        b = oracles.h2_norm_quadrature(m, omega_max=2e5, n_points=16_000_001)
-        assert abs(a - b) < 1e-5 * a
+        b = oracles.h2_norm_gauss(m)
+        assert abs(a - b) < 1e-10 * a
 
 
 def test_quadrature_first_order_closed_form():

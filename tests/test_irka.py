@@ -1,5 +1,6 @@
 """Delay-free H2 reduction by the rational Krylov fixed point."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,14 +9,17 @@ from conftest import REF_POLE, REF_RESIDUE, make_siso, random_pr
 from delayh2 import (
     DelayedModel,
     DelayH2Error,
+    HighPrecisionTerms,
     IrkaConfig,
     PoleResidueModel,
+    build_bench_model,
     compute_gap,
     h2_norm_sq,
     hermite_residuals,
     irka_reduce,
     realify_check,
 )
+from delayh2.irka import _pair_structure, _project
 
 
 def three_pole():
@@ -161,3 +165,63 @@ def test_max_iters_returns_best_effort():
     assert res.iterations == 1
     assert res.model.order == 3
     assert res.final_shift_movement > 0.0
+
+
+def payload_model(g, dps):
+    """``g`` with every coefficient divided by 3 in a ``dps``-digit payload,
+    so the payload is not binary64; conjugate closure is kept exactly."""
+    with mpmath.workdps(dps):
+        third = lambda v: mpmath.mpc(v) / 3
+        rows = lambda a: tuple(tuple(third(v) for v in row) for row in a)
+        hp = HighPrecisionTerms(tuple(third(p) for p in g.poles),
+                                rows(g.left), rows(g.right), dps)
+    rounded = lambda a: np.array([[complex(v) for v in row] for row in a])
+    return PoleResidueModel(np.array([complex(p) for p in hp.poles]),
+                            rounded(hp.left), rounded(hp.right), hp=hp)
+
+
+def pencil_pair(g, shifts, bdirs, cdirs):
+    """(library pencil, plain-loop direct contraction at the payload precision)."""
+    shifts, bdirs, cdirs = map(np.asarray, (shifts, bdirs, cdirs))
+    groups = _pair_structure(shifts)
+    got = _project(g, shifts, bdirs, cdirs, groups)
+    want = oracles.direct_pencil(g.hp.poles, g.hp.left, g.hp.right, shifts,
+                                 bdirs, cdirs, g.hp.dps,
+                                 [p for p in groups if p[1] is not None])
+    return got, want
+
+
+def test_payload_pencil_matches_direct_contraction_on_benchmark():
+    # Loewner assembly from transfer values, conjugate pair combined on the
+    # n-by-n pencil: the same float64 pencil as contracting over the terms
+    got, want = pencil_pair(build_bench_model(),
+                            [0.2 + 0.2j, 0.2 - 0.2j, 0.7],
+                            [[1.0 + 0.5j], [1.0 - 0.5j], [0.3]],
+                            [[0.4 - 1.0j], [0.4 + 1.0j], [-0.8]])
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_payload_pencil_matches_direct_contraction_mimo():
+    rng = np.random.default_rng(81)
+    g = payload_model(random_pr(rng, 6, ny=2, nu=3), 30)
+    b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    got, want = pencil_pair(g, [0.9 + 1.3j, 0.9 - 1.3j, 0.4],
+                            [b[0], b[0].conj(), b[1].real],
+                            [c[0], c[0].conj(), c[1].real])
+    for a, w in zip(got, want):
+        assert np.array_equal(a, w)
+
+
+def test_payload_pencil_close_shifts_keep_precision():
+    # Shifts 1e-8 apart cancel 8 digits in the Loewner quotient; the
+    # working precision rises by that much, so a 20-digit payload still
+    # gives the pencil to far below float64 rounding.
+    rng = np.random.default_rng(82)
+    g = payload_model(random_pr(rng, 6, ny=2, nu=3), 20)
+    b = rng.standard_normal((3, 3))
+    c = rng.standard_normal((3, 2))
+    got, want = pencil_pair(g, [0.7, 0.7 + 1e-8, 1.9], b, c)
+    for a, w in zip(got, want):
+        assert np.max(np.abs(a - w)) <= 1e-15 * np.max(np.abs(w))
