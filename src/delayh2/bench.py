@@ -21,6 +21,7 @@ import mpmath
 import numpy as np
 
 from .delayopt import DelaySearchConfig
+from .errors import DelayH2Error
 from .h2 import compute_gap, h2_norm_sq
 from .iodirka import IoDirkaConfig, io_dirka
 from .irka import IrkaConfig, irka_reduce
@@ -74,6 +75,8 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
               seed: int = 0, outer_max: int = 80, t_max: float = 50.0,
               n_points: int = 2000) -> dict:
     """Run the full reproduction study into ``outdir`` and return a summary."""
+    if n_points < 0:
+        raise DelayH2Error(f"impulse grid point count {n_points} is negative")
     os.makedirs(outdir, exist_ok=True)
     g = build_bench_model()
     save_model(os.path.join(outdir, "bench-model-n20.json"), g)

@@ -3,11 +3,12 @@
 Subcommands: ``reduce`` (delayed reduction of a full model, delays
 starting at zero), ``bench`` (benchmark reproduction study), ``impulse``
 (impulse-response CSV of a model file), ``analyze`` (gap and first-order
-residuals of a given full/reduced pair). Exit codes: 0 on
-success/convergence, 2 when a result was produced best-effort without
-meeting its convergence rule, 1 on errors (bad files, bad flags). Output
-files carry no timestamps; a given config and seed always produce
-byte-identical files.
+residuals of a given full/reduced pair). Exit codes: 0 on success (for
+``reduce``: the loop stopped and the reduced model's max first-order
+residual is at most 1e-6 max(1, ||G||^2)), 2 when a result was produced
+best-effort without meeting that rule, 1 on errors (bad files, bad flags,
+unwritable output paths). Output files carry no timestamps; a given
+config and seed always produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -88,12 +89,10 @@ def _cmd_reduce(args) -> int:
         landscape_csv=args.landscape_csv)
     irka = IrkaConfig(order=args.order, seed=args.seed,
                       shift_tol=args.shift_tol, init=args.irka_init)
-    cfg = IoDirkaConfig(
-        order=args.order, outer_max_iters=args.outer_max,
-        outer_tol=args.outer_tol, stopping_mode=args.stopping, irka=irka,
-        search=search, final_irka_pass=not args.no_final_irka)
-    report = io_dirka(g, cfg)
+    cfg = IoDirkaConfig(order=args.order, outer_max_iters=args.outer_max,
+                        outer_tol=args.outer_tol, irka=irka, search=search)
     os.makedirs(args.out, exist_ok=True)
+    report = io_dirka(g, cfg)
     save_model(os.path.join(args.out, "reduced-model.json"), report.model)
     write_json(os.path.join(args.out, "report.json"), report_to_obj(report))
     write_json(os.path.join(args.out, "run-config.json"),
@@ -121,6 +120,8 @@ def _cmd_impulse(args) -> int:
     m = load_model(args.model)
     if isinstance(m, StateSpaceModel):
         m = pole_residue_from_state_space(m)
+    if args.points < 0:
+        raise DelayH2Error(f"--points {args.points} is negative")
     t = np.linspace(0.0, args.t_max, args.points)
     resp = impulse_response(m, t)
     ny, nu = resp.shape[0], resp.shape[1]
@@ -171,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--outer-max", type=int, default=50)
     r.add_argument("--outer-tol", type=float, default=1e-6)
-    r.add_argument("--stopping", default="pole-variation",
-                   choices=("pole-variation", "optimality-residual", "h2-error"))
     r.add_argument("--shift-tol", type=float, default=1e-8)
     r.add_argument("--irka-init", default="log-spaced-real",
                    choices=("log-spaced-real", "random-stable"))
@@ -185,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--landscape-csv", default=None,
                    help="dump the delay-search grid to this CSV")
     r.set_defaults(func=_cmd_reduce)
-    r.add_argument("--no-final-irka", action="store_true",
-                   help="skip the final core re-reduction pass")
 
     b = sub.add_parser("bench", help="run the benchmark reproduction study")
     b.add_argument("--out", default="bench-out", help="output directory")
@@ -219,7 +216,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except DelayH2Error as exc:
+    except (DelayH2Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,10 +3,15 @@
 Each outer iteration rebuilds the delay-advanced surrogate from the current
 delays, reduces it with the interpolatory fixed point (warm-started from the
 previous reduced model), then re-optimizes the delays against the new core.
-Stopping is configurable: combined pole+delay movement (default), maximum
-first-order-condition residual, or relative gap change. The trace keeps
-every iterate's delayed model (masks included) with its gap, so every
-reported number can be recomputed from it exactly.
+Every third plain iterate the delay vector takes an Aitken jump, and the
+loop stops once both the poles and the delays stop moving. One more core
+reduction at the final delays follows. The result is ``converged`` only
+if the loop stopped and the returned model passes the first-order
+certificate: every residual of the paper's optimality conditions (Hermite
+interpolation at the mirrored poles, one stationarity condition per
+delay) is at most ``CERT_RTOL * max(1, ||G||^2)``. The trace keeps every
+iterate's delayed model (masks included) with its gap, so every reported
+number can be recomputed from it exactly.
 """
 
 from __future__ import annotations
@@ -34,28 +39,20 @@ from .h2 import (
 from .irka import IrkaConfig, IrkaResult, irka_reduce
 from .models import DelayBlock, DelayedModel, PoleResidueModel
 
-STOPPING_MODES = ("pole-variation", "optimality-residual", "h2-error")
+# bound on the max first-order residual, relative to max(1, ||G||^2)
+CERT_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class IoDirkaConfig:
     """Settings for :func:`io_dirka`.
 
-    ``stopping_mode``: "pole-variation" stops when both the relative pole-set
-    movement and the delay movement fall below ``outer_tol``;
-    "optimality-residual" stops when every first-order residual is below it;
-    "h2-error" stops on the relative gap change. Delays start at
-    ``init_input_delays``/``init_output_delays``, zero where unset; with
-    every channel delayed they start, like every iterate, at the
-    representative with min gamma = 0 (see :mod:`delayh2.delayopt`).
-    ``final_irka_pass`` runs one more core reduction after the last delay
-    update and reports the pre-pass residuals alongside. ``accelerate``
-    ("aitken" or "none") controls the outer fixed-point accelerator: every
-    third iterate the delay vector is extrapolated coordinate-wise with
-    Aitken's delta-squared rule before the next surrogate is built, which
-    collapses the slow geometric contraction of plain alternation; the
-    following delay search still re-optimizes globally, so a bad jump is
-    recovered on the next iterate.
+    The loop stops when both the relative pole-set movement and the delay
+    movement fall below ``outer_tol``, or after ``outer_max_iters`` outer
+    iterations. Delays start at ``init_input_delays``/``init_output_delays``,
+    zero where unset; with every channel delayed they start, like every
+    iterate, at the representative with min gamma = 0 (see
+    :mod:`delayh2.delayopt`).
     """
 
     order: int
@@ -63,17 +60,14 @@ class IoDirkaConfig:
     init_output_delays: tuple | None = None
     outer_max_iters: int = 50
     outer_tol: float = 1e-6
-    stopping_mode: str = "pole-variation"
     irka: IrkaConfig | None = None
     search: DelaySearchConfig | None = None
-    final_irka_pass: bool = True
-    accelerate: str = "aitken"
 
     def __post_init__(self):
         if self.order < 1:
             raise DelayH2Error("reduced order must be at least 1")
-        if self.outer_max_iters < 1 or not self.outer_tol > 0.0:
-            raise DelayH2Error("outer iteration settings must be positive")
+        if self.outer_max_iters < 1 or not 0.0 < self.outer_tol < np.inf:
+            raise DelayH2Error("outer iteration settings must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -96,24 +90,21 @@ class ReductionReport:
     trace: tuple
     converged: bool
     norm_g_sq: float
-    residuals_before_final_pass: OptimalityResiduals | None
     total_reflections: int
 
 
 def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     """Reduce ``g`` to a delayed model of the configured order.
 
-    Alternates surrogate reduction and delay search until the configured
-    stopping rule fires; on hitting ``outer_max_iters`` the lowest-gap
-    iterate is returned with ``converged=False``.
+    Alternates surrogate reduction and delay search until poles and delays
+    stop moving, then re-reduces the core at the final delays. On hitting
+    ``outer_max_iters`` the lowest-gap iterate is used instead. ``converged``
+    is True only if the loop stopped and the returned model's max
+    first-order residual is at most ``CERT_RTOL * max(1, ||G||^2)``.
     """
     n = int(cfg.order)
     if not 1 <= n <= g.order:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
-    if cfg.stopping_mode not in STOPPING_MODES:
-        raise DelayH2Error(f"unknown stopping mode {cfg.stopping_mode!r}")
-    if cfg.accelerate not in ("aitken", "none"):
-        raise DelayH2Error(f"unknown accelerate mode {cfg.accelerate!r}")
 
     search = cfg.search if cfg.search is not None else DelaySearchConfig()
     in_mask, out_mask, box = search_domain(g, search)
@@ -131,11 +122,10 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
 
     norm_g_sq = h2_norm_sq(g)
     trace = []
-    converged = False
+    stopped = False
     reflections = 0
     prev_model: PoleResidueModel | None = None
     prev_delays = np.concatenate([din.as_array(), dout.as_array()])
-    prev_gap: float | None = None
     plain_hist: list[np.ndarray] = []
 
     for outer in range(1, cfg.outer_max_iters + 1):
@@ -166,27 +156,23 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                                 irka_converged=res.converged))
 
         delays_now = np.concatenate([din.as_array(), dout.as_array()])
-        if cfg.stopping_mode == "pole-variation":
-            if prev_model is not None:
-                pmove = float(np.max(np.abs(h.poles - prev_model.poles))) \
-                    / max(float(np.max(np.abs(prev_model.poles))), 1e-300)
-                dmove = float(np.max(np.abs(delays_now - prev_delays), initial=0.0)) \
-                    / max(float(np.max(np.abs(prev_delays), initial=0.0)), 1.0)
-                converged = pmove < cfg.outer_tol and dmove < cfg.outer_tol
-        elif cfg.stopping_mode == "optimality-residual":
-            converged = optimality_residuals(g, hd).max_residual() < cfg.outer_tol
-        else:  # h2-error
-            if prev_gap is not None:
-                converged = abs(gap.j - prev_gap) / max(gap.j, 1e-30) < cfg.outer_tol
-        prev_model, prev_delays, prev_gap = h, delays_now, gap.j
-        if converged:
+        if prev_model is not None:
+            pmove = float(np.max(np.abs(h.poles - prev_model.poles))) \
+                / max(float(np.max(np.abs(prev_model.poles))), 1e-300)
+            dmove = float(np.max(np.abs(delays_now - prev_delays), initial=0.0)) \
+                / max(float(np.max(np.abs(prev_delays), initial=0.0)), 1.0)
+            stopped = pmove < cfg.outer_tol and dmove < cfg.outer_tol
+        prev_model, prev_delays = h, delays_now
+        if stopped:
             break
 
         # Aitken delta-squared jump on the delay vector every third plain
-        # iterate; the history restarts after each jump so the rule always
-        # sees consecutive images of the plain outer map
+        # iterate, against the slow geometric contraction of the plain
+        # alternation; the history restarts after each jump so the rule
+        # always sees consecutive images of the plain outer map, and the
+        # next delay search re-optimizes globally, so a bad jump is undone
         plain_hist.append(delays_now)
-        if cfg.accelerate == "aitken" and len(plain_hist) >= 3:
+        if len(plain_hist) >= 3:
             d0, d1, d2 = plain_hist[-3], plain_hist[-2], plain_hist[-1]
             den = (d2 - d1) - (d1 - d0)
             ext = d2.copy()
@@ -199,21 +185,18 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                 dout = DelayBlock(tuple(ext[g.nu:]), tuple(out_mask))
             plain_hist.clear()
 
-    hd = (trace[-1] if converged else min(trace, key=lambda e: e.gap.j)).model
-
-    residuals_before = None
-    if cfg.final_irka_pass:
-        residuals_before = optimality_residuals(g, hd)
-        gt = build_gtilde(g, hd.input_delays, hd.output_delays)
-        res = irka_reduce(gt, irka_cfg, hd.core)
-        reflections += res.reflections
-        hd = DelayedModel(res.model, hd.input_delays, hd.output_delays)
+    hd = (trace[-1] if stopped else min(trace, key=lambda e: e.gap.j)).model
+    gt = build_gtilde(g, hd.input_delays, hd.output_delays)
+    res = irka_reduce(gt, irka_cfg, hd.core)
+    reflections += res.reflections
+    hd = DelayedModel(res.model, hd.input_delays, hd.output_delays)
 
     gap = compute_gap(g, hd, norm_g_sq)
     residuals = optimality_residuals(g, hd)
+    converged = stopped and residuals.max_residual() \
+        <= CERT_RTOL * max(1.0, float(norm_g_sq))
     return ReductionReport(model=hd, gap=gap, residuals=residuals,
                            outer_iterations=len(trace), trace=tuple(trace),
                            converged=converged, norm_g_sq=float(norm_g_sq),
-                           residuals_before_final_pass=residuals_before,
                            total_reflections=reflections)
 

@@ -470,8 +470,8 @@ def impulse_response(m: DelayedModel | PoleResidueModel, t_grid: np.ndarray) -> 
     hd = _as_delayed(m)
     core = hd.core
     t = np.asarray(t_grid, dtype=float).ravel()
-    if t.size and (np.any(np.diff(t) < 0) or t[0] < 0):
-        raise NonRealModel("time grid must be nondecreasing and nonnegative")
+    if t.size and (not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0) or t[0] < 0):
+        raise NonRealModel("time grid must be finite, nondecreasing and nonnegative")
     if not realify_check(core, tol=1e-8):
         raise NonRealModel("impulse response requires a conjugate-closed model")
     gam = hd.output_delays.as_array()

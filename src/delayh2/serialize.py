@@ -257,9 +257,8 @@ def residuals_to_obj(r: OptimalityResiduals) -> dict:
             "max_residual": float(r.max_residual())}
 
 
-def report_to_obj(report, config_obj=None) -> dict:
-    """Plain-tree form of a ReductionReport, optionally echoing the config."""
-    final = model_to_obj(report.model)
+def report_to_obj(report) -> dict:
+    """Plain-tree form of a ReductionReport."""
     trace = []
     for e in report.trace:
         core = e.model.core
@@ -274,20 +273,14 @@ def report_to_obj(report, config_obj=None) -> dict:
             "irka_iterations": int(e.irka_iterations),
             "irka_converged": bool(e.irka_converged),
         })
-    obj = {"model": final,
-           "gap": gap_to_obj(report.gap),
-           "residuals": residuals_to_obj(report.residuals),
-           "outer_iterations": int(report.outer_iterations),
-           "converged": bool(report.converged),
-           "norm_g_sq": float(report.norm_g_sq),
-           "total_reflections": int(report.total_reflections),
-           "trace": trace}
-    if report.residuals_before_final_pass is not None:
-        obj["residuals_before_final_pass"] = residuals_to_obj(
-            report.residuals_before_final_pass)
-    if config_obj is not None:
-        obj["config"] = config_obj
-    return obj
+    return {"model": model_to_obj(report.model),
+            "gap": gap_to_obj(report.gap),
+            "residuals": residuals_to_obj(report.residuals),
+            "outer_iterations": int(report.outer_iterations),
+            "converged": bool(report.converged),
+            "norm_g_sq": float(report.norm_g_sq),
+            "total_reflections": int(report.total_reflections),
+            "trace": trace}
 
 
 def config_to_obj(cfg) -> dict:

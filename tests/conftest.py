@@ -106,6 +106,26 @@ def random_pr(rng, order, ny=1, nu=1, *, normalize=True):
     return PoleResidueModel(poles, left, right)
 
 
+def corpus_model(rng, n, ny=1, nu=1):
+    """Float model of n/2 conjugate pole pairs spread over 2.5 decades.
+
+    Re = -logspace(-1, 1.5, n/2) * U(0.9, 1.1), Im = U(0.1, 30), and the
+    residue rows are complex normal: a model beyond the benchmark (larger N,
+    MIMO, lightly damped poles) on which to check what ``converged`` claims.
+    """
+    half = n // 2
+    p = -np.logspace(-1.0, 1.5, half) * rng.uniform(0.9, 1.1, half) \
+        + 1j * rng.uniform(0.1, 30.0, half)
+
+    def rows(width):
+        return rng.normal(size=(half, width)) + 1j * rng.normal(size=(half, width))
+
+    left, right = rows(ny), rows(nu)
+    return PoleResidueModel(np.concatenate([p, p.conj()]),
+                            np.concatenate([left, left.conj()]),
+                            np.concatenate([right, right.conj()]))
+
+
 def random_delayed(rng, core, tau_hi=2.0, p_active=0.75):
     """Wrap a core with random channel delays behind random masks."""
     def blk(k):
@@ -131,6 +151,13 @@ def random_ss(rng, order, ny=1, nu=1):
         except Exception:
             continue
     raise RuntimeError("could not draw a valid state-space model")
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The seeded corpus: N=50 (1x1), then N=200 (2x2), from default_rng(1)."""
+    rng = np.random.default_rng(1)
+    return {50: corpus_model(rng, 50), 200: corpus_model(rng, 200, ny=2, nu=2)}
 
 
 @pytest.fixture(scope="session")

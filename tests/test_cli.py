@@ -139,6 +139,16 @@ def test_malformed_model_exit1(tmp_path, capsys):
     assert "malformed JSON" in err and "line 1" in err
 
 
+def test_reduce_corpus_n200_exit2(tmp_path, capsys, corpus):
+    # the movement rule stops this run, but the certificate fails
+    out = tmp_path / "out"
+    rc = main(["reduce", "--model", _model_file(tmp_path, corpus[200]),
+               "--order", "6", "--out", str(out)])
+    assert rc == 2
+    assert "converged=False" in capsys.readouterr().out
+    assert read_json(out / "report.json")["converged"] is False
+
+
 def test_reduce_order_beyond_full_exit1(tmp_path, capsys):
     g = make_siso([-1.0, -3.0], [1.0, 0.5])
     rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "5",
@@ -236,6 +246,50 @@ def test_analyze_dimension_mismatch_exit1(tmp_path, capsys):
                "--reduced", _model_file(tmp_path, h, "h.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# OS errors and bad grids
+
+
+def _fail_if_reduced(*args):
+    raise AssertionError("reduced before checking --out")
+
+
+@pytest.mark.parametrize("case", ["reduce-out-file", "reduce-landscape-dir",
+                                  "impulse-out-dir", "analyze-out-dir"])
+def test_unwritable_output_exit1(tmp_path, capsys, monkeypatch, case):
+    mpath = _model_file(tmp_path, make_siso([-1.0, -3.0], [1.0, 0.5]))
+    missing = str(tmp_path / "missing" / "x.csv")
+    if case == "reduce-out-file":
+        # a file where the output directory should go fails before reducing
+        monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
+        argv = ["reduce", "--model", mpath, "--order", "1",
+                "--out", mpath]
+    elif case == "reduce-landscape-dir":
+        argv = ["reduce", "--model", mpath, "--order", "1", "--grid-points",
+                "20", "--out", str(tmp_path / "out"), "--landscape-csv", missing]
+    elif case == "impulse-out-dir":
+        argv = ["impulse", "--model", mpath, "--points", "5", "--out", missing]
+    else:
+        argv = ["analyze", "--model", mpath, "--reduced", mpath, "--out", missing]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["impulse", "--points", "-1"],
+                                  ["impulse", "--t-max", "nan"],
+                                  ["bench", "--points", "-1"]])
+def test_bad_impulse_grid_exit1(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] == "impulse":
+        argv = argv + ["--model", _model_file(tmp_path, make_siso([-1.0], [1.0])),
+                       "--out", str(out)]
+    else:
+        argv = argv + ["--out", str(tmp_path / "bench")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -93,17 +93,25 @@ def test_trace_alternating_consistency():
             assert np.max(r) < 1e-5 * max(1.0, h2_norm_sq(g))
 
 
-def test_stopping_modes_all_converge():
-    for mode in ("pole-variation", "optimality-residual", "h2-error"):
-        tol = 1e-8 if mode == "optimality-residual" else 1e-6
-        rng = np.random.default_rng(99)
-        g = random_pr(rng, 6)
-        rep = io_dirka(g, IoDirkaConfig(order=2, search=SMALL_SEARCH,
-                                        stopping_mode=mode, outer_tol=tol,
-                                        outer_max_iters=80))
-        assert rep.converged, mode
-        if mode == "optimality-residual":
-            assert rep.residuals_before_final_pass.max_residual() < tol
+@pytest.mark.parametrize("seed", [99, 101])
+def test_converged_means_certificate(seed):
+    # the certificate is the fixed point of the plain alternation, so an
+    # Aitken jump may change the path but not where a converged run ends
+    g, rep = small_report(seed)
+    assert rep.converged
+    bound = 1e-6 * max(1.0, h2_norm_sq(g))
+    assert optimality_residuals(g, rep.model).max_residual() <= bound
+
+
+def test_corpus_n200_reports_unconverged(corpus):
+    # neither IRKA call settles in 200 iterations and the max residual is
+    # about 36; the poles and delays stop moving all the same
+    g = corpus[200]
+    cfg = IoDirkaConfig(order=6)
+    rep = io_dirka(g, cfg)
+    assert rep.outer_iterations < cfg.outer_max_iters
+    assert rep.converged is False
+    assert rep.residuals.max_residual() > 1e-6 * max(1.0, h2_norm_sq(g))
 
 
 def test_outer_max_returns_best_effort():
@@ -117,23 +125,12 @@ def test_outer_max_returns_best_effort():
     assert rep.gap.j >= 0.0
 
 
-def test_accelerator_off_matches_fixed_point():
-    g, rep_acc = small_report(101, accelerate="aitken")
-    _, rep_plain = small_report(101, accelerate="none")
-    assert rep_acc.converged and rep_plain.converged
-    a = rep_acc.model.input_delays.as_array()
-    b = rep_plain.model.input_delays.as_array()
-    assert np.max(np.abs(a - b)) < 1e-4
-    assert rep_acc.gap.j == pytest.approx(rep_plain.gap.j, rel=1e-6, abs=1e-12)
-
-
 def test_explicit_init_delays_respected():
     # the first core is reduced from the surrogate at the initial delays,
     # so a nonzero init must change the first-iteration poles
     rng = np.random.default_rng(102)
     g = random_pr(rng, 6)
-    base = dict(order=2, search=SMALL_SEARCH, outer_max_iters=1,
-                final_irka_pass=False)
+    base = dict(order=2, search=SMALL_SEARCH, outer_max_iters=1)
     rep0 = io_dirka(g, IoDirkaConfig(**base))
     rep1 = io_dirka(g, IoDirkaConfig(init_input_delays=(1.5,),
                                      init_output_delays=(0.5,), **base))
@@ -169,10 +166,13 @@ def test_config_validation():
         IoDirkaConfig(order=2, outer_tol=0.0)
     with pytest.raises(DelayH2Error):
         io_dirka(g, IoDirkaConfig(order=5))
-    with pytest.raises(DelayH2Error):
-        io_dirka(g, IoDirkaConfig(order=2, stopping_mode="bogus"))
-    with pytest.raises(DelayH2Error):
-        io_dirka(g, IoDirkaConfig(order=2, accelerate="bogus"))
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_outer_tol_must_be_finite(tol):
+    # run-config.json cannot hold a non-finite value
+    with pytest.raises(DelayH2Error, match="finite"):
+        IoDirkaConfig(order=2, outer_tol=tol)
 
 
 def test_report_residuals_match_final_model():

@@ -247,6 +247,13 @@ def test_impulse_rejects_bad_grid():
         impulse_response(m, np.array([-1.0, 0.5]))
 
 
+@pytest.mark.parametrize("grid", [[np.nan], [0.0, np.nan], [0.0, np.inf]])
+def test_impulse_rejects_nonfinite_grid(grid):
+    # NaN passes "nondecreasing and nonnegative", so finiteness is its own check
+    with pytest.raises(DelayH2Error, match="finite"):
+        impulse_response(first_order(), np.array(grid))
+
+
 # ---------------------------------------------------------------------------
 # realness check
 
