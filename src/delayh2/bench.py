@@ -77,6 +77,8 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
     """Run the full reproduction study into ``outdir`` and return a summary."""
     if n_points < 0:
         raise DelayH2Error(f"impulse grid point count {n_points} is negative")
+    if not 0.0 <= t_max < np.inf:
+        raise DelayH2Error(f"impulse horizon {t_max} is not finite and nonnegative")
     os.makedirs(outdir, exist_ok=True)
     g = build_bench_model()
     save_model(os.path.join(outdir, "bench-model-n20.json"), g)

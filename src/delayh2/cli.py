@@ -92,6 +92,9 @@ def _cmd_reduce(args) -> int:
     cfg = IoDirkaConfig(order=args.order, outer_max_iters=args.outer_max,
                         outer_tol=args.outer_tol, irka=irka, search=search)
     os.makedirs(args.out, exist_ok=True)
+    if args.landscape_csv:
+        # fail on an unwritable path now, not after the first delay search
+        open(args.landscape_csv, "a", encoding="utf-8").close()
     report = io_dirka(g, cfg)
     save_model(os.path.join(args.out, "reduced-model.json"), report.model)
     write_json(os.path.join(args.out, "report.json"), report_to_obj(report))
@@ -122,6 +125,8 @@ def _cmd_impulse(args) -> int:
         m = pole_residue_from_state_space(m)
     if args.points < 0:
         raise DelayH2Error(f"--points {args.points} is negative")
+    if not 0.0 <= args.t_max < np.inf:
+        raise DelayH2Error(f"--t-max {args.t_max} is not finite and nonnegative")
     t = np.linspace(0.0, args.t_max, args.points)
     resp = impulse_response(m, t)
     ny, nu = resp.shape[0], resp.shape[1]

@@ -139,6 +139,8 @@ class _Objective:
         self.bk = backend_for(g, h)
         self.hp = self.bk.dps is not None
         self.mu, self.k = _cross_tensor(self.bk, g, h)
+        with self.bk.context():
+            self.mu2 = self.mu * self.mu
         # the screen always runs on the float views
         self.ktensor = _cross_tensor(FLOAT, g, h)[1] if self.hp else self.k
 
@@ -168,15 +170,21 @@ class _Objective:
         return tau, gam
 
     def _sum(self, x: np.ndarray, order: int):
-        return _delay_sum(self.bk, self.mu, self.k, *self.full_vectors(x), order)
+        # derivatives only for the sides that hold an active coordinate
+        sides = (self.act_in.size > 0, self.act_out.size > 0)
+        return _delay_sum(self.bk, self.mu, self.k, *self.full_vectors(x),
+                          order, sides, self.mu2)
 
     def value(self, x: np.ndarray) -> float:
         return float(np.real(self._sum(x, 0)[0]))
 
     def value_grad_hess(self, x: np.ndarray):
         f, g_in, g_out, hess = self._sum(x, 2)
-        idx = np.concatenate([self.act_in, self.g.nu + self.act_out])
-        grad = np.concatenate([np.real(g_in), np.real(g_out)])[idx]
+        # hess holds the input side only when an input is active
+        offset = self.g.nu if self.act_in.size else 0
+        idx = np.concatenate([self.act_in, offset + self.act_out])
+        grad = np.concatenate([np.real(d)[act] for d, act in
+                               ((g_in, self.act_in), (g_out, self.act_out)) if act.size])
         return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)]
 
     def prescreen(self, axes: list[np.ndarray]) -> np.ndarray:

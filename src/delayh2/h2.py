@@ -103,12 +103,15 @@ def _cross_tensor(bk: Backend, g: PoleResidueModel, h: PoleResidueModel):
 
 
 def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
-               order: int):
+               order: int, sides=(True, True), mu2=None):
     """Sum of the cross terms under delays (tau, gamma), with derivatives.
 
     Returns (f, grad_in, grad_out, hess) as complex128 data; entries past
-    ``order`` are None. ``hess`` is over the stacked coordinates
-    (inputs first, then outputs).
+    ``order`` are None. ``sides`` says which of (inputs, outputs) the
+    derivatives are wanted for: a side left out has grad None and no rows
+    in ``hess``, which is over the stacked coordinates of the wanted sides
+    (inputs first, then outputs). ``mu2`` is mu*mu in ``bk``'s precision,
+    formed here when not given.
     """
     with bk.context():
         # e^0 = 1 exactly, so a side without delays skips its exponentials
@@ -119,17 +122,24 @@ def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
             core = core * bk.exp(np.outer(mu, bk.lift(tau)))[:, None, :]
         f = bk.to_complex(core.sum())
         g_in = g_out = hess = None
+        want_in, want_out = sides
         if order >= 1:
-            g_in = bk.to_complex(np.einsum("j,jml->l", mu, core))
-            g_out = bk.to_complex(np.einsum("j,jml->m", mu, core))
+            if want_in:
+                g_in = bk.to_complex(np.einsum("j,jml->l", mu, core))
+            if want_out:
+                g_out = bk.to_complex(np.einsum("j,jml->m", mu, core))
         if order >= 2:
-            mu2 = mu * mu
-            nu, ny = tau.size, gam.size
+            mu2 = mu * mu if mu2 is None else mu2
+            nu = tau.size if want_in else 0
+            ny = gam.size if want_out else 0
             hess = np.zeros((nu + ny, nu + ny), dtype=complex)
-            hess[:nu, :nu] = np.diag(bk.to_complex(np.einsum("j,jml->l", mu2, core)))
-            hess[nu:, nu:] = np.diag(bk.to_complex(np.einsum("j,jml->m", mu2, core)))
-            hess[:nu, nu:] = bk.to_complex(np.einsum("j,jml->lm", mu2, core))
-            hess[nu:, :nu] = hess[:nu, nu:].T
+            if want_in:
+                hess[:nu, :nu] = np.diag(bk.to_complex(np.einsum("j,jml->l", mu2, core)))
+            if want_out:
+                hess[nu:, nu:] = np.diag(bk.to_complex(np.einsum("j,jml->m", mu2, core)))
+            if want_in and want_out:
+                hess[:nu, nu:] = bk.to_complex(np.einsum("j,jml->lm", mu2, core))
+                hess[nu:, :nu] = hess[:nu, nu:].T
     return f, g_in, g_out, hess
 
 

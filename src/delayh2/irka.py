@@ -21,6 +21,18 @@ pencil is assembled one of two ways, by precision backend:
   pencil is rounded to float64 only after that cancellation, and every
   reduced model is plain float64.
 
+  A real system's shifts come in conjugate pairs, and where the data at s
+  is exactly conjugate to the data at s' the pencil needs only one of
+  them. A pair is an exact mirror when the payload is exactly
+  conjugate-closed (checked once per :func:`irka_reduce`, O(N) mpmath
+  comparisons) and the pair's shifts and both directions are bitwise
+  conjugates. A mirror costs one shift's transfer data, O(N ny nu)
+  products, and one row of Er and Ar instead of two; its partner's data is
+  the exact conjugate, and its two combined rows are the real and
+  imaginary parts of the one row, which is exactly what combining the
+  conjugate rows gives. Any other pair (a payload that is not closed, or a
+  warm start conjugate only to rounding) computes both rows.
+
 At a fixed point the reduced model bitangentially Hermite-interpolates the
 target at its mirrored poles; the exit certificate checks exactly that, to
 1e-6 max(1, ||H||) with H the float reduced model. There the error is
@@ -40,6 +52,10 @@ from .models import PoleResidueModel, canonicalize_terms
 from .precision import Backend, backend_for
 
 DIRECTION_TINY = 1e-14
+
+# elementwise parts of working-precision (object) arrays, without rounding
+_real_part = np.frompyfunc(lambda v: v.real, 1, 1)
+_imag_part = np.frompyfunc(lambda v: v.imag, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -120,19 +136,60 @@ def _pair_structure(shifts: np.ndarray) -> list[tuple[int, int | None]]:
     return groups
 
 
-def _combine_pairs(M: np.ndarray, groups) -> np.ndarray:
+def _combine_pairs(M: np.ndarray, groups, mirrored=()) -> np.ndarray:
     """Replace each conjugate pair's columns (k, kc) of ``M``, in place, by
     their half-sum and half-difference-over-i; pass ``M.T`` for rows.
 
     A conjugate shift pair spans {v, v'}. With conjugate-closed data v'
     equals v conjugated up to the term-pairing permutation, so the combined
-    columns make every pencil sum over the terms come out real.
+    columns make every pencil sum over the terms come out real. For a pair
+    in ``mirrored`` column kc is the exact conjugate of column k, so the
+    combination is exactly (Re, Im) of column k, and column kc is not read.
     """
     for k, kc in groups:
-        if kc is not None:
+        if kc is None:
+            continue
+        if (k, kc) in mirrored:
+            M[:, k], M[:, kc] = _real_part(M[:, k]), _imag_part(M[:, k])
+        else:
             a, b = M[:, k].copy(), M[:, kc].copy()
             M[:, k], M[:, kc] = 0.5 * (a + b), -0.5j * (a - b)
     return M
+
+
+def _payload_closed(g: PoleResidueModel) -> bool:
+    """Whether ``g`` has a payload that is exactly conjugate-closed: each
+    real pole carries real residues, and each complex term is followed (in
+    canonical order) by its exact conjugate term."""
+    hp = g.hp
+    if hp is None:
+        return False
+    # exact comparisons: conjugation and negation round to the working
+    # precision, while a sum of two numbers is 0 only when they cancel exactly
+    conj_of = lambda a, b: a.real == b.real and a.imag + b.imag == 0
+    k = 0
+    while k < len(hp):
+        row = (hp.poles[k],) + hp.left[k] + hp.right[k]
+        if hp.poles[k].imag == 0:
+            if any(v.imag != 0 for v in row):
+                return False
+            k += 1
+            continue
+        kc = k + 1
+        if kc == len(hp) or not all(map(
+                conj_of, (hp.poles[kc],) + hp.left[kc] + hp.right[kc], row)):
+            return False
+        k += 2
+    return True
+
+
+def _exact_mirrors(shifts, bdirs, cdirs, groups) -> list[tuple[int, int]]:
+    """The pairs (k, kc) of ``groups`` whose shift and both directions at kc
+    are bitwise the conjugates of those at k."""
+    return [(k, kc) for k, kc in groups if kc is not None
+            and shifts[kc] == np.conj(shifts[k])
+            and np.array_equal(bdirs[kc], np.conj(bdirs[k]))
+            and np.array_equal(cdirs[kc], np.conj(cdirs[k]))]
 
 
 def _loewner_digits(shifts: np.ndarray) -> int:
@@ -157,7 +214,8 @@ def _direct_pencil(g: PoleResidueModel, shifts, bdirs, cdirs, groups):
     return W.T @ V, W.T @ (mu[:, None] * V), W.T @ g.right, g.left.T @ V
 
 
-def _loewner_pencil(bk: Backend, g: PoleResidueModel, shifts, bdirs, cdirs, groups):
+def _loewner_pencil(bk: Backend, g: PoleResidueModel, shifts, bdirs, cdirs,
+                    groups, mirrored):
     """The same pencil from tangential transfer data at the shifts.
 
     With G(s) = sum_k psi_k / (s - mu_k), psi_k = l_k r_k^T, partial
@@ -166,41 +224,62 @@ def _loewner_pencil(bk: Backend, g: PoleResidueModel, shifts, bdirs, cdirs, grou
     -c_i^T G'(s_i) b_j where s_i = s_j; Ar = Er diag(s) - [c_i^T G(s_i) b_j],
     Br_i = c_i^T G(s_i) and Cr_j = G(s_j) b_j. Conjugate pairs are combined
     on the n-by-n rows and columns. O(N n ny nu) products instead of O(N n^2).
+
+    For each pair (k, kc) in ``mirrored`` (see :func:`_exact_mirrors`) on an
+    exactly conjugate-closed payload, G(s_kc) is the conjugate of G(s_k):
+    only row k is computed, column kc of Cr is the conjugate of column k,
+    and the pair's combined rows are (Re, Im) of row k.
     """
+    n = shifts.size
+    partners = {kc for _, kc in mirrored}
+    rows = [i for i in range(n) if i not in partners]
     with bk.context():
         mu, left, right = bk.terms(g)
         s, b, c = bk.lift(shifts), bk.lift(bdirs), bk.lift(cdirs)
-        inv = (1.0 / (s[:, None] - mu[None, :]))[:, :, None, None]
+        inv = (1.0 / (s[rows, None] - mu[None, :]))[:, :, None, None]
         terms = inv * (left[:, :, None] * right[:, None, :])  # psi_k / (s_i - mu_k)
-        gval = terms.sum(axis=1)                           # G(s_i), (n, ny, nu)
+        gval = terms.sum(axis=1)                           # G(s_i), (rows, ny, nu)
         gder = (inv * terms).sum(axis=1)                   # -G'(s_i)
-        Br = np.einsum("im,iml->il", c, gval)
-        Cr = np.einsum("jml,jl->mj", gval, b)
+        Br = np.einsum("im,iml->il", c[rows], gval)
+        Cr = np.empty((g.ny, n), dtype=object)
+        Cr[:, rows] = np.einsum("jml,jl->mj", gval, b[rows])
+        for k, kc in mirrored:
+            Cr[:, kc] = np.conj(Cr[:, k])                  # exact at this precision
         at_i = Br @ b.T                                    # c_i^T G(s_i) b_j
-        at_j = c @ Cr                                      # c_i^T G(s_j) b_j
-        same = shifts[:, None] == shifts[None, :]
-        quotient = (at_i - at_j) / np.where(same, 1, s[None, :] - s[:, None])
-        Er = np.where(same, np.einsum("im,iml,jl->ij", c, gder, b), quotient)
+        at_j = c[rows] @ Cr                                # c_i^T G(s_j) b_j
+        same = shifts[rows, None] == shifts[None, :]
+        quotient = (at_i - at_j) / np.where(same, 1, s[None, :] - s[rows, None])
+        Er = np.where(same, np.einsum("im,iml,jl->ij", c[rows], gder, b), quotient)
         Ar = Er * s[None, :] - at_i
-        for M in (Er, Ar, Cr):
-            _combine_pairs(M, groups)
+        Er, Ar = (_rows_of(n, rows, _combine_pairs(M, groups)) for M in (Er, Ar))
+        Br = _rows_of(n, rows, Br)
+        _combine_pairs(Cr, groups, mirrored)
         for M in (Er, Ar, Br):
-            _combine_pairs(M.T, groups)
+            _combine_pairs(M.T, groups, mirrored)
         return [bk.to_complex(M) for M in (Er, Ar, Br, Cr)]
 
 
-def _project(g: PoleResidueModel, shifts, bdirs, cdirs, groups):
+def _rows_of(n: int, rows, M: np.ndarray) -> np.ndarray:
+    """n-row object array holding ``M`` at ``rows`` (other rows unset)."""
+    out = np.empty((n,) + M.shape[1:], dtype=object)
+    out[rows] = M
+    return out
+
+
+def _project(g: PoleResidueModel, shifts, bdirs, cdirs, groups, closed: bool):
     """Projected pencil (Er, Ar, Br, Cr) at the shifts, as complex128.
 
     A payload model runs the Loewner form at its precision raised by the
-    digits the quotient cancels; a float model keeps the direct contraction,
-    which is better conditioned in binary64.
+    digits the quotient cancels, computing one row per exact mirror pair
+    when ``closed`` (see :func:`_payload_closed`); a float model keeps the
+    direct contraction, which is better conditioned in binary64.
     """
     bk = backend_for(g)
     if bk.dps is None:
         return _direct_pencil(g, shifts, bdirs, cdirs, groups)
     hi = Backend(bk.dps + _loewner_digits(shifts))
-    return _loewner_pencil(hi, g, shifts, bdirs, cdirs, groups)
+    mirrored = _exact_mirrors(shifts, bdirs, cdirs, groups) if closed else []
+    return _loewner_pencil(hi, g, shifts, bdirs, cdirs, groups, mirrored)
 
 
 def _realify_pencil(*mats: np.ndarray) -> list[np.ndarray]:
@@ -230,6 +309,7 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     if not 1 <= n <= g.order:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
     shifts, bdirs, cdirs = _initial_iterate(g, cfg, start)
+    closed = _payload_closed(g)
     movement = np.inf
     moved_ok = False
     reflections = 0
@@ -239,7 +319,8 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     for _ in range(cfg.max_iters):
         iterations += 1
         groups = _pair_structure(shifts)
-        Er, Ar, Br, Cr = _realify_pencil(*_project(g, shifts, bdirs, cdirs, groups))
+        Er, Ar, Br, Cr = _realify_pencil(
+            *_project(g, shifts, bdirs, cdirs, groups, closed))
         try:
             lam, X = np.linalg.eig(np.linalg.solve(Er, Ar))
         except np.linalg.LinAlgError as exc:

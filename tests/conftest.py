@@ -1,11 +1,13 @@
 """Shared fixtures, seeded model generators, and frozen reference values."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from delayh2 import (
     DelayBlock,
     DelayedModel,
+    HighPrecisionTerms,
     IrkaConfig,
     PoleResidueModel,
     StateSpaceModel,
@@ -104,6 +106,19 @@ def random_pr(rng, order, ny=1, nu=1, *, normalize=True):
         if s2 > 1e-12:
             left = left / np.sqrt(s2)
     return PoleResidueModel(poles, left, right)
+
+
+def payload_model(g, dps):
+    """``g`` with every coefficient divided by 3 in a ``dps``-digit payload,
+    so the payload is not binary64; conjugate closure is kept exactly."""
+    with mpmath.workdps(dps):
+        third = lambda v: mpmath.mpc(v) / 3
+        rows = lambda a: tuple(tuple(third(v) for v in row) for row in a)
+        hp = HighPrecisionTerms(tuple(third(p) for p in g.poles),
+                                rows(g.left), rows(g.right), dps)
+    rounded = lambda a: np.array([[complex(v) for v in row] for row in a])
+    return PoleResidueModel(np.array([complex(p) for p in hp.poles]),
+                            rounded(hp.left), rounded(hp.right), hp=hp)
 
 
 def corpus_model(rng, n, ny=1, nu=1):

@@ -267,6 +267,8 @@ def test_unwritable_output_exit1(tmp_path, capsys, monkeypatch, case):
         argv = ["reduce", "--model", mpath, "--order", "1",
                 "--out", mpath]
     elif case == "reduce-landscape-dir":
+        # a missing directory for the landscape fails before reducing too
+        monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
         argv = ["reduce", "--model", mpath, "--order", "1", "--grid-points",
                 "20", "--out", str(tmp_path / "out"), "--landscape-csv", missing]
     elif case == "impulse-out-dir":
@@ -277,16 +279,21 @@ def test_unwritable_output_exit1(tmp_path, capsys, monkeypatch, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [["impulse", "--points", "-1"],
                                   ["impulse", "--t-max", "nan"],
-                                  ["bench", "--points", "-1"]])
+                                  ["bench", "--points", "-1"],
+                                  ["impulse", "--t-max", "inf"],
+                                  ["bench", "--t-max", "inf"]])
 def test_bad_impulse_grid_exit1(tmp_path, capsys, argv):
+    # rejected before any grid is built or any output is written
     out = tmp_path / "out.csv"
     if argv[0] == "impulse":
         argv = argv + ["--model", _model_file(tmp_path, make_siso([-1.0], [1.0])),
                        "--out", str(out)]
     else:
-        argv = argv + ["--out", str(tmp_path / "bench")]
+        out = tmp_path / "bench"
+        argv = argv + ["--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import REF_TAU, lag_cascade, make_siso, random_pr
+from conftest import REF_TAU, lag_cascade, make_siso, payload_model, random_pr
 from delayh2 import (
     DelayBlock,
     DelayedModel,
@@ -18,6 +18,7 @@ from delayh2 import (
     optimize_delays,
 )
 from delayh2.delayopt import _Objective, _scan
+from delayh2.h2 import _delay_sum
 
 
 def cross_at(g, h, tau, gam):
@@ -237,6 +238,36 @@ def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask):
     assert values.size == (20 ** k_act if k_act <= 3 else 2 * k_act * 20)
     exact = np.array([obj.value(p) for p in points])
     assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
+@pytest.mark.parametrize("input_mask, output_mask, pinned", [
+    ((True, False), (False, True), None),
+    ((True, True), (False, False), None),
+    ((False, False), (True, False), None),
+    ((True, True), (True, True), 1),
+], ids=["mask-10-01", "inputs", "outputs", "io-face-1"])
+def test_objective_derivatives_are_full_kernel_blocks(payload, input_mask,
+                                                      output_mask, pinned):
+    # the objective asks the kernel only for its active sides; its gradient
+    # and Hessian are bit for bit the active rows and columns of the full
+    # order-2 kernel at the same delays
+    rng = np.random.default_rng(91)
+    g = random_pr(rng, 6, ny=2, nu=2)
+    h = random_pr(rng, 2, ny=2, nu=2)
+    if payload:
+        g = payload_model(g, 30)
+    obj = _Objective(g, h, np.flatnonzero(input_mask), np.flatnonzero(output_mask))
+    if pinned is not None:
+        obj = obj.gauge_face(pinned)
+    x = rng.uniform(0.1, 2.0, obj.span.size)
+    f, grad, hess = obj.value_grad_hess(x)
+    tau, gam = obj.full_vectors(x)
+    f_full, g_in, g_out, h_full = _delay_sum(obj.bk, obj.mu, obj.k, tau, gam, 2)
+    idx = np.concatenate([obj.act_in, g.nu + obj.act_out])
+    assert f == float(np.real(f_full))
+    assert np.array_equal(grad, np.concatenate([g_in.real, g_out.real])[idx])
+    assert np.array_equal(hess, h_full.real[np.ix_(idx, idx)])
 
 
 def test_config_validation():

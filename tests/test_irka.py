@@ -1,11 +1,10 @@
 """Delay-free H2 reduction by the rational Krylov fixed point."""
 
-import mpmath
 import numpy as np
 import pytest
 
 import oracles
-from conftest import REF_POLE, REF_RESIDUE, make_siso, random_pr
+from conftest import REF_POLE, REF_RESIDUE, make_siso, payload_model, random_pr
 from delayh2 import (
     DelayedModel,
     DelayH2Error,
@@ -19,7 +18,13 @@ from delayh2 import (
     irka_reduce,
     realify_check,
 )
-from delayh2.irka import _pair_structure, _project
+from delayh2.irka import (
+    _exact_mirrors,
+    _pair_structure,
+    _payload_closed,
+    _project,
+    _realify_pencil,
+)
 
 
 def three_pole():
@@ -167,24 +172,11 @@ def test_max_iters_returns_best_effort():
     assert res.final_shift_movement > 0.0
 
 
-def payload_model(g, dps):
-    """``g`` with every coefficient divided by 3 in a ``dps``-digit payload,
-    so the payload is not binary64; conjugate closure is kept exactly."""
-    with mpmath.workdps(dps):
-        third = lambda v: mpmath.mpc(v) / 3
-        rows = lambda a: tuple(tuple(third(v) for v in row) for row in a)
-        hp = HighPrecisionTerms(tuple(third(p) for p in g.poles),
-                                rows(g.left), rows(g.right), dps)
-    rounded = lambda a: np.array([[complex(v) for v in row] for row in a])
-    return PoleResidueModel(np.array([complex(p) for p in hp.poles]),
-                            rounded(hp.left), rounded(hp.right), hp=hp)
-
-
 def pencil_pair(g, shifts, bdirs, cdirs):
     """(library pencil, plain-loop direct contraction at the payload precision)."""
     shifts, bdirs, cdirs = map(np.asarray, (shifts, bdirs, cdirs))
     groups = _pair_structure(shifts)
-    got = _project(g, shifts, bdirs, cdirs, groups)
+    got = _project(g, shifts, bdirs, cdirs, groups, _payload_closed(g))
     want = oracles.direct_pencil(g.hp.poles, g.hp.left, g.hp.right, shifts,
                                  bdirs, cdirs, g.hp.dps,
                                  [p for p in groups if p[1] is not None])
@@ -225,3 +217,70 @@ def test_payload_pencil_close_shifts_keep_precision():
     got, want = pencil_pair(g, [0.7, 0.7 + 1e-8, 1.9], b, c)
     for a, w in zip(got, want):
         assert np.max(np.abs(a - w)) <= 1e-15 * np.max(np.abs(w))
+
+
+def test_unclosed_payload_pencil_fails_to_realify():
+    # The lone pole -0.5+1j leaves the payload without conjugate closure.
+    # An exactly conjugate shift pair must not be mirrored onto it: the
+    # pencil stays complex, and realifying it raises.
+    g = payload_model(make_siso([-1.0 + 2.0j, -1.0 - 2.0j, -3.0, -0.5 + 1.0j],
+                                [0.7 - 0.4j, 0.7 + 0.4j, 1.2, 0.5 + 0.3j]), 30)
+    assert not _payload_closed(g)
+    shifts = np.array([0.8 + 0.6j, 0.8 - 0.6j])
+    bdirs = np.array([[1.0 + 0.3j], [1.0 - 0.3j]])
+    cdirs = np.array([[0.6 - 0.2j], [0.6 + 0.2j]])
+    with pytest.raises(DelayH2Error):
+        _realify_pencil(*_project(g, shifts, bdirs, cdirs,
+                                  _pair_structure(shifts), _payload_closed(g)))
+
+
+def test_payload_pencil_two_mirrored_pairs():
+    # order 4, both pairs exactly conjugate: one row per pair is computed
+    g = build_bench_model()
+    shifts = [0.3 + 0.4j, 0.3 - 0.4j, 1.1 + 0.2j, 1.1 - 0.2j]
+    bdirs = [[0.8 + 0.5j], [0.8 - 0.5j], [-0.3 + 1.1j], [-0.3 - 1.1j]]
+    cdirs = [[1.0 - 0.2j], [1.0 + 0.2j], [0.4 + 0.9j], [0.4 - 0.9j]]
+    assert _payload_closed(g)
+    assert _exact_mirrors(np.array(shifts), np.array(bdirs), np.array(cdirs),
+                          _pair_structure(np.array(shifts))) == [(0, 1), (2, 3)]
+    got, want = pencil_pair(g, shifts, bdirs, cdirs)
+    for a, w in zip(got, want):
+        assert np.array_equal(a, w)
+
+
+def test_payload_pencil_nearly_conjugate_directions_not_mirrored():
+    # directions conjugate only to 1e-12: both rows are computed, and the
+    # pencil keeps the imaginary parts the terms give it
+    g = build_bench_model()
+    shifts = np.array([0.4 + 0.3j, 0.4 - 0.3j, 0.9])
+    bdirs = np.array([[1.0 + 0.5j], [(1.0 - 0.5j) * (1 + 1e-12)], [0.3]])
+    cdirs = np.array([[0.4 - 1.0j], [0.4 + 1.0j], [-0.8]])
+    assert _exact_mirrors(shifts, bdirs, cdirs, _pair_structure(shifts)) == []
+    got, want = pencil_pair(g, shifts, bdirs, cdirs)
+    assert np.max(np.abs(got[0].imag)) > 0.0
+    for a, w in zip(got, want):
+        assert np.array_equal(a, w)
+
+
+def test_payload_pencil_nearly_closed_payload_not_mirrored():
+    # A closed complex 50-digit payload is mirrored. Moving one residue
+    # entry by one unit in the last place of its binary64 value leaves the
+    # payload not closed, and the same shift pair is then not mirrored.
+    closed = payload_model(make_siso(
+        [-1.0 + 2.0j, -1.0 - 2.0j, -3.0, -0.5 + 1.0j, -0.5 - 1.0j],
+        [0.7 - 0.4j, 0.7 + 0.4j, 1.2, 0.5 + 0.3j, 0.5 - 0.3j]), 50)
+    hp = closed.hp
+    k = int(np.argmax(closed.poles.imag < 0))
+    left = list(hp.left)
+    left[k] = (left[k][0] * (1 + 2.0 ** -52),)
+    moved = PoleResidueModel(closed.poles, closed.left, closed.right,
+                             hp=HighPrecisionTerms(hp.poles, tuple(left),
+                                                   hp.right, hp.dps))
+    assert _payload_closed(closed) and not _payload_closed(moved)
+    for g in (closed, moved):
+        got, want = pencil_pair(g, [0.8 + 0.6j, 0.8 - 0.6j, 1.5],
+                                [[1.0 + 0.3j], [1.0 - 0.3j], [0.7]],
+                                [[0.6 - 0.2j], [0.6 + 0.2j], [-1.1]])
+        assert (np.max(np.abs(got[0].imag)) > 0.0) == (g is moved)
+        for a, w in zip(got, want):
+            assert np.array_equal(a, w)
