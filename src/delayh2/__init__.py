@@ -37,14 +37,13 @@ from .h2 import (
     OptimalityResiduals,
     build_gtilde,
     compute_gap,
-    grad_delays,
-    grad_residues_poles,
+    gap_gradient,
     h2_norm_pole_residue,
     h2_norm_sq,
     inner_product_delayed,
     optimality_residuals,
 )
-from .irka import IrkaConfig, IrkaResult, hermite_residuals, irka_reduce
+from .irka import IrkaConfig, IrkaResult, irka_reduce
 from .delayopt import DelaySearchConfig, optimize_delays
 from .iodirka import IoDirkaConfig, ReductionReport, TraceEntry, io_dirka
 from .bench import build_bench_model, run_bench
@@ -60,9 +59,9 @@ __all__ = [
     "eval_transfer_derivative", "impulse_response",
     "pole_residue_from_state_space", "realify_check",
     "GapValue", "OptimalityResiduals", "build_gtilde", "compute_gap",
-    "grad_delays", "grad_residues_poles", "h2_norm_pole_residue",
-    "h2_norm_sq", "inner_product_delayed", "optimality_residuals",
-    "IrkaConfig", "IrkaResult", "hermite_residuals", "irka_reduce",
+    "gap_gradient", "h2_norm_pole_residue", "h2_norm_sq",
+    "inner_product_delayed", "optimality_residuals",
+    "IrkaConfig", "IrkaResult", "irka_reduce",
     "DelaySearchConfig", "optimize_delays",
     "IoDirkaConfig", "ReductionReport", "TraceEntry", "io_dirka",
     "build_bench_model", "run_bench",

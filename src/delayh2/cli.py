@@ -23,7 +23,7 @@ from .delayopt import DelaySearchConfig
 from .errors import DelayH2Error
 from .h2 import compute_gap, h2_norm_sq, optimality_residuals
 from .iodirka import IoDirkaConfig, io_dirka
-from .irka import IrkaConfig
+from .irka import INIT_MODES, IrkaConfig
 from .models import (
     DelayedModel,
     PoleResidueModel,
@@ -178,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--outer-max", type=int, default=50)
     r.add_argument("--outer-tol", type=float, default=1e-6)
     r.add_argument("--shift-tol", type=float, default=1e-8)
-    r.add_argument("--irka-init", default="log-spaced-real",
-                   choices=("log-spaced-real", "random-stable"))
+    r.add_argument("--irka-init", default="log-spaced-real", choices=INIT_MODES)
     r.add_argument("--grid-points", type=int, default=400)
     r.add_argument("--tau-max", type=float, default=None,
                    help="initial delay box (default 5 / min|Re pole|); with "

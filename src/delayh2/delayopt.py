@@ -78,10 +78,10 @@ class DelaySearchConfig:
     def __post_init__(self):
         if self.grid_points_per_channel < 2:
             raise DelayH2Error("grid_points_per_channel must be at least 2")
-        if self.tau_max is not None and not self.tau_max > 0.0:
-            raise DelayH2Error("tau_max must be positive")
-        if not self.refine_tol > 0.0:
-            raise DelayH2Error("refine_tol must be positive")
+        if self.tau_max is not None and not 0.0 < self.tau_max < np.inf:
+            raise DelayH2Error("tau_max must be positive and finite")
+        if not 0.0 < self.refine_tol < np.inf:
+            raise DelayH2Error("refine_tol must be positive and finite")
 
 
 def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
@@ -274,12 +274,10 @@ def _grid_axes(span: np.ndarray, tau_max: float,
     """(one axis per coordinate over [0, span[c] * tau_max], common spacing).
 
     A box axis has ``grid_points_per_channel`` points, fewer when the joint
-    grid would exceed ``joint_grid_budget`` points.
+    grid (one axis alone included) would exceed ``joint_grid_budget`` points.
     """
-    per_axis = cfg.grid_points_per_channel
-    if span.size > 1:
-        per_axis = min(per_axis, max(2, int(
-            (cfg.joint_grid_budget / np.prod(span)) ** (1.0 / span.size))))
+    per_axis = min(cfg.grid_points_per_channel, max(2, int(
+        (cfg.joint_grid_budget / np.prod(span)) ** (1.0 / span.size))))
     axes = [np.linspace(0.0, s * tau_max, s * (per_axis - 1) + 1) for s in span]
     return axes, tau_max / (per_axis - 1)
 

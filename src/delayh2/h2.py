@@ -7,9 +7,13 @@ delayed reduced model and the full model,
 
 summed over the full model's terms (mu_j, l_j, r_j), together with its first
 and second derivatives in the delays (each derivative multiplies the (m, l)
-channel term by mu_j once more). Norms are the zero-delay self case, the gap
-is assembled from three such numbers, and the delay gradient of the gap is
--2x the cross derivative. The kernel has two stages: the zero-delay term
+channel term by mu_j once more). Norms are the zero-delay self case, and the
+gap is assembled from three such numbers. :func:`gap_gradient` is the one
+first-order computation: the gap's gradient in the residues and poles
+(transfer-value defects at the mirrored poles against the delay-advanced
+surrogate) and in the delays (-2x the cross derivative). The optimality
+residuals, and with them every first-order certificate, are half its
+magnitudes. The kernel has two stages: the zero-delay term
 tensor K[j, m, l] = l_jm H(-mu_j)_ml r_jl, and the delayed sum of K against
 e^{mu_j (gamma_m + tau_l)}, which the delay search reuses on a cached K.
 Both are written once against :mod:`delayh2.precision`: when a model
@@ -58,13 +62,14 @@ class GapValue:
 
 @dataclass(frozen=True)
 class OptimalityResiduals:
-    """Magnitudes of the first-order condition defects of a candidate.
+    """Magnitudes of the first-order condition defects of a candidate,
+    each half the matching block of :func:`gap_gradient`.
 
-    ``interp_right[k]`` = ||(H - Gt)(-lambda_k) b_k||,
-    ``interp_left[k]``  = ||c_k^T (H - Gt)(-lambda_k)||,
-    ``interp_hermite[k]`` = |c_k^T (H' - Gt')(-lambda_k) b_k|,
+    ``interp_right[k]`` = ||(H - Gt)(-lambda_k) b_k|| (the c_k block),
+    ``interp_left[k]``  = ||c_k^T (H - Gt)(-lambda_k)|| (the b_k block),
+    ``interp_hermite[k]`` = |c_k^T (H' - Gt')(-lambda_k) b_k| (lambda_k),
     ``delay_in[l]`` / ``delay_out[m]`` = |d cross / d delay| per channel
-    (0 on masked-off channels).
+    (one-sided at a zero delay, 0 on masked-off channels).
     """
 
     interp_right: tuple
@@ -76,14 +81,6 @@ class OptimalityResiduals:
     def max_residual(self) -> float:
         groups = (self.interp_right, self.interp_left, self.interp_hermite,
                   self.delay_in, self.delay_out)
-        return max((max(g) for g in groups if g), default=0.0)
-
-    def max_interpolation(self) -> float:
-        groups = (self.interp_right, self.interp_left, self.interp_hermite)
-        return max((max(g) for g in groups if g), default=0.0)
-
-    def max_delay(self) -> float:
-        groups = (self.delay_in, self.delay_out)
         return max((max(g) for g in groups if g), default=0.0)
 
 
@@ -240,98 +237,79 @@ def build_gtilde(g: PoleResidueModel,
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# first-order conditions
 
 
-def grad_delays(g: PoleResidueModel,
-                hd: DelayedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the gap j with respect to (input delays, output delays).
+def gap_gradient(g: PoleResidueModel, hd: DelayedModel | PoleResidueModel):
+    """Gradient of the gap j = ||G - Hd||^2 in every parameter of ``hd``.
 
-    Equals -2x the delay derivative of the cross term; masked-off channels
-    report exactly 0.
+    Returns (d_left, d_right, d_poles, d_in, d_out). The first three are
+    formal complex gradients at the core's terms, taken against the
+    delay-advanced surrogate Gt (see :func:`build_gtilde`): d_left[k], the
+    n_y-vector in c_k, is -2 (Gt - H)(-lambda_k) b_k; d_right[k], the
+    n_u-vector in b_k, is -2 c_k^T (Gt - H)(-lambda_k); d_poles[k] is
+    2 c_k^T (Gt' - H')(-lambda_k) b_k. A real perturbation of a real-pole
+    parameter changes the gap at exactly this rate; for a conjugate pair
+    (perturbed jointly to stay real) the real coordinates see
+    d/dRe = 2 Re(grad) and d/dIm = -2 Im(grad). d_in and d_out are the
+    real delay gradients, -2x the cross term's delay derivative, and
+    exactly 0 on masked-off channels. With no delayable channel Gt is
+    ``g`` itself and neither the surrogate nor the delay kernel is formed.
     """
-    _, g_in, g_out, _ = _cross_eval(g, hd.core, hd.input_delays.as_array(),
-                                    hd.output_delays.as_array(), order=1)
-    din = np.zeros(g.nu)
-    dout = np.zeros(g.ny)
-    for l, keep in enumerate(hd.input_delays.mask):
-        if keep:
-            din[l] = -2.0 * _real_or_raise(g_in[l], f"delay gradient (input {l})")
-    for m, keep in enumerate(hd.output_delays.mask):
-        if keep:
-            dout[m] = -2.0 * _real_or_raise(g_out[m], f"delay gradient (output {m})")
-    return din, dout
-
-
-def grad_residues_poles(gt: PoleResidueModel, h: PoleResidueModel):
-    """Formal complex gradients of the gap at h's parameters, given the
-    surrogate for the current delays.
-
-    Returns (db, dc, dl): db[k] is the n_u-vector gradient in b_k, dc[k] the
-    n_y-vector gradient in c_k, dl[k] the scalar gradient in lambda_k.
-
-    A real perturbation of a real-pole parameter changes the gap at exactly
-    this rate; for a conjugate pair (perturbed jointly to stay real) the real
-    coordinates see d/dRe = 2 Re(grad) and d/dIm = -2 Im(grad).
-    """
-    if gt.ny != h.ny or gt.nu != h.nu:
-        raise DimensionMismatch("surrogate and candidate channel counts differ")
+    hd = _as_delayed(hd)
+    h = hd.core
+    if g.ny != h.ny or g.nu != h.nu:
+        raise DimensionMismatch(
+            f"channel mismatch: ({g.ny}x{g.nu}) vs ({h.ny}x{h.nu})")
+    d_in, d_out = np.zeros(g.nu), np.zeros(g.ny)
+    gt = g
+    if any(hd.input_delays.mask + hd.output_delays.mask):
+        gt = build_gtilde(g, hd.input_delays, hd.output_delays)
+        _, c_in, c_out, _ = _cross_eval(g, h, hd.input_delays.as_array(),
+                                        hd.output_delays.as_array(), order=1)
+        for l in np.flatnonzero(hd.input_delays.mask):
+            d_in[l] = -2.0 * _real_or_raise(c_in[l], f"delay gradient (input {l})")
+        for m in np.flatnonzero(hd.output_delays.mask):
+            d_out[m] = -2.0 * _real_or_raise(c_out[m], f"delay gradient (output {m})")
     n = h.order
-    db = np.zeros((n, h.nu), dtype=complex)
-    dc = np.zeros((n, h.ny), dtype=complex)
-    dl = np.zeros(n, dtype=complex)
+    d_left = np.zeros((n, h.ny), dtype=complex)
+    d_right = np.zeros((n, h.nu), dtype=complex)
+    d_poles = np.zeros(n, dtype=complex)
     for k in range(n):
         s = -h.poles[k]
         err = eval_transfer(gt, s) - eval_transfer(h, s)
         derr = eval_transfer_derivative(gt, s) - eval_transfer_derivative(h, s)
-        db[k] = -2.0 * (err.T @ h.left[k])
-        dc[k] = -2.0 * (err @ h.right[k])
-        dl[k] = 2.0 * (h.left[k] @ derr @ h.right[k])
-    return db, dc, dl
-
-
-def interpolation_rows(g: PoleResidueModel, h: PoleResidueModel):
-    """Bitangential Hermite defects of ``h`` against ``g`` at h's mirrored
-    poles, as three lists over k: ||(H - G)(-lambda_k) b_k||,
-    ||c_k^T (H - G)(-lambda_k)|| and |c_k^T (H' - G')(-lambda_k) b_k|."""
-    ir, il, ih = [], [], []
-    for k in range(h.order):
-        s = -h.poles[k]
-        err = eval_transfer(h, s) - eval_transfer(g, s)
-        derr = eval_transfer_derivative(h, s) - eval_transfer_derivative(g, s)
-        ir.append(float(np.linalg.norm(err @ h.right[k])))
-        il.append(float(np.linalg.norm(h.left[k] @ err)))
-        ih.append(float(abs(h.left[k] @ derr @ h.right[k])))
-    return ir, il, ih
+        d_left[k] = -2.0 * (err @ h.right[k])
+        d_right[k] = -2.0 * (h.left[k] @ err)
+        d_poles[k] = 2.0 * (h.left[k] @ derr @ h.right[k])
+    return d_left, d_right, d_poles, d_in, d_out
 
 
 def optimality_residuals(g: PoleResidueModel,
-                         hd: DelayedModel) -> OptimalityResiduals:
-    """All first-order condition defects of a delayed reduced candidate.
+                         hd: DelayedModel | PoleResidueModel) -> OptimalityResiduals:
+    """All first-order condition defects of a reduced candidate: half the
+    magnitudes of the :func:`gap_gradient` blocks.
 
-    Interpolation rows compare the candidate against the surrogate at the
-    mirrored poles; delay rows are the per-channel cross-term derivatives
-    (the stationarity defect of the delay choice), 0 where masked off.
-    At a zero delay only nonnegative values are feasible, so the row holds
+    Each residue block gives a vector norm, each pole and delay a modulus.
+    At a zero delay only nonnegative values are feasible, so that row holds
     the projected (one-sided) derivative instead of its magnitude; a
     boundary optimum then reports 0 rather than a spurious defect.
+    Masked-off channels report 0.
     """
-    h = hd.core
-    ir, il, ih = interpolation_rows(
-        build_gtilde(g, hd.input_delays, hd.output_delays), h)
-    _, g_in, g_out, _ = _cross_eval(g, h, hd.input_delays.as_array(),
-                                    hd.output_delays.as_array(), order=1)
-    def _defect(d: complex, at_zero: bool, what: str) -> float:
-        v = _real_or_raise(d, what)
-        # The delay step maximizes the cross term over nonnegative delays,
-        # so at the boundary only an ascent direction counts as a defect.
-        return max(v, 0.0) if at_zero else abs(v)
+    hd = _as_delayed(hd)
+    d_left, d_right, d_poles, d_in, d_out = gap_gradient(g, hd)
+    half_norm = lambda v: 0.5 * float(np.linalg.norm(v))
 
-    d_in = [_defect(g_in[l], hd.input_delays.delays[l] == 0.0,
-                    f"delay condition (input {l})")
-            if hd.input_delays.mask[l] else 0.0 for l in range(g.nu)]
-    d_out = [_defect(g_out[m], hd.output_delays.delays[m] == 0.0,
-                     f"delay condition (output {m})")
-             if hd.output_delays.mask[m] else 0.0 for m in range(g.ny)]
-    return OptimalityResiduals(tuple(ir), tuple(il), tuple(ih),
-                               tuple(d_in), tuple(d_out))
+    def delay_row(d: float, keep: bool, at: float) -> float:
+        if not keep:
+            return 0.0  # a literal +0.0: max(-0.0, 0.0) would keep the -0.0
+        # v is the cross derivative the delay step ascends over delays >= 0,
+        # so at the boundary only an ascent direction counts as a defect
+        v = -0.5 * float(d)
+        return max(v, 0.0) if at == 0.0 else abs(v)
+
+    rows = lambda grad, block: tuple(map(delay_row, grad, block.mask, block.delays))
+    return OptimalityResiduals(
+        tuple(map(half_norm, d_left)), tuple(map(half_norm, d_right)),
+        tuple(0.5 * float(abs(v)) for v in d_poles),
+        rows(d_in, hd.input_delays), rows(d_out, hd.output_delays))

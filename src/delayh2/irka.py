@@ -34,7 +34,9 @@ pencil is assembled one of two ways, by precision backend:
   warm start conjugate only to rounding) computes both rows.
 
 At a fixed point the reduced model bitangentially Hermite-interpolates the
-target at its mirrored poles; the exit certificate checks exactly that, to
+target at its mirrored poles: the gap gradient in the residues and poles
+vanishes. The exit certificate checks exactly that: the largest optimality
+residual (half a magnitude of :func:`delayh2.h2.gap_gradient`) is at most
 1e-6 max(1, ||H||) with H the float reduced model. There the error is
 orthogonal to H, so ||H|| <= ||G|| for the target G: the bound is never
 looser than 1e-6 max(1, ||G||) and needs no norm sum over G's terms.
@@ -47,11 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirections, DelayH2Error
-from .h2 import h2_norm_pole_residue, interpolation_rows
+from .h2 import h2_norm_pole_residue, optimality_residuals
 from .models import PoleResidueModel, canonicalize_terms
 from .precision import Backend, backend_for
 
 DIRECTION_TINY = 1e-14
+INIT_MODES = ("log-spaced-real", "random-stable")
 
 # elementwise parts of working-precision (object) arrays, without rounding
 _real_part = np.frompyfunc(lambda v: v.real, 1, 1)
@@ -77,8 +80,12 @@ class IrkaConfig:
     def __post_init__(self):
         if self.order < 1:
             raise DelayH2Error("reduced order must be at least 1")
-        if self.max_iters < 1 or not self.shift_tol > 0.0:
-            raise DelayH2Error("iteration settings must be positive")
+        if self.max_iters < 1 or not 0.0 < self.shift_tol < np.inf:
+            raise DelayH2Error("iteration settings must be positive and finite")
+        if self.init not in INIT_MODES:
+            raise DelayH2Error(f"unknown init mode {self.init!r}")
+        if self.seed < 0:
+            raise DelayH2Error(f"seed {self.seed} is negative")
 
 
 @dataclass(frozen=True)
@@ -107,14 +114,12 @@ def _initial_iterate(g: PoleResidueModel, cfg: IrkaConfig,
         shifts = np.exp(rng.uniform(lo, hi, size=n)).astype(complex)
         bdirs = rng.standard_normal((n, g.nu)).astype(complex)
         cdirs = rng.standard_normal((n, g.ny)).astype(complex)
-    elif cfg.init == "log-spaced-real":
+    else:
         shifts = np.geomspace(amin, max(amax, amin * (1 + 1e-12)), n).astype(complex)
         # tiny stagger keeps equal-magnitude shifts distinct
         shifts *= 1.0 + 1e-9 * np.arange(n)
         bdirs = np.ones((n, g.nu), dtype=complex) / np.sqrt(g.nu)
         cdirs = np.ones((n, g.ny), dtype=complex) / np.sqrt(g.ny)
-    else:
-        raise DelayH2Error(f"unknown init mode {cfg.init!r}")
     order = np.lexsort((-np.sign(shifts.imag), np.abs(shifts.imag), shifts.real))
     return shifts[order], bdirs[order], cdirs[order]
 
@@ -301,8 +306,9 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     poles are the first shifts and its residue rows the first tangential
     directions (``cfg.init`` and ``cfg.seed`` are then unused). On
     convergence the returned model satisfies the bitangential Hermite
-    conditions at its mirrored poles against ``g`` (checked and folded into
-    ``converged``). Unstable intermediate poles are reflected into the left
+    conditions at its mirrored poles against ``g``: its
+    :func:`delayh2.h2.optimality_residuals` are checked and folded into
+    ``converged``. Unstable intermediate poles are reflected into the left
     half-plane and counted. ``n == order(g)`` recovers the target exactly.
     """
     n = int(cfg.order)
@@ -353,21 +359,7 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
             moved_ok = True
             break
 
-    cert_ok = False
-    if moved_ok:
-        resid = hermite_residuals(g, model)
-        cert_ok = bool(np.max(resid) <= 1e-6 * max(h2_norm_pole_residue(model), 1.0))
-    return IrkaResult(model=model, iterations=iterations,
-                      converged=bool(moved_ok and cert_ok),
+    converged = moved_ok and optimality_residuals(g, model).max_residual() \
+        <= 1e-6 * max(h2_norm_pole_residue(model), 1.0)
+    return IrkaResult(model=model, iterations=iterations, converged=converged,
                       final_shift_movement=movement, reflections=reflections)
-
-
-def hermite_residuals(g: PoleResidueModel,
-                      result: IrkaResult | PoleResidueModel) -> np.ndarray:
-    """Interpolation-condition defects of a reduced model against ``g``.
-
-    Returns an (n, 3) array of (right, left, Hermite) residual magnitudes
-    per reduced pole; the convergence certificate of :func:`irka_reduce`.
-    """
-    model = result.model if isinstance(result, IrkaResult) else result
-    return np.column_stack(interpolation_rows(g, model))

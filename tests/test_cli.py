@@ -299,6 +299,23 @@ def test_bad_impulse_grid_exit1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--tau-max", "inf"],
+                                   ["--irka-init", "random-stable", "--seed", "-1"],
+                                   ["--shift-tol", "inf"], ["--refine-tol", "inf"]],
+                         ids=["tau-max-inf", "negative-seed", "shift-tol-inf",
+                              "refine-tol-inf"])
+def test_reduce_bad_config_exit1(tmp_path, capsys, monkeypatch, flags):
+    # rejected while building the config: no warning, no reduction, no --out
+    monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
+    out = tmp_path / "out"
+    argv = ["reduce", "--model", _model_file(tmp_path, make_siso([-1.0, -3.0], [1.0, 0.5])),
+            "--order", "1", "--out", str(out)] + flags
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 

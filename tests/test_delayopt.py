@@ -240,6 +240,22 @@ def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask):
     assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("output_mask, face", [((False,), False), ((True,), True)],
+                         ids=["siso-input", "siso-io-face"])
+def test_joint_budget_caps_one_axis_grids(output_mask, face):
+    # a search with one coordinate scans one axis; the budget caps it too,
+    # whatever grid_points_per_channel asks for
+    rng = np.random.default_rng(90)
+    g, h = random_pr(rng, 4), random_pr(rng, 2)
+    obj = _Objective(g, h, np.array([0]), np.flatnonzero(output_mask))
+    if face:
+        obj = obj.gauge_face(0)
+    assert obj.span.size == 1
+    points, values = _scan(obj, 1, 3.0, DelaySearchConfig(
+        grid_points_per_channel=10 ** 5, joint_grid_budget=500))
+    assert 2 <= values.size == points.shape[0] <= 500
+
+
 @pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
 @pytest.mark.parametrize("input_mask, output_mask, pinned", [
     ((True, False), (False, True), None),
@@ -276,4 +292,8 @@ def test_config_validation():
     with pytest.raises(DelayH2Error):
         DelaySearchConfig(tau_max=0.0)
     with pytest.raises(DelayH2Error):
+        DelaySearchConfig(tau_max=np.inf)
+    with pytest.raises(DelayH2Error):
         DelaySearchConfig(refine_tol=0.0)
+    with pytest.raises(DelayH2Error):
+        DelaySearchConfig(refine_tol=np.inf)

@@ -1,5 +1,7 @@
 """Residue-based H2 norms, inner products, gap, surrogate, gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,7 @@ from delayh2 import (
     build_gtilde,
     compute_gap,
     eval_transfer,
-    grad_delays,
-    grad_residues_poles,
+    gap_gradient,
     h2_norm_pole_residue,
     h2_norm_sq,
     impulse_response,
@@ -236,7 +237,7 @@ def test_grad_delays_matches_fd():
         tau = rng.uniform(0.1, 1.5, 2)
         gam = rng.uniform(0.1, 1.5, 2)
         hd = DelayedModel(h, DelayBlock(tuple(tau)), DelayBlock(tuple(gam)))
-        an_in, an_out = grad_delays(g, hd)
+        *_, an_in, an_out = gap_gradient(g, hd)
         fd_in, fd_out = oracles.fd_delay_grad(
             _gap_fn(g, h, ((True, True), (True, True))), tau, gam)
         scale = max(1.0, np.max(np.abs(fd_in)), np.max(np.abs(fd_out)))
@@ -250,7 +251,7 @@ def test_grad_delays_masked_channels_zero():
     h = random_pr(rng, 2, ny=2, nu=2)
     hd = DelayedModel(h, DelayBlock((0.7, 0.0), (True, False)),
                       DelayBlock((0.0, 0.0), (False, False)))
-    gin, gout = grad_delays(g, hd)
+    *_, gin, gout = gap_gradient(g, hd)
     assert gin[1] == 0.0
     assert np.all(gout == 0.0)
     assert gin[0] != 0.0
@@ -264,9 +265,8 @@ def test_grad_residues_poles_matches_fd():
         tau = rng.uniform(0.1, 1.0, 2)
         gam = rng.uniform(0.1, 1.0, 2)
         din, dout = DelayBlock(tuple(tau)), DelayBlock(tuple(gam))
-        gt = build_gtilde(g, din, dout)
         gns = h2_norm_sq(g)
-        db, dc, dl = grad_residues_poles(gt, h)
+        dc, db, dl, _, _ = gap_gradient(g, DelayedModel(h, din, dout))
 
         from delayh2 import PoleResidueModel
 
@@ -297,7 +297,7 @@ def test_gradients_vanish_at_interpolatory_point():
     g = random_pr(rng, 6)
     res = irka_reduce(g, IrkaConfig(order=2, shift_tol=1e-13, max_iters=500))
     assert res.converged
-    db, dc, dl = grad_residues_poles(g, res.model)
+    dc, db, dl, _, _ = gap_gradient(g, res.model)
     assert max(np.max(np.abs(db)), np.max(np.abs(dc)), np.max(np.abs(dl))) < 1e-8
 
 
@@ -316,13 +316,58 @@ def test_residuals_at_reference_point(bench20, ref_core):
     assert r.delay_in[0] == pytest.approx(REF_DELAY_DEFECT, abs=2e-6)
     assert r.delay_out == (0.0,)
     # the defect equals half the gap's delay gradient magnitude
-    gin, _ = grad_delays(bench20, hd)
+    gin = gap_gradient(bench20, hd)[3]
     assert abs(gin[0]) == pytest.approx(2.0 * r.delay_in[0], rel=1e-9)
     # interpolation value at the mirrored pole; the reported number is
     # the one at the -Im pole (its partner gives the conjugate)
     lam = ref_core.poles[np.argmin(ref_core.poles.imag)]
     val = eval_transfer(ref_core, -lam)[0, 0]
     assert val == pytest.approx(REF_INTERP, abs=1e-3)
+
+
+def _loop_transfer_derivative(poles, left, right, s):
+    """-sum_j l_j r_j^T / (s - mu_j)^2 by explicit loop, one point."""
+    return -sum(np.outer(l, r) / (s - p) ** 2 for p, l, r in zip(poles, left, right))
+
+
+def test_residuals_match_their_definition():
+    # Hermite defects against a hand-built surrogate, with no call into the
+    # library's first-order code; input 1 is masked and output 0 sits at 0
+    boundary_hits = 0
+    for seed in range(6):
+        rng = np.random.default_rng(700 + seed)
+        g = random_pr(rng, 6, ny=2, nu=2)
+        h = random_pr(rng, 3, ny=2, nu=2)
+        tau = np.array([rng.uniform(0.2, 1.5), 0.0])
+        gam = np.array([0.0, rng.uniform(0.2, 1.5)])
+        hd = DelayedModel(h, DelayBlock(tuple(tau), (True, False)),
+                          DelayBlock(tuple(gam), (True, True)))
+        scale = np.exp(np.outer(g.poles, gam)), np.exp(np.outer(g.poles, tau))
+        gl, gr = g.left * scale[0], g.right * scale[1]
+        want = [], [], []
+        for lam, c, b in zip(h.poles, h.left, h.right):
+            err = (oracles.pr_transfer(h.poles, h.left, h.right, -lam)
+                   - oracles.pr_transfer(g.poles, gl, gr, -lam))
+            derr = (_loop_transfer_derivative(h.poles, h.left, h.right, -lam)
+                    - _loop_transfer_derivative(g.poles, gl, gr, -lam))
+            want[0].append(np.linalg.norm(err @ b))
+            want[1].append(np.linalg.norm(c @ err))
+            want[2].append(abs(c @ derr @ b))
+        r = optimality_residuals(g, hd)
+        for got, ref in zip((r.interp_right, r.interp_left, r.interp_hermite), want):
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        # d cross / d gamma_0 by loop: the surrogate's output-0 row times mu_j
+        d_gam0 = sum(p * gl[j, 0] * (oracles.pr_transfer(h.poles, h.left, h.right,
+                                                        -p) @ gr[j])[0]
+                     for j, p in enumerate(g.poles)).real
+        assert math.copysign(1.0, r.delay_in[1]) == 1.0 and r.delay_in[1] == 0.0
+        if d_gam0 <= 0.0:
+            boundary_hits += 1
+            assert r.delay_out[0] == 0.0
+            assert math.copysign(1.0, r.delay_out[0]) == 1.0
+        else:
+            assert r.delay_out[0] == pytest.approx(d_gam0, rel=1e-12)
+    assert boundary_hits > 0
 
 
 def test_residuals_boundary_delay_projection():
@@ -347,4 +392,5 @@ def test_residuals_masked_channels_zero():
     r = optimality_residuals(g, hd)
     assert r.delay_in[1] == 0.0
     assert r.delay_out == (0.0, 0.0)
-    assert r.max_residual() >= r.max_interpolation()
+    assert r.max_residual() >= max(r.interp_right + r.interp_left
+                                   + r.interp_hermite)

@@ -14,8 +14,8 @@ from delayh2 import (
     build_bench_model,
     compute_gap,
     h2_norm_sq,
-    hermite_residuals,
     irka_reduce,
+    optimality_residuals,
     realify_check,
 )
 from delayh2.irka import (
@@ -79,17 +79,17 @@ def test_hermite_certificate_on_convergence():
         res = irka_reduce(g, IrkaConfig(order=2))
         if not res.converged:
             continue
-        r = hermite_residuals(g, res)
+        r = optimality_residuals(g, res.model)
         scale = max(1.0, h2_norm_sq(g))
-        assert np.max(r) < 1e-6 * scale
+        assert r.max_residual() < 1e-6 * scale
 
 
 def test_unconverged_candidate_has_visible_residuals():
     rng = np.random.default_rng(74)
     g = random_pr(rng, 6)
     cand = random_pr(rng, 2)
-    r = hermite_residuals(g, cand)
-    assert np.max(r) > 1e-6
+    r = optimality_residuals(g, cand)
+    assert r.max_residual() > 1e-6
 
 
 def test_result_is_real_and_stable():
@@ -157,9 +157,18 @@ def test_order_validation():
 
 
 def test_unknown_init_mode():
-    g = three_pole()
+    # rejected on construction, not inside irka_reduce
+    with pytest.raises(DelayH2Error, match="init mode"):
+        IrkaConfig(order=2, init="bogus")
+
+
+@pytest.mark.parametrize("kw", [dict(init="random-stable", seed=-1),
+                                dict(shift_tol=np.inf), dict(shift_tol=np.nan)],
+                         ids=["negative-seed", "shift-tol-inf", "shift-tol-nan"])
+def test_config_rejects_bad_settings(kw):
+    # on construction, not in numpy's generator or after a whole run
     with pytest.raises(DelayH2Error):
-        irka_reduce(g, IrkaConfig(order=2, init="bogus"))
+        IrkaConfig(order=2, **kw)
 
 
 def test_max_iters_returns_best_effort():
