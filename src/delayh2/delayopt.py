@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayH2Error, NonFiniteObjective
-from .h2 import _cross_tensor, _delay_sum
+from .h2 import _cross_tensor, _delayed_terms, _term_sums
 from .models import DelayBlock, PoleResidueModel
 from .precision import FLOAT, backend_for
 
@@ -46,6 +46,8 @@ MAX_REFINE_ITERS = 100
 EXTEND_CAP = 64.0
 # best-ranked grid cells refined, besides the origin and the extra starts
 TOP_STARTS = 5
+# evaluated points whose delayed terms a search keeps for revisits
+MEMO_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,8 @@ class _Objective:
             self.mu2 = self.mu * self.mu
         # the screen always runs on the float views
         self.ktensor = _cross_tensor(FLOAT, g, h)[1] if self.hp else self.k
+        # delayed terms per evaluated point, shared by the gauge faces
+        self.terms = {}
 
     def gauge_face(self, m: int) -> "_Objective":
         """The face gamma_m = 0 of the gauge, inputs over [0, 2 tau_max]."""
@@ -170,10 +174,20 @@ class _Objective:
         return tau, gam
 
     def _sum(self, x: np.ndarray, order: int):
+        # a search revisits points (a line-search value and then its
+        # derivatives, a confirmed grid leader as a start, the box check at
+        # the winner): their delayed terms are formed once, keyed by the
+        # exact delays
+        tau, gam = self.full_vectors(x)
+        key = tau.tobytes() + gam.tobytes()
+        core = self.terms.get(key)
+        if core is None:
+            if len(self.terms) >= MEMO_POINTS:
+                del self.terms[next(iter(self.terms))]
+            core = self.terms[key] = _delayed_terms(self.bk, self.mu, self.k, tau, gam)
         # derivatives only for the sides that hold an active coordinate
         sides = (self.act_in.size > 0, self.act_out.size > 0)
-        return _delay_sum(self.bk, self.mu, self.k, *self.full_vectors(x),
-                          order, sides, self.mu2)
+        return _term_sums(self.bk, self.mu, core, order, sides, self.mu2)
 
     def value(self, x: np.ndarray) -> float:
         return float(np.real(self._sum(x, 0)[0]))
@@ -309,7 +323,7 @@ def _scan(obj: _Objective, k_act: int, tau_max: float,
     return np.concatenate(pts), np.concatenate(vals)
 
 
-def _write_landscape(path: str, scans: list) -> None:
+def write_landscape(path: str, scans: list) -> None:
     """One CSV row per grid point of every (face, points, values) scan."""
     g = scans[0][0].g
     header = ",".join([f"tau_{i + 1}" for i in range(g.nu)]
@@ -384,7 +398,8 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
 
 
 def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
-                    cfg: DelaySearchConfig) -> tuple[DelayBlock, DelayBlock]:
+                    cfg: DelaySearchConfig, scans: list | None = None
+                    ) -> tuple[DelayBlock, DelayBlock]:
     """Find box-constrained delays maximizing the cross inner product.
 
     Returns (input delays, output delays); with every channel delayed, the
@@ -393,6 +408,11 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     interior optimum the delay gradient norm is below ``refine_tol``
     (boundary points may carry an outward gradient). All-masked problems
     return zero delays immediately.
+
+    The last grid scan of each face goes to ``cfg.landscape_csv`` (see
+    :func:`write_landscape`) and, when ``scans`` is a list, replaces its
+    contents, so that a caller running one search after another can write
+    the file once.
     """
     in_mask, out_mask, tau_max0 = search_domain(g, cfg)
     act_in = np.flatnonzero(in_mask)
@@ -404,15 +424,17 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     obj = _Objective(g, h, act_in, act_out)
     faces = [obj.gauge_face(m) for m in act_out] \
         if has_gauge(in_mask, out_mask) else [obj]
-    best, scans = None, []
+    best, face_scans = None, []
     for face in faces:
         x, f, scan = _search_face(face, tau_max0, cfg)
-        scans.append(scan)
+        face_scans.append(scan)
         full = np.concatenate(face.full_vectors(x))
         if best is None or _better(f, full, *best):
             best = f, full
+    if scans is not None:
+        scans[:] = face_scans
     if cfg.landscape_csv:
-        _write_landscape(cfg.landscape_csv, scans)
+        write_landscape(cfg.landscape_csv, face_scans)
 
     tau, gam = best[1][:g.nu], best[1][g.nu:]
     # snap near-zero coordinates produced by clipping

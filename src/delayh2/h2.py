@@ -15,11 +15,14 @@ surrogate) and in the delays (-2x the cross derivative). The optimality
 residuals, and with them every first-order certificate, are half its
 magnitudes. The kernel has two stages: the zero-delay term
 tensor K[j, m, l] = l_jm H(-mu_j)_ml r_jl, and the delayed sum of K against
-e^{mu_j (gamma_m + tau_l)}, which the delay search reuses on a cached K.
-Both are written once against :mod:`delayh2.precision`: when a model
-carries the high-precision payload they run in its precision, because the
-float64 sum loses everything to cancellation for badly conditioned residue
-sets.
+e^{mu_j (gamma_m + tau_l)}, which the delay search reuses on a cached K
+(and, per evaluated point, on the cached delayed terms). Both are written
+once against :mod:`delayh2.precision`: when a model carries the
+high-precision payload they run in its precision, on the backend's
+Gaussian-integer scalar, because the float64 sum loses everything to
+cancellation for badly conditioned residue sets. The surrogate's payload
+(:func:`build_gtilde`) is built in mpmath, so its stored digits do not
+depend on that arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .models import (
     eval_transfer,
     eval_transfer_derivative,
 )
-from .precision import Backend, backend_for
+from .precision import Backend, backend_for, delay_scaled_payload
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,10 @@ class OptimalityResiduals:
     delay_out: tuple
 
     def max_residual(self) -> float:
-        groups = (self.interp_right, self.interp_left, self.interp_hermite,
-                  self.delay_in, self.delay_out)
-        return max((max(g) for g in groups if g), default=0.0)
+        """The largest defect; NaN if any defect is NaN, 0.0 if there are none."""
+        rows = np.concatenate([self.interp_right, self.interp_left,
+                               self.interp_hermite, self.delay_in, self.delay_out])
+        return float(np.max(rows)) if rows.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +103,21 @@ def _cross_tensor(bk: Backend, g: PoleResidueModel, h: PoleResidueModel):
         return mu, np.einsum("jm,jml,jl->jml", gl, hval, gr)
 
 
-def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
-               order: int, sides=(True, True), mu2=None):
-    """Sum of the cross terms under delays (tau, gamma), with derivatives.
+def _delayed_terms(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray):
+    """The cross terms under delays (tau, gamma),
+    K[j, m, l] e^{mu_j (gamma_m + tau_l)}, in ``bk``'s precision."""
+    with bk.context():
+        # e^0 = 1 exactly, so a side without delays skips its exponentials
+        core = ktensor
+        if np.any(gam):
+            core = core * bk.exp(np.outer(mu, bk.lift(gam)))[:, :, None]
+        if np.any(tau):
+            core = core * bk.exp(np.outer(mu, bk.lift(tau)))[:, None, :]
+    return core
+
+
+def _term_sums(bk: Backend, mu, core, order: int, sides=(True, True), mu2=None):
+    """Sum of delayed cross terms (see :func:`_delayed_terms`), with derivatives.
 
     Returns (f, grad_in, grad_out, hess) as complex128 data; entries past
     ``order`` are None. ``sides`` says which of (inputs, outputs) the
@@ -111,12 +127,6 @@ def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
     formed here when not given.
     """
     with bk.context():
-        # e^0 = 1 exactly, so a side without delays skips its exponentials
-        core = ktensor
-        if np.any(gam):
-            core = core * bk.exp(np.outer(mu, bk.lift(gam)))[:, :, None]
-        if np.any(tau):
-            core = core * bk.exp(np.outer(mu, bk.lift(tau)))[:, None, :]
         f = bk.to_complex(core.sum())
         g_in = g_out = hess = None
         want_in, want_out = sides
@@ -127,8 +137,8 @@ def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
                 g_out = bk.to_complex(np.einsum("j,jml->m", mu, core))
         if order >= 2:
             mu2 = mu * mu if mu2 is None else mu2
-            nu = tau.size if want_in else 0
-            ny = gam.size if want_out else 0
+            nu = core.shape[2] if want_in else 0
+            ny = core.shape[1] if want_out else 0
             hess = np.zeros((nu + ny, nu + ny), dtype=complex)
             if want_in:
                 hess[:nu, :nu] = np.diag(bk.to_complex(np.einsum("j,jml->l", mu2, core)))
@@ -138,6 +148,14 @@ def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
                 hess[:nu, nu:] = bk.to_complex(np.einsum("j,jml->lm", mu2, core))
                 hess[nu:, :nu] = hess[:nu, nu:].T
     return f, g_in, g_out, hess
+
+
+def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
+               order: int, sides=(True, True), mu2=None):
+    """Sum of the cross terms under delays (tau, gamma), with derivatives
+    (see :func:`_term_sums`)."""
+    return _term_sums(bk, mu, _delayed_terms(bk, mu, ktensor, tau, gam),
+                      order, sides, mu2)
 
 
 def _cross_eval(g: PoleResidueModel, h: PoleResidueModel,
@@ -221,19 +239,18 @@ def build_gtilde(g: PoleResidueModel,
         raise DimensionMismatch("delay block lengths do not match model channels")
     tau = input_delays.as_array()
     gam = output_delays.as_array()
-    bk = backend_for(g)
-    with bk.context():
-        mu, left, right = bk.terms(g)
-        if np.any(gam):
-            left = left * bk.exp(np.outer(mu, bk.lift(gam)))
-        if np.any(tau):
-            right = right * bk.exp(np.outer(mu, bk.lift(tau)))
-    hp = None
-    if bk.dps is not None:
-        hp = HighPrecisionTerms(tuple(mu), tuple(map(tuple, left)),
-                                tuple(map(tuple, right)), bk.dps)
-    return PoleResidueModel(g.poles.copy(), bk.to_complex(left),
-                            bk.to_complex(right), hp=hp)
+    if g.hp is not None:
+        left, right = delay_scaled_payload(g.hp, tau, gam)
+        hp = HighPrecisionTerms(g.hp.poles, left, right, g.hp.dps)
+        view = lambda rows: np.array(rows, dtype=object).astype(complex)
+        return PoleResidueModel(g.poles.copy(), view(left), view(right), hp=hp)
+    # e^0 = 1 exactly, so a side without delays keeps its residues
+    left, right = g.left, g.right
+    if np.any(gam):
+        left = left * np.exp(np.outer(g.poles, gam))
+    if np.any(tau):
+        right = right * np.exp(np.outer(g.poles, tau))
+    return PoleResidueModel(g.poles.copy(), left, right)
 
 
 # ---------------------------------------------------------------------------

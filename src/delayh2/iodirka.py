@@ -26,6 +26,7 @@ from .delayopt import (
     optimize_delays,
     representative,
     search_domain,
+    write_landscape,
 )
 from .errors import DelayH2Error
 from .h2 import (
@@ -108,8 +109,10 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
 
     search = cfg.search if cfg.search is not None else DelaySearchConfig()
     in_mask, out_mask, box = search_domain(g, search)
+    # the searches keep their grid scans for one landscape file at the end
+    landscape_csv = search.landscape_csv
     search = replace(search, input_mask=tuple(in_mask),
-                     output_mask=tuple(out_mask), tau_max=box)
+                     output_mask=tuple(out_mask), tau_max=box, landscape_csv=None)
     irka_cfg = cfg.irka if cfg.irka is not None else IrkaConfig(order=n)
     if irka_cfg.order != n:
         irka_cfg = replace(irka_cfg, order=n)
@@ -127,6 +130,7 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     prev_model: PoleResidueModel | None = None
     prev_delays = np.concatenate([din.as_array(), dout.as_array()])
     plain_hist: list[np.ndarray] = []
+    scans: list = []   # the latest search's grid scans
 
     for outer in range(1, cfg.outer_max_iters + 1):
         gt = build_gtilde(g, din, dout)
@@ -139,7 +143,8 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         if in_mask.any() or out_mask.any():
             try:
                 din, dout = optimize_delays(
-                    g, h, replace(search, extra_starts=((din.delays, dout.delays),)))
+                    g, h, replace(search, extra_starts=((din.delays, dout.delays),)),
+                    scans=scans if landscape_csv else None)
             except DelayH2Error as exc:
                 raise type(exc)(f"outer iteration {outer}: {exc}") from exc
             # remember the box the search grew into, so later iterations
@@ -184,6 +189,9 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                 din = DelayBlock(tuple(ext[: g.nu]), tuple(in_mask))
                 dout = DelayBlock(tuple(ext[g.nu:]), tuple(out_mask))
             plain_hist.clear()
+
+    if landscape_csv and scans:
+        write_landscape(landscape_csv, scans)
 
     hd = (trace[-1] if stopped else min(trace, key=lambda e: e.gap.j)).model
     gt = build_gtilde(g, hd.input_delays, hd.output_delays)

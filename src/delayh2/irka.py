@@ -15,16 +15,17 @@ pencil is assembled one of two ways, by precision backend:
 * Models with a high-precision payload build the same pencil in Loewner
   form from tangential transfer data at the n shifts, G(s_i) b_i,
   c_i^T G(s_i) and c_i^T G'(s_i) b_i, combining conjugate pairs on the
-  n-by-n pencil: O(N n ny nu) mpmath products instead of O(N n^2). Its
-  divided differences cancel log10(max|s| / min|s_i - s_j|) digits, so
-  they run at the payload precision raised by that many plus one. The
+  n-by-n pencil: O(N n ny nu) extended-precision products (see
+  :mod:`delayh2.precision`) instead of O(N n^2). Its divided differences
+  cancel log10(max|s| / min|s_i - s_j|) digits, so they run at the
+  payload precision raised by that many plus one. The
   pencil is rounded to float64 only after that cancellation, and every
   reduced model is plain float64.
 
   A real system's shifts come in conjugate pairs, and where the data at s
   is exactly conjugate to the data at s' the pencil needs only one of
   them. A pair is an exact mirror when the payload is exactly
-  conjugate-closed (checked once per :func:`irka_reduce`, O(N) mpmath
+  conjugate-closed (checked once per :func:`irka_reduce`, O(N) exact
   comparisons) and the pair's shifts and both directions are bitwise
   conjugates. A mirror costs one shift's transfer data, O(N ny nu)
   products, and one row of Er and Ar instead of two; its partner's data is

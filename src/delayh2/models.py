@@ -21,6 +21,7 @@ produced by this package are plain float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     RepeatedPole,
     Unstable,
 )
-from .precision import backend_for
+from .precision import backend_for, payload_terms
 
 # Absolute tolerance for the imaginary leakage of sums that must be real.
 IMAG_TOL = 1e-10
@@ -69,6 +70,12 @@ class HighPrecisionTerms:
 
     def __len__(self) -> int:
         return len(self.poles)
+
+    @cached_property
+    def working_terms(self) -> tuple:
+        """(poles, left, right) as the sums' read-only arrays (see
+        :func:`delayh2.precision.payload_terms`), converted on first use."""
+        return payload_terms(self)
 
 
 def _sort_permutation(poles: np.ndarray) -> np.ndarray:

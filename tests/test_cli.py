@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, files, determinism."""
 
+import builtins
 import json
 
 import numpy as np
@@ -69,6 +70,34 @@ def test_reduce_deterministic_bytes(tmp_path, capsys):
     for name in ("reduced-model.json", "report.json", "run-config.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     capsys.readouterr()
+
+
+def test_reduce_writes_landscape_once(tmp_path, capsys, monkeypatch):
+    # the file holds the last outer iteration's search scan, written once
+    # after the loop rather than after every delay search
+    rng = np.random.default_rng(33)
+    mpath = _model_file(tmp_path, random_pr(rng, 5))
+    csv = tmp_path / "landscape.csv"
+    writes = []
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(csv) and "w" in mode:
+            writes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "out"
+    rc = main(["reduce", "--model", mpath, "--order", "2", "--delays", "input",
+               "--out", str(out), "--grid-points", "80", "--tau-max", "4.0",
+               "--landscape-csv", str(csv)])
+    assert rc in (0, 2)
+    capsys.readouterr()
+    assert read_json(out / "report.json")["outer_iterations"] > 1
+    assert writes == ["w"]
+    header, data = _read_csv(csv)
+    assert header == "tau_1,gamma_1,objective"
+    assert data.shape == (80, 3) and np.all(data[:, 1] == 0.0)
 
 
 def test_reduce_best_effort_exit2(tmp_path, capsys):

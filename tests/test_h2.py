@@ -31,6 +31,7 @@ from delayh2 import (
     irka_reduce,
     optimality_residuals,
 )
+from delayh2.h2 import OptimalityResiduals
 
 
 def g1():
@@ -394,3 +395,19 @@ def test_residuals_masked_channels_zero():
     assert r.delay_out == (0.0, 0.0)
     assert r.max_residual() >= max(r.interp_right + r.interp_left
                                    + r.interp_hermite)
+
+
+@pytest.mark.parametrize("group", range(5))
+@pytest.mark.parametrize("pos", [0, 1])
+def test_max_residual_propagates_nan(group, pos):
+    # a NaN defect anywhere must fail a certificate, not be skipped by max
+    rows = [[1e-3, 2e-3] for _ in range(5)]
+    rows[group][pos] = math.nan
+    assert math.isnan(OptimalityResiduals(*map(tuple, rows)).max_residual())
+
+
+def test_max_residual_of_empty_and_ragged_groups():
+    empty = OptimalityResiduals((), (), (), (), ()).max_residual()
+    assert empty == 0.0 and type(empty) is float
+    ragged = OptimalityResiduals((1e-3,), (), (2e-3, 5e-4), (), (4e-3,)).max_residual()
+    assert ragged == 4e-3 and type(ragged) is float

@@ -1,11 +1,15 @@
-"""The precision backend: one body per term sum, in float64 and in mpmath.
+"""The precision backend: one body per term sum, in float64 and in
+extended precision.
 
 A float model and the same model carrying its exact extended-precision
 payload must give the same numbers to near float64 rounding on a
 well-conditioned MIMO model, through every sum that runs in the payload's
-precision.
+precision. The extended-precision scalar rounds symmetrically and scales
+exactly, and the payload sums run without mpmath arithmetic.
 """
 
+import hashlib
+import operator
 import re
 from pathlib import Path
 
@@ -14,21 +18,27 @@ import numpy as np
 import pytest
 
 import delayh2
-from conftest import random_pr
+from conftest import payload_model, random_pr
 from delayh2 import (
     DelayBlock,
     DelayedModel,
     HighPrecisionTerms,
     IrkaConfig,
     PoleResidueModel,
+    build_bench_model,
     build_gtilde,
+    compute_gap,
     eval_transfer,
     eval_transfer_derivative,
+    h2_norm_sq,
     impulse_response,
     irka_reduce,
 )
+from delayh2 import delayopt, precision
 from delayh2.delayopt import _Objective
 from delayh2.h2 import _cross_eval
+from delayh2.irka import _pair_structure, _payload_closed, _project
+from delayh2.serialize import save_model
 
 PARITY_RTOL = 1e-13
 TAU = (0.7, 1.9, 0.0)
@@ -134,3 +144,157 @@ def test_library_imports_no_scipy():
     found = {p.name: pattern.findall(p.read_text(encoding="utf-8"))
              for p in sorted(src.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# ---------------------------------------------------------------------------
+# the extended-precision scalar
+
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _bits(z):
+    return (z.re, z.im, z.exp)
+
+
+def _operands(rng, count):
+    """Seeded working-width scalars: signed parts, real ones among them."""
+    bits = precision.working_bits(50)
+    out = []
+    for k in range(count):
+        re, im = (int(rng.integers(-2 ** 62, 2 ** 62)) << int(rng.integers(0, 110))
+                  for _ in range(2))
+        if k % 4 == 0:
+            im = 0
+        out.append(precision._round(re, im, int(rng.integers(-300, 300)) - bits))
+    return out
+
+
+@pytest.mark.parametrize("op", OPS, ids=["add", "sub", "mul", "div"])
+def test_scalar_commutes_with_conjugation(op):
+    # truncation toward zero is symmetric in sign, so conjugating (or
+    # negating) the operands conjugates (negates) the result exactly; floor
+    # rounding breaks this
+    rng = np.random.default_rng(5)
+    linear = op in (operator.add, operator.sub)
+    with precision.Backend(50).context():
+        xs = _operands(rng, 40)
+        for a, b in zip(xs, xs[::-1]):
+            assert _bits(op(a, b).conjugate()) == _bits(op(a.conjugate(), b.conjugate()))
+            assert _bits(-op(a, b)) == _bits(op(-a, -b) if linear else op(-a, b))
+
+
+@pytest.mark.parametrize("op", OPS, ids=["add", "sub", "mul", "div"])
+def test_scalar_is_accurate_to_the_working_width(op):
+    rng = np.random.default_rng(6)
+    bk = precision.Backend(50)
+    with bk.context():
+        xs = _operands(rng, 40)
+        got = [op(a, b) for a, b in zip(xs, xs[::-1])]
+    with mpmath.workprec(1000):
+        exact = lambda z: mpmath.mpc(mpmath.ldexp(z.re, z.exp), mpmath.ldexp(z.im, z.exp))
+        for a, b, z in zip(xs, xs[::-1], got):
+            want = op(exact(a), exact(b))
+            tol = mpmath.ldexp(abs(want), 2 - precision.working_bits(50))
+            if op in (operator.add, operator.sub):
+                # a sum is exact to the larger addend's width
+                tol = max(tol, mpmath.ldexp(max(abs(exact(a)), abs(exact(b))),
+                                            2 - precision.working_bits(50)))
+            assert abs(exact(z) - want) <= tol
+
+
+def _scaled(g, k):
+    """``g`` with its left residues times the exact power 2^k."""
+    hp = None
+    if g.hp is not None:
+        shift = lambda v: mpmath.mpc(mpmath.ldexp(v.real, k), mpmath.ldexp(v.imag, k))
+        with mpmath.workdps(g.hp.dps):   # mpc() rounds to the context
+            left = tuple(tuple(map(shift, row)) for row in g.hp.left)
+        hp = HighPrecisionTerms(g.hp.poles, left, g.hp.right, g.hp.dps)
+    return PoleResidueModel(g.poles, g.left * 2.0 ** k, g.right, hp=hp)
+
+
+def test_power_of_two_scaling_is_exact():
+    # every number carries its own exponent, so scaling the residues by
+    # 2^-70 scales every payload sum by exactly that power (a design with
+    # one fixed absolute scale returns a cross kernel of exactly 0 here)
+    g = build_bench_model()
+    h = random_pr(np.random.default_rng(5), 2)
+    gs, hs = _scaled(g, -70), _scaled(h, -70)
+    tau, gam = np.array([1.3]), np.array([0.4])
+    for order in (0, 1, 2):
+        for got, want in zip(_cross_eval(gs, hs, tau, gam, order),
+                             _cross_eval(g, h, tau, gam, order)):
+            if want is None:
+                assert got is None
+            else:
+                assert np.all(want != 0)
+                assert np.array_equal(got, np.asarray(want) * 2.0 ** -140)
+    assert h2_norm_sq(gs) == h2_norm_sq(g) * 2.0 ** -140 != 0.0
+    shifts = np.array([0.2 + 0.2j, 0.2 - 0.2j, 0.7])
+    bdirs = np.array([[1.0 + 0.5j], [1.0 - 0.5j], [0.3]])
+    cdirs = np.array([[0.4 - 1.0j], [0.4 + 1.0j], [-0.8]])
+    pencil = lambda m: _project(m, shifts, bdirs, cdirs, _pair_structure(shifts),
+                                _payload_closed(m))
+    for got, want in zip(pencil(gs), pencil(g)):
+        assert np.array_equal(got, want * 2.0 ** -70)
+
+
+def test_payload_sums_do_no_mpmath_arithmetic(monkeypatch):
+    # mpmath computes exponentials and holds payloads; the sums run on the
+    # backend's own scalar
+    g = build_bench_model()
+    h = random_pr(np.random.default_rng(5), 2)
+    shifts = np.array([0.2 + 0.2j, 0.2 - 0.2j, 0.7])
+    closed = _payload_closed(g)
+
+    def refuse(*args):
+        raise AssertionError("mpmath arithmetic in a payload sum")
+
+    for cls in (mpmath.mpc, mpmath.mpf):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+            monkeypatch.setattr(cls, name, refuse)
+    _project(g, shifts, np.ones((3, 1)), np.ones((3, 1)), _pair_structure(shifts), closed)
+    _Objective(g, h, np.array([0]), np.array([], dtype=int)).value_grad_hess(np.array([1.3]))
+    hd = DelayedModel(h, DelayBlock((1.3,)), DelayBlock((0.0,), (False,)))
+    compute_gap(g, hd, h2_norm_sq(g))
+
+
+@pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
+def test_objective_forms_delayed_terms_once_per_point(monkeypatch, payload):
+    rng = np.random.default_rng(91)
+    g = random_pr(rng, 6, ny=2, nu=2)
+    h = random_pr(rng, 2, ny=2, nu=2)
+    if payload:
+        g = payload_model(g, 30)
+    act_in, act_out = np.array([0, 1]), np.array([1])
+    x = np.array([0.7, 1.9, 0.3])
+    fresh_value = _Objective(g, h, act_in, act_out).value(x)
+    fresh = _Objective(g, h, act_in, act_out).value_grad_hess(x)
+    calls = []
+    formed = delayopt._delayed_terms
+    monkeypatch.setattr(delayopt, "_delayed_terms",
+                        lambda *args: calls.append(args) or formed(*args))
+    obj = _Objective(g, h, act_in, act_out)
+    value = obj.value(x)
+    f, grad, hess = obj.value_grad_hess(x)
+    assert len(calls) == 1
+    assert value == fresh_value == f == fresh[0]
+    assert np.array_equal(grad, fresh[1]) and np.array_equal(hess, fresh[2])
+    obj.value(x + 0.5)
+    assert len(calls) == 2
+
+
+# the bytes save_model has written for this surrogate since its payload is
+# built in mpmath; they must not depend on the arithmetic of the sums
+GTILDE_SHA256 = "538718c28e2b4d0c4a9a71ba9879a6d76649f37940e61a92ac12af880bf6940b"
+
+
+def test_surrogate_payload_is_mpmath_and_writes_the_same_bytes(tmp_path):
+    gt = build_gtilde(build_bench_model(), DelayBlock((1.3,)),
+                      DelayBlock((0.0,), (False,)))
+    entries = gt.hp.poles + sum(gt.hp.left, ()) + sum(gt.hp.right, ())
+    assert all(isinstance(v, (mpmath.mpc, mpmath.mpf)) for v in entries)
+    path = tmp_path / "gtilde.json"
+    save_model(str(path), gt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GTILDE_SHA256
