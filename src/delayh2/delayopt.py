@@ -5,7 +5,12 @@ through the complex poles mu_j, so a single local ascent is not
 trustworthy: the search runs a coarse grid over the box [0, tau_max]^k
 (joint for up to three searched coordinates, cyclic coordinate scans
 above), then refines the best few cells with projected gradient ascent
-plus a Newton polish using the analytic delay Hessian. Each term couples
+plus a Newton polish using the analytic delay Hessian. The best cells are
+picked by partial selection, equal to the prefix of a full stable sort. A
+Newton step is kept unless it lowers the objective by more than the
+rounding bound of the compared values (zero on a payload), so a start
+next to a maximum of a cancelling float sum converges instead of
+stalling on rounding noise. Each term couples
 one output delay with one input delay, so the grid is screened in float as
 a broadcast sum of ny*nu two-axis tables, one matrix product over the poles
 each. On a model with an extended-precision payload that float screen can
@@ -31,6 +36,7 @@ pattern has no such ridge and runs as a single face over the box.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +151,11 @@ class _Objective:
             self.mu2 = self.mu * self.mu
         # the screen always runs on the float views
         self.ktensor = _cross_tensor(FLOAT, g, h)[1] if self.hp else self.k
-        # delayed terms per evaluated point, shared by the gauge faces
+        # rounding bound of a float value per unit of its terms' abs-sum
+        # (see rounding)
+        self.round_scale = (math.ceil(math.log2(self.k.size)) + 24) * 2.0 ** -53
+        # (delayed terms, rounding bound) per evaluated point, shared by the
+        # gauge faces
         self.terms = {}
 
     def gauge_face(self, m: int) -> "_Objective":
@@ -173,21 +183,43 @@ class _Objective:
         gam[self.act_out] = x[self.act_in.size:]
         return tau, gam
 
-    def _sum(self, x: np.ndarray, order: int):
+    def _terms(self, x: np.ndarray) -> tuple:
         # a search revisits points (a line-search value and then its
         # derivatives, a confirmed grid leader as a start, the box check at
-        # the winner): their delayed terms are formed once, keyed by the
-        # exact delays
+        # the winner, the rounding bound of an iterate): their delayed terms
+        # are formed once, keyed by the exact delays
         tau, gam = self.full_vectors(x)
         key = tau.tobytes() + gam.tobytes()
-        core = self.terms.get(key)
-        if core is None:
+        entry = self.terms.get(key)
+        if entry is None:
             if len(self.terms) >= MEMO_POINTS:
                 del self.terms[next(iter(self.terms))]
-            core = self.terms[key] = _delayed_terms(self.bk, self.mu, self.k, tau, gam)
+            core = _delayed_terms(self.bk, self.mu, self.k, tau, gam)
+            bound = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(core)))
+            entry = self.terms[key] = (core, bound)
+        return entry
+
+    def _sum(self, x: np.ndarray, order: int):
         # derivatives only for the sides that hold an active coordinate
         sides = (self.act_in.size > 0, self.act_out.size > 0)
-        return _term_sums(self.bk, self.mu, core, order, sides, self.mu2)
+        return _term_sums(self.bk, self.mu, self._terms(x)[0], order, sides, self.mu2)
+
+    def rounding(self, x: np.ndarray) -> float:
+        """Rounding bound of :meth:`value` at x.
+
+        Float: c u sum_jml |K_jml e^{mu_j (gamma_m + tau_l)}| with
+        u = 2^-53, over the n delayed terms. numpy sums a contiguous array
+        pairwise (blocks of at most 64 complex values on four accumulators
+        per component, halved above that), so each term passes through at
+        most ceil(log2 n) + 13 additions of relative error u (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2002, 4.2). Forming
+        a term (two exponentials, two complex products) adds about 11u while
+        the exponent mu_j x is of order one; the rounding of a larger
+        exponent is not covered. Hence c = ceil(log2 n) + 24. Payload: 0,
+        since its sums keep at least 175 bits and their one rounding, to
+        binary64, already shows in any comparison of two values.
+        """
+        return self._terms(x)[1]
 
     def value(self, x: np.ndarray) -> float:
         return float(np.real(self._sum(x, 0)[0]))
@@ -238,7 +270,17 @@ class _Objective:
 
 def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
             cfg: DelaySearchConfig, step0: float) -> tuple[np.ndarray, float]:
-    """Projected ascent with Newton polish from x0 within [0, hi]; returns (x, f)."""
+    """Projected ascent with Newton polish from x0 within [0, hi]; returns (x, f).
+
+    A Newton step (taken where the Hessian is negative definite) is kept
+    unless it lowers f by more than the rounding bound of the two compared
+    values (:meth:`_Objective.rounding`): near a maximum of a cancelling
+    float sum the step's true gain lies below that level, and refusing it
+    on rounding noise would leave the start to the halving line search.
+    Otherwise the ascent steps along the projected gradient with an Armijo
+    test. Stops when the projected gradient is below ``cfg.refine_tol``,
+    when no step ascends, or after ``MAX_REFINE_ITERS`` steps.
+    """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
     f, grad, hess = obj.value_grad_hess(x)
     step = step0
@@ -255,7 +297,7 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
             if np.max(eigs) < 0:
                 xn = np.clip(x + np.linalg.solve(-hess, grad), 0.0, hi)
                 fn, gn, hn = obj.value_grad_hess(xn)
-                if fn >= f:
+                if fn >= f - (obj.rounding(x) + obj.rounding(xn)):
                     x, f, grad, hess = xn, fn, gn, hn
                     moved = True
         except np.linalg.LinAlgError:
@@ -297,17 +339,17 @@ def _grid_axes(span: np.ndarray, tau_max: float,
 
 
 def _scan(obj: _Objective, k_act: int, tau_max: float,
-          cfg: DelaySearchConfig) -> tuple[np.ndarray, np.ndarray]:
+          cfg: DelaySearchConfig) -> tuple[list | np.ndarray, np.ndarray]:
     """Coarse scan: joint grid for <=3 coordinates, cyclic scans above.
 
-    Returns (points, screening values) of every evaluated grid point; the
-    values rank cells for refinement and are float-precision.
+    Returns (grid, screening values) of every evaluated grid point; the
+    values rank cells for refinement and are float-precision. A joint grid
+    is its list of axes, the values raveled like ``np.meshgrid(*axes,
+    indexing="ij")``; the cyclic scans give their points as rows.
     """
     axes, _ = _grid_axes(obj.span, tau_max, cfg)
     if k_act <= 3:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-        return points, obj.prescreen(axes)
+        return axes, obj.prescreen(axes)
     # cyclic coordinate scans from the origin, two sweeps
     x = np.zeros(k_act)
     pts, vals = [], []
@@ -323,15 +365,44 @@ def _scan(obj: _Objective, k_act: int, tau_max: float,
     return np.concatenate(pts), np.concatenate(vals)
 
 
+def _grid_point(grid: list | np.ndarray, i: int) -> np.ndarray:
+    """Point ``i`` of a :func:`_scan` grid, bit for bit its meshgrid row."""
+    if isinstance(grid, np.ndarray):
+        return grid[i]
+    idx = np.unravel_index(i, [a.size for a in grid])
+    return np.array([a[j] for a, j in zip(grid, idx)])
+
+
+def _grid_points(grid: list | np.ndarray) -> np.ndarray:
+    """Every point of a :func:`_scan` grid, one row each."""
+    if isinstance(grid, np.ndarray):
+        return grid
+    return np.stack([m.ravel() for m in np.meshgrid(*grid, indexing="ij")], axis=1)
+
+
+def _top(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-values, kind="stable")[:k]`` by partial selection.
+
+    Every value at or above the k-th largest, ties included, is sorted
+    stably, so the result equals the full stable sort's prefix exactly.
+    """
+    neg = -values
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(neg <= kth)
+    return cand[np.argsort(neg[cand], kind="stable")[:k]]
+
+
 def write_landscape(path: str, scans: list) -> None:
-    """One CSV row per grid point of every (face, points, values) scan."""
+    """One CSV row per grid point of every (face, grid, values) scan."""
     g = scans[0][0].g
     header = ",".join([f"tau_{i + 1}" for i in range(g.nu)]
                       + [f"gamma_{i + 1}" for i in range(g.ny)] + ["objective"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for obj, points, values in scans:
-            for p, v in zip(points, values):
+        for obj, grid, values in scans:
+            for p, v in zip(_grid_points(grid), values):
                 tau, gam = obj.full_vectors(p)
                 row = np.concatenate([tau, gam, [v]])
                 fh.write(",".join("%.12e" % c for c in row) + "\n")
@@ -346,30 +417,28 @@ def _better(f: float, x: np.ndarray, best_f: float, best_x: np.ndarray) -> bool:
 def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
     """Grid scan and refinement over one face, growing its box.
 
-    Returns (x, f, (obj, points, values) of the last scan).
+    Returns (x, f, (obj, grid, values) of the last scan).
     """
     k_act = obj.span.size
     tau_max = float(tau_max0)
     while True:
-        points, values = _scan(obj, k_act, tau_max, cfg)
+        grid, values = _scan(obj, k_act, tau_max, cfg)
         if not np.all(np.isfinite(values)):
             raise NonFiniteObjective("grid scan produced non-finite objective values")
         n_top = min(TOP_STARTS, values.size)
         if obj.hp:
             # screening is float-precision: confirm the leading cells with
             # the exact kernel before ranking and bounding against them
-            lead = np.argsort(-values, kind="stable")[:max(n_top, min(25, values.size))]
-            exact = np.array([obj.value(points[i]) for i in lead])
+            lead = _top(values, max(n_top, min(25, values.size)))
+            exact = np.array([obj.value(_grid_point(grid, i)) for i in lead])
             order = np.argsort(-exact, kind="stable")
             grid_best = float(exact[order[0]])
             top = lead[order[:n_top]]
-            grid_argbest = int(lead[order[0]])
         else:
-            grid_best = float(np.max(values))
-            top = np.argsort(-values, kind="stable")[:n_top]
-            grid_argbest = int(np.argmax(values))
+            top = _top(values, n_top)
+            grid_best = float(values[top[0]])
         hi = obj.span * tau_max
-        starts = [points[i] for i in top]
+        starts = [_grid_point(grid, i) for i in top]
         starts.append(np.zeros(k_act))
         for tau_extra, gam_extra in cfg.extra_starts:
             starts.append(np.clip(obj.coords(tau_extra, gam_extra), 0.0, hi))
@@ -384,7 +453,7 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
         if best_f < grid_best:
             # refinement can only improve on the best start; keep the grid
             # winner if numerical ties land the other way
-            best_x = points[grid_argbest]
+            best_x = _grid_point(grid, top[0])
             best_f = grid_best
 
         if not cfg.extend_box or tau_max >= EXTEND_CAP * tau_max0:
@@ -394,7 +463,7 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
         if not np.any(pressing):
             break
         tau_max *= 2.0
-    return best_x, best_f, (obj, points, values)
+    return best_x, best_f, (obj, grid, values)
 
 
 def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
@@ -404,10 +473,12 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
 
     Returns (input delays, output delays); with every channel delayed, the
     representative with min gamma = 0 (see the module docstring). The
-    returned objective value is >= every evaluated grid sample, and at an
-    interior optimum the delay gradient norm is below ``refine_tol``
-    (boundary points may carry an outward gradient). All-masked problems
-    return zero delays immediately.
+    returned objective value is >= every evaluated grid sample. Each
+    refinement start stops once its projected gradient is below
+    ``refine_tol``, or earlier where no step gains more than the
+    objective's rounding error (see :func:`_refine`); boundary points may
+    carry an outward gradient. All-masked problems return zero delays
+    immediately.
 
     The last grid scan of each face goes to ``cfg.landscape_csv`` (see
     :func:`write_landscape`) and, when ``scans`` is a list, replaces its

@@ -1,6 +1,8 @@
 """Box-constrained delay search maximizing the cross inner product."""
 
+import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,19 +14,35 @@ from delayh2 import (
     DelayedModel,
     DelayH2Error,
     DelaySearchConfig,
+    IrkaConfig,
     h2_norm_pole_residue,
     h2_norm_sq,
     inner_product_delayed,
+    irka_reduce,
     optimize_delays,
 )
-from delayh2.delayopt import _Objective, _scan
-from delayh2.h2 import _delay_sum
+from delayh2.delayopt import _grid_points, _Objective, _scan, _top
+from delayh2.h2 import _cross_eval, _delay_sum
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def cross_at(g, h, tau, gam):
     """The search objective: <H delayed by (tau, gamma), G>."""
     return inner_product_delayed(
         DelayedModel(h, DelayBlock(tau), DelayBlock(gam)), g)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts the search's objective evaluations (values and derivatives)."""
+    count = [0]
+    for name in ("value", "value_grad_hess"):
+        def counted(self, x, _orig=getattr(_Objective, name)):
+            count[0] += 1
+            return _orig(self, x)
+        monkeypatch.setattr(_Objective, name, counted)
+    return count
 
 
 def test_self_pair_optimum_is_zero_delay():
@@ -199,6 +217,24 @@ def test_landscape_csv_written(tmp_path):
     assert rows[-1, 0] == pytest.approx(4.0, rel=1e-12)
 
 
+def test_landscape_csv_keeps_its_bytes(tmp_path):
+    # a 2x2 search over both inputs on a 12 x 12 joint grid: the CSV is
+    # built from the grid's axes and must keep the bytes it had when the
+    # scan returned every point (sha256 recorded then)
+    rng = np.random.default_rng(93)
+    g = random_pr(rng, 5, ny=2, nu=2)
+    h = random_pr(rng, 2, ny=2, nu=2)
+    path = tmp_path / "landscape.csv"
+    optimize_delays(g, h, DelaySearchConfig(
+        grid_points_per_channel=12, tau_max=2.0, extend_box=False,
+        input_mask=(True, True), output_mask=(False, False),
+        landscape_csv=str(path)))
+    data = path.read_bytes()
+    assert data.count(b"\n") == 1 + 12 * 12
+    assert hashlib.sha256(data).hexdigest() == \
+        "4bd857f882e1688d31d60b215821984ea13f7790ed8edb3ecb9dd0a5d832df41"
+
+
 def test_mimo_io_dominates_full_box_grid():
     # 2x2 with every channel delayed: the gauge faces cover every model of
     # the full box grid, and the result is the min gamma = 0 representative
@@ -232,8 +268,9 @@ def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask):
     act_out = np.flatnonzero(output_mask)
     k_act = act_in.size + act_out.size
     obj = _Objective(g, h, act_in, act_out)
-    points, values = _scan(obj, k_act, 3.0,
-                           DelaySearchConfig(grid_points_per_channel=20))
+    grid, values = _scan(obj, k_act, 3.0,
+                         DelaySearchConfig(grid_points_per_channel=20))
+    points = _grid_points(grid)
     assert points.shape == (values.size, k_act)
     assert values.size == (20 ** k_act if k_act <= 3 else 2 * k_act * 20)
     exact = np.array([obj.value(p) for p in points])
@@ -251,9 +288,9 @@ def test_joint_budget_caps_one_axis_grids(output_mask, face):
     if face:
         obj = obj.gauge_face(0)
     assert obj.span.size == 1
-    points, values = _scan(obj, 1, 3.0, DelaySearchConfig(
+    grid, values = _scan(obj, 1, 3.0, DelaySearchConfig(
         grid_points_per_channel=10 ** 5, joint_grid_budget=500))
-    assert 2 <= values.size == points.shape[0] <= 500
+    assert 2 <= values.size == _grid_points(grid).shape[0] <= 500
 
 
 @pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
@@ -284,6 +321,52 @@ def test_objective_derivatives_are_full_kernel_blocks(payload, input_mask,
     assert f == float(np.real(f_full))
     assert np.array_equal(grad, np.concatenate([g_in.real, g_out.real])[idx])
     assert np.array_equal(hess, h_full.real[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_top_is_the_stable_argsort_prefix(seed):
+    # many ties, mixed -0.0 and 0.0, k = 1, k inside and k >= size
+    rng = np.random.default_rng(seed)
+    for _ in range(250):
+        n = int(rng.integers(1, 60))
+        v = rng.integers(-3, 4, n).astype(float)
+        v[rng.random(n) < 0.3] *= 0.0
+        v[v == 0.0] *= rng.choice([-1.0, 1.0], int(np.sum(v == 0.0)))
+        if rng.random() < 0.5:
+            v = v + rng.integers(0, 2, n) * rng.standard_normal(n)
+        for k in {1, int(rng.integers(1, n + 1)), n, n + 3}:
+            got = _top(v, k)
+            want = np.argsort(-v, kind="stable")[:k]
+            assert np.array_equal(got, want), (v, k)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_float_refinement_meets_refine_tol(seed, monkeypatch, evaluations):
+    # mimo-float's search: its cancelling float sum stalls the refinement
+    # on rounding noise unless a Newton step within the rounding bound of
+    # the objective is kept
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    g = workloads.mimo_float_model(seed)
+    core = irka_reduce(g, IrkaConfig(order=4, seed=0)).model
+    cfg = DelaySearchConfig(input_mask=(True, True), output_mask=(False, False))
+    din, dout = optimize_delays(g, core, cfg)
+    tau = din.as_array()
+    _, g_in, _, _ = _cross_eval(g, core, tau, dout.as_array(), 1)
+    interior = tau > 0.0
+    assert np.any(interior)
+    assert np.max(np.abs(np.real(g_in)[interior])) <= cfg.refine_tol
+    assert evaluations[0] <= 60
+
+
+def test_payload_search_is_unchanged(bench20, ref_core, evaluations):
+    # on a payload the rounding bound is 0: the search takes the same
+    # steps and returns the same delay, bit for bit, as the comparison
+    # fn >= f did (both recorded from that code)
+    din, _ = optimize_delays(bench20, ref_core, DelaySearchConfig(
+        input_mask=(True,), output_mask=(False,)))
+    assert din.delays[0].hex() == "0x1.165b17cc574dfp+3"
+    assert evaluations[0] == 116
 
 
 def test_config_validation():
