@@ -44,7 +44,7 @@ from .h2 import (
     optimality_residuals,
 )
 from .irka import IrkaConfig, IrkaResult, irka_reduce
-from .delayopt import DelaySearchConfig, optimize_delays
+from .delayopt import DelaySearchConfig, DelaySearchResult, optimize_delays
 from .iodirka import IoDirkaConfig, ReductionReport, TraceEntry, io_dirka
 from .bench import build_bench_model, run_bench
 
@@ -62,7 +62,7 @@ __all__ = [
     "gap_gradient", "h2_norm_pole_residue", "h2_norm_sq",
     "inner_product_delayed", "optimality_residuals",
     "IrkaConfig", "IrkaResult", "irka_reduce",
-    "DelaySearchConfig", "optimize_delays",
+    "DelaySearchConfig", "DelaySearchResult", "optimize_delays",
     "IoDirkaConfig", "ReductionReport", "TraceEntry", "io_dirka",
     "build_bench_model", "run_bench",
     "__version__",

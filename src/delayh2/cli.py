@@ -85,12 +85,12 @@ def _cmd_reduce(args) -> int:
     in_mask, out_mask = _parse_delay_spec(args.delays, g.nu, g.ny)
     search = DelaySearchConfig(
         grid_points_per_channel=args.grid_points, tau_max=args.tau_max,
-        refine_tol=args.refine_tol, input_mask=in_mask, output_mask=out_mask,
-        landscape_csv=args.landscape_csv)
+        refine_tol=args.refine_tol, input_mask=in_mask, output_mask=out_mask)
     irka = IrkaConfig(order=args.order, seed=args.seed,
                       shift_tol=args.shift_tol, init=args.irka_init)
     cfg = IoDirkaConfig(order=args.order, outer_max_iters=args.outer_max,
-                        outer_tol=args.outer_tol, irka=irka, search=search)
+                        outer_tol=args.outer_tol, irka=irka, search=search,
+                        landscape_csv=args.landscape_csv)
     os.makedirs(args.out, exist_ok=True)
     if args.landscape_csv:
         # fail on an unwritable path now, not after the first delay search

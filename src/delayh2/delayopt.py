@@ -19,8 +19,10 @@ the leaders confirmed with the exact kernel and the refinement are
 trusted. The box is grown (doubling, up to EXTEND_CAP times its initial
 size) while the winner presses against the right boundary with positive
 outward derivative, so a too-small default horizon cannot truncate the
-optimum. Ties are broken toward the lexicographically smallest delay
-vector; everything is deterministic.
+optimum. The result reports the box the search ended in, so a caller
+running one search after another can start the next from it, and each
+face's last grid scan, for :func:`write_landscape`. Ties are broken toward
+the lexicographically smallest delay vector; everything is deterministic.
 
 Only the path delays gamma_m + tau_l enter the objective. When every input
 and every output channel is delayed, (tau + c, gamma - c) is therefore the
@@ -50,7 +52,7 @@ from .precision import FLOAT, backend_for
 MAX_REFINE_ITERS = 100
 # the box grows to at most this multiple of its initial size
 EXTEND_CAP = 64.0
-# best-ranked grid cells refined, besides the origin and the extra starts
+# best-ranked grid cells refined, besides the origin and the caller's start
 TOP_STARTS = 5
 # evaluated points whose delayed terms a search keeps for revisits
 MEMO_POINTS = 64
@@ -62,15 +64,15 @@ class DelaySearchConfig:
 
     ``tau_max=None`` defaults to five times the slowest time constant of the
     full model (5 / min|Re mu|); with ``extend_box`` the box doubles while
-    the optimum sits on the right boundary with positive gradient.
-    ``input_mask``/``output_mask`` pin masked-off channels to delay 0.
-    ``extra_starts`` adds refinement starts, e.g. the previous outer
-    iteration's delays. The grid has ``grid_points_per_channel`` points per
-    box axis, fewer when a joint grid would exceed ``joint_grid_budget``
-    points; its float screen only ranks refinement starts (see the module
-    docstring). With every channel delayed the search returns the
-    representative with min gamma = 0, and each input delay then spans the
-    path range [0, 2 tau_max] at the same grid spacing.
+    the optimum sits on the right boundary with positive gradient, and the
+    result reports the box it ended in. ``input_mask``/``output_mask`` pin
+    masked-off channels to delay 0. The grid has
+    ``grid_points_per_channel`` points per box axis, fewer when a joint grid
+    would exceed ``joint_grid_budget`` points; its float screen only ranks
+    refinement starts (see the module docstring). With every channel
+    delayed the search returns the representative with min gamma = 0, and
+    each input delay then spans the path range [0, 2 tau_max] at the same
+    grid spacing.
     """
 
     grid_points_per_channel: int = 400
@@ -80,8 +82,6 @@ class DelaySearchConfig:
     output_mask: tuple | None = None
     extend_box: bool = True
     joint_grid_budget: int = 400_000
-    extra_starts: tuple = ()
-    landscape_csv: str | None = None
 
     def __post_init__(self):
         if self.grid_points_per_channel < 2:
@@ -90,6 +90,22 @@ class DelaySearchConfig:
             raise DelayH2Error("tau_max must be positive and finite")
         if not 0.0 < self.refine_tol < np.inf:
             raise DelayH2Error("refine_tol must be positive and finite")
+
+
+@dataclass(frozen=True)
+class DelaySearchResult:
+    """What :func:`optimize_delays` found.
+
+    ``tau_max`` is the box the search ended in, after any growth (the
+    largest over the gauge faces); ``scans`` holds each face's last grid
+    scan as (face objective, grid, screening values), empty when nothing
+    was delayable.
+    """
+
+    input_delays: DelayBlock
+    output_delays: DelayBlock
+    tau_max: float
+    scans: tuple
 
 
 def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
@@ -394,14 +410,15 @@ def _top(values: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(neg[cand], kind="stable")[:k]]
 
 
-def write_landscape(path: str, scans: list) -> None:
-    """One CSV row per grid point of every (face, grid, values) scan."""
-    g = scans[0][0].g
-    header = ",".join([f"tau_{i + 1}" for i in range(g.nu)]
-                      + [f"gamma_{i + 1}" for i in range(g.ny)] + ["objective"])
+def write_landscape(path: str, result: DelaySearchResult) -> None:
+    """One CSV row per grid point of each face's last scan in ``result``;
+    the header alone when nothing was delayable."""
+    header = ",".join([f"tau_{i + 1}" for i in range(len(result.input_delays))]
+                      + [f"gamma_{i + 1}" for i in range(len(result.output_delays))]
+                      + ["objective"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for obj, grid, values in scans:
+        for obj, grid, values in result.scans:
             for p, v in zip(_grid_points(grid), values):
                 tau, gam = obj.full_vectors(p)
                 row = np.concatenate([tau, gam, [v]])
@@ -414,10 +431,11 @@ def _better(f: float, x: np.ndarray, best_f: float, best_x: np.ndarray) -> bool:
     return f > best_f + tol or (abs(f - best_f) <= tol and tuple(x) < tuple(best_x))
 
 
-def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
+def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
+                 start: tuple | None):
     """Grid scan and refinement over one face, growing its box.
 
-    Returns (x, f, (obj, grid, values) of the last scan).
+    Returns (x, f, final box, (obj, grid, values) of the last scan).
     """
     k_act = obj.span.size
     tau_max = float(tau_max0)
@@ -440,8 +458,8 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
         hi = obj.span * tau_max
         starts = [_grid_point(grid, i) for i in top]
         starts.append(np.zeros(k_act))
-        for tau_extra, gam_extra in cfg.extra_starts:
-            starts.append(np.clip(obj.coords(tau_extra, gam_extra), 0.0, hi))
+        if start is not None:
+            starts.append(np.clip(obj.coords(*start), 0.0, hi))
 
         _, spacing = _grid_axes(obj.span, tau_max, cfg)
         best_x, best_f = None, 0.0
@@ -463,53 +481,48 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig):
         if not np.any(pressing):
             break
         tau_max *= 2.0
-    return best_x, best_f, (obj, grid, values)
+    return best_x, best_f, tau_max, (obj, grid, values)
 
 
 def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
-                    cfg: DelaySearchConfig, scans: list | None = None
-                    ) -> tuple[DelayBlock, DelayBlock]:
+                    cfg: DelaySearchConfig, start: tuple | None = None
+                    ) -> DelaySearchResult:
     """Find box-constrained delays maximizing the cross inner product.
 
-    Returns (input delays, output delays); with every channel delayed, the
-    representative with min gamma = 0 (see the module docstring). The
+    The delays are, with every channel delayed, the representative with
+    min gamma = 0 (see the module docstring). ``start=(tau, gamma)`` adds
+    one refinement start, e.g. the previous outer iteration's delays. The
     returned objective value is >= every evaluated grid sample. Each
     refinement start stops once its projected gradient is below
     ``refine_tol``, or earlier where no step gains more than the
     objective's rounding error (see :func:`_refine`); boundary points may
-    carry an outward gradient. All-masked problems return zero delays
-    immediately.
-
-    The last grid scan of each face goes to ``cfg.landscape_csv`` (see
-    :func:`write_landscape`) and, when ``scans`` is a list, replaces its
-    contents, so that a caller running one search after another can write
-    the file once.
+    carry an outward gradient. All-masked problems return zero delays and
+    the initial box immediately.
     """
     in_mask, out_mask, tau_max0 = search_domain(g, cfg)
     act_in = np.flatnonzero(in_mask)
     act_out = np.flatnonzero(out_mask)
     if act_in.size + act_out.size == 0:
-        return (DelayBlock.zeros(g.nu, tuple(in_mask)),
-                DelayBlock.zeros(g.ny, tuple(out_mask)))
+        return DelaySearchResult(DelayBlock.zeros(g.nu, tuple(in_mask)),
+                                 DelayBlock.zeros(g.ny, tuple(out_mask)),
+                                 float(tau_max0), ())
 
     obj = _Objective(g, h, act_in, act_out)
     faces = [obj.gauge_face(m) for m in act_out] \
         if has_gauge(in_mask, out_mask) else [obj]
-    best, face_scans = None, []
+    best, box, scans = None, float(tau_max0), []
     for face in faces:
-        x, f, scan = _search_face(face, tau_max0, cfg)
-        face_scans.append(scan)
+        x, f, face_box, scan = _search_face(face, tau_max0, cfg, start)
+        box = max(box, face_box)
+        scans.append(scan)
         full = np.concatenate(face.full_vectors(x))
         if best is None or _better(f, full, *best):
             best = f, full
-    if scans is not None:
-        scans[:] = face_scans
-    if cfg.landscape_csv:
-        write_landscape(cfg.landscape_csv, face_scans)
 
     tau, gam = best[1][:g.nu], best[1][g.nu:]
     # snap near-zero coordinates produced by clipping
     tau[np.abs(tau) < 1e-300] = 0.0
     gam[np.abs(gam) < 1e-300] = 0.0
-    return (DelayBlock(tuple(tau), tuple(in_mask)),
-            DelayBlock(tuple(gam), tuple(out_mask)))
+    return DelaySearchResult(DelayBlock(tuple(tau), tuple(in_mask)),
+                             DelayBlock(tuple(gam), tuple(out_mask)),
+                             box, tuple(scans))

@@ -58,10 +58,6 @@ class GapValue:
     cross: float
     norm_h_sq: float
 
-    @property
-    def terms(self) -> tuple[float, float, float]:
-        return (self.norm_g_sq, self.cross, self.norm_h_sq)
-
 
 @dataclass(frozen=True)
 class OptimalityResiduals:
@@ -150,26 +146,19 @@ def _term_sums(bk: Backend, mu, core, order: int, sides=(True, True), mu2=None):
     return f, g_in, g_out, hess
 
 
-def _delay_sum(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
-               order: int, sides=(True, True), mu2=None):
-    """Sum of the cross terms under delays (tau, gamma), with derivatives
-    (see :func:`_term_sums`)."""
-    return _term_sums(bk, mu, _delayed_terms(bk, mu, ktensor, tau, gam),
-                      order, sides, mu2)
-
-
 def _cross_eval(g: PoleResidueModel, h: PoleResidueModel,
                 tau: np.ndarray, gam: np.ndarray, order: int = 0):
     """Cross inner product of diag(e^{-s gamma}) H diag(e^{-s tau}) against g,
-    with optional delay derivatives (see :func:`_delay_sum`)."""
+    with optional delay derivatives (see :func:`_term_sums`)."""
     if g.ny != h.ny or g.nu != h.nu:
         raise DimensionMismatch(
             f"channel mismatch: ({g.ny}x{g.nu}) vs ({h.ny}x{h.nu})"
         )
     bk = backend_for(g, h)
     mu, ktensor = _cross_tensor(bk, g, h)
-    return _delay_sum(bk, mu, ktensor, np.asarray(tau, dtype=float),
-                      np.asarray(gam, dtype=float), order)
+    core = _delayed_terms(bk, mu, ktensor, np.asarray(tau, dtype=float),
+                          np.asarray(gam, dtype=float))
+    return _term_sums(bk, mu, core, order)
 
 
 def _real_or_raise(value: complex, what: str) -> float:

@@ -2,8 +2,9 @@
 
 Each outer iteration rebuilds the delay-advanced surrogate from the current
 delays, reduces it with the interpolatory fixed point (warm-started from the
-previous reduced model), then re-optimizes the delays against the new core.
-Every third plain iterate the delay vector takes an Aitken jump, and the
+previous reduced model), then re-optimizes the delays against the new core,
+starting from the current delays and from the box the previous search ended
+in. Every third plain iterate the delay vector takes an Aitken jump, and the
 loop stops once both the poles and the delays stop moving. One more core
 reduction at the final delays follows. The result is ``converged`` only
 if the loop stopped and the returned model passes the first-order
@@ -22,7 +23,6 @@ import numpy as np
 
 from .delayopt import (
     DelaySearchConfig,
-    has_gauge,
     optimize_delays,
     representative,
     search_domain,
@@ -53,7 +53,8 @@ class IoDirkaConfig:
     iterations. Delays start at ``init_input_delays``/``init_output_delays``,
     zero where unset; with every channel delayed they start, like every
     iterate, at the representative with min gamma = 0 (see
-    :mod:`delayh2.delayopt`).
+    :mod:`delayh2.delayopt`). ``landscape_csv`` receives the last delay
+    search's grid scans (see :func:`delayh2.delayopt.write_landscape`).
     """
 
     order: int
@@ -63,6 +64,7 @@ class IoDirkaConfig:
     outer_tol: float = 1e-6
     irka: IrkaConfig | None = None
     search: DelaySearchConfig | None = None
+    landscape_csv: str | None = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -109,10 +111,8 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
 
     search = cfg.search if cfg.search is not None else DelaySearchConfig()
     in_mask, out_mask, box = search_domain(g, search)
-    # the searches keep their grid scans for one landscape file at the end
-    landscape_csv = search.landscape_csv
     search = replace(search, input_mask=tuple(in_mask),
-                     output_mask=tuple(out_mask), tau_max=box, landscape_csv=None)
+                     output_mask=tuple(out_mask), tau_max=box)
     irka_cfg = cfg.irka if cfg.irka is not None else IrkaConfig(order=n)
     if irka_cfg.order != n:
         irka_cfg = replace(irka_cfg, order=n)
@@ -120,8 +120,6 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     din, dout = representative(
         DelayBlock(cfg.init_input_delays or (0.0,) * g.nu, tuple(in_mask)),
         DelayBlock(cfg.init_output_delays or (0.0,) * g.ny, tuple(out_mask)))
-    # with every channel delayed the search spans [0, 2 box] on the inputs
-    in_span = 2.0 if has_gauge(in_mask, out_mask) else 1.0
 
     norm_g_sq = h2_norm_sq(g)
     trace = []
@@ -130,7 +128,6 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     prev_model: PoleResidueModel | None = None
     prev_delays = np.concatenate([din.as_array(), dout.as_array()])
     plain_hist: list[np.ndarray] = []
-    scans: list = []   # the latest search's grid scans
 
     for outer in range(1, cfg.outer_max_iters + 1):
         gt = build_gtilde(g, din, dout)
@@ -140,20 +137,15 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
             raise type(exc)(f"outer iteration {outer}: {exc}") from exc
         reflections += res.reflections
         h = res.model
-        if in_mask.any() or out_mask.any():
-            try:
-                din, dout = optimize_delays(
-                    g, h, replace(search, extra_starts=((din.delays, dout.delays),)),
-                    scans=scans if landscape_csv else None)
-            except DelayH2Error as exc:
-                raise type(exc)(f"outer iteration {outer}: {exc}") from exc
-            # remember the box the search grew into, so later iterations
-            # start from it instead of re-extending every time
-            mx = max(float(np.max(din.as_array(), initial=0.0)) / in_span,
-                     float(np.max(dout.as_array(), initial=0.0)))
-            while mx > 0.9 * box:
-                box *= 2.0
-            search = replace(search, tau_max=box)
+        # drop the previous search's grid screen before the next one runs
+        found = None
+        try:
+            found = optimize_delays(g, h, search, start=(din.delays, dout.delays))
+        except DelayH2Error as exc:
+            raise type(exc)(f"outer iteration {outer}: {exc}") from exc
+        din, dout = found.input_delays, found.output_delays
+        # the next search starts from the box this one grew into
+        search = replace(search, tau_max=found.tau_max)
         hd = DelayedModel(h, din, dout)
         gap = compute_gap(g, hd, norm_g_sq)
         trace.append(TraceEntry(outer=outer, model=hd, gap=gap,
@@ -183,15 +175,14 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
             ext = d2.copy()
             use = np.abs(den) > 1e-13 * np.maximum(1.0, np.abs(d2))
             ext[use] = d2[use] - (d2[use] - d1[use]) ** 2 / den[use]
-            ext = np.clip(ext, 0.0, 2.0 * box)
-            ext[~np.concatenate([in_mask, out_mask])] = 0.0
-            if np.max(np.abs(ext - d2), initial=0.0) > 0:
-                din = DelayBlock(tuple(ext[: g.nu]), tuple(in_mask))
-                dout = DelayBlock(tuple(ext[g.nu:]), tuple(out_mask))
+            ext = np.clip(ext, 0.0, 2.0 * search.tau_max)
+            din = DelayBlock(tuple(ext[: g.nu]), tuple(in_mask))
+            dout = DelayBlock(tuple(ext[g.nu:]), tuple(out_mask))
             plain_hist.clear()
 
-    if landscape_csv and scans:
-        write_landscape(landscape_csv, scans)
+    if cfg.landscape_csv:
+        write_landscape(cfg.landscape_csv, found)
+    del found
 
     hd = (trace[-1] if stopped else min(trace, key=lambda e: e.gap.j)).model
     gt = build_gtilde(g, hd.input_delays, hd.output_delays)

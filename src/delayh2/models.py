@@ -393,8 +393,6 @@ def pole_residue_from_state_space(m: StateSpaceModel) -> PoleResidueModel:
             raise RepeatedPole(
                 f"eigenvalues {eigvals[i]} and {eigvals[j]} coincide within tolerance"
             )
-    if np.any(np.real(eigvals) >= 0):
-        raise Unstable("pencil (A, E) has an eigenvalue with nonnegative real part")
     # C (sE-A)^{-1} B = (C X) diag(1/(s-lam)) (X^{-1} E^{-1} B)
     CX = m.C @ X
     BX = np.linalg.solve(X, np.linalg.solve(m.E, m.B))

@@ -100,6 +100,18 @@ def test_reduce_writes_landscape_once(tmp_path, capsys, monkeypatch):
     assert data.shape == (80, 3) and np.all(data[:, 1] == 0.0)
 
 
+def test_reduce_without_delays_writes_the_landscape_header(tmp_path, capsys):
+    # with nothing delayable the search scans no grid: the file is the
+    # header line alone, not an empty file
+    mpath = _model_file(tmp_path, random_pr(np.random.default_rng(33), 5))
+    csv = tmp_path / "landscape.csv"
+    rc = main(["reduce", "--model", mpath, "--order", "2", "--delays", "none",
+               "--out", str(tmp_path / "out"), "--landscape-csv", str(csv)])
+    assert rc in (0, 2)
+    capsys.readouterr()
+    assert csv.read_bytes() == b"tau_1,gamma_1,objective\n"
+
+
 def test_reduce_best_effort_exit2(tmp_path, capsys):
     rng = np.random.default_rng(35)
     g = random_pr(rng, 5)

@@ -21,8 +21,8 @@ from delayh2 import (
     irka_reduce,
     optimize_delays,
 )
-from delayh2.delayopt import _grid_points, _Objective, _scan, _top
-from delayh2.h2 import _cross_eval, _delay_sum
+from delayh2.delayopt import _grid_points, _Objective, _scan, _top, write_landscape
+from delayh2.h2 import _cross_eval, _delayed_terms, _term_sums
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,8 +49,9 @@ def test_self_pair_optimum_is_zero_delay():
     rng = np.random.default_rng(81)
     for _ in range(3):
         g = random_pr(rng, int(rng.integers(2, 6)), ny=2, nu=2)
-        din, dout = optimize_delays(g, g, DelaySearchConfig(
+        found = optimize_delays(g, g, DelaySearchConfig(
             grid_points_per_channel=60, tau_max=4.0))
+        din, dout = found.input_delays, found.output_delays
         x = np.concatenate([din.as_array(), dout.as_array()])
         assert np.max(x) < 1e-7
         val = cross_at(g, g, din.as_array(), dout.as_array())
@@ -61,8 +62,9 @@ def test_monotone_closed_form_pair():
     # cross(tau) = e^{-tau}/3 for G = 1/(s+1), H = 1/(s+2): argmax at 0
     g = make_siso([-1.0], [1.0])
     h = make_siso([-2.0], [1.0])
-    din, dout = optimize_delays(g, h, DelaySearchConfig(
+    found = optimize_delays(g, h, DelaySearchConfig(
         tau_max=5.0, output_mask=(False,), extend_box=False))
+    din, dout = found.input_delays, found.output_delays
     assert din.delays[0] == pytest.approx(0.0, abs=1e-12)
     taus = np.linspace(0.0, 5.0, 100_001)
     dense = np.exp(-taus) / 3.0
@@ -91,8 +93,9 @@ def test_reference_delay_step(bench20, ref_core):
     argmax for this core by ~0.019, to 8.6986. The step starts from a box
     of 5 (five slowest time constants) and must auto-extend past it.
     """
-    din, dout = optimize_delays(bench20, ref_core, DelaySearchConfig(
+    found = optimize_delays(bench20, ref_core, DelaySearchConfig(
         input_mask=(True,), output_mask=(False,)))
+    din, dout = found.input_delays, found.output_delays
     tau = din.delays[0]
     assert dout.delays == (0.0,)
     assert tau > 5.0
@@ -104,6 +107,20 @@ def test_reference_delay_step(bench20, ref_core):
     assert got >= at_ref
 
 
+@pytest.mark.parametrize("tau_max, extend_box, box", [
+    (5.0, True, 10.0), (5.0, False, 5.0), (3.0, True, 12.0)])
+def test_result_reports_the_box(bench20, ref_core, tau_max, extend_box, box):
+    # the optimum tau ~ 8.6986 presses on the right boundary until the box
+    # has doubled past it; the result reports the box the search ended in
+    found = optimize_delays(bench20, ref_core, DelaySearchConfig(
+        input_mask=(True,), output_mask=(False,), tau_max=tau_max,
+        extend_box=extend_box))
+    assert found.tau_max == box
+    if extend_box:
+        assert found.input_delays.delays[0] == pytest.approx(8.69862, abs=1e-3)
+    assert len(found.scans) == 1
+
+
 def test_returned_point_dominates_grid():
     rng = np.random.default_rng(83)
     for _ in range(5):
@@ -111,7 +128,8 @@ def test_returned_point_dominates_grid():
         h = random_pr(rng, 2)
         cfg = DelaySearchConfig(grid_points_per_channel=41, tau_max=3.0,
                                 extend_box=False)
-        din, dout = optimize_delays(g, h, cfg)
+        found = optimize_delays(g, h, cfg)
+        din, dout = found.input_delays, found.output_delays
         got = cross_at(g, h, din.as_array(), dout.as_array())
         axis = np.linspace(0.0, 3.0, 41)
         for t_in in axis:
@@ -133,7 +151,8 @@ def test_interior_gradient_below_tolerance():
         h = random_pr(rng, 2)
         cfg = DelaySearchConfig(grid_points_per_channel=80, tau_max=6.0,
                                 extend_box=False)
-        din, dout = optimize_delays(g, h, cfg)
+        found = optimize_delays(g, h, cfg)
+        din, dout = found.input_delays, found.output_delays
         x = np.array([din.delays[0], dout.delays[0]])
         assert x[1] == 0.0
         eps = 1e-5
@@ -161,7 +180,8 @@ def test_masks_pin_channels():
     cfg = DelaySearchConfig(grid_points_per_channel=30, tau_max=2.0,
                             extend_box=False,
                             input_mask=(True, False), output_mask=(False, True))
-    din, dout = optimize_delays(g, h, cfg)
+    found = optimize_delays(g, h, cfg)
+    din, dout = found.input_delays, found.output_delays
     assert din.delays[1] == 0.0
     assert dout.delays[0] == 0.0
     assert din.mask == (True, False)
@@ -172,10 +192,11 @@ def test_all_masked_returns_zeros():
     rng = np.random.default_rng(86)
     g = random_pr(rng, 4, ny=2, nu=2)
     h = random_pr(rng, 2, ny=2, nu=2)
-    din, dout = optimize_delays(g, h, DelaySearchConfig(
-        input_mask=(False, False), output_mask=(False, False)))
-    assert din.delays == (0.0, 0.0)
-    assert dout.delays == (0.0, 0.0)
+    found = optimize_delays(g, h, DelaySearchConfig(
+        tau_max=2.0, input_mask=(False, False), output_mask=(False, False)))
+    assert found.input_delays.delays == (0.0, 0.0)
+    assert found.output_delays.delays == (0.0, 0.0)
+    assert found.tau_max == 2.0 and found.scans == ()
 
 
 def test_matches_independent_dense_scan():
@@ -187,7 +208,8 @@ def test_matches_independent_dense_scan():
         h = random_pr(rng, 2)
         cfg = DelaySearchConfig(tau_max=8.0, output_mask=(False,),
                                 extend_box=False)
-        din, _ = optimize_delays(g, h, cfg)
+        found = optimize_delays(g, h, cfg)
+        din = found.input_delays
         got = oracles.cross_inner(g.poles, g.left, g.right,
                                   h.poles, h.left, h.right,
                                   [din.delays[0]], [0.0])
@@ -206,8 +228,8 @@ def test_landscape_csv_written(tmp_path):
     h = random_pr(rng, 2)
     path = tmp_path / "landscape.csv"
     cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0,
-                            extend_box=False, landscape_csv=str(path))
-    optimize_delays(g, h, cfg)
+                            extend_box=False)
+    write_landscape(str(path), optimize_delays(g, h, cfg))
     lines = path.read_text().splitlines()
     assert lines[0] == "tau_1,gamma_1,objective"
     assert len(lines) == 1 + (2 * 15 - 1)
@@ -225,10 +247,9 @@ def test_landscape_csv_keeps_its_bytes(tmp_path):
     g = random_pr(rng, 5, ny=2, nu=2)
     h = random_pr(rng, 2, ny=2, nu=2)
     path = tmp_path / "landscape.csv"
-    optimize_delays(g, h, DelaySearchConfig(
+    write_landscape(str(path), optimize_delays(g, h, DelaySearchConfig(
         grid_points_per_channel=12, tau_max=2.0, extend_box=False,
-        input_mask=(True, True), output_mask=(False, False),
-        landscape_csv=str(path)))
+        input_mask=(True, True), output_mask=(False, False))))
     data = path.read_bytes()
     assert data.count(b"\n") == 1 + 12 * 12
     assert hashlib.sha256(data).hexdigest() == \
@@ -243,7 +264,8 @@ def test_mimo_io_dominates_full_box_grid():
     h = random_pr(rng, 2, ny=2, nu=2)
     cfg = DelaySearchConfig(grid_points_per_channel=9, tau_max=3.0,
                             extend_box=False)
-    din, dout = optimize_delays(g, h, cfg)
+    found = optimize_delays(g, h, cfg)
+    din, dout = found.input_delays, found.output_delays
     assert min(dout.delays) == 0.0
     got = cross_at(g, h, din.as_array(), dout.as_array())
     axis = np.linspace(0.0, 3.0, 9)
@@ -316,7 +338,8 @@ def test_objective_derivatives_are_full_kernel_blocks(payload, input_mask,
     x = rng.uniform(0.1, 2.0, obj.span.size)
     f, grad, hess = obj.value_grad_hess(x)
     tau, gam = obj.full_vectors(x)
-    f_full, g_in, g_out, h_full = _delay_sum(obj.bk, obj.mu, obj.k, tau, gam, 2)
+    core = _delayed_terms(obj.bk, obj.mu, obj.k, tau, gam)
+    f_full, g_in, g_out, h_full = _term_sums(obj.bk, obj.mu, core, 2)
     idx = np.concatenate([obj.act_in, g.nu + obj.act_out])
     assert f == float(np.real(f_full))
     assert np.array_equal(grad, np.concatenate([g_in.real, g_out.real])[idx])
@@ -350,7 +373,8 @@ def test_float_refinement_meets_refine_tol(seed, monkeypatch, evaluations):
     g = workloads.mimo_float_model(seed)
     core = irka_reduce(g, IrkaConfig(order=4, seed=0)).model
     cfg = DelaySearchConfig(input_mask=(True, True), output_mask=(False, False))
-    din, dout = optimize_delays(g, core, cfg)
+    found = optimize_delays(g, core, cfg)
+    din, dout = found.input_delays, found.output_delays
     tau = din.as_array()
     _, g_in, _, _ = _cross_eval(g, core, tau, dout.as_array(), 1)
     interior = tau > 0.0
@@ -363,8 +387,9 @@ def test_payload_search_is_unchanged(bench20, ref_core, evaluations):
     # on a payload the rounding bound is 0: the search takes the same
     # steps and returns the same delay, bit for bit, as the comparison
     # fn >= f did (both recorded from that code)
-    din, _ = optimize_delays(bench20, ref_core, DelaySearchConfig(
+    found = optimize_delays(bench20, ref_core, DelaySearchConfig(
         input_mask=(True,), output_mask=(False,)))
+    din = found.input_delays
     assert din.delays[0].hex() == "0x1.165b17cc574dfp+3"
     assert evaluations[0] == 116
 

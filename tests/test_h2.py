@@ -169,7 +169,6 @@ def test_gap_internal_consistency():
         assembled = gap.norm_g_sq - 2.0 * gap.cross + gap.norm_h_sq
         assert abs(gap.j - assembled) <= 1e-12 * max(1.0, abs(assembled))
         assert gap.j >= 0.0
-        assert gap.terms == (gap.norm_g_sq, gap.cross, gap.norm_h_sq)
 
 
 # ---------------------------------------------------------------------------

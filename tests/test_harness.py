@@ -64,3 +64,21 @@ def test_tracer_finds_every_target(harness):
     finally:
         tracer.uninstall()
     assert iodirka.irka_reduce is orig
+
+
+def test_tracer_records_one_search_span_per_outer_iteration(harness):
+    # the tracer wraps the name io_dirka calls the search by and reads the
+    # search config from that call, once per outer iteration
+    _, tracing = harness
+    g = random_pr(np.random.default_rng(91), 6)
+    cfg = IoDirkaConfig(order=2, search=DelaySearchConfig(
+        grid_points_per_channel=60, tau_max=4.0))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rep = iodirka.io_dirka(g, cfg)
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s.layer == "delayopt"]
+    assert len(spans) == rep.outer_iterations
+    assert all(s.counts["grid_points_computed"] > 0 for s in spans)

@@ -16,6 +16,7 @@ from delayh2 import (
     compute_gap,
     h2_norm_sq,
     io_dirka,
+    iodirka,
     irka_reduce,
     optimality_residuals,
 )
@@ -206,3 +207,25 @@ def test_init_output_delay_is_a_path_delay():
     assert on_out.trace[0].model.output_delays.delays == (0.0,)
     assert dumps_canonical(report_to_obj(on_out)) \
         == dumps_canonical(report_to_obj(on_in))
+
+
+def test_each_search_starts_in_the_box_the_last_one_ended_in(monkeypatch):
+    # the lag cascade's input delay outgrows a box of 0.5 twice; every
+    # search after the first starts from the box its predecessor reported
+    g = lag_cascade(np.random.default_rng(94))
+    boxes = []
+    original = iodirka.optimize_delays
+
+    def spy(g, h, cfg, start=None):
+        found = original(g, h, cfg, start=start)
+        boxes.append((cfg.tau_max, found.tau_max))
+        return found
+
+    monkeypatch.setattr(iodirka, "optimize_delays", spy)
+    rep = io_dirka(g, IoDirkaConfig(order=2, search=DelaySearchConfig(
+        grid_points_per_channel=60, tau_max=0.5,
+        input_mask=(True,), output_mask=(False,))))
+    assert len(boxes) == rep.outer_iterations
+    assert boxes[0][0] == 0.5 and boxes[-1][1] == 2.0
+    for (_, ended), (started, _) in zip(boxes, boxes[1:]):
+        assert started == ended
