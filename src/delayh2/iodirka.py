@@ -13,6 +13,9 @@ interpolation at the mirrored poles, one stationarity condition per
 delay) is at most ``CERT_RTOL * max(1, ||G||^2)``. The trace keeps every
 iterate's delayed model (masks included) with its gap, so every reported
 number can be recomputed from it exactly.
+
+The jump is :func:`delayh2.irka.aitken_delta2`, the Delta-squared rule
+that IRKA's shift iteration uses too.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .h2 import (
     h2_norm_sq,
     optimality_residuals,
 )
-from .irka import IrkaConfig, IrkaResult, irka_reduce
+from .irka import IrkaConfig, IrkaResult, aitken_delta2, irka_reduce
 from .models import DelayBlock, DelayedModel, PoleResidueModel
 
 # bound on the max first-order residual, relative to max(1, ||G||^2)
@@ -170,12 +173,7 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         # next delay search re-optimizes globally, so a bad jump is undone
         plain_hist.append(delays_now)
         if len(plain_hist) >= 3:
-            d0, d1, d2 = plain_hist[-3], plain_hist[-2], plain_hist[-1]
-            den = (d2 - d1) - (d1 - d0)
-            ext = d2.copy()
-            use = np.abs(den) > 1e-13 * np.maximum(1.0, np.abs(d2))
-            ext[use] = d2[use] - (d2[use] - d1[use]) ** 2 / den[use]
-            ext = np.clip(ext, 0.0, 2.0 * search.tau_max)
+            ext = np.clip(aitken_delta2(*plain_hist[-3:]), 0.0, 2.0 * search.tau_max)
             din = DelayBlock(tuple(ext[: g.nu]), tuple(in_mask))
             dout = DelayBlock(tuple(ext[g.nu:]), tuple(out_mask))
             plain_hist.clear()

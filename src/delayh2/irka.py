@@ -34,6 +34,18 @@ pencil is assembled one of two ways, by precision backend:
   conjugate rows gives. Any other pair (a payload that is not closed, or a
   warm start conjugate only to rounding) computes both rows.
 
+The fixed point converges only linearly, so every third plain step the
+iterate (shifts and tangential directions, real and imaginary parts
+separately) takes an Aitken delta-squared jump by :func:`aitken_delta2`,
+the rule :func:`delayh2.iodirka.io_dirka` applies to its delays. The rule
+is odd, so an exact mirror pair stays bitwise conjugate and keeps its one
+Loewner row. A jump is refused unless the three plain iterates share one
+conjugate-pair structure, every component it moves has a shrinking
+difference, and every extrapolated shift is finite in the open right
+half-plane; the history restarts after every attempt. The stopping test
+compares a projection's output with its input, and the returned model is
+always a projection output, never an extrapolated point.
+
 At a fixed point the reduced model bitangentially Hermite-interpolates the
 target at its mirrored poles: the gap gradient in the residues and poles
 vanishes. The exit certificate checks exactly that: the largest optimality
@@ -91,11 +103,31 @@ class IrkaConfig:
 
 @dataclass(frozen=True)
 class IrkaResult:
+    """``jumps`` counts the Aitken extrapolations taken (see
+    :func:`irka_reduce`); ``iterations`` counts projections."""
+
     model: PoleResidueModel
     iterations: int
     converged: bool
     final_shift_movement: float
     reflections: int
+    jumps: int
+
+
+def aitken_delta2(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Componentwise Aitken delta-squared limit of three consecutive real
+    iterates, x2 - (x2 - x1)^2 / ((x2 - x1) - (x1 - x0)).
+
+    A component whose second difference is at most 1e-13 max(1, |x2|) keeps
+    x2. The rule is odd: negating all three inputs negates the result bit
+    for bit (negation is exact and rounding is sign-symmetric), so the
+    imaginary parts of exact conjugates extrapolate to exact conjugates.
+    """
+    den = (x2 - x1) - (x1 - x0)
+    ext = x2.copy()
+    use = np.abs(den) > 1e-13 * np.maximum(1.0, np.abs(x2))
+    ext[use] = x2[use] - (x2[use] - x1[use]) ** 2 / den[use]
+    return ext
 
 
 def _initial_iterate(g: PoleResidueModel, cfg: IrkaConfig,
@@ -288,6 +320,28 @@ def _project(g: PoleResidueModel, shifts, bdirs, cdirs, groups, closed: bool):
     return _loewner_pencil(hi, g, shifts, bdirs, cdirs, groups, mirrored)
 
 
+def _aitken_jump(history):
+    """Aitken jump (shifts, bdirs, cdirs) from three consecutive plain
+    iterates, or None where one of :func:`irka_reduce`'s guards refuses it.
+    Real and imaginary parts are extrapolated separately on one flat view."""
+    if len({tuple(_pair_structure(s)) for s, _, _ in history}) != 1:
+        return None
+    x0, x1, x2 = (np.concatenate([s, b.ravel(), c.ravel()]).view(float)
+                  for s, b, c in history)
+    ext = aitken_delta2(x0, x1, x2)
+    moved = ext != x2
+    if not np.any(moved) or not np.all(np.isfinite(ext)) \
+            or np.any(np.abs(x2 - x1)[moved] >= np.abs(x1 - x0)[moved]):
+        return None
+    s, b, c = history[-1]
+    ext = ext.view(complex)
+    shifts = ext[:s.size]
+    if np.any(shifts.real <= 0.0):
+        return None
+    bdirs = ext[s.size:s.size + b.size].reshape(b.shape)
+    return shifts, bdirs, ext[s.size + b.size:].reshape(c.shape)
+
+
 def _realify_pencil(*mats: np.ndarray) -> list[np.ndarray]:
     out = []
     for M in mats:
@@ -311,6 +365,14 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     :func:`delayh2.h2.optimality_residuals` are checked and folded into
     ``converged``. Unstable intermediate poles are reflected into the left
     half-plane and counted. ``n == order(g)`` recovers the target exactly.
+
+    Every third plain step the canonical iterate takes an Aitken jump (see
+    :func:`_aitken_jump`), counted in ``jumps``, if all three guards pass:
+    one conjugate-pair structure across the three iterates, a strictly
+    shrinking difference in every component the jump moves, and finite
+    extrapolated shifts with positive real parts. The history restarts
+    after every attempt, taken or refused. The stopping test is unchanged,
+    and the returned model is always the output of a plain projection.
     """
     n = int(cfg.order)
     if not 1 <= n <= g.order:
@@ -322,6 +384,8 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     reflections = 0
     model = None
     iterations = 0
+    jumps = 0
+    plain = []
 
     for _ in range(cfg.max_iters):
         iterations += 1
@@ -359,8 +423,16 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
         if movement < cfg.shift_tol:
             moved_ok = True
             break
+        plain.append((shifts, bdirs, cdirs))
+        if len(plain) == 3:
+            jump = _aitken_jump(plain)
+            plain.clear()
+            if jump is not None:
+                shifts, bdirs, cdirs = jump
+                jumps += 1
 
     converged = moved_ok and optimality_residuals(g, model).max_residual() \
         <= 1e-6 * max(h2_norm_pole_residue(model), 1.0)
     return IrkaResult(model=model, iterations=iterations, converged=converged,
-                      final_shift_movement=movement, reflections=reflections)
+                      final_shift_movement=movement, reflections=reflections,
+                      jumps=jumps)

@@ -5,13 +5,16 @@ import pytest
 
 import oracles
 from conftest import REF_POLE, REF_RESIDUE, make_siso, payload_model, random_pr
+import delayh2.irka as irka
 from delayh2 import (
+    DelayBlock,
     DelayedModel,
     DelayH2Error,
     HighPrecisionTerms,
     IrkaConfig,
     PoleResidueModel,
     build_bench_model,
+    build_gtilde,
     compute_gap,
     h2_norm_sq,
     irka_reduce,
@@ -19,6 +22,7 @@ from delayh2 import (
     realify_check,
 )
 from delayh2.irka import (
+    _aitken_jump,
     _exact_mirrors,
     _pair_structure,
     _payload_closed,
@@ -112,6 +116,7 @@ def test_deterministic_given_seed():
     assert np.array_equal(r1.model.left, r2.model.left)
     assert np.array_equal(r1.model.right, r2.model.right)
     assert r1.iterations == r2.iterations
+    assert r1.jumps == r2.jumps
     assert r1.final_shift_movement == r2.final_shift_movement
 
 
@@ -179,6 +184,130 @@ def test_max_iters_returns_best_effort():
     assert res.iterations == 1
     assert res.model.order == 3
     assert res.final_shift_movement > 0.0
+
+
+def test_aitken_returns_the_limit_of_a_geometric_sequence():
+    # x_k = L + c q^k per component, with rates of both signs; the last
+    # component stands still and keeps x2
+    limit = np.array([3.0, -1.25, 0.5, 7.0])
+    c = np.array([1.0, 0.75, -2.0, 0.0])
+    q = np.array([0.5, -0.25, 0.875, 0.5])
+    x0, x1, x2 = (limit + c * q ** k for k in range(3))
+    ext = irka.aitken_delta2(x0, x1, x2)
+    assert np.array_equal(ext, limit)
+
+
+def test_aitken_is_odd_bit_for_bit():
+    # what keeps a mirror pair's imaginary parts exact conjugates
+    rng = np.random.default_rng(90)
+    x0 = rng.standard_normal(200)
+    steps = rng.standard_normal(200) * np.where(np.arange(200) % 4, 1.0, 1e-15)
+    x1 = x0 + steps
+    x2 = x1 + steps * rng.uniform(-0.9, 0.9, 200)
+    ext = irka.aitken_delta2(x0, x1, x2)
+    neg = irka.aitken_delta2(-x0, -x1, -x2)
+    assert np.any(ext != x2) and np.any(ext == x2)
+    assert np.array_equal(neg, -ext)
+    assert np.array_equal(np.signbit(neg), ~np.signbit(ext))
+
+
+def geometric_history(shifts, directions, rate=0.5, step=None):
+    """Three plain iterates (shifts, bdirs, cdirs) converging geometrically
+    at ``rate`` to the given limits, moving by ``step`` (per shift) at first."""
+    shifts = np.asarray(shifts, dtype=complex)
+    d = np.asarray(directions, dtype=complex)[:, None]
+    step = 0.25 * shifts if step is None else np.asarray(step, dtype=complex)
+    rate = np.broadcast_to(np.asarray(rate, dtype=float), shifts.shape)
+    return [(shifts + step * rate ** k, d + 0.125 * rate[:, None] ** k * d,
+             d.conj() + 0.125 * rate[:, None] ** k) for k in range(3)]
+
+
+def test_aitken_jump_keeps_mirror_pairs():
+    history = geometric_history([0.5 + 0.75j, 0.5 - 0.75j, 2.0],
+                                [1.0 + 0.5j, 1.0 - 0.5j, -0.3])
+    shifts, bdirs, cdirs = _aitken_jump(history)
+    assert np.array_equal(shifts, [0.5 + 0.75j, 0.5 - 0.75j, 2.0])
+    assert _exact_mirrors(shifts, bdirs, cdirs, _pair_structure(shifts)) == [(0, 1)]
+    assert bdirs[:, 0] == pytest.approx([1.0 + 0.5j, 1.0 - 0.5j, -0.3], rel=1e-15)
+
+
+def test_aitken_jump_refuses_a_growing_difference():
+    # the real shift's differences grow (rate 1.5): its "limit" is a
+    # repeller, and the jump is refused as a whole
+    history = geometric_history([0.5 + 0.75j, 0.5 - 0.75j, 2.0],
+                                [1.0 + 0.5j, 1.0 - 0.5j, -0.3],
+                                rate=[0.5, 0.5, 1.5])
+    assert _aitken_jump(history) is None
+
+
+def test_aitken_jump_refuses_a_changed_pair_structure():
+    # Every difference shrinks, but the pair's imaginary part (4e-14,
+    # 2e-14, 1e-14) falls below the pairing threshold 1e-14 |s| in the
+    # last iterate, which then holds two real shifts.
+    history = geometric_history([1.0, 1.0], [1.0, 1.0],
+                                step=[0.5 + 4e-14j, 0.5 - 4e-14j])
+    assert [len(_pair_structure(s)) for s, _, _ in history] == [1, 1, 2]
+    assert _aitken_jump(history) is None
+
+
+@pytest.mark.parametrize("limit, step", [(-0.1, 0.8), (0.0, 0.5)])
+def test_aitken_jump_refuses_a_shift_in_the_closed_left_half_plane(limit, step):
+    # all three iterates are stable (shifts 0.7, 0.3, 0.1 for limit -0.1),
+    # only the extrapolated shift is not (exactly 0 for limit 0)
+    history = geometric_history([limit + 0j, 2.0], [1.0, 1.0],
+                                step=[step, 0.5])
+    assert all(np.all(s.real > 0.0) for s, _, _ in history)
+    assert _aitken_jump(history) is None
+    ok = geometric_history([0.0625 + 0j, 2.0], [1.0, 1.0],
+                           step=[0.8 + 0.0j, 0.5])
+    assert _aitken_jump(ok)[0][0] == pytest.approx(0.0625, rel=1e-14)
+
+
+@pytest.fixture(scope="module")
+def gt_zero_delay(bench20):
+    return build_gtilde(bench20, DelayBlock((0.0,), (True,)),
+                        DelayBlock.zeros(1))
+
+
+def test_jump_cuts_cold_iterations(gt_zero_delay):
+    # Machine-independent count: the plain fixed point takes 134
+    # projections here. The returned model is a projection output, and
+    # one more projection from it moves the shifts by less than shift_tol.
+    cfg = IrkaConfig(order=2)
+    res = irka_reduce(gt_zero_delay, cfg)
+    assert res.converged
+    assert res.jumps >= 1
+    assert res.iterations <= 45
+    again = irka_reduce(gt_zero_delay, IrkaConfig(order=2, max_iters=1), res.model)
+    shifts, after = -res.model.poles, -again.model.poles
+    assert np.max(np.abs(after - shifts)) / np.max(np.abs(shifts)) < cfg.shift_tol
+
+
+def test_exact_mirror_found_after_every_jump(gt_zero_delay, monkeypatch):
+    # the extrapolated pair stays bitwise conjugate, so every projection
+    # after a jump still computes one row for it
+    calls, jumped = [], []
+
+    def loewner(bk, g, shifts, bdirs, cdirs, groups, mirrored,
+                _orig=irka._loewner_pencil):
+        calls.append(([p for p in groups if p[1] is not None], mirrored))
+        return _orig(bk, g, shifts, bdirs, cdirs, groups, mirrored)
+
+    def jump(history, _orig=irka._aitken_jump):
+        out = _orig(history)
+        if out is not None:
+            jumped.append(len(calls))
+        return out
+
+    monkeypatch.setattr(irka, "_loewner_pencil", loewner)
+    monkeypatch.setattr(irka, "_aitken_jump", jump)
+    res = irka_reduce(gt_zero_delay, IrkaConfig(order=2))
+    assert res.jumps == len(jumped) >= 1
+    after = calls[jumped[0]:]
+    assert after
+    for pairs, mirrored in after:
+        assert pairs == [(0, 1)]
+        assert mirrored == pairs
 
 
 def pencil_pair(g, shifts, bdirs, cdirs):
