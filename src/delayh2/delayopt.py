@@ -2,22 +2,34 @@
 
 The objective sum_j sum_{m,l} K_jml e^{mu_j (gamma_m + tau_l)} oscillates
 through the complex poles mu_j, so a single local ascent is not
-trustworthy: the search runs a coarse grid over the box [0, tau_max]^k
+trustworthy: the search screens a coarse grid over the box [0, tau_max]^k
 (joint for up to three searched coordinates, cyclic coordinate scans
-above), then refines the best few cells with projected gradient ascent
-plus a Newton polish using the analytic delay Hessian. The best cells are
-picked by partial selection, equal to the prefix of a full stable sort. A
-Newton step is kept unless it lowers the objective by more than the
-rounding bound of the compared values (zero on a payload), so a start
-next to a maximum of a cancelling float sum converges instead of
-stalling on rounding noise. Each term couples
-one output delay with one input delay, so the grid is screened in float as
-a broadcast sum of ny*nu two-axis tables, one matrix product over the poles
-each. On a model with an extended-precision payload that float screen can
-misrank cells by O(1) (the objective cancels far below binary64), so only
-the leaders confirmed with the exact kernel and the refinement are
-trusted. The box is grown (doubling, up to EXTEND_CAP times its initial
-size) while the winner presses against the right boundary with positive
+above) and refines one start per peak of that screen, a cell at least as
+high as every axis neighbour (every neighbour along its line on a cyclic
+scan). The TOP_STARTS highest peaks and the caller's start are refined
+with projected gradient ascent plus a Newton polish using the analytic
+delay Hessian; neighbouring cells of one peak would all climb to the same
+maximum. Peaks are ranked by partial selection, equal to the prefix of a
+full stable sort. A Newton step is kept unless it lowers the objective by
+more than the rounding bound of the compared values (zero on a payload),
+so a start next to a maximum of a cancelling float sum converges instead
+of stalling on rounding noise.
+
+Each term couples one output delay with one input delay, so the screen
+sums ny*nu channel-pair tables. On a float model it runs in float64, one
+matrix product over the poles per two-axis table. On a model with an
+extended-precision payload float64 would misrank cells by O(1) and invent
+maxima (the objective cancels far below binary64), so the screen runs in
+double-double instead: every grid point lies on the lattice of the grid's
+common spacing, up to rounding, and each pair's path function
+sum_j K_jml e^{mu_j t} is evaluated once on that lattice
+(:func:`precision.path_lattice`); a cell is an index sum. Its rounding
+bound is far below the landscape's relief, so the exact kernel confirms
+only the peaks within that bound of the best (usually one) and gives the
+grid's best value from them.
+
+The box is grown (doubling, up to EXTEND_CAP times its initial size)
+while the winner presses against the right boundary with positive
 outward derivative, so a too-small default horizon cannot truncate the
 optimum. The result reports the box the search ended in, so a caller
 running one search after another can start the next from it, and each
@@ -46,14 +58,17 @@ import numpy as np
 from .errors import DelayH2Error, NonFiniteObjective
 from .h2 import _cross_tensor, _delayed_terms, _term_sums
 from .models import DelayBlock, PoleResidueModel
-from .precision import FLOAT, backend_for
+from .precision import backend_for, dd_add, lattice_points, path_lattice
 
 # Newton/ascent steps per refinement start
 MAX_REFINE_ITERS = 100
 # the box grows to at most this multiple of its initial size
 EXTEND_CAP = 64.0
-# best-ranked grid cells refined, besides the origin and the caller's start
+# best-ranked screen peaks refined, besides the caller's start
 TOP_STARTS = 5
+# payload peaks the exact kernel confirms at most, when that many lie within
+# the screen's rounding bound of the best
+CONFIRM_CAP = 25
 # evaluated points whose delayed terms a search keeps for revisits
 MEMO_POINTS = 64
 
@@ -68,7 +83,7 @@ class DelaySearchConfig:
     result reports the box it ended in. ``input_mask``/``output_mask`` pin
     masked-off channels to delay 0. The grid has
     ``grid_points_per_channel`` points per box axis, fewer when a joint grid
-    would exceed ``joint_grid_budget`` points; its float screen only ranks
+    would exceed ``joint_grid_budget`` points; its screen only picks the
     refinement starts (see the module docstring). With every channel
     delayed the search returns the representative with min gamma = 0, and
     each input delay then spans the path range [0, 2 tau_max] at the same
@@ -147,11 +162,12 @@ class _Objective:
 
     Active coordinates are the unmasked channels, inputs first; masked
     channels stay pinned at 0. Coordinate c ranges over [0, span[c] *
-    tau_max]. Grids are ranked with a float screen built from
-    per-channel-pair tables (:meth:`prescreen`); on payload models it can
-    misrank cells by O(1), so the exact kernel gives every value that is
-    kept: confirmed grid leaders, refinement iterates, and the returned
-    optimum.
+    tau_max]. Grids are screened by channel-pair tables: in float64 on a
+    float model (:meth:`prescreen`, its values as exact as :meth:`value`'s
+    to rounding), in double-double on a payload (:meth:`path_screen`, with
+    a stated rounding bound), where the exact kernel still gives every
+    value that is kept: the confirmed best peaks, refinement iterates, and
+    the returned optimum.
     """
 
     def __init__(self, g: PoleResidueModel, h: PoleResidueModel,
@@ -165,8 +181,6 @@ class _Objective:
         self.mu, self.k = _cross_tensor(self.bk, g, h)
         with self.bk.context():
             self.mu2 = self.mu * self.mu
-        # the screen always runs on the float views
-        self.ktensor = _cross_tensor(FLOAT, g, h)[1] if self.hp else self.k
         # rounding bound of a float value per unit of its terms' abs-sum
         # (see rounding)
         self.round_scale = (math.ceil(math.log2(self.k.size)) + 24) * 2.0 ** -53
@@ -249,8 +263,58 @@ class _Objective:
                                ((g_in, self.act_in), (g_out, self.act_out)) if act.size])
         return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)]
 
+    def path_screen(self, axes: list[np.ndarray], spacing: float):
+        """(screen, bound) of a payload grid with these axes and common spacing.
+
+        Each channel pair (m, l) contributes Re F_ml(gamma_m + tau_l), with
+        F_ml(t) = sum_j K_jml e^{mu_j t}, and every axis point lies within
+        rounding of a lattice point a spacing, so a cell's path delay is
+        (a + b) spacing plus a tiny offset. :func:`precision.path_lattice`
+        gives F_ml and F_ml' on that lattice in double-double, once per
+        grid; ``screen`` takes axes like :meth:`prescreen` (each a subset of
+        the matching grid axis) and reads every cell by index sums, with the
+        first-order offset correction. ``bound`` covers the difference from
+        :meth:`value` at any cell: the lattice bound plus 2^-52 times the
+        largest value, for the final rounding of both to binary64.
+        """
+        coords = [(self.act_in, 0, self.g.nu), (self.act_out, self.act_in.size, self.g.ny)]
+        # the furthest lattice index and offset a path delay reaches
+        reach, offset = 0, 0.0
+        for act, first, _ in coords:
+            points = [lattice_points(a, spacing) for a in axes[first:first + act.size]]
+            reach += max((int(i[-1]) for i, _ in points), default=0)
+            offset += max((float(np.max(np.abs(d))) for _, d in points), default=0.0)
+        with self.bk.context():
+            hi, lo, slope, bound = path_lattice(self.mu, self.k.reshape(self.mu.size, -1),
+                                                spacing, reach + 1, offset)
+        bound += 2.0 ** -52 * float(np.sum(np.max(np.abs(hi), axis=1)))
+
+        def screen(sub: list[np.ndarray]) -> np.ndarray:
+            shape = [a.size for a in sub]
+            # (lattice index, offset) per channel, placed on its grid axis;
+            # a masked or pinned channel sits at delay 0
+            sides = []
+            for act, first, count in coords:
+                side = [(0, 0.0)] * count
+                for i, c in enumerate(act):
+                    place = [1] * len(sub)
+                    place[first + i] = shape[first + i]
+                    idx, off = lattice_points(sub[first + i], spacing)
+                    side[c] = idx.reshape(place), off.reshape(place)
+                sides.append(side)
+            total, corr = (0.0, 0.0), 0.0
+            for m, (b, db) in enumerate(sides[1]):
+                for l, (a, da) in enumerate(sides[0]):
+                    p = m * self.g.nu + l
+                    total = dd_add(total, (hi[p][a + b], lo[p][a + b]))
+                    corr = corr + slope[p][a + b] * (da + db)
+            return np.broadcast_to(total[0] + (total[1] + corr), shape).ravel()
+
+        return screen, bound
+
     def prescreen(self, axes: list[np.ndarray]) -> np.ndarray:
-        """Float objective on the tensor grid of one axis per active coordinate.
+        """Float objective of a float model on the tensor grid of one axis
+        per active coordinate.
 
         ``axes`` lists the inputs first; the result is raveled like
         ``np.meshgrid(*axes, indexing="ij")``. Term (m, l) adds the table
@@ -273,7 +337,7 @@ class _Objective:
         total = np.zeros([a.size for a in axes])
         for m, (e_out, a_out) in enumerate(outs):
             for l, (e_in, a_in) in enumerate(ins):
-                table = np.real((self.ktensor[:, m, l, None] * e_out).T @ e_in)
+                table = np.real((self.k[:, m, l, None] * e_out).T @ e_in)
                 # inputs precede outputs on the grid, so place the transpose
                 shape = [1] * len(axes)
                 if a_in is not None:
@@ -354,31 +418,50 @@ def _grid_axes(span: np.ndarray, tau_max: float,
     return axes, tau_max / (per_axis - 1)
 
 
-def _scan(obj: _Objective, k_act: int, tau_max: float,
-          cfg: DelaySearchConfig) -> tuple[list | np.ndarray, np.ndarray]:
+def _scan(obj: _Objective, k_act: int, tau_max: float, cfg: DelaySearchConfig):
     """Coarse scan: joint grid for <=3 coordinates, cyclic scans above.
 
-    Returns (grid, screening values) of every evaluated grid point; the
-    values rank cells for refinement and are float-precision. A joint grid
-    is its list of axes, the values raveled like ``np.meshgrid(*axes,
-    indexing="ij")``; the cyclic scans give their points as rows.
+    Returns (grid, screening values, peaks, bound) of every evaluated grid
+    point. A joint grid is its list of axes, the values raveled like
+    ``np.meshgrid(*axes, indexing="ij")``; the cyclic scans give their
+    points as rows. The peaks are the indices of the local maxima (see
+    :func:`_peaks`): on a joint grid against every axis neighbour, on the
+    cyclic scans against the neighbours along each scanned line. ``bound``
+    is the payload screen's rounding bound (:meth:`_Objective.path_screen`),
+    None for the float screen.
     """
-    axes, _ = _grid_axes(obj.span, tau_max, cfg)
+    axes, spacing = _grid_axes(obj.span, tau_max, cfg)
+    screen, bound = obj.path_screen(axes, spacing) if obj.hp else (obj.prescreen, None)
     if k_act <= 3:
-        return axes, obj.prescreen(axes)
+        values = screen(axes)
+        return axes, values, _peaks(values.reshape([a.size for a in axes])), bound
     # cyclic coordinate scans from the origin, two sweeps
     x = np.zeros(k_act)
-    pts, vals = [], []
+    pts, vals, peaks = [], [], []
+    count = 0
     for _ in range(2):
         for i in range(k_act):
             block = np.repeat(x[None, :], axes[i].size, axis=0)
             block[:, i] = axes[i]
-            v = obj.prescreen([axes[i] if c == i else x[c:c + 1]
-                               for c in range(k_act)])
+            v = screen([axes[i] if c == i else x[c:c + 1] for c in range(k_act)])
             pts.append(block)
             vals.append(v)
+            peaks.append(_peaks(v) + count)
+            count += v.size
             x = block[int(np.argmax(v))].copy()
-    return np.concatenate(pts), np.concatenate(vals)
+    return np.concatenate(pts), np.concatenate(vals), np.concatenate(peaks), bound
+
+
+def _peaks(values: np.ndarray) -> np.ndarray:
+    """Flat indices, ascending, of the cells at least as high as every
+    neighbour along each axis of ``values``."""
+    keep = np.ones(values.shape, dtype=bool)
+    for axis in range(values.ndim):
+        v = np.moveaxis(values, axis, 0)
+        k = np.moveaxis(keep, axis, 0)
+        k[1:] &= v[1:] >= v[:-1]
+        k[:-1] &= v[:-1] >= v[1:]
+    return np.flatnonzero(keep)
 
 
 def _grid_point(grid: list | np.ndarray, i: int) -> np.ndarray:
@@ -440,26 +523,28 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
     k_act = obj.span.size
     tau_max = float(tau_max0)
     while True:
-        grid, values = _scan(obj, k_act, tau_max, cfg)
+        grid, values, peaks, bound = _scan(obj, k_act, tau_max, cfg)
         if not np.all(np.isfinite(values)):
             raise NonFiniteObjective("grid scan produced non-finite objective values")
-        n_top = min(TOP_STARTS, values.size)
+        ranked = peaks[_top(values[peaks], CONFIRM_CAP)]
         if obj.hp:
-            # screening is float-precision: confirm the leading cells with
-            # the exact kernel before ranking and bounding against them
-            lead = _top(values, max(n_top, min(25, values.size)))
-            exact = np.array([obj.value(_grid_point(grid, i)) for i in lead])
+            # only peaks within the screen's rounding bound of the best can
+            # be the best: the exact kernel ranks those
+            near = ranked[values[ranked] >= values[ranked[0]] - 2.0 * bound]
+            exact = np.array([obj.value(_grid_point(grid, i)) for i in near])
             order = np.argsort(-exact, kind="stable")
             grid_best = float(exact[order[0]])
-            top = lead[order[:n_top]]
+            ranked = np.concatenate([near[order], ranked[near.size:]])
         else:
-            top = _top(values, n_top)
-            grid_best = float(values[top[0]])
+            grid_best = float(values[ranked[0]])
+        top = ranked[:TOP_STARTS]
         hi = obj.span * tau_max
         starts = [_grid_point(grid, i) for i in top]
-        starts.append(np.zeros(k_act))
         if start is not None:
             starts.append(np.clip(obj.coords(*start), 0.0, hi))
+        # one refinement per distinct start: a cyclic scan's current point
+        # lies on every line, and the caller's start may be a peak
+        starts = list({x0.tobytes(): x0 for x0 in starts}.values())
 
         _, spacing = _grid_axes(obj.span, tau_max, cfg)
         best_x, best_f = None, 0.0
@@ -492,7 +577,9 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     The delays are, with every channel delayed, the representative with
     min gamma = 0 (see the module docstring). ``start=(tau, gamma)`` adds
     one refinement start, e.g. the previous outer iteration's delays. The
-    returned objective value is >= every evaluated grid sample. Each
+    returned objective value is >= the grid's best: the largest screen value
+    on a float model, the exact value at the best confirmed peak on a
+    payload, whose screen values are within their rounding bound. Each
     refinement start stops once its projected gradient is below
     ``refine_tol``, or earlier where no step gains more than the
     objective's rounding error (see :func:`_refine`); boundary points may

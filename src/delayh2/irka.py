@@ -43,8 +43,11 @@ Loewner row. A jump is refused unless the three plain iterates share one
 conjugate-pair structure, every component it moves has a shrinking
 difference, and every extrapolated shift is finite in the open right
 half-plane; the history restarts after every attempt. The stopping test
-compares a projection's output with its input, and the returned model is
-always a projection output, never an extrapolated point.
+compares a projection's output with its input, shift by shift, and the
+returned model is always a projection output, never an extrapolated
+point. Every iterate, the first included, orders its shifts as the
+mirrored poles of a canonical model (a pair's -Im shift first), so a warm
+start from a converged model stops after one projection.
 
 At a fixed point the reduced model bitangentially Hermite-interpolates the
 target at its mirrored poles: the gap gradient in the residues and poles
@@ -63,7 +66,7 @@ import numpy as np
 
 from .errors import DegenerateDirections, DelayH2Error
 from .h2 import h2_norm_pole_residue, optimality_residuals
-from .models import PoleResidueModel, canonicalize_terms
+from .models import PoleResidueModel, _sort_permutation, canonicalize_terms
 from .precision import Backend, backend_for
 
 DIRECTION_TINY = 1e-14
@@ -153,7 +156,10 @@ def _initial_iterate(g: PoleResidueModel, cfg: IrkaConfig,
         shifts *= 1.0 + 1e-9 * np.arange(n)
         bdirs = np.ones((n, g.nu), dtype=complex) / np.sqrt(g.nu)
         cdirs = np.ones((n, g.ny), dtype=complex) / np.sqrt(g.ny)
-    order = np.lexsort((-np.sign(shifts.imag), np.abs(shifts.imag), shifts.real))
+    # every iterate mirrors a model's poles in canonical order (a pair's -Im
+    # shift first), so the first movement compares like with like; a warm
+    # start is already in that order
+    order = _sort_permutation(-shifts)
     return shifts[order], bdirs[order], cdirs[order]
 
 
@@ -358,8 +364,9 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     """Run the interpolatory fixed-point iteration on ``g``.
 
     ``start`` warm-starts the iteration from a reduced model: its mirrored
-    poles are the first shifts and its residue rows the first tangential
-    directions (``cfg.init`` and ``cfg.seed`` are then unused). On
+    poles, in the model's canonical order, are the first shifts and its
+    residue rows the first tangential directions (``cfg.init`` and
+    ``cfg.seed`` are then unused). On
     convergence the returned model satisfies the bitangential Hermite
     conditions at its mirrored poles against ``g``: its
     :func:`delayh2.h2.optimality_residuals` are checked and folded into

@@ -25,6 +25,15 @@ and builds payloads (:func:`delay_scaled_payload`), whose stored decimal
 digits must not depend on the arithmetic of the sums.
 
 Results leave a backend as complex128 through :meth:`Backend.to_complex`.
+
+A third arithmetic serves the delay search's grid screen on payload models
+(:func:`path_lattice`): double-double numbers (an unevaluated sum hi + lo
+of two float64 arrays; Dekker, Numer. Math. 18, 1971) built from the error-
+free TwoSum and TwoProduct (with Dekker's split), the compensated arithmetic
+of Ogita, Rump and Oishi (SISC 26, 2005). They keep about 106 bits in plain
+numpy array code, enough to rank a payload's grid cells, where float64
+misranks them by O(1) and :class:`XComplex` would be one Python call per
+operation.
 """
 
 from __future__ import annotations
@@ -356,3 +365,214 @@ def delay_scaled_payload(hp, tau: np.ndarray, gam: np.ndarray) -> tuple[tuple, t
         if np.any(tau):
             right = right * _mp_exp(np.outer(mu, _mp_mpf(tau)))
     return tuple(map(tuple, left)), tuple(map(tuple, right))
+
+
+
+# ---------------------------------------------------------------------------
+# double-double lattice sums
+#
+# A real double-double is a pair (hi, lo) of float64 arrays; a complex one
+# is (re, im) of two such pairs, im None where every imaginary part is
+# exactly 0 (real poles and residues then cost one real product each).
+
+# error unit of the double-double operations: 4 u^2 with u = 2^-53
+DD_UNIT = 2.0 ** -104
+# entries of a full-size double-double temporary in path_lattice; larger
+# blocks raise the peak resident set, and near 128 kB they fragment the heap
+DD_BLOCK = 4096
+_SPLITTER = 134217729.0   # 2^27 + 1
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    """(a1, a2) with a1 + a2 = a, each of at most 26 significant bits (Dekker)."""
+    c = _SPLITTER * a
+    a1 = c - (c - a)
+    return a1, a - a1
+
+
+def dd_add(a, b):
+    """Sum of real double-doubles, normalised.
+
+    Errs by at most 3u^2 (|a| + |b|) < DD_UNIT (|a| + |b|): one rounding of
+    the low parts' sum and one of its sum with the leading error, each
+    below u times a quantity of order u (|a| + |b|).
+    """
+    s, e = _two_sum(a[0], b[0])
+    return _two_sum(s, e + (a[1] + b[1]))
+
+
+def _dd_mul(a, b):
+    """Product of real double-doubles, normalised; relative error below
+    2 DD_UNIT.
+
+    The leading product's error is exact (Dekker's TwoProduct), the cross
+    products ah bl and al bh are rounded, and al bl, below u^2 |ab|, is
+    dropped. Each operand is split where it is given, so a product of
+    broadcast factors splits only the factors.
+    """
+    ah, al = a
+    bh, bl = b
+    p = ah * bh
+    a1, a2 = _split(ah)
+    b1, b2 = _split(bh)
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    e += ah * bl + al * bh
+    s = p + e
+    return s, e - (s - p)
+
+
+def _cmap(fn, *xs):
+    """Complex double-doubles of ``fn`` applied to the matching arrays of
+    complex double-doubles of one realness."""
+    return tuple(None if c[0] is None else tuple(fn(*arrays) for arrays in zip(*c))
+                 for c in zip(*xs))
+
+
+def _cdd_mul(x, y):
+    """Product of complex double-doubles; errs by at most 4 DD_UNIT |x| |y|
+    (2.75 DD_UNIT |x| |y| per component)."""
+    (xr, xi), (yr, yi) = x, y
+    re = _dd_mul(xr, yr)
+    if xi is None and yi is None:
+        return re, None
+    if xi is None:
+        return re, _dd_mul(xr, yi)
+    if yi is None:
+        return re, _dd_mul(xi, yr)
+    xy = _dd_mul(xi, yi)
+    return (dd_add(re, (-xy[0], -xy[1])),
+            dd_add(_dd_mul(xr, yi), _dd_mul(xi, yr)))
+
+
+def _dd_parts(m: int, e: int) -> tuple[float, float]:
+    """m 2^e as hi + lo, each rounded to nearest: off by at most 2^-106 |m 2^e|."""
+    hi = float(m)
+    return math.ldexp(hi, e), math.ldexp(float(m - int(hi)), e)
+
+
+def _to_dd(a: np.ndarray):
+    """Complex double-double of an XComplex array, each component within
+    2^-106 of its value."""
+    exact = lambda v: v if v.__class__ is XComplex else _coerce(v)
+    parts = np.array([_dd_parts(v.re, v.exp) + _dd_parts(v.im, v.exp)
+                      for v in map(exact, a.flat)]).reshape(a.shape + (4,))
+    re = parts[..., 0], parts[..., 1]
+    return re, (parts[..., 2], parts[..., 3]) if np.any(parts[..., 2]) else None
+
+
+def _cdd_powers(z, n: int):
+    """z^0, ..., z^(n-1) of complex double-doubles, along a new last axis.
+
+    Doubling: the powers so far and the latest square are multiplied by
+    that square in one product, so z^r carries r times the rounding of z
+    and at most r product errors.
+    """
+    sq = _cmap(lambda a: a[..., None], z)
+    pw = _cmap(np.zeros_like, sq)
+    pw[0][0][...] = 1.0
+    while pw[0][0].shape[-1] < n:
+        prod = _cdd_mul(_cmap(lambda p, s: np.concatenate([p, s], axis=-1), pw, sq), sq)
+        pw = _cmap(lambda p, q: np.concatenate([p, q[..., :-1]], axis=-1), pw, prod)
+        sq = _cmap(lambda q: q[..., -1:], prod)
+    return _cmap(lambda p: p[..., :n], pw)
+
+
+def lattice_points(x: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i, x - i spacing) of points x within rounding of the lattice i spacing.
+
+    The offset is exact but for its one rounding: i spacing is split exactly
+    into fl(i spacing) + e (TwoProduct), and x - fl(i spacing) is exact.
+    """
+    i = np.rint(x / spacing)
+    p, e = _dd_mul((i, 0.0), (spacing, 0.0))
+    return i.astype(np.intp), (x - p) - e
+
+
+def _dd_sum_rows(hi, lo):
+    """Pairwise sum over the first axis, overwriting the rows; each term
+    passes through at most 2 ceil(log2 rows) additions (an odd row out is
+    first added to row 0)."""
+    while hi.shape[0] > 1:
+        h = hi.shape[0] // 2
+        if hi.shape[0] % 2:
+            hi[0], lo[0] = dd_add((hi[0], lo[0]), (hi[-1], lo[-1]))
+        hi, lo = dd_add((hi[:h], lo[:h]), (hi[h:2 * h], lo[h:2 * h]))
+    return hi[0], lo[0]
+
+
+def path_lattice(mu, coef, spacing: float, length: int, offset: float):
+    """Re F_p(i spacing), i < length, of F_p(t) = sum_j coef[j, p] e^{mu_j t}.
+
+    ``mu`` (N,) and ``coef`` (N, P) are XComplex arrays, used inside their
+    backend's context. Returns (hi, lo, slope, bound), each (P, length)
+    but the bound: Re F_p in double-double, Re F_p' in float64, and
+    ``bound``, the absolute error, before its final rounding to binary64,
+    of sum_p F_p(i_p spacing + d_p) formed as the dd_add sum over p of
+    (hi, lo)[p, i_p] plus the float64 sum of slope[p, i_p] d_p, for any
+    indices and any |d_p| <= ``offset`` (the distance of the points read
+    from the lattice).
+
+    z = e^{mu spacing} and the block power w = z^B (B the power of two
+    with B^2 >= length, so w takes log2 B squarings) are formed in
+    XComplex and rounded to double-double. Their power tables have B and
+    Q = ceil(length / B) columns, and z^{qB + r} = w^q z^r makes one
+    full-size product per channel pair, formed over blocks of w-powers of
+    at most DD_BLOCK entries.
+
+    The bound, with U = DD_UNIT, S = sum |coef| and S1 = sum |mu coef|
+    (every term magnitude |coef e^{mu t}| is at most |coef| for t >= 0 on
+    stable poles): z and w round by U/2 each and every complex product
+    errs by at most 4U, so z^r and w^q carry 4.5U per power; coef w^q adds
+    4.5U and the real part of its product with z^r 2.75U. Summing N terms
+    pairwise adds 2 ceil(log2 N) U, and the caller's P additions P U, so
+    the sums err by at most (5 (B + Q) + 2 ceil(log2 N) + P + 2) U S. The
+    float64 slope (three rounded complex products per term, summed over N)
+    errs by at most (N + P + 16) u S1 offset in the correction, u = 2^-53,
+    and dropping the second order of e^{mu d} = 1 + mu d + ... by at most
+    S (max|mu| offset)^2 while max|mu| offset < ln 2 (offsets are of order
+    u times the delay).
+    """
+    n, pairs = coef.shape
+    b = 1 << ((length - 1).bit_length() + 1) // 2
+    q = -(-length // b)
+    z = w = _xc_exp(mu * _coerce(spacing))
+    for _ in range(b.bit_length() - 1):
+        w = w * w
+    zw = _cdd_powers(_to_dd(np.concatenate([z, w])), max(b, q))
+    zp = _cmap(lambda a: a[:n, None, :b], zw)
+    wp = _cmap(lambda a: a[n:, :q], zw)
+    k = _to_dd(coef)
+    hi, lo = np.empty((pairs, q * b)), np.empty((pairs, q * b))
+    rows = max(1, DD_BLOCK // (n * b))
+    for p in range(pairs):
+        ar, ai = _cdd_mul(_cmap(lambda a: a[:, p, None], k), wp)
+        for c in range(0, q, rows):
+            part = slice(c, c + rows)
+            terms = _dd_mul((ar[0][:, part, None], ar[1][:, part, None]), zp[0])
+            if ai is not None and zp[1] is not None:
+                t = _dd_mul((ai[0][:, part, None], ai[1][:, part, None]), zp[1])
+                terms = dd_add(terms, (-t[0], -t[1]))
+            cells = slice(c * b, (c + rows) * b)
+            hi[p, cells], lo[p, cells] = (v.ravel() for v in _dd_sum_rows(*terms))
+    hi, lo = hi[:, :length], lo[:, :length]
+
+    # the slope only scales a correction of relative size u: float64 tables
+    as_complex = lambda c: c[0][0] + (0j if c[1] is None else 1j * c[1][0])
+    mu_f = mu.astype(complex)
+    kf = as_complex(k)
+    dk = mu_f[:, None] * kf
+    slope = ((dk[:, :, None] * as_complex(wp)[:, None, :]).reshape(n, -1).T
+             @ as_complex(zp)[:, 0, :]).real.reshape(pairs, -1)[:, :length]
+    s0 = float(np.sum(np.abs(kf)))
+    s1 = float(np.sum(np.abs(dk)))
+    bound = (DD_UNIT * (5 * (b + q) + 2 * (n - 1).bit_length() + pairs + 2) * s0
+             + 2.0 ** -53 * (n + pairs + 16) * s1 * offset
+             + s0 * (float(np.max(np.abs(mu_f))) * offset) ** 2)
+    return hi, lo, slope, bound

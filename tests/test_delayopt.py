@@ -16,6 +16,7 @@ from delayh2 import (
     DelaySearchConfig,
     IrkaConfig,
     PoleResidueModel,
+    delayopt,
     h2_norm_pole_residue,
     h2_norm_sq,
     inner_product_delayed,
@@ -275,29 +276,54 @@ def test_mimo_io_dominates_full_box_grid():
         assert got >= sample - 1e-11 * max(1.0, abs(sample))
 
 
-@pytest.mark.parametrize("ny, nu, input_mask, output_mask", [
-    (1, 1, (True,), (True,)),
-    (2, 2, (True, True), (False, False)),
-    (2, 3, (True, False, True), (False, True)),
-    (2, 2, (True, True), (True, True)),
-], ids=["siso-io", "2x2-inputs", "2x3-mask-101-01", "2x2-io-cyclic"])
-def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask):
-    # the per-channel-pair table screen against the exact kernel at every
-    # returned point, on the joint grid (k <= 3) and the cyclic scans (k = 4)
+@pytest.mark.parametrize("ny, nu, input_mask, output_mask, payload, face", [
+    (1, 1, (True,), (True,), False, False),
+    (2, 2, (True, True), (False, False), False, False),
+    (2, 3, (True, False, True), (False, True), False, False),
+    (2, 2, (True, True), (True, True), False, False),
+    (1, 1, (True,), (True,), True, True),
+    (2, 2, (True, True), (False, False), True, False),
+    (2, 2, (True, True), (True, True), True, False),
+], ids=["siso-io", "2x2-inputs", "2x3-mask-101-01", "2x2-io-cyclic",
+        "payload-siso-io-face", "payload-2x2-inputs", "payload-2x2-io-cyclic"])
+def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, face):
+    # the screen against the exact kernel at every returned point, on the
+    # joint grid (k <= 3), a gauge face and the cyclic scans (k = 4): the
+    # float per-channel-pair tables to 1e-12, the payload's double-double
+    # lattice within its rounding bound
     rng = np.random.default_rng(89)
     g = random_pr(rng, 5, ny=ny, nu=nu)
     h = random_pr(rng, 2, ny=ny, nu=nu)
-    act_in = np.flatnonzero(input_mask)
-    act_out = np.flatnonzero(output_mask)
-    k_act = act_in.size + act_out.size
-    obj = _Objective(g, h, act_in, act_out)
-    grid, values = _scan(obj, k_act, 3.0,
-                         DelaySearchConfig(grid_points_per_channel=20))
+    if payload:
+        g = payload_model(g, 30)
+    obj = _Objective(g, h, np.flatnonzero(input_mask), np.flatnonzero(output_mask))
+    if face:
+        obj = obj.gauge_face(0)
+    k_act = obj.span.size
+    grid, values, _, bound = _scan(obj, k_act, 3.0,
+                                   DelaySearchConfig(grid_points_per_channel=20))
     points = _grid_points(grid)
+    size = 20 ** k_act if k_act <= 3 else 2 * k_act * 20
     assert points.shape == (values.size, k_act)
-    assert values.size == (20 ** k_act if k_act <= 3 else 2 * k_act * 20)
+    assert values.size == (2 * 20 - 1 if face else size)
     exact = np.array([obj.value(p) for p in points])
+    if payload:
+        assert np.all(np.abs(values - exact) <= bound)
+    else:
+        assert bound is None
     assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_payload_scan_ranks_the_benchmark_landscape(bench20):
+    # a float screen of this 400-point scan is off by up to 0.052 on values
+    # spanning 0.013-0.089 and has 51 local maxima; the lattice screen is
+    # within its bound everywhere and has the exact objective's one peak
+    obj = _Objective(bench20, RECORDED_REF_CORE, np.array([0]), np.array([], dtype=int))
+    grid, values, peaks, bound = _scan(obj, 1, 10.0, DelaySearchConfig())
+    exact = np.array([obj.value(p) for p in _grid_points(grid)])
+    assert np.all(np.abs(values - exact) <= bound)
+    assert bound <= 1e-12 * np.max(np.abs(exact))
+    assert peaks.size == 1 and peaks[0] == np.argmax(exact)
 
 
 @pytest.mark.parametrize("output_mask, face", [((False,), False), ((True,), True)],
@@ -311,7 +337,7 @@ def test_joint_budget_caps_one_axis_grids(output_mask, face):
     if face:
         obj = obj.gauge_face(0)
     assert obj.span.size == 1
-    grid, values = _scan(obj, 1, 3.0, DelaySearchConfig(
+    grid, values, _, _ = _scan(obj, 1, 3.0, DelaySearchConfig(
         grid_points_per_channel=10 ** 5, joint_grid_budget=500))
     assert 2 <= values.size == _grid_points(grid).shape[0] <= 500
 
@@ -404,12 +430,60 @@ RECORDED_REF_CORE = PoleResidueModel(
 def test_payload_search_is_unchanged(bench20, evaluations):
     # on a payload the rounding bound is 0: the search takes the same
     # steps and returns the same delay, bit for bit, as the comparison
-    # fn >= f did (both recorded from that code)
+    # fn >= f did (recorded from that code). Refining the one peak of each
+    # scan takes 8 evaluations; 116 when the 25 best float-screened cells
+    # were confirmed and 7 starts refined per scan
     found = optimize_delays(bench20, RECORDED_REF_CORE, DelaySearchConfig(
         input_mask=(True,), output_mask=(False,)))
     din = found.input_delays
     assert din.delays[0].hex() == "0x1.165b17cc574dfp+3"
-    assert evaluations[0] == 116
+    assert evaluations[0] == 8
+
+
+@pytest.fixture
+def refined(monkeypatch):
+    """Records (start, x, f) of every refinement start."""
+    calls = []
+
+    def spy(obj, x0, *args, _orig=delayopt._refine, **kwargs):
+        x, f = _orig(obj, x0, *args, **kwargs)
+        calls.append((np.array(x0), x, f))
+        return x, f
+    monkeypatch.setattr(delayopt, "_refine", spy)
+    return calls
+
+
+def _cascade(rates, gain):
+    """(poles, residues) of gain * prod_k a_k / (s + a_k), distinct rates."""
+    a = np.asarray(rates)
+    return list(-a), [gain * np.prod(a) / np.prod(np.delete(a, k) - a[k])
+                      for k in range(a.size)]
+
+
+def test_each_peak_is_refined(refined):
+    # a fast and a slow 5-lag cascade against a first-order lag: the delay
+    # landscape has a maximum near 0.9 and a higher one near 11.6. Ranked
+    # grid cells would all sit on the higher peak; one start per peak
+    # refines both, and the search returns the higher maximum
+    fast = _cascade([3.0, 3.3, 3.6, 3.9, 4.2], 1.0)
+    slow = _cascade([0.3, 0.32, 0.34, 0.36, 0.38], 12.0)
+    g = make_siso(fast[0] + slow[0], fast[1] + slow[1])
+    h = make_siso([-4.0], [4.0])
+    found = optimize_delays(g, h, DelaySearchConfig(
+        tau_max=20.0, output_mask=(False,), extend_box=False))
+    assert len(refined) == 2
+    low, high = sorted(refined, key=lambda r: r[0][0])
+    assert low[0][0] < 2.0 and 10.0 < high[0][0] < 13.0
+    assert high[2] > low[2]
+    assert found.input_delays.delays[0] == high[1][0]
+
+
+def test_benchmark_search_refines_one_start_per_scan(bench20, refined):
+    # the landscape has one peak, and the box doubles once (5 -> 10)
+    found = optimize_delays(bench20, RECORDED_REF_CORE, DelaySearchConfig(
+        input_mask=(True,), output_mask=(False,)))
+    assert found.tau_max == 10.0
+    assert len(refined) <= 2
 
 
 def test_config_validation():

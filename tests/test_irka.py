@@ -283,6 +283,19 @@ def test_jump_cuts_cold_iterations(gt_zero_delay):
     assert np.max(np.abs(after - shifts)) / np.max(np.abs(shifts)) < cfg.shift_tol
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_warm_start_from_a_converged_model_takes_one_projection(gt_zero_delay, order):
+    # the start keeps its canonical order, the order of every iterate, so
+    # the first movement compares each shift with its own update
+    cfg = IrkaConfig(order=order)
+    res = irka_reduce(gt_zero_delay, cfg)
+    assert res.converged
+    again = irka_reduce(gt_zero_delay, cfg, res.model)
+    assert again.converged
+    assert again.iterations == 1
+    assert again.final_shift_movement < cfg.shift_tol
+
+
 def test_exact_mirror_found_after_every_jump(gt_zero_delay, monkeypatch):
     # the extrapolated pair stays bitwise conjugate, so every projection
     # after a jump still computes one row for it

@@ -202,6 +202,59 @@ def test_scalar_is_accurate_to_the_working_width(op):
             assert abs(exact(z) - want) <= tol
 
 
+# ---------------------------------------------------------------------------
+# the double-double kernel of the payload grid screen
+
+
+def _dd_operands(rng, n):
+    """Normalised real double-doubles over 60 binades, both signs."""
+    hi = rng.standard_normal(n) * 2.0 ** rng.integers(-30, 30, n)
+    lo = hi * rng.uniform(-1.0, 1.0, n) * 2.0 ** -53
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+def test_double_double_operations_meet_their_bounds():
+    # against exact rationals: a sum errs by at most DD_UNIT (|a| + |b|),
+    # also under cancellation, a real product by 2 DD_UNIT |ab| and a
+    # complex one by 4 DD_UNIT |x| |y|
+    from fractions import Fraction
+    rng = np.random.default_rng(12)
+    n = 600
+    a, b, c, d = (_dd_operands(rng, n) for _ in range(4))
+    near = rng.random(n) < 0.3   # b close to -a: heavy cancellation
+    b = (np.where(near, -a[0], b[0]), np.where(near, -a[1] * 0.5, b[1]))
+    exact = lambda x, i: Fraction(x[0][i]) + Fraction(x[1][i])
+    s = precision.dd_add(a, b)
+    p = precision._dd_mul(a, b)
+    x, y = (a, b), (c, d)
+    xy = precision._cdd_mul(x, y)
+    u = Fraction(precision.DD_UNIT)
+    for i in range(n):
+        ea, eb, ec, ed = (exact(v, i) for v in (a, b, c, d))
+        assert abs(exact(s, i) - (ea + eb)) <= u * (abs(ea) + abs(eb))
+        assert abs(exact(p, i) - ea * eb) <= 2 * u * abs(ea * eb)
+        err2 = (exact(xy[0], i) - (ea * ec - eb * ed)) ** 2 \
+            + (exact(xy[1], i) - (ea * ed + eb * ec)) ** 2
+        assert err2 <= (4 * u) ** 2 * (ea ** 2 + eb ** 2) * (ec ** 2 + ed ** 2)
+
+
+def test_path_lattice_blocks_give_the_same_sums(monkeypatch):
+    # the full-size product runs over blocks of w-powers; any block size
+    # gives the same lattice, bit for bit
+    g = payload_model(random_pr(np.random.default_rng(13), 6, ny=2, nu=2), 30)
+    obj = _Objective(g, random_pr(np.random.default_rng(14), 2, ny=2, nu=2),
+                     np.array([0, 1]), np.array([0, 1]))
+    coef = obj.k.reshape(obj.mu.size, -1)
+    with obj.bk.context():
+        want = precision.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
+        for block in (1, 100, 10 ** 6):
+            monkeypatch.setattr(precision, "DD_BLOCK", block)
+            got = precision.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
+            assert all(np.array_equal(u, v) for u, v in zip(got[:3], want[:3]))
+            assert got[3] == want[3]
+
+
 def _scaled(g, k):
     """``g`` with its left residues times the exact power 2^k."""
     hp = None
