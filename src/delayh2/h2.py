@@ -11,7 +11,9 @@ channel term by mu_j once more). Norms are the zero-delay self case, and the
 gap is assembled from three such numbers. :func:`gap_gradient` is the one
 first-order computation: the gap's gradient in the residues and poles
 (transfer-value defects at the mirrored poles against the delay-advanced
-surrogate) and in the delays (-2x the cross derivative). The optimality
+surrogate, from :func:`delayh2.models.transfer_values`, the kernel the IRKA
+pencil reads, one sum per exact mirror pair of poles on a conjugate-closed
+payload) and in the delays (-2x the cross derivative). The optimality
 residuals, and with them every first-order certificate, are half its
 magnitudes. The kernel has two stages: the zero-delay term
 tensor K[j, m, l] = l_jm H(-mu_j)_ml r_jl, and the delayed sum of K against
@@ -43,8 +45,7 @@ from .models import (
     HighPrecisionTerms,
     PoleResidueModel,
     _as_delayed,
-    eval_transfer,
-    eval_transfer_derivative,
+    transfer_values,
 )
 from .precision import Backend, backend_for, delay_scaled_payload
 
@@ -281,13 +282,12 @@ def gap_gradient(g: PoleResidueModel, hd: DelayedModel | PoleResidueModel):
     d_left = np.zeros((n, h.ny), dtype=complex)
     d_right = np.zeros((n, h.nu), dtype=complex)
     d_poles = np.zeros(n, dtype=complex)
+    (gt_val, gt_nder), (h_val, h_nder) = (transfer_values(m, -h.poles) for m in (gt, h))
     for k in range(n):
-        s = -h.poles[k]
-        err = eval_transfer(gt, s) - eval_transfer(h, s)
-        derr = eval_transfer_derivative(gt, s) - eval_transfer_derivative(h, s)
+        err = gt_val[k] - h_val[k]
         d_left[k] = -2.0 * (err @ h.right[k])
         d_right[k] = -2.0 * (h.left[k] @ err)
-        d_poles[k] = 2.0 * (h.left[k] @ derr @ h.right[k])
+        d_poles[k] = 2.0 * (h.left[k] @ (h_nder[k] - gt_nder[k]) @ h.right[k])
     return d_left, d_right, d_poles, d_in, d_out
 
 

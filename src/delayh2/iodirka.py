@@ -78,13 +78,16 @@ class IoDirkaConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One outer iteration: the delayed model it produced and its gap."""
+    """One outer iteration: the delayed model it produced, its gap, and its
+    core reduction's counts (see :class:`delayh2.irka.IrkaResult`)."""
 
     outer: int
     model: DelayedModel
     gap: GapValue
     irka_iterations: int
     irka_converged: bool
+    irka_jumps: int
+    irka_reflections: int
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,9 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         gap = compute_gap(g, hd, norm_g_sq)
         trace.append(TraceEntry(outer=outer, model=hd, gap=gap,
                                 irka_iterations=res.iterations,
-                                irka_converged=res.converged))
+                                irka_converged=res.converged,
+                                irka_jumps=res.jumps,
+                                irka_reflections=res.reflections))
 
         delays_now = np.concatenate([din.as_array(), dout.as_array()])
         if prev_model is not None:

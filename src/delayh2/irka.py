@@ -13,26 +13,23 @@ pencil is assembled one of two ways, by precision backend:
   3e17) it is 35x less accurate, enough to give a real reduced pole complex
   residues.
 * Models with a high-precision payload build the same pencil in Loewner
-  form from tangential transfer data at the n shifts, G(s_i) b_i,
-  c_i^T G(s_i) and c_i^T G'(s_i) b_i, combining conjugate pairs on the
-  n-by-n pencil: O(N n ny nu) extended-precision products (see
-  :mod:`delayh2.precision`) instead of O(N n^2). Its divided differences
-  cancel log10(max|s| / min|s_i - s_j|) digits, so they run at the
-  payload precision raised by that many plus one. The
-  pencil is rounded to float64 only after that cancellation, and every
-  reduced model is plain float64.
+  form from the transfer data G(s_i) and -G'(s_i) at the n shifts, which
+  :func:`delayh2.models.transfer_data` computes, the kernel the exit
+  certificate and ``eval_transfer`` read too: O(N n ny nu) exact integer
+  products instead of O(N n^2). The divided differences cancel
+  log10(max|s| / min|s_i - s_j|) digits, so the pencil runs at the payload
+  precision raised by that many plus one, and is rounded to float64 only
+  after that cancellation. Its n-by-n algebra runs on lists of scalars.
 
-  A real system's shifts come in conjugate pairs, and where the data at s
-  is exactly conjugate to the data at s' the pencil needs only one of
-  them. A pair is an exact mirror when the payload is exactly
-  conjugate-closed (checked once per :func:`irka_reduce`, O(N) exact
-  comparisons) and the pair's shifts and both directions are bitwise
-  conjugates. A mirror costs one shift's transfer data, O(N ny nu)
-  products, and one row of Er and Ar instead of two; its partner's data is
+  A pair is an exact mirror when the payload is exactly conjugate-closed
+  (``HighPrecisionTerms.conjugate_closed``, checked once per payload) and
+  the pair's shifts and both directions are bitwise conjugates. A mirror
+  costs one row of data, Er and Ar instead of two: its partner's data is
   the exact conjugate, and its two combined rows are the real and
-  imaginary parts of the one row, which is exactly what combining the
-  conjugate rows gives. Any other pair (a payload that is not closed, or a
-  warm start conjugate only to rounding) computes both rows.
+  imaginary parts of the one row, rounded, which is exactly what combining
+  the conjugate rows gives. Any other pair (a payload that is not closed,
+  or a warm start conjugate only to rounding) computes both rows, and
+  combines them in working precision.
 
 The fixed point converges only linearly, so every third plain step the
 iterate (shifts and tangential directions, real and imaginary parts
@@ -47,7 +44,9 @@ compares a projection's output with its input, shift by shift, and the
 returned model is always a projection output, never an extrapolated
 point. Every iterate, the first included, orders its shifts as the
 mirrored poles of a canonical model (a pair's -Im shift first), so a warm
-start from a converged model stops after one projection.
+start from a converged model stops after one projection. Iterates stay raw
+canonical arrays, checked as a model would check them, and the
+:class:`PoleResidueModel` is built once, at exit.
 
 At a fixed point the reduced model bitangentially Hermite-interpolates the
 target at its mirrored poles: the gap gradient in the residues and poles
@@ -66,15 +65,17 @@ import numpy as np
 
 from .errors import DegenerateDirections, DelayH2Error
 from .h2 import h2_norm_pole_residue, optimality_residuals
-from .models import PoleResidueModel, _sort_permutation, canonicalize_terms
+from .models import (
+    PoleResidueModel,
+    _sort_permutation,
+    canonicalize_terms,
+    checked_order,
+    transfer_data,
+)
 from .precision import Backend, backend_for
 
 DIRECTION_TINY = 1e-14
 INIT_MODES = ("log-spaced-real", "random-stable")
-
-# elementwise parts of working-precision (object) arrays, without rounding
-_real_part = np.frompyfunc(lambda v: v.real, 1, 1)
-_imag_part = np.frompyfunc(lambda v: v.imag, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -180,60 +181,27 @@ def _pair_structure(shifts: np.ndarray) -> list[tuple[int, int | None]]:
     return groups
 
 
-def _combine_pairs(M: np.ndarray, groups, mirrored=()) -> np.ndarray:
+def _combine_pairs(M: np.ndarray, groups) -> np.ndarray:
     """Replace each conjugate pair's columns (k, kc) of ``M``, in place, by
-    their half-sum and half-difference-over-i; pass ``M.T`` for rows.
+    their half-sum and half-difference-over-i.
 
     A conjugate shift pair spans {v, v'}. With conjugate-closed data v'
     equals v conjugated up to the term-pairing permutation, so the combined
-    columns make every pencil sum over the terms come out real. For a pair
-    in ``mirrored`` column kc is the exact conjugate of column k, so the
-    combination is exactly (Re, Im) of column k, and column kc is not read.
+    columns make every pencil sum over the terms come out real.
     """
     for k, kc in groups:
-        if kc is None:
-            continue
-        if (k, kc) in mirrored:
-            M[:, k], M[:, kc] = _real_part(M[:, k]), _imag_part(M[:, k])
-        else:
+        if kc is not None:
             a, b = M[:, k].copy(), M[:, kc].copy()
             M[:, k], M[:, kc] = 0.5 * (a + b), -0.5j * (a - b)
     return M
 
 
-def _payload_closed(g: PoleResidueModel) -> bool:
-    """Whether ``g`` has a payload that is exactly conjugate-closed: each
-    real pole carries real residues, and each complex term is followed (in
-    canonical order) by its exact conjugate term."""
-    hp = g.hp
-    if hp is None:
-        return False
-    # exact comparisons: conjugation and negation round to the working
-    # precision, while a sum of two numbers is 0 only when they cancel exactly
-    conj_of = lambda a, b: a.real == b.real and a.imag + b.imag == 0
-    k = 0
-    while k < len(hp):
-        row = (hp.poles[k],) + hp.left[k] + hp.right[k]
-        if hp.poles[k].imag == 0:
-            if any(v.imag != 0 for v in row):
-                return False
-            k += 1
-            continue
-        kc = k + 1
-        if kc == len(hp) or not all(map(
-                conj_of, (hp.poles[kc],) + hp.left[kc] + hp.right[kc], row)):
-            return False
-        k += 2
-    return True
-
-
 def _exact_mirrors(shifts, bdirs, cdirs, groups) -> list[tuple[int, int]]:
     """The pairs (k, kc) of ``groups`` whose shift and both directions at kc
     are bitwise the conjugates of those at k."""
+    conj = lambda a, k, kc: a[kc].tolist() == a[k].conj().tolist()
     return [(k, kc) for k, kc in groups if kc is not None
-            and shifts[kc] == np.conj(shifts[k])
-            and np.array_equal(bdirs[kc], np.conj(bdirs[k]))
-            and np.array_equal(cdirs[kc], np.conj(cdirs[k]))]
+            and all(conj(a, k, kc) for a in (shifts, bdirs, cdirs))]
 
 
 def _loewner_digits(shifts: np.ndarray) -> int:
@@ -266,63 +234,76 @@ def _loewner_pencil(bk: Backend, g: PoleResidueModel, shifts, bdirs, cdirs,
     fractions turn each entry of W^T V into a divided difference:
     Er_ij = (c_i^T G(s_i) b_j - c_i^T G(s_j) b_j) / (s_j - s_i), or
     -c_i^T G'(s_i) b_j where s_i = s_j; Ar = Er diag(s) - [c_i^T G(s_i) b_j],
-    Br_i = c_i^T G(s_i) and Cr_j = G(s_j) b_j. Conjugate pairs are combined
-    on the n-by-n rows and columns. O(N n ny nu) products instead of O(N n^2).
+    Br_i = c_i^T G(s_i) and Cr_j = G(s_j) b_j. G and -G' come from
+    :func:`delayh2.models.transfer_data`, O(N n ny nu) products instead of
+    O(N n^2), and conjugate pairs are combined on the n-by-n rows and
+    columns in working precision.
 
     For each pair (k, kc) in ``mirrored`` (see :func:`_exact_mirrors`) on an
     exactly conjugate-closed payload, G(s_kc) is the conjugate of G(s_k):
     only row k is computed, column kc of Cr is the conjugate of column k,
-    and the pair's combined rows are (Re, Im) of row k.
+    and the pair's combined rows (columns of Cr) are (Re, Im) of row k
+    rounded, which is exact.
     """
     n = shifts.size
     partners = {kc for _, kc in mirrored}
     rows = [i for i in range(n) if i not in partners]
+    dot = lambda x, y: sum(p * q for p, q in zip(x, y))
     with bk.context():
-        mu, left, right = bk.terms(g)
-        s, b, c = bk.lift(shifts), bk.lift(bdirs), bk.lift(cdirs)
-        inv = (1.0 / (s[rows, None] - mu[None, :]))[:, :, None, None]
-        terms = inv * (left[:, :, None] * right[:, None, :])  # psi_k / (s_i - mu_k)
-        gval = terms.sum(axis=1)                           # G(s_i), (rows, ny, nu)
-        gder = (inv * terms).sum(axis=1)                   # -G'(s_i)
-        Br = np.einsum("im,iml->il", c[rows], gval)
-        Cr = np.empty((g.ny, n), dtype=object)
-        Cr[:, rows] = np.einsum("jml,jl->mj", gval, b[rows])
+        # n-by-n scalar algebra on XComplex lists: numpy per operation
+        # would cost more than the arithmetic
+        half, mhalfj, *s = bk.lift(np.concatenate([[0.5, -0.5j], shifts])).tolist()
+        b, c = bk.lift(bdirs).tolist(), bk.lift(cdirs).tolist()
+        gval, gder = (a.tolist() for a in transfer_data(bk, g, shifts[rows]))
+        Br = [[dot(c[i], col) for col in zip(*G)] for i, G in zip(rows, gval)]
+        Cr = {j: [dot(row, b[j]) for row in G] for j, G in zip(rows, gval)}
         for k, kc in mirrored:
-            Cr[:, kc] = np.conj(Cr[:, k])                  # exact at this precision
-        at_i = Br @ b.T                                    # c_i^T G(s_i) b_j
-        at_j = c[rows] @ Cr                                # c_i^T G(s_j) b_j
-        same = shifts[rows, None] == shifts[None, :]
-        quotient = (at_i - at_j) / np.where(same, 1, s[None, :] - s[rows, None])
-        Er = np.where(same, np.einsum("im,iml,jl->ij", c[rows], gder, b), quotient)
-        Ar = Er * s[None, :] - at_i
-        Er, Ar = (_rows_of(n, rows, _combine_pairs(M, groups)) for M in (Er, Ar))
-        Br = _rows_of(n, rows, Br)
-        _combine_pairs(Cr, groups, mirrored)
-        for M in (Er, Ar, Br):
-            _combine_pairs(M.T, groups, mirrored)
-        return [bk.to_complex(M) for M in (Er, Ar, Br, Cr)]
+            Cr[kc] = [v.conjugate() for v in Cr[k]]        # exact at this precision
+        full = {}
+        for i, Bi, Di in zip(rows, Br, gder):
+            Er, Ar = [], []
+            for j in range(n):
+                at_i = dot(Bi, b[j])                       # c_i^T G(s_i) b_j
+                if shifts[i] == shifts[j]:
+                    e = dot(c[i], [dot(row, b[j]) for row in Di])
+                else:
+                    e = (at_i - dot(c[i], Cr[j])) / (s[j] - s[i])
+                Er.append(e)
+                Ar.append(e * s[j] - at_i)
+            full[i] = Er + Ar + Bi + Cr[i]
+        for M in full.values():                            # columns of Er, Ar
+            for k, kc in (p for p in groups if p[1] is not None):
+                for o in (0, n):
+                    x, y = M[o + k], M[o + kc]
+                    M[o + k], M[o + kc] = half * (x + y), mhalfj * (x - y)
+        for k, kc in (p for p in groups if p[1] is not None and p not in mirrored):
+            x, y = full[k], full[kc]                       # rows of both
+            full[k] = [half * (u + v) for u, v in zip(x, y)]
+            full[kc] = [mhalfj * (u - v) for u, v in zip(x, y)]
+    # a mirrored pair's combined rows are (Re, Im) of row k rounded, exactly
+    out = np.zeros((n, 2 * n + g.nu + g.ny), dtype=complex)
+    for i, M in full.items():
+        out[i] = M
+    for k, kc in mirrored:
+        out[kc] = out[k].imag
+        out[k] = out[k].real
+    return out[:, :n], out[:, n:2 * n], out[:, 2 * n:2 * n + g.nu], out[:, 2 * n + g.nu:].T
 
 
-def _rows_of(n: int, rows, M: np.ndarray) -> np.ndarray:
-    """n-row object array holding ``M`` at ``rows`` (other rows unset)."""
-    out = np.empty((n,) + M.shape[1:], dtype=object)
-    out[rows] = M
-    return out
-
-
-def _project(g: PoleResidueModel, shifts, bdirs, cdirs, groups, closed: bool):
+def _project(g: PoleResidueModel, shifts, bdirs, cdirs, groups):
     """Projected pencil (Er, Ar, Br, Cr) at the shifts, as complex128.
 
     A payload model runs the Loewner form at its precision raised by the
     digits the quotient cancels, computing one row per exact mirror pair
-    when ``closed`` (see :func:`_payload_closed`); a float model keeps the
+    when the payload is exactly conjugate-closed; a float model keeps the
     direct contraction, which is better conditioned in binary64.
     """
     bk = backend_for(g)
     if bk.dps is None:
         return _direct_pencil(g, shifts, bdirs, cdirs, groups)
     hi = Backend(bk.dps + _loewner_digits(shifts))
-    mirrored = _exact_mirrors(shifts, bdirs, cdirs, groups) if closed else []
+    mirrored = _exact_mirrors(shifts, bdirs, cdirs, groups) \
+        if g.hp.conjugate_closed else []
     return _loewner_pencil(hi, g, shifts, bdirs, cdirs, groups, mirrored)
 
 
@@ -348,11 +329,26 @@ def _aitken_jump(history):
     return shifts, bdirs, ext[s.size + b.size:].reshape(c.shape)
 
 
+def _next_iterate(lam, CX, BX):
+    """Next (shifts, bdirs, cdirs) from the reduced pencil's eigen-data: the
+    mirrored poles and residue rows of the model :func:`canonicalize_terms`
+    makes of them, in its canonical order, with every check of
+    :class:`PoleResidueModel` and of the directions made but no model built."""
+    poles, lv, rv = canonicalize_terms(lam, CX.T, BX)
+    perm = checked_order(poles, lv, rv)
+    shifts, bdirs, cdirs = -poles[perm], rv[perm], lv[perm]
+    tiny = DIRECTION_TINY * max(np.abs(bdirs).max(), np.abs(cdirs).max())
+    for d in (bdirs, cdirs):
+        # row 2-norms as np.linalg.norm(d, axis=1) forms them
+        if np.sqrt((d.conj() * d).real.sum(axis=1)).min() < tiny:
+            raise DegenerateDirections("tangential direction collapsed to zero")
+    return shifts, bdirs, cdirs
+
+
 def _realify_pencil(*mats: np.ndarray) -> list[np.ndarray]:
     out = []
     for M in mats:
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if np.max(np.abs(M.imag)) > 1e-6 * scale:
+        if np.abs(M.imag).max() > 1e-6 * max(1.0, np.abs(M).max()):
             raise DelayH2Error("projected pencil failed to realify; "
                                "input data is not conjugate-closed")
         out.append(np.ascontiguousarray(M.real))
@@ -385,11 +381,9 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     if not 1 <= n <= g.order:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
     shifts, bdirs, cdirs = _initial_iterate(g, cfg, start)
-    closed = _payload_closed(g)
     movement = np.inf
     moved_ok = False
     reflections = 0
-    model = None
     iterations = 0
     jumps = 0
     plain = []
@@ -398,7 +392,7 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
         iterations += 1
         groups = _pair_structure(shifts)
         Er, Ar, Br, Cr = _realify_pencil(
-            *_project(g, shifts, bdirs, cdirs, groups, closed))
+            *_project(g, shifts, bdirs, cdirs, groups))
         try:
             lam, X = np.linalg.eig(np.linalg.solve(Er, Ar))
         except np.linalg.LinAlgError as exc:
@@ -415,18 +409,11 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
                            np.where(lam.real > 0, lam - 2 * lam.real,
                                     lam - 1e-8 * np.maximum(1.0, np.abs(lam))),
                            lam)
-        poles, lv, rv = canonicalize_terms(lam, CX.T, BX)
-        model = PoleResidueModel(poles, lv, rv)
-        new_shifts = -model.poles
-        bdirs_new = model.right.copy()
-        cdirs_new = model.left.copy()
-        dir_scale = max(np.max(np.abs(bdirs_new)), np.max(np.abs(cdirs_new)))
-        if (np.min(np.linalg.norm(bdirs_new, axis=1)) < DIRECTION_TINY * dir_scale
-                or np.min(np.linalg.norm(cdirs_new, axis=1)) < DIRECTION_TINY * dir_scale):
-            raise DegenerateDirections("tangential direction collapsed to zero")
+        new_shifts, bdirs_new, cdirs_new = _next_iterate(lam, CX, BX)
         denom = max(float(np.max(np.abs(shifts))), 1e-300)
         movement = float(np.max(np.abs(new_shifts - shifts))) / denom
         shifts, bdirs, cdirs = new_shifts, bdirs_new, cdirs_new
+        last = shifts, bdirs, cdirs
         if movement < cfg.shift_tol:
             moved_ok = True
             break
@@ -438,6 +425,8 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
                 shifts, bdirs, cdirs = jump
                 jumps += 1
 
+    shifts, bdirs, cdirs = last
+    model = PoleResidueModel(-shifts, cdirs, bdirs)
     converged = moved_ok and optimality_residuals(g, model).max_residual() \
         <= 1e-6 * max(h2_norm_pole_residue(model), 1.0)
     return IrkaResult(model=model, iterations=iterations, converged=converged,

@@ -14,7 +14,10 @@ between terms, in which case every sum over the terms must run in extended
 precision; the complex128 arrays are then only views for inspection. The
 transfer and impulse sums here are written once against
 :mod:`delayh2.precision`, which runs them in the payload precision when a
-payload is present and in float64 otherwise. All reduced-order models
+payload is present and in float64 otherwise. Transfer data has one kernel,
+:func:`transfer_data`, which the IRKA pencil, the optimality certificate
+and :func:`eval_transfer` share; on an exactly conjugate-closed payload it
+sums one point of each exactly conjugate pair. All reduced-order models
 produced by this package are plain float64.
 """
 
@@ -34,7 +37,7 @@ from .errors import (
     RepeatedPole,
     Unstable,
 )
-from .precision import backend_for, payload_terms
+from .precision import Backend, backend_for, payload_closed, payload_terms, resolvent_terms
 
 # Absolute tolerance for the imaginary leakage of sums that must be real.
 IMAG_TOL = 1e-10
@@ -77,6 +80,16 @@ class HighPrecisionTerms:
         :func:`delayh2.precision.payload_terms`), converted on first use."""
         return payload_terms(self)
 
+    @cached_property
+    def resolvent_terms(self) -> tuple:
+        """The transfer kernel's exact term data (see :func:`delayh2.precision.resolvent_terms`)."""
+        return resolvent_terms(*self.working_terms)
+
+    @cached_property
+    def conjugate_closed(self) -> bool:
+        """See :func:`delayh2.precision.payload_closed`; checked on first use."""
+        return payload_closed(self)
+
 
 def _sort_permutation(poles: np.ndarray) -> np.ndarray:
     """Canonical term order: by (Re, |Im|), positive imaginary part first.
@@ -87,6 +100,31 @@ def _sort_permutation(poles: np.ndarray) -> np.ndarray:
     re = np.real(poles)
     im = np.imag(poles)
     return np.lexsort((-np.sign(im), np.abs(im), re))
+
+
+def checked_order(poles: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Canonical order of raw (poles, left, right) term arrays, raising what
+    :class:`PoleResidueModel` raises for them (non-finite, unstable or
+    coinciding poles)."""
+    n = poles.shape[0]
+    if left.shape[0] != n or right.shape[0] != n:
+        raise DimensionMismatch(
+            f"{n} poles but {left.shape[0]} left / {right.shape[0]} right residue rows"
+        )
+    if not (np.isfinite(poles).all() and np.isfinite(left).all()
+            and np.isfinite(right).all()):
+        raise NonRealModel("non-finite entries in pole/residue data")
+    if (poles.real >= 0).any():
+        worst = poles[np.argmax(poles.real)]
+        raise Unstable(f"pole {worst} has nonnegative real part")
+    scale = max(1.0, float(np.abs(poles).max()))
+    if n > 1:
+        dist = np.abs(poles[:, None] - poles[None, :])
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() < REPEATED_POLE_RTOL * scale:
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            raise RepeatedPole(f"poles {poles[i]} and {poles[j]} coincide within tolerance")
+    return _sort_permutation(poles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,25 +160,8 @@ class PoleResidueModel:
         # 1-D residue input means one scalar channel per term
         left = left[:, None] if left.ndim == 1 else np.atleast_2d(left)
         right = right[:, None] if right.ndim == 1 else np.atleast_2d(right)
+        perm = checked_order(poles, left, right)
         n = poles.shape[0]
-        if left.shape[0] != n or right.shape[0] != n:
-            raise DimensionMismatch(
-                f"{n} poles but {left.shape[0]} left / {right.shape[0]} right residue rows"
-            )
-        if not (np.all(np.isfinite(poles)) and np.all(np.isfinite(left))
-                and np.all(np.isfinite(right))):
-            raise NonRealModel("non-finite entries in pole/residue data")
-        if np.any(np.real(poles) >= 0):
-            worst = poles[np.argmax(np.real(poles))]
-            raise Unstable(f"pole {worst} has nonnegative real part")
-        scale = max(1.0, float(np.max(np.abs(poles))))
-        if n > 1:
-            dist = np.abs(poles[:, None] - poles[None, :])
-            dist[np.diag_indices(n)] = np.inf
-            if dist.min() < REPEATED_POLE_RTOL * scale:
-                i, j = np.unravel_index(np.argmin(dist), dist.shape)
-                raise RepeatedPole(f"poles {poles[i]} and {poles[j]} coincide within tolerance")
-        perm = _sort_permutation(poles)
         object.__setattr__(self, "poles", _readonly(poles[perm]))
         object.__setattr__(self, "left", _readonly(left[perm]))
         object.__setattr__(self, "right", _readonly(right[perm]))
@@ -321,42 +342,45 @@ def canonicalize_terms(
     right = right[:, None] if right.ndim == 1 else np.atleast_2d(right)
     scale = max(1.0, float(np.max(np.abs(poles))))
     tol = pair_rtol * scale
-
-    real_idx = [k for k in range(len(poles)) if abs(poles[k].imag) <= tol]
-    pos_idx = [k for k in range(len(poles)) if poles[k].imag > tol]
-    neg_idx = [k for k in range(len(poles)) if poles[k].imag < -tol]
+    # Python scalars compare, subtract and take |.| (hypot) as numpy's do
+    P = poles.tolist()
+    real_idx = [k for k, p in enumerate(P) if abs(p.imag) <= tol]
+    pos_idx = [k for k, p in enumerate(P) if p.imag > tol]
+    neg_idx = [k for k, p in enumerate(P) if p.imag < -tol]
     if len(pos_idx) != len(neg_idx):
         raise NonRealModel("conjugate pairing impossible: unequal +Im / -Im pole counts")
 
     out_p, out_l, out_r = [], [], []
 
     def _balanced(lam, lv, rv):
-        nl = np.linalg.norm(lv)
-        nr = np.linalg.norm(rv)
+        # the 2-norms as np.linalg.norm forms them
+        nl = np.sqrt(lv.real.dot(lv.real) + lv.imag.dot(lv.imag))
+        nr = np.sqrt(rv.real.dot(rv.real) + rv.imag.dot(rv.imag))
         if nl == 0.0 or nr == 0.0:
             return lam, lv, rv
         alpha = np.sqrt(nr / nl)
         lv = lv * alpha
         rv = rv / alpha
-        k = int(np.argmax(np.abs(lv)))
-        ph = lv[k] / abs(lv[k])
+        ph = lv[np.abs(lv).argmax()]
+        ph = ph / abs(ph)
         return lam, lv / ph, rv * ph
 
-    for k in real_idx:
-        lv, rv = left[k], right[k]
-        res_scale = max(np.abs(lv).max(), np.abs(rv).max(), 1.0)
-        if max(np.abs(lv.imag).max(), np.abs(rv.imag).max()) > 1e-6 * res_scale:
-            raise NonRealModel(f"real pole {poles[k]} carries complex residues")
-        lam, lv, rv = _balanced(poles[k].real + 0j, lv.real + 0j, rv.real + 0j)
+    lr, rr = left[real_idx], right[real_idx]
+    res_scale = np.maximum(np.maximum(np.abs(lr).max(axis=1), np.abs(rr).max(axis=1)), 1.0)
+    leak = np.maximum(np.abs(lr.imag).max(axis=1), np.abs(rr.imag).max(axis=1)) > 1e-6 * res_scale
+    if leak.any():
+        raise NonRealModel(f"real pole {poles[real_idx[np.argmax(leak)]]} carries complex residues")
+    for k, lv, rv in zip(real_idx, lr.real + 0j, rr.real + 0j):
+        lam, lv, rv = _balanced(poles[k].real + 0j, lv, rv)
         out_p.append(lam)
         out_l.append(lv.real + 0j)
         out_r.append(rv.real + 0j)
 
     # pair each +Im pole with the closest conjugate among the -Im poles
     neg_free = list(neg_idx)
-    for k in sorted(pos_idx, key=lambda i: (poles[i].real, poles[i].imag)):
-        dists = [abs(poles[k] - np.conj(poles[j])) for j in neg_free]
-        jbest = int(np.argmin(dists))
+    for k in sorted(pos_idx, key=lambda i: (P[i].real, P[i].imag)):
+        dists = [abs(P[k] - P[j].conjugate()) for j in neg_free]
+        jbest = min(range(len(dists)), key=dists.__getitem__)
         if dists[jbest] > 10 * tol:
             raise NonRealModel(f"no conjugate partner for pole {poles[k]}")
         j = neg_free.pop(jbest)
@@ -404,33 +428,49 @@ def pole_residue_from_state_space(m: StateSpaceModel) -> PoleResidueModel:
 # evaluation
 
 
-def _check_not_pole(m: PoleResidueModel, s: complex) -> None:
-    scale = max(1.0, float(np.max(np.abs(m.poles))))
-    if np.min(np.abs(m.poles - s)) < EVAL_POLE_RTOL * scale:
-        raise EvalAtPole(f"evaluation point {s} is within tolerance of a pole")
+def transfer_data(bk: Backend, m: PoleResidueModel, s: np.ndarray):
+    """(G(s_i), -G'(s_i)) of ``m`` at binary64 points ``s``, each an
+    (n, ny, nu) array in ``bk``'s precision; call inside ``bk.context()``.
+
+    The one kernel of transfer data, read by the IRKA pencil, the optimality
+    certificate and :func:`eval_transfer`: one reciprocal per (point, term)
+    (see :meth:`delayh2.precision.Backend.resolvent_sums`). Mirror rule: on
+    an exactly conjugate-closed payload a point that is the exact conjugate
+    of the point before it (and not itself a mirror) is not summed; its
+    data are the conjugates of that point's.
+    """
+    mirror = bk.dps is not None and m.hp is not None and m.hp.conjugate_closed
+    part = np.zeros(s.size, dtype=bool)
+    for i in range(1, s.size):
+        part[i] = mirror and s[i].imag != 0 and not part[i - 1] and s[i] == np.conj(s[i - 1])
+    val, nder = bk.resolvent_sums(s[~part], m)
+    if part.any():
+        at = np.cumsum(~part) - 1
+        val, nder = val[at], nder[at]
+        val[part], nder[part] = np.conj(val[part]), np.conj(nder[part])
+    return val, nder
 
 
-def _transfer_sum(m: PoleResidueModel, s, derivative: bool) -> np.ndarray:
-    """sum_j w_j left_j right_j^T with w_j = 1/(s - lambda_j), or its
-    s-derivative, as an ny-by-nu matrix."""
+def transfer_values(m: PoleResidueModel, s) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`transfer_data` in ``m``'s precision, rounded to complex128; a
+    point within ``EVAL_POLE_RTOL`` (relative) of a pole raises EvalAtPole."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    near = np.abs(s[:, None] - m.poles) < EVAL_POLE_RTOL * max(1.0, float(np.abs(m.poles).max()))
+    if near.any():
+        raise EvalAtPole(f"evaluation point {s[near.any(axis=1)][0]} is within tolerance of a pole")
     bk = backend_for(m)
     with bk.context():
-        poles, left, right = bk.terms(m)
-        d = bk.lift(s)[..., None] - poles
-        w = -1.0 / d ** 2 if derivative else 1.0 / d
-        return bk.to_complex(np.einsum("...j,jm,jl->...ml", w, left, right))
+        return tuple(map(bk.to_complex, transfer_data(bk, m, s)))
 
 
 def eval_transfer(m: PoleResidueModel, s: complex) -> np.ndarray:
     """H(s) = sum_j left_j right_j^T / (s - lambda_j) as an ny-by-nu matrix."""
-    _check_not_pole(m, s)
-    return _transfer_sum(m, s, derivative=False)
+    return transfer_values(m, s)[0].reshape(np.shape(s) + (m.ny, m.nu))
 
 
 def eval_transfer_derivative(m: PoleResidueModel, s: complex) -> np.ndarray:
     """d/ds of the transfer function: -sum_j left_j right_j^T / (s - lambda_j)^2."""
-    _check_not_pole(m, s)
-    return _transfer_sum(m, s, derivative=True)
+    return -transfer_values(m, s)[1].reshape(np.shape(s) + (m.ny, m.nu))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ digits must not depend on the arithmetic of the sums.
 
 Results leave a backend as complex128 through :meth:`Backend.to_complex`.
 
+Transfer data, G(s) and -G'(s) at binary64 points, is the one sum written
+per backend (:meth:`Backend.resolvent_sums`): array code in float64, and in
+extended precision one loop over exact integers, with one truncated
+reciprocal per (point, term) and every product and sum exact. XComplex
+objects per operation would cost more than the arithmetic there.
+
 A third arithmetic serves the delay search's grid screen on payload models
 (:func:`path_lattice`): double-double numbers (an unevaluated sum hi + lo
 of two float64 arrays; Dekker, Numer. Math. 18, 1971) built from the error-
@@ -151,14 +157,6 @@ class XComplex:
         b = _coerce(b)
         return NotImplemented if b is NotImplemented else b / a
 
-    def __pow__(a, n):
-        if n.__class__ is not int or n < 0:
-            return NotImplemented
-        out = _make(1, 0, 0)
-        for _ in range(n):
-            out = out * a
-        return out
-
     def __neg__(a):
         return _make(-a.re, -a.im, a.exp)
 
@@ -167,14 +165,6 @@ class XComplex:
 
     def conjugate(a):
         return _make(a.re, -a.im, a.exp)
-
-    @property
-    def real(a):
-        return _make(a.re, 0, a.exp)
-
-    @property
-    def imag(a):
-        return _make(a.im, 0, a.exp)
 
     def __complex__(a):
         return complex(_to_float(a.re, a.exp), _to_float(a.im, a.exp))
@@ -293,6 +283,79 @@ def payload_terms(hp) -> tuple:
     return arrays
 
 
+def resolvent_terms(poles: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Integer data of :func:`_resolvent_sums` over XComplex term arrays:
+    ((ny, nu), the least exponent of a nonzero psi entry, and per term the
+    (re, im, exp) of mu_k with those of each entry of psi_k = l_k r_k^T,
+    exact). A payload keeps it (``HighPrecisionTerms.resolvent_terms``)."""
+    data = [(mu.re, mu.im, mu.exp, [(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re,
+                                      a.exp + b.exp) for a in lv for b in rv])
+            for mu, lv, rv in zip(poles, left, right)]
+    least = min((e for *_, psi in data for r, i, e in psi if r or i), default=0)
+    return (left.shape[1], right.shape[1]), least, data
+
+
+def _resolvent_sums(s: np.ndarray, terms):
+    """(sum_k w_k psi_k, sum_k w_k^2 psi_k), w_k = 1 / (z - mu_k), at each
+    binary64 point z of ``s``, over :func:`resolvent_terms` data.
+
+    Each difference z - mu_k is exact and each reciprocal is truncated
+    once, toward zero, to at least the working width; the products and the
+    sums over the terms are exact integers on one exponent per sum, and
+    each result is truncated once.
+    """
+    (ny, nu), least, data = terms
+    val = np.empty((s.size, ny * nu), dtype=object)
+    nder = np.empty_like(val)
+    for i, z in enumerate(s.tolist()):
+        z = _coerce(z)
+        zr, zi, ze = z.re, z.im, z.exp
+        w = []
+        for mr, mi, me, psi in data:
+            e = min(ze, me)
+            dr = (zr << (ze - e)) - (mr << (me - e))
+            di = (zi << (ze - e)) - (mi << (me - e))
+            den = dr * dr + di * di
+            k = _bits + 2 + den.bit_length() - max(dr.bit_length(), di.bit_length())
+            w.append(((dr << k) // den if dr >= 0 else -((-dr << k) // den),
+                      -((di << k) // den) if di >= 0 else (-di << k) // den, -e - k, psi))
+        low = min(we for _, _, we, _ in w)
+        sums = [0] * (4 * ny * nu)
+        for wr, wi, we, psi in w:
+            for j, (pr, pi, pe) in enumerate(psi):
+                if pr or pi:
+                    sh = we + pe - low - least
+                    tr, ti = wr * pr - wi * pi, wr * pi + wi * pr
+                    sums[4 * j] += tr << sh
+                    sums[4 * j + 1] += ti << sh
+                    sh += we - low
+                    sums[4 * j + 2] += (wr * tr - wi * ti) << sh
+                    sums[4 * j + 3] += (wr * ti + wi * tr) << sh
+        val[i] = [_round(sums[j], sums[j + 1], low + least) for j in range(0, len(sums), 4)]
+        nder[i] = [_round(sums[j + 2], sums[j + 3], 2 * low + least)
+                   for j in range(0, len(sums), 4)]
+    return val.reshape(-1, ny, nu), nder.reshape(-1, ny, nu)
+
+
+def payload_closed(hp) -> bool:
+    """Whether each real pole of a payload carries real residues and each
+    complex term is followed by its exact conjugate term. Conversion to
+    XComplex is exact and sign-symmetric, so the parts compare exactly."""
+    rows = [(p, *l, *r) for p, l, r in zip(*hp.working_terms)]
+    conj = lambda a, b: (a.re, a.im, a.exp) == (b.re, -b.im, b.exp)
+    k = 0
+    while k < len(rows):
+        if not rows[k][0].im:
+            if any(v.im for v in rows[k]):
+                return False
+            k += 1
+        elif k + 1 < len(rows) and all(map(conj, rows[k], rows[k + 1])):
+            k += 2
+        else:
+            return False
+    return True
+
+
 _xc_exp = np.frompyfunc(_exp, 1, 1)
 _xc = np.frompyfunc(_coerce, 1, 1)
 _mp_exp = np.frompyfunc(mp.exp, 1, 1)
@@ -326,6 +389,19 @@ class Backend:
         if m.hp is None:
             return self.lift(m.poles), self.lift(m.left), self.lift(m.right)
         return m.hp.working_terms
+
+    def resolvent_sums(self, s, m):
+        """(G(s_i), -G'(s_i)) of a pole/residue model at binary64 points
+        ``s``: sum_k w_ik psi_k and sum_k w_ik^2 psi_k with
+        w_ik = 1 / (s_i - mu_k) and psi_k = l_k r_k^T, each (n, ny, nu);
+        one reciprocal per (point, term). In extended precision the sums
+        are exact (see :func:`_resolvent_sums`), over data a payload keeps."""
+        if self.dps is None:
+            w = (1.0 / (s[:, None] - m.poles))[:, :, None, None]
+            t = w * (m.left[:, :, None] * m.right[:, None, :])
+            return t.sum(axis=1), (w * t).sum(axis=1)
+        terms = m.hp.resolvent_terms if m.hp is not None else resolvent_terms(*self.terms(m))
+        return _resolvent_sums(s, terms)
 
     def exp(self, x):
         return np.exp(x) if self.dps is None else _xc_exp(x)

@@ -272,6 +272,8 @@ def report_to_obj(report) -> dict:
             "gap": gap_to_obj(e.gap),
             "irka_iterations": int(e.irka_iterations),
             "irka_converged": bool(e.irka_converged),
+            "irka_jumps": int(e.irka_jumps),
+            "irka_reflections": int(e.irka_reflections),
         })
     return {"model": model_to_obj(report.model),
             "gap": gap_to_obj(report.gap),

@@ -93,6 +93,19 @@ def test_trace_alternating_consistency():
             assert r.max_residual() < 1e-5 * max(1.0, h2_norm_sq(g))
 
 
+def test_trace_carries_each_core_reductions_counts():
+    # outer iteration 1 reduces the surrogate at zero delays, which is g
+    # itself, from a cold start; later entries are warm-started
+    g, rep = small_report(98)
+    first = irka_reduce(g, IrkaConfig(order=2))
+    entry = rep.trace[0]
+    assert (entry.irka_iterations, entry.irka_converged, entry.irka_jumps,
+            entry.irka_reflections) == (first.iterations, first.converged,
+                                        first.jumps, first.reflections)
+    assert sum(e.irka_reflections for e in rep.trace) <= rep.total_reflections
+    assert all(e.irka_jumps >= 0 for e in rep.trace)
+
+
 @pytest.mark.parametrize("seed", [99, 101])
 def test_converged_means_certificate(seed):
     # the certificate is the fixed point of the plain alternation, so an

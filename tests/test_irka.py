@@ -7,25 +7,30 @@ import oracles
 from conftest import REF_POLE, REF_RESIDUE, make_siso, payload_model, random_pr
 import delayh2.irka as irka
 from delayh2 import (
+    DegenerateDirections,
     DelayBlock,
     DelayedModel,
     DelayH2Error,
     HighPrecisionTerms,
     IrkaConfig,
+    NonRealModel,
     PoleResidueModel,
+    RepeatedPole,
     build_bench_model,
     build_gtilde,
+    canonicalize_terms,
     compute_gap,
     h2_norm_sq,
     irka_reduce,
     optimality_residuals,
     realify_check,
 )
+from delayh2 import precision
 from delayh2.irka import (
     _aitken_jump,
     _exact_mirrors,
+    _next_iterate,
     _pair_structure,
-    _payload_closed,
     _project,
     _realify_pencil,
 )
@@ -327,7 +332,7 @@ def pencil_pair(g, shifts, bdirs, cdirs):
     """(library pencil, plain-loop direct contraction at the payload precision)."""
     shifts, bdirs, cdirs = map(np.asarray, (shifts, bdirs, cdirs))
     groups = _pair_structure(shifts)
-    got = _project(g, shifts, bdirs, cdirs, groups, _payload_closed(g))
+    got = _project(g, shifts, bdirs, cdirs, groups)
     want = oracles.direct_pencil(g.hp.poles, g.hp.left, g.hp.right, shifts,
                                  bdirs, cdirs, g.hp.dps,
                                  [p for p in groups if p[1] is not None])
@@ -376,13 +381,12 @@ def test_unclosed_payload_pencil_fails_to_realify():
     # pencil stays complex, and realifying it raises.
     g = payload_model(make_siso([-1.0 + 2.0j, -1.0 - 2.0j, -3.0, -0.5 + 1.0j],
                                 [0.7 - 0.4j, 0.7 + 0.4j, 1.2, 0.5 + 0.3j]), 30)
-    assert not _payload_closed(g)
+    assert not g.hp.conjugate_closed
     shifts = np.array([0.8 + 0.6j, 0.8 - 0.6j])
     bdirs = np.array([[1.0 + 0.3j], [1.0 - 0.3j]])
     cdirs = np.array([[0.6 - 0.2j], [0.6 + 0.2j]])
     with pytest.raises(DelayH2Error):
-        _realify_pencil(*_project(g, shifts, bdirs, cdirs,
-                                  _pair_structure(shifts), _payload_closed(g)))
+        _realify_pencil(*_project(g, shifts, bdirs, cdirs, _pair_structure(shifts)))
 
 
 def test_payload_pencil_two_mirrored_pairs():
@@ -391,7 +395,7 @@ def test_payload_pencil_two_mirrored_pairs():
     shifts = [0.3 + 0.4j, 0.3 - 0.4j, 1.1 + 0.2j, 1.1 - 0.2j]
     bdirs = [[0.8 + 0.5j], [0.8 - 0.5j], [-0.3 + 1.1j], [-0.3 - 1.1j]]
     cdirs = [[1.0 - 0.2j], [1.0 + 0.2j], [0.4 + 0.9j], [0.4 - 0.9j]]
-    assert _payload_closed(g)
+    assert g.hp.conjugate_closed
     assert _exact_mirrors(np.array(shifts), np.array(bdirs), np.array(cdirs),
                           _pair_structure(np.array(shifts))) == [(0, 1), (2, 3)]
     got, want = pencil_pair(g, shifts, bdirs, cdirs)
@@ -427,7 +431,7 @@ def test_payload_pencil_nearly_closed_payload_not_mirrored():
     moved = PoleResidueModel(closed.poles, closed.left, closed.right,
                              hp=HighPrecisionTerms(hp.poles, tuple(left),
                                                    hp.right, hp.dps))
-    assert _payload_closed(closed) and not _payload_closed(moved)
+    assert closed.hp.conjugate_closed and not moved.hp.conjugate_closed
     for g in (closed, moved):
         got, want = pencil_pair(g, [0.8 + 0.6j, 0.8 - 0.6j, 1.5],
                                 [[1.0 + 0.3j], [1.0 - 0.3j], [0.7]],
@@ -435,3 +439,158 @@ def test_payload_pencil_nearly_closed_payload_not_mirrored():
         assert (np.max(np.abs(got[0].imag)) > 0.0) == (g is moved)
         for a, w in zip(got, want):
             assert np.array_equal(a, w)
+
+
+# ---------------------------------------------------------------------------
+# the payload core, pinned bit for bit, and its extended-precision work
+
+# (iterations, jumps, hex of (Re, Im) of pole, left, right for the +Im member
+# of each conjugate pair), recorded from the payload IRKA before the pencil
+# and the certificate shared one transfer-data kernel
+RECORDED_PAYLOAD_CORES = (
+    (30, 5, [[("-0x1.0a990a7ed0cd8p-4", "0x1.03e953e0bb429p-3"),
+              ("0x1.2a5d1074fcc05p-2", "0x0.0p+0"),
+              ("-0x1.963115a706cb3p-4", "-0x1.188d089a3db2dp-2")]]),
+    (19, 4, [[("-0x1.1b1ec4da5bd88p-3", "0x1.0b375efa6ad62p-3"),
+              ("0x1.08dcde839e695p-1", "0x1.f5d99feefa1afp-57"),
+              ("-0x1.a07b18007abc2p-3", "-0x1.e713fe744d7d8p-2")],
+             [("-0x1.e40eb342aa75ap-4", "0x1.a5663a16b7397p-2"),
+              ("0x1.3f47f94b497f8p-2", "-0x0.0p+0"),
+              ("0x1.31fad089a6e7dp-2", "0x1.6cc978cff6620p-4")]]),
+    (1, 0, [[("-0x1.1b1ec4da1ff46p-3", "0x1.0b375efa84229p-3"),
+             ("0x1.08dcde836e4fdp-1", "-0x0.0p+0"),
+             ("-0x1.a07b1800aee28p-3", "-0x1.e713fe73d9b8ap-2")],
+            [("-0x1.e40eb3427fd32p-4", "0x1.a5663a16f226dp-2"),
+             ("0x1.3f47f94b1b48ep-2", "-0x1.fa706fef99faap-58"),
+             ("0x1.31fad089a59ffp-2", "0x1.6cc978cd80664p-4")]]),
+)
+
+
+@pytest.fixture(scope="module")
+def gt_half_delay(bench20):
+    return build_gtilde(bench20, DelayBlock((0.5,), (True,)), DelayBlock.zeros(1))
+
+
+def test_payload_core_is_unchanged(gt_half_delay):
+    # cold at orders 2 and 4, then one warm restart from the order-4 core
+    n2 = irka_reduce(gt_half_delay, IrkaConfig(order=2))
+    n4 = irka_reduce(gt_half_delay, IrkaConfig(order=4))
+    warm = irka_reduce(gt_half_delay, IrkaConfig(order=4), n4.model)
+    for res, (iterations, jumps, terms) in zip((n2, n4, warm), RECORDED_PAYLOAD_CORES):
+        m = res.model
+        assert res.converged and (res.iterations, res.jumps) == (iterations, jumps)
+        for a in (m.poles, m.left, m.right):
+            assert np.array_equal(a[1::2], np.conj(a[::2]))
+        assert [[(v.real.hex(), v.imag.hex()) for v in (p, l[0], r[0])]
+                for p, l, r in zip(m.poles[::2], m.left[::2], m.right[::2])] == terms
+
+
+def test_extended_precision_work_is_capped(gt_half_delay, monkeypatch):
+    # Deterministic operation counts for one warm order-4 projection with
+    # its certificate, and for the certificate alone: roundings of the
+    # extended-precision scalar (1346 and 960 when the pencil and the
+    # certificate summed on XComplex objects, the certificate at all 2n
+    # points), and the points the transfer kernel sums, one reciprocal per
+    # term each (one per mirror pair). Each call runs once first, so every
+    # payload conversion it caches is made before counting.
+    core = irka_reduce(gt_half_delay, IrkaConfig(order=4)).model
+    counted = {"round": 0, "points": 0}
+
+    def rounding(*args, _orig=precision._round):
+        counted["round"] += 1
+        return _orig(*args)
+
+    def summing(s, terms, _orig=precision._resolvent_sums):
+        counted["points"] += s.size
+        return _orig(s, terms)
+
+    for call, ceilings in (
+            (lambda: irka_reduce(gt_half_delay, IrkaConfig(order=4), core),
+             {"round": 114, "points": 4}),
+            (lambda: optimality_residuals(gt_half_delay, core), {"round": 6, "points": 2})):
+        call()
+        with monkeypatch.context() as patch:
+            patch.setattr(precision, "_round", rounding)
+            patch.setattr(precision, "_resolvent_sums", summing)
+            counted.update(round=0, points=0)
+            call()
+        assert counted["round"] <= ceilings["round"]
+        assert counted["points"] <= ceilings["points"]
+
+
+# ---------------------------------------------------------------------------
+# the float step: raw canonical arrays, the model built once at exit
+
+
+def eigen_output(rng, n_real, n_pairs, ny, nu):
+    """(lam, CX, BX) as a reduced pencil's eigen-decomposition gives them:
+    conjugate pairs equal only to rounding, in a shuffled order."""
+    lam = list(-rng.uniform(0.1, 3.0, n_real) + 0j)
+    cols = [rng.standard_normal(ny) + 0j for _ in range(n_real)]
+    rows = [rng.standard_normal(nu) + 0j for _ in range(n_real)]
+    noise = lambda *shape: 1e-13 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for _ in range(n_pairs):
+        z = complex(-rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+        c = rng.standard_normal(ny) + 1j * rng.standard_normal(ny)
+        b = rng.standard_normal(nu) + 1j * rng.standard_normal(nu)
+        lam += [z, np.conj(z) + noise()]
+        cols += [c, np.conj(c) + noise(ny)]
+        rows += [b, np.conj(b) + noise(nu)]
+    order = rng.permutation(len(lam))
+    return np.array(lam)[order], np.array(cols).T[:, order], np.array(rows)[order]
+
+
+@pytest.mark.parametrize("n_real, n_pairs, ny, nu",
+                         [(4, 0, 1, 1), (0, 2, 1, 1), (1, 2, 2, 2), (3, 1, 2, 3)])
+def test_lean_step_is_the_models_iterate(n_real, n_pairs, ny, nu):
+    rng = np.random.default_rng(1000 * n_real + 100 * n_pairs + 10 * ny + nu)
+    for _ in range(25):
+        lam, CX, BX = eigen_output(rng, n_real, n_pairs, ny, nu)
+        m = PoleResidueModel(*canonicalize_terms(lam, CX.T, BX))
+        got = _next_iterate(lam, CX, BX)
+        for a, b in zip(got, (-m.poles, m.right, m.left)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _lone_pole(out):
+    lam, left, right = out
+    return np.append(lam[:-1], lam[-1] + 0.5j), left, right
+
+
+def _repeated_pole(out):
+    lam, left, right = (a.copy() for a in out)
+    lam[1] = lam[0]
+    return lam, left, right
+
+
+def _zero_direction(out):
+    lam, left, right = (a.copy() for a in out)
+    right[0] = 0.0
+    return lam, left, right
+
+
+@pytest.mark.parametrize("error, spoil_in, spoil_out", [
+    (NonRealModel, _lone_pole, None),
+    (RepeatedPole, None, _repeated_pole),
+    (DegenerateDirections, None, _zero_direction),
+], ids=["non-real", "repeated-pole", "degenerate-directions"])
+def test_step_errors_raise_at_their_iteration(monkeypatch, error, spoil_in, spoil_out):
+    # the third canonicalization is spoiled the way each check catches; the
+    # step raises what building the model (or the direction check after it)
+    # raised, in that same iteration
+    g = random_pr(np.random.default_rng(61), 8)
+    assert irka_reduce(g, IrkaConfig(order=3)).iterations > 3
+    calls = []
+
+    def canonicalize(lam, left, right, _orig=irka.canonicalize_terms):
+        calls.append(1)
+        spoiled = len(calls) == 3
+        if spoiled and spoil_in:
+            lam, left, right = spoil_in((lam, left, right))
+        out = _orig(lam, left, right)
+        return spoil_out(out) if spoiled and spoil_out else out
+
+    monkeypatch.setattr(irka, "canonicalize_terms", canonicalize)
+    with pytest.raises(error):
+        irka_reduce(g, IrkaConfig(order=3))
+    assert len(calls) == 3

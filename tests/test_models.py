@@ -1,28 +1,33 @@
 """Model types, state-space conversion, transfer/impulse evaluation."""
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
-from conftest import make_siso, random_pr, random_ss
+from conftest import make_siso, payload_model, random_pr, random_ss
 from delayh2 import (
     DelayBlock,
     DelayedModel,
     DelayH2Error,
     DimensionMismatch,
     EvalAtPole,
+    HighPrecisionTerms,
     NonInvertibleE,
     NonRealModel,
     PoleResidueModel,
     RepeatedPole,
     StateSpaceModel,
     Unstable,
+    build_bench_model,
     eval_transfer,
     eval_transfer_derivative,
     impulse_response,
     pole_residue_from_state_space,
     realify_check,
 )
+from delayh2.models import transfer_data, transfer_values
+from delayh2.precision import Backend
 
 
 def first_order():
@@ -70,6 +75,115 @@ def test_derivative_matches_finite_difference():
         fd = (eval_transfer(m, s + h) - eval_transfer(m, s - h)) / (2 * h)
         an = eval_transfer_derivative(m, s)
         assert np.max(np.abs(fd - an)) < 1e-6 * max(1.0, np.max(np.abs(an)))
+
+
+# ---------------------------------------------------------------------------
+# the transfer-data kernel
+
+KERNEL_POINTS = np.array([0.3 - 0.7j, 0.3 + 0.7j, 1.1, 0.05 + 2.0j])
+
+
+def exact_transfer(m, s):
+    """(G(s), -G'(s), sum_k |psi_k| / |s - mu_k|, the same over |s - mu_k|^2)
+    by a plain loop in mpmath at 80 digits over the model's exact terms
+    (its payload, where it has one)."""
+    terms = (m.hp.poles, m.hp.left, m.hp.right) if m.hp is not None \
+        else (m.poles, m.left, m.right)
+    out = [np.zeros((m.ny, m.nu), dtype=complex) for _ in range(4)]
+    with mpmath.workdps(80):
+        for a in range(m.ny):
+            for b in range(m.nu):
+                sums = [mpmath.mpc(0)] * 2 + [mpmath.mpf(0)] * 2
+                for p, l, r in zip(*terms):
+                    w = 1 / (mpmath.mpc(s) - mpmath.mpc(p))
+                    psi = mpmath.mpc(l[a]) * mpmath.mpc(r[b])
+                    sums = [sums[0] + psi * w, sums[1] + psi * w * w,
+                            sums[2] + abs(psi * w), sums[3] + abs(psi * w * w)]
+                for o, v in zip(out, sums):
+                    o[a, b] = complex(v)
+    return out
+
+
+@pytest.fixture(params=["benchmark-payload", "float-2x2", "corpus-n200"])
+def kernel_model(request, corpus):
+    if request.param == "benchmark-payload":
+        return build_bench_model()
+    if request.param == "float-2x2":
+        return random_pr(np.random.default_rng(41), 6, ny=2, nu=2)
+    return corpus[200]
+
+
+def test_kernel_matches_the_exact_sums(kernel_model):
+    # A payload's (G, -G') are formed at its working precision and rounded
+    # once: within one binary64 rounding of each part. A float model's sum
+    # errs by its binary64 arithmetic: a few roundings per term.
+    m = kernel_model
+    val, nder = transfer_values(m, KERNEL_POINTS)
+    u = 2.0 ** -53
+    for i, s in enumerate(KERNEL_POINTS):
+        want, want_nder, size, size_nder = exact_transfer(m, s)
+        for got, w, scale in ((val[i], want, size), (nder[i], want_nder, size_nder)):
+            if m.hp is not None:
+                for part in (np.real, np.imag):
+                    assert np.all(np.abs(part(got) - part(w))
+                                  <= 2 * u * np.abs(part(w)) + 1e-30 * np.abs(w))
+            else:
+                assert np.all(np.abs(got - w) <= 8 * (m.order + 2) * u * scale)
+        assert np.array_equal(eval_transfer(m, s), val[i])
+        assert np.array_equal(eval_transfer_derivative(m, s), -nder[i])
+
+
+def test_kernel_mirror_rows_are_exact_conjugates():
+    m = build_bench_model()
+    assert m.hp.conjugate_closed
+    val, nder = transfer_values(m, KERNEL_POINTS[:2])
+    assert np.array_equal(val[1], np.conj(val[0]))
+    assert np.array_equal(nder[1], np.conj(nder[0]))
+
+
+def summed_rows(monkeypatch, m, points):
+    """Points the kernel sums over (the others are mirrors)."""
+    seen = []
+
+    def sums(self, s, m, _orig=Backend.resolvent_sums):
+        seen.append(s.size)
+        return _orig(self, s, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Backend, "resolvent_sums", sums)
+        transfer_values(m, points)
+    return seen[0]
+
+
+def test_kernel_sums_both_rows_unless_exactly_mirrored(monkeypatch):
+    # a conjugate pair of points on a closed payload is summed once; the
+    # same pair on a payload moved out of exact closure by one residue ulp,
+    # or a pair conjugate only to rounding, is summed twice
+    closed = payload_model(make_siso(
+        [-1.0 + 2.0j, -1.0 - 2.0j, -3.0, -0.5 + 1.0j, -0.5 - 1.0j],
+        [0.7 - 0.4j, 0.7 + 0.4j, 1.2, 0.5 + 0.3j, 0.5 - 0.3j]), 50)
+    hp = closed.hp
+    k = int(np.argmax(closed.poles.imag < 0))
+    left = list(hp.left)
+    left[k] = (left[k][0] * (1 + 2.0 ** -52),)
+    moved = PoleResidueModel(closed.poles, closed.left, closed.right,
+                             hp=HighPrecisionTerms(hp.poles, tuple(left), hp.right, hp.dps))
+    pair = np.array([0.8 - 0.6j, 0.8 + 0.6j])
+    near = np.array([pair[0], pair[1] * (1 + 2.0 ** -52)])
+    assert closed.hp.conjugate_closed and not moved.hp.conjugate_closed
+    assert summed_rows(monkeypatch, closed, pair) == 1
+    assert summed_rows(monkeypatch, moved, pair) == 2
+    assert summed_rows(monkeypatch, closed, near) == 2
+    # the extended-precision sums are exact before one truncation, so a
+    # mirror's data are what summing at its point gives, bit for bit
+    bk = Backend(hp.dps)
+    with bk.context():
+        mirrored = transfer_data(bk, closed, pair)
+        summed = bk.resolvent_sums(pair, closed)
+    parts = lambda z: (z.re, z.im, z.exp)
+    for a, b in zip(mirrored, summed):
+        assert list(map(parts, a.flat)) == list(map(parts, b.flat))
+        assert parts(b[1, 0, 0]) == parts(b[0, 0, 0].conjugate())
 
 
 # ---------------------------------------------------------------------------

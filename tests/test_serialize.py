@@ -271,7 +271,8 @@ def test_report_to_obj_shape_and_canonical():
     assert len(obj["trace"]) == rep.outer_iterations
     entry = obj["trace"][0]
     for key in ("outer", "input_delays", "output_delays", "poles", "left",
-                "right", "gap", "irka_iterations", "irka_converged"):
+                "right", "gap", "irka_iterations", "irka_converged", "irka_jumps",
+                "irka_reflections"):
         assert key in entry
     # serializable end to end, and canonical text is parseable JSON
     text = dumps_canonical(obj)
