@@ -72,8 +72,7 @@ def _impulse_series(model, t: np.ndarray) -> np.ndarray:
 
 
 def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
-              seed: int = 0, outer_max: int = 80, t_max: float = 50.0,
-              n_points: int = 2000) -> dict:
+              outer_max: int = 80, t_max: float = 50.0, n_points: int = 2000) -> dict:
     """Run the full reproduction study into ``outdir`` and return a summary."""
     if n_points < 0:
         raise DelayH2Error(f"impulse grid point count {n_points} is negative")
@@ -93,7 +92,7 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
 
     free_models = {}
     for n in orders_free:
-        res = irka_reduce(g, IrkaConfig(order=n, seed=seed))
+        res = irka_reduce(g, IrkaConfig(order=n))
         h = res.model
         free_models[n] = h
         gap = compute_gap(g, DelayedModel.undelayed(h), norm_g_sq)
@@ -108,7 +107,7 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
     for n in orders_delayed:
         cfg = IoDirkaConfig(
             order=n, outer_max_iters=outer_max,
-            irka=IrkaConfig(order=n, seed=seed),
+            irka=IrkaConfig(order=n),
             search=DelaySearchConfig(input_mask=(True,), output_mask=(False,)))
         report = io_dirka(g, cfg)
         hd = report.model

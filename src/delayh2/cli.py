@@ -109,8 +109,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_bench(args) -> int:
     summary = run_bench(
         args.out, orders_free=tuple(args.orders_free),
-        orders_delayed=tuple(args.orders_delayed), seed=args.seed,
-        outer_max=args.outer_max, t_max=args.t_max, n_points=args.points)
+        orders_delayed=tuple(args.orders_delayed), outer_max=args.outer_max,
+        t_max=args.t_max, n_points=args.points)
     ok = all(summary["checks"].values()) and all(
         d["converged"] for d in summary["delayed"].values())
     for name, val in sorted(summary["checks"].items()):
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run the benchmark reproduction study")
     b.add_argument("--out", default="bench-out", help="output directory")
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--outer-max", type=int, default=80)
     b.add_argument("--orders-free", type=_int_list, default=[2, 3, 4, 5, 6])
     b.add_argument("--orders-delayed", type=_int_list, default=[2, 4])

@@ -16,15 +16,17 @@ pencil reads, one sum per exact mirror pair of poles on a conjugate-closed
 payload) and in the delays (-2x the cross derivative). The optimality
 residuals, and with them every first-order certificate, are half its
 magnitudes. The kernel has two stages: the zero-delay term
-tensor K[j, m, l] = l_jm H(-mu_j)_ml r_jl, and the delayed sum of K against
-e^{mu_j (gamma_m + tau_l)}, which the delay search reuses on a cached K
-(and, per evaluated point, on the cached delayed terms). Both are written
-once against :mod:`delayh2.precision`: when a model carries the
+tensor K[j, m, l] = l_jm H(-mu_j)_ml r_jl, with H(-mu_j) read from the
+transfer kernel that the IRKA pencil reads
+(:meth:`delayh2.precision.Backend.resolvent_sums`), and the delayed sum of
+K against e^{mu_j (gamma_m + tau_l)}, which the delay search reuses on a
+cached K (and, per evaluated point, on the cached delayed terms). Both are
+written once against :mod:`delayh2.precision`: when a model carries the
 high-precision payload they run in its precision, on the backend's
-Gaussian-integer scalar, because the float64 sum loses everything to
-cancellation for badly conditioned residue sets. The surrogate's payload
-(:func:`build_gtilde`) is built in mpmath, so its stored digits do not
-depend on that arithmetic.
+Gaussian-integer scalar (which takes only its own operands), because the
+float64 sum loses everything to cancellation for badly conditioned
+residue sets. The surrogate's payload (:func:`build_gtilde`) is built in
+mpmath, so its stored digits do not depend on that arithmetic.
 """
 
 from __future__ import annotations
@@ -91,13 +93,12 @@ class OptimalityResiduals:
 
 def _cross_tensor(bk: Backend, g: PoleResidueModel, h: PoleResidueModel):
     """g's poles mu and the zero-delay cross terms
-    K[j, m, l] = l_jm H(-mu_j)_ml r_jl, both in ``bk``'s precision."""
+    K[j, m, l] = l_jm H(-mu_j)_ml r_jl, both in ``bk``'s precision; H(-mu)
+    comes from the transfer kernel (:meth:`Backend.resolvent_sums`)."""
     with bk.context():
         mu, gl, gr = bk.terms(g)
-        lam, hl, hr = bk.terms(h)
-        dmat = 1.0 / (-mu[:, None] - lam[None, :])  # (N, n)
-        hval = np.einsum("km,kl,jk->jml", hl, hr, dmat)
-        return mu, np.einsum("jm,jml,jl->jml", gl, hval, gr)
+        hval = bk.resolvent_sums(-mu, h)[0]
+        return mu, gl[:, :, None] * hval * gr[:, None, :]
 
 
 def _delayed_terms(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray):

@@ -15,10 +15,12 @@ precision; the complex128 arrays are then only views for inspection. The
 transfer and impulse sums here are written once against
 :mod:`delayh2.precision`, which runs them in the payload precision when a
 payload is present and in float64 otherwise. Transfer data has one kernel,
-:func:`transfer_data`, which the IRKA pencil, the optimality certificate
-and :func:`eval_transfer` share; on an exactly conjugate-closed payload it
-sums one point of each exactly conjugate pair. All reduced-order models
-produced by this package are plain float64.
+:meth:`delayh2.precision.Backend.resolvent_sums`: the IRKA pencil, the
+optimality certificate and :func:`eval_transfer` read it through
+:func:`transfer_data`, which on an exactly conjugate-closed payload sums
+one point of each exactly conjugate pair, and the H2 cross kernel reads it
+at the full model's mirrored poles. All reduced-order models produced by
+this package are plain float64.
 """
 
 from __future__ import annotations
@@ -323,8 +325,6 @@ def canonicalize_terms(
     poles: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
-    *,
-    pair_rtol: float = PAIR_RTOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Turn noisy eigen-decomposition output into exactly conjugate-closed,
     balanced, deterministically phased term data.
@@ -341,7 +341,7 @@ def canonicalize_terms(
     left = left[:, None] if left.ndim == 1 else np.atleast_2d(left)
     right = right[:, None] if right.ndim == 1 else np.atleast_2d(right)
     scale = max(1.0, float(np.max(np.abs(poles))))
-    tol = pair_rtol * scale
+    tol = PAIR_RTOL * scale
     # Python scalars compare, subtract and take |.| (hypot) as numpy's do
     P = poles.tolist()
     real_idx = [k for k, p in enumerate(P) if abs(p.imag) <= tol]

@@ -26,11 +26,13 @@ digits must not depend on the arithmetic of the sums.
 
 Results leave a backend as complex128 through :meth:`Backend.to_complex`.
 
-Transfer data, G(s) and -G'(s) at binary64 points, is the one sum written
-per backend (:meth:`Backend.resolvent_sums`): array code in float64, and in
-extended precision one loop over exact integers, with one truncated
-reciprocal per (point, term) and every product and sum exact. XComplex
-objects per operation would cost more than the arithmetic there.
+Transfer data, G(s) and -G'(s), is the one sum written per backend
+(:meth:`Backend.resolvent_sums`): array code in float64, and in extended
+precision one loop over exact integers, with one truncated reciprocal per
+(point, term) and every product and sum exact. XComplex objects per
+operation would cost more than the arithmetic there. Its points are
+binary64 (IRKA shifts, the certificate's mirrored poles) or XComplex (the
+H2 cross kernel's mirrored payload poles).
 
 A third arithmetic serves the delay search's grid screen on payload models
 (:func:`path_lattice`): double-double numbers (an unevaluated sum hi + lo
@@ -73,19 +75,18 @@ class XComplex:
 
     Arithmetic results are truncated toward zero to the working width, the
     larger of |re| and |im| setting it, so rounding is symmetric in sign:
-    conjugation and negation commute with every operation, exactly. Python
-    numbers and mpmath numbers mix in as exact operands.
+    conjugation and negation commute with every operation, exactly. The
+    operands are XComplex only (and the int 0 that ``sum()`` starts from):
+    binary64 and mpmath numbers enter through the exact conversions of
+    :meth:`Backend.lift`, :func:`payload_terms` and :func:`_resolvent_sums`.
     """
 
     __slots__ = ("re", "im", "exp")
 
     def __add__(a, b):
         if b.__class__ is not XComplex:
-            if b.__class__ is int and b == 0:
-                return a
-            b = _coerce(b)
-            if b is NotImplemented:
-                return NotImplemented
+            # only the int 0 that sum() starts from
+            return a if b.__class__ is int and b == 0 else NotImplemented
         d = a.exp - b.exp
         if d >= 0:
             if d > _reach:
@@ -99,9 +100,7 @@ class XComplex:
 
     def __sub__(a, b):
         if b.__class__ is not XComplex:
-            b = _coerce(b)
-            if b is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         d = a.exp - b.exp
         if d >= 0:
             if d > _reach:
@@ -111,14 +110,9 @@ class XComplex:
             return a if not (b.re or b.im) else -b
         return _round(a.re - (b.re << -d), a.im - (b.im << -d), a.exp)
 
-    def __rsub__(a, b):
-        return (-a) + b
-
     def __mul__(a, b):
         if b.__class__ is not XComplex:
-            b = _coerce(b)
-            if b is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         ar, ai, br, bi = a.re, a.im, b.re, b.im
         if ai:
             if bi:
@@ -126,13 +120,9 @@ class XComplex:
             return _round(ar * br, ai * br, a.exp + b.exp)
         return _round(ar * br, ar * bi, a.exp + b.exp)
 
-    __rmul__ = __mul__
-
     def __truediv__(a, b):
         if b.__class__ is not XComplex:
-            b = _coerce(b)
-            if b is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         ar, ai, br, bi = a.re, a.im, b.re, b.im
         if bi:
             # a conj(b) / |b|^2
@@ -152,10 +142,6 @@ class XComplex:
         qr = (ar << k) // den if ar >= 0 else -((-ar << k) // den)
         qi = (ai << k) // den if ai >= 0 else -((-ai << k) // den)
         return _round(qr, qi, a.exp - b.exp - k)
-
-    def __rtruediv__(a, b):
-        b = _coerce(b)
-        return NotImplemented if b is NotImplemented else b / a
 
     def __neg__(a):
         return _make(-a.re, -a.im, a.exp)
@@ -230,9 +216,10 @@ def _mpf_parts(t) -> tuple[int, int]:
 
 
 def _coerce(v):
-    """Exact XComplex copy of a Python or mpmath number (else NotImplemented)."""
-    if isinstance(v, (int, np.integer)):
-        return _round(int(v), 0, 0)
+    """Exact XComplex copy of a binary64 number or an mpmath complex; an
+    XComplex is returned as it is."""
+    if v.__class__ is XComplex:
+        return v
     if isinstance(v, (float, np.floating)):
         m, e = _float_parts(float(v))
         return _make(m, 0, e)
@@ -241,10 +228,7 @@ def _coerce(v):
     if hasattr(v, "_mpc_"):
         re, im = v._mpc_
         return _from_parts(*_mpf_parts(re), *_mpf_parts(im))
-    if hasattr(v, "_mpf_"):
-        m, e = _mpf_parts(v._mpf_)
-        return _round(m, 0, e)
-    return NotImplemented
+    raise TypeError(f"no exact XComplex copy of {type(v).__name__}")
 
 
 def _exp(z: XComplex) -> XComplex:
@@ -297,7 +281,8 @@ def resolvent_terms(poles: np.ndarray, left: np.ndarray, right: np.ndarray):
 
 def _resolvent_sums(s: np.ndarray, terms):
     """(sum_k w_k psi_k, sum_k w_k^2 psi_k), w_k = 1 / (z - mu_k), at each
-    binary64 point z of ``s``, over :func:`resolvent_terms` data.
+    binary64 or XComplex point z of ``s``, over :func:`resolvent_terms`
+    data.
 
     Each difference z - mu_k is exact and each reciprocal is truncated
     once, toward zero, to at least the working width; the products and the
@@ -391,11 +376,12 @@ class Backend:
         return m.hp.working_terms
 
     def resolvent_sums(self, s, m):
-        """(G(s_i), -G'(s_i)) of a pole/residue model at binary64 points
-        ``s``: sum_k w_ik psi_k and sum_k w_ik^2 psi_k with
-        w_ik = 1 / (s_i - mu_k) and psi_k = l_k r_k^T, each (n, ny, nu);
-        one reciprocal per (point, term). In extended precision the sums
-        are exact (see :func:`_resolvent_sums`), over data a payload keeps."""
+        """(G(s_i), -G'(s_i)) of a pole/residue model at points ``s``
+        (binary64, or XComplex in extended precision): sum_k w_ik psi_k
+        and sum_k w_ik^2 psi_k with w_ik = 1 / (s_i - mu_k) and
+        psi_k = l_k r_k^T, each (n, ny, nu); one reciprocal per
+        (point, term). In extended precision the sums are exact (see
+        :func:`_resolvent_sums`), over data a payload keeps."""
         if self.dps is None:
             w = (1.0 / (s[:, None] - m.poles))[:, :, None, None]
             t = w * (m.left[:, :, None] * m.right[:, None, :])
@@ -536,9 +522,8 @@ def _dd_parts(m: int, e: int) -> tuple[float, float]:
 def _to_dd(a: np.ndarray):
     """Complex double-double of an XComplex array, each component within
     2^-106 of its value."""
-    exact = lambda v: v if v.__class__ is XComplex else _coerce(v)
     parts = np.array([_dd_parts(v.re, v.exp) + _dd_parts(v.im, v.exp)
-                      for v in map(exact, a.flat)]).reshape(a.shape + (4,))
+                      for v in a.flat]).reshape(a.shape + (4,))
     re = parts[..., 0], parts[..., 1]
     return re, (parts[..., 2], parts[..., 3]) if np.any(parts[..., 2]) else None
 

@@ -243,8 +243,9 @@ def test_landscape_csv_written(tmp_path):
 
 def test_landscape_csv_keeps_its_bytes(tmp_path):
     # a 2x2 search over both inputs on a 12 x 12 joint grid: the CSV is
-    # built from the grid's axes and must keep the bytes it had when the
-    # scan returned every point (sha256 recorded then)
+    # built from the grid's axes and must keep its bytes (sha256 recorded
+    # only after a diff of the CSV showed nothing but last-digit changes of
+    # the objective column)
     rng = np.random.default_rng(93)
     g = random_pr(rng, 5, ny=2, nu=2)
     h = random_pr(rng, 2, ny=2, nu=2)
@@ -255,7 +256,7 @@ def test_landscape_csv_keeps_its_bytes(tmp_path):
     data = path.read_bytes()
     assert data.count(b"\n") == 1 + 12 * 12
     assert hashlib.sha256(data).hexdigest() == \
-        "4bd857f882e1688d31d60b215821984ea13f7790ed8edb3ecb9dd0a5d832df41"
+        "718fac797f76c13702e6019f52d898a1aca4f296b405fb2bd93bde65b0ad6bc6"
 
 
 def test_mimo_io_dominates_full_box_grid():
@@ -274,6 +275,40 @@ def test_mimo_io_dominates_full_box_grid():
     for p in itertools.product(axis, repeat=4):
         sample = cross_at(g, h, np.array(p[:2]), np.array(p[2:]))
         assert got >= sample - 1e-11 * max(1.0, abs(sample))
+
+
+def test_cyclic_scan_search_end_to_end(tmp_path):
+    # 3x2 with every channel delayed: three gauge faces of four
+    # coordinates each, so every face runs the cyclic scans (two sweeps
+    # over 29 + 29 + 15 + 15 points) and refines from their rows
+    g = lag_cascade(np.random.default_rng(90), 3, 2)
+    h = irka_reduce(g, IrkaConfig(order=2)).model
+    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0, extend_box=False)
+    found = optimize_delays(g, h, cfg)
+    again = optimize_delays(g, h, cfg)
+    assert (found.input_delays, found.output_delays, found.tau_max) == \
+        (again.input_delays, again.output_delays, again.tau_max)
+    for (_, grid, values), (_, grid2, values2) in zip(found.scans, again.scans):
+        assert np.array_equal(grid, grid2) and np.array_equal(values, values2)
+
+    tau, gam = found.input_delays.as_array(), found.output_delays.as_array()
+    assert min(gam) == 0.0
+    # on a gauge face the inputs span [0, 2 tau_max], the outputs [0, tau_max]
+    assert np.all((tau >= 0.0) & (tau <= 2.0 * found.tau_max))
+    assert np.all((gam >= 0.0) & (gam <= found.tau_max))
+
+    got = cross_at(g, h, tau, gam)
+    assert len(found.scans) == 3
+    for _, grid, values in found.scans:
+        assert grid.shape == (176, 4)
+        # the float screen agrees with the kernel to 1e-12 relative (see
+        # test_scan_matches_exact_kernel), and faces tie at 1e-14 relative
+        best = float(np.max(values))
+        assert got >= best - 1e-12 * max(1.0, abs(best))
+
+    path = tmp_path / "landscape.csv"
+    write_landscape(str(path), found)
+    assert path.read_bytes().count(b"\n") == 1 + 3 * 176
 
 
 @pytest.mark.parametrize("ny, nu, input_mask, output_mask, payload, face", [

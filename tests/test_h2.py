@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,7 +32,8 @@ from delayh2 import (
     irka_reduce,
     optimality_residuals,
 )
-from delayh2.h2 import OptimalityResiduals
+from delayh2.h2 import OptimalityResiduals, _cross_tensor
+from delayh2.precision import backend_for, working_bits
 
 
 def g1():
@@ -130,6 +132,44 @@ def test_inner_product_dimension_mismatch():
     g = random_pr(np.random.default_rng(1), 3, ny=2, nu=2)
     with pytest.raises(DimensionMismatch):
         inner_product_delayed(g1(), g)
+
+
+@pytest.mark.parametrize("reduced", ["ref_core", "bench20"], ids=["core", "self"])
+def test_payload_cross_tensor_matches_80_digits(bench20, reduced, request):
+    # K[j, m, l] = l_jm H(-mu_j)_ml r_jl on the benchmark payload against
+    # an 80-digit mpmath sum over the model terms (the payload's mpc terms
+    # and the float core, each converted exactly), entrywise.
+    #
+    # Bound, with u = 2^(1 - b) at the working width b: a truncation toward
+    # zero to b bits moves a complex value z by at most sqrt(2) u |z|. The
+    # kernel truncates each reciprocal 1 / (-mu_j - lambda_k) once (to at
+    # least b bits), sums the products with psi_k = l_k r_k^T exactly and
+    # truncates the sum once, so with S = sum_k |psi_k,ml| / |mu_j + lambda_k|
+    # it errs by at most sqrt(2) u (S + |H|) to first order. The two
+    # truncated products l H and (l H) r add sqrt(2) u |l| |H| |r| each:
+    # |K - exact| <= sqrt(2) u |l| |r| (S + 3 |H|), and the factor 1.01
+    # covers the O(u^2) terms and the oracle's own 80-digit rounding.
+    h = request.getfixturevalue(reduced)
+    bk = backend_for(bench20, h)
+    _, ktensor = _cross_tensor(bk, bench20, h)
+    u = mpmath.mpf(2) ** (1 - working_bits(bk.dps))
+    hp = bench20.hp
+    if h.hp is not None:
+        lam, hl, hr = h.hp.poles, h.hp.left, h.hp.right
+    else:
+        lam = [mpmath.mpc(v) for v in h.poles]
+        hl, hr = ([[mpmath.mpc(v) for v in row] for row in a] for a in (h.left, h.right))
+    with mpmath.workdps(80):
+        for j, (mu, gl, gr) in enumerate(zip(hp.poles, hp.left, hp.right)):
+            for m, l in np.ndindex(h.ny, h.nu):
+                parts = [hl[k][m] * hr[k][l] / (-mu - lam[k]) for k in range(len(lam))]
+                hval = mpmath.fsum(parts)
+                s = mpmath.fsum(abs(p) for p in parts)
+                want = gl[m] * hval * gr[l]
+                z = ktensor[j, m, l]
+                got = mpmath.mpc(mpmath.ldexp(z.re, z.exp), mpmath.ldexp(z.im, z.exp))
+                bound = 1.01 * math.sqrt(2) * u * abs(gl[m]) * abs(gr[l]) * (s + 3 * abs(hval))
+                assert abs(got - want) <= bound
 
 
 # ---------------------------------------------------------------------------

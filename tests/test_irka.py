@@ -26,6 +26,7 @@ from delayh2 import (
     realify_check,
 )
 from delayh2 import precision
+from delayh2.delayopt import _Objective
 from delayh2.irka import (
     _aitken_jump,
     _exact_mirrors,
@@ -485,16 +486,24 @@ def test_payload_core_is_unchanged(gt_half_delay):
                 for p, l, r in zip(m.poles[::2], m.left[::2], m.right[::2])] == terms
 
 
-def test_extended_precision_work_is_capped(gt_half_delay, monkeypatch):
+def test_extended_precision_work_is_capped(bench20, gt_half_delay, monkeypatch):
     # Deterministic operation counts for one warm order-4 projection with
     # its certificate, and for the certificate alone: roundings of the
     # extended-precision scalar (1346 and 960 when the pencil and the
     # certificate summed on XComplex objects, the certificate at all 2n
     # points), and the points the transfer kernel sums, one reciprocal per
-    # term each (one per mirror pair). Each call runs once first, so every
-    # payload conversion it caches is made before counting.
+    # term each (one per mirror pair). The H2 cross kernel reads H(-mu_j)
+    # from the same transfer kernel, so a norm of a fresh benchmark model
+    # (its payload conversion included), a gap at tau = 0.5 and a delay-
+    # search objective build divide no XComplex at all (2099, 305 and 246
+    # roundings with 400, 40 and 40 divisions when they formed H(-mu_j) on
+    # XComplex objects). Each call runs once first, so every payload
+    # conversion it caches is made before counting.
     core = irka_reduce(gt_half_delay, IrkaConfig(order=4)).model
-    counted = {"round": 0, "points": 0}
+    core2 = irka_reduce(gt_half_delay, IrkaConfig(order=2)).model
+    delayed2 = DelayedModel(core2, DelayBlock((0.5,), (True,)), DelayBlock.zeros(1))
+    norm_g = h2_norm_sq(bench20)
+    counted = {"round": 0, "points": 0, "div": 0}
 
     def rounding(*args, _orig=precision._round):
         counted["round"] += 1
@@ -504,18 +513,28 @@ def test_extended_precision_work_is_capped(gt_half_delay, monkeypatch):
         counted["points"] += s.size
         return _orig(s, terms)
 
+    def dividing(a, b, _orig=precision.XComplex.__truediv__):
+        counted["div"] += 1
+        return _orig(a, b)
+
     for call, ceilings in (
             (lambda: irka_reduce(gt_half_delay, IrkaConfig(order=4), core),
              {"round": 114, "points": 4}),
-            (lambda: optimality_residuals(gt_half_delay, core), {"round": 6, "points": 2})):
+            (lambda: optimality_residuals(gt_half_delay, core), {"round": 6, "points": 2}),
+            (lambda: h2_norm_sq(build_bench_model()), {"round": 159, "points": 20, "div": 0}),
+            (lambda: compute_gap(bench20, delayed2, norm_g),
+             {"round": 165, "points": 20, "div": 0}),
+            (lambda: _Objective(bench20, core2, np.array([0]), np.array([], dtype=int)),
+             {"round": 106, "points": 20, "div": 0})):
         call()
         with monkeypatch.context() as patch:
             patch.setattr(precision, "_round", rounding)
             patch.setattr(precision, "_resolvent_sums", summing)
-            counted.update(round=0, points=0)
+            patch.setattr(precision.XComplex, "__truediv__", dividing)
+            counted.update(round=0, points=0, div=0)
             call()
-        assert counted["round"] <= ceilings["round"]
-        assert counted["points"] <= ceilings["points"]
+        for name, ceiling in ceilings.items():
+            assert counted[name] <= ceiling, name
 
 
 # ---------------------------------------------------------------------------

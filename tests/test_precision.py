@@ -202,6 +202,27 @@ def test_scalar_is_accurate_to_the_working_width(op):
             assert abs(exact(z) - want) <= tol
 
 
+@pytest.mark.parametrize("mixed", [
+    lambda x: x + 1.5, lambda x: 1.5 + x, lambda x: x - 1j, lambda x: 2 * x,
+    lambda x: x / 2.0, lambda x: 1.0 / x, lambda x: x * mpmath.mpf(2),
+], ids=["x+1.5", "1.5+x", "x-1j", "2*x", "x/2.0", "1.0/x", "x*mpf"])
+def test_scalar_takes_only_its_own_operands(mixed):
+    # binary64 and mpmath numbers enter only through the exact conversions
+    # (Backend.lift, payload_terms, the transfer kernel's points)
+    with precision.Backend(50).context():
+        x = _operands(np.random.default_rng(8), 1)[0]
+        with pytest.raises(TypeError):
+            mixed(x)
+
+
+def test_scalar_sum_starts_from_int_zero():
+    # sum() starts from the int 0, the one non-XComplex operand: adding it
+    # returns the other operand, so the sum is the left-to-right fold
+    with precision.Backend(50).context():
+        x, y, z = _operands(np.random.default_rng(9), 3)
+        assert _bits(sum([x, y, z])) == _bits((x + y) + z)
+
+
 # ---------------------------------------------------------------------------
 # the double-double kernel of the payload grid screen
 
