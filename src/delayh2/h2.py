@@ -97,7 +97,7 @@ def _cross_tensor(bk: Backend, g: PoleResidueModel, h: PoleResidueModel):
     comes from the transfer kernel (:meth:`Backend.resolvent_sums`)."""
     with bk.context():
         mu, gl, gr = bk.terms(g)
-        hval = bk.resolvent_sums(-mu, h)[0]
+        hval, _ = bk.resolvent_sums(-mu, h, derivative=False)
         return mu, gl[:, :, None] * hval * gr[:, None, :]
 
 

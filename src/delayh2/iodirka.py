@@ -4,15 +4,17 @@ Each outer iteration rebuilds the delay-advanced surrogate from the current
 delays, reduces it with the interpolatory fixed point (warm-started from the
 previous reduced model), then re-optimizes the delays against the new core,
 starting from the current delays and from the box the previous search ended
-in. Every third plain iterate the delay vector takes an Aitken jump, and the
-loop stops once both the poles and the delays stop moving. One more core
-reduction at the final delays follows. The result is ``converged`` only
-if the loop stopped and the returned model passes the first-order
-certificate: every residual of the paper's optimality conditions (Hermite
-interpolation at the mirrored poles, one stationarity condition per
-delay) is at most ``CERT_RTOL * max(1, ||G||^2)``. The trace keeps every
-iterate's delayed model (masks included) with its gap, so every reported
-number can be recomputed from it exactly.
+in. The delays take Steffensen steps on that outer map F: from a point x
+the loop runs F twice, then jumps to the Aitken limit of x, F(x), F(F(x)),
+which starts the next triple. The loop stops once both the poles and the
+delays stop moving. One more core reduction at the final delays follows.
+The result is ``converged`` only if the loop stopped and the returned
+model passes the first-order certificate: every residual of the paper's
+optimality conditions (Hermite interpolation at the mirrored poles, one
+stationarity condition per delay) is at most
+``CERT_RTOL * max(1, ||G||^2)``. The trace keeps every iterate's delayed
+model (masks included) with its gap, so every reported number can be
+recomputed from it exactly.
 
 The jump is :func:`delayh2.irka.aitken_delta2`, the Delta-squared rule
 that IRKA's shift iteration uses too.
@@ -78,8 +80,9 @@ class IoDirkaConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One outer iteration: the delayed model it produced, its gap, and its
-    core reduction's counts (see :class:`delayh2.irka.IrkaResult`)."""
+    """One outer iteration: the delayed model it produced, its gap, its
+    core reduction's counts (see :class:`delayh2.irka.IrkaResult`), and
+    whether its surrogate was built at an Aitken-extrapolated delay."""
 
     outer: int
     model: DelayedModel
@@ -88,6 +91,7 @@ class TraceEntry:
     irka_converged: bool
     irka_jumps: int
     irka_reflections: int
+    delay_jump: bool
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,10 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     reflections = 0
     prev_model: PoleResidueModel | None = None
     prev_delays = np.concatenate([din.as_array(), dout.as_array()])
-    plain_hist: list[np.ndarray] = []
+    # the points of the next Aitken triple: where a surrogate was built,
+    # then the delay search's outputs from there
+    hist = [prev_delays]
+    jumped = False
 
     for outer in range(1, cfg.outer_max_iters + 1):
         gt = build_gtilde(g, din, dout)
@@ -158,7 +165,8 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                                 irka_iterations=res.iterations,
                                 irka_converged=res.converged,
                                 irka_jumps=res.jumps,
-                                irka_reflections=res.reflections))
+                                irka_reflections=res.reflections,
+                                delay_jump=jumped))
 
         delays_now = np.concatenate([din.as_array(), dout.as_array()])
         if prev_model is not None:
@@ -171,17 +179,19 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         if stopped:
             break
 
-        # Aitken delta-squared jump on the delay vector every third plain
-        # iterate, against the slow geometric contraction of the plain
-        # alternation; the history restarts after each jump so the rule
-        # always sees consecutive images of the plain outer map, and the
-        # next delay search re-optimizes globally, so a bad jump is undone
-        plain_hist.append(delays_now)
-        if len(plain_hist) >= 3:
-            ext = np.clip(aitken_delta2(*plain_hist[-3:]), 0.0, 2.0 * search.tau_max)
-            din = DelayBlock(tuple(ext[: g.nu]), tuple(in_mask))
-            dout = DelayBlock(tuple(ext[g.nu:]), tuple(out_mask))
-            plain_hist.clear()
+        # Steffensen step on the delay vector, against the slow geometric
+        # contraction of the plain outer map F: the triple is x, F(x),
+        # F(F(x)) with x the point the last jump landed on (at first, the
+        # initial delays), and the history restarts at the jump, in the
+        # search's gauge; the next delay search re-optimizes globally, so
+        # a bad jump is undone
+        hist.append(delays_now)
+        jumped = len(hist) == 3
+        if jumped:
+            ext = np.clip(aitken_delta2(*hist), 0.0, 2.0 * search.tau_max)
+            din, dout = representative(DelayBlock(tuple(ext[: g.nu]), tuple(in_mask)),
+                                       DelayBlock(tuple(ext[g.nu:]), tuple(out_mask)))
+            hist = [np.concatenate([din.as_array(), dout.as_array()])]
 
     if cfg.landscape_csv:
         write_landscape(cfg.landscape_csv, found)

@@ -279,15 +279,16 @@ def resolvent_terms(poles: np.ndarray, left: np.ndarray, right: np.ndarray):
     return (left.shape[1], right.shape[1]), least, data
 
 
-def _resolvent_sums(s: np.ndarray, terms):
+def _resolvent_sums(s: np.ndarray, terms, derivative: bool = True):
     """(sum_k w_k psi_k, sum_k w_k^2 psi_k), w_k = 1 / (z - mu_k), at each
     binary64 or XComplex point z of ``s``, over :func:`resolvent_terms`
-    data.
+    data; the second sum is None unless ``derivative``.
 
     Each difference z - mu_k is exact and each reciprocal is truncated
     once, toward zero, to at least the working width; the products and the
     sums over the terms are exact integers on one exponent per sum, and
-    each result is truncated once.
+    each result is truncated once. The two sums share only the
+    reciprocals, so the first does not depend on ``derivative``.
     """
     (ny, nu), least, data = terms
     val = np.empty((s.size, ny * nu), dtype=object)
@@ -313,13 +314,15 @@ def _resolvent_sums(s: np.ndarray, terms):
                     tr, ti = wr * pr - wi * pi, wr * pi + wi * pr
                     sums[4 * j] += tr << sh
                     sums[4 * j + 1] += ti << sh
-                    sh += we - low
-                    sums[4 * j + 2] += (wr * tr - wi * ti) << sh
-                    sums[4 * j + 3] += (wr * ti + wi * tr) << sh
+                    if derivative:
+                        sh += we - low
+                        sums[4 * j + 2] += (wr * tr - wi * ti) << sh
+                        sums[4 * j + 3] += (wr * ti + wi * tr) << sh
         val[i] = [_round(sums[j], sums[j + 1], low + least) for j in range(0, len(sums), 4)]
-        nder[i] = [_round(sums[j + 2], sums[j + 3], 2 * low + least)
-                   for j in range(0, len(sums), 4)]
-    return val.reshape(-1, ny, nu), nder.reshape(-1, ny, nu)
+        if derivative:
+            nder[i] = [_round(sums[j + 2], sums[j + 3], 2 * low + least)
+                       for j in range(0, len(sums), 4)]
+    return val.reshape(-1, ny, nu), nder.reshape(-1, ny, nu) if derivative else None
 
 
 def payload_closed(hp) -> bool:
@@ -375,19 +378,20 @@ class Backend:
             return self.lift(m.poles), self.lift(m.left), self.lift(m.right)
         return m.hp.working_terms
 
-    def resolvent_sums(self, s, m):
+    def resolvent_sums(self, s, m, derivative: bool = True):
         """(G(s_i), -G'(s_i)) of a pole/residue model at points ``s``
         (binary64, or XComplex in extended precision): sum_k w_ik psi_k
         and sum_k w_ik^2 psi_k with w_ik = 1 / (s_i - mu_k) and
         psi_k = l_k r_k^T, each (n, ny, nu); one reciprocal per
-        (point, term). In extended precision the sums are exact (see
-        :func:`_resolvent_sums`), over data a payload keeps."""
+        (point, term). -G' is None unless ``derivative``. In extended
+        precision the sums are exact (see :func:`_resolvent_sums`), over
+        data a payload keeps."""
         if self.dps is None:
             w = (1.0 / (s[:, None] - m.poles))[:, :, None, None]
             t = w * (m.left[:, :, None] * m.right[:, None, :])
-            return t.sum(axis=1), (w * t).sum(axis=1)
+            return t.sum(axis=1), (w * t).sum(axis=1) if derivative else None
         terms = m.hp.resolvent_terms if m.hp is not None else resolvent_terms(*self.terms(m))
-        return _resolvent_sums(s, terms)
+        return _resolvent_sums(s, terms, derivative)
 
     def exp(self, x):
         return np.exp(x) if self.dps is None else _xc_exp(x)

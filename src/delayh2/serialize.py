@@ -274,6 +274,7 @@ def report_to_obj(report) -> dict:
             "irka_converged": bool(e.irka_converged),
             "irka_jumps": int(e.irka_jumps),
             "irka_reflections": int(e.irka_reflections),
+            "delay_jump": bool(e.delay_jump),
         })
     return {"model": model_to_obj(report.model),
             "gap": gap_to_obj(report.gap),

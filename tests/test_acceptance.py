@@ -175,6 +175,16 @@ def test_benchmark_reaches_stationary_point(study):
     assert rep.model.output_delays.delays == (0.0,)
 
 
+def test_benchmark_order2_work_and_delay(study):
+    # the Steffensen delay jump (x, F(x), F(F(x)) per Aitken triple) takes
+    # 10 outer iterations and 110 IRKA iterations and lands 2.09e-8 from
+    # the 40-digit delay; three images per jump took 11, 126 and 1.42e-7
+    rep = study["delayed"][2]["report"]
+    assert rep.outer_iterations <= 10
+    assert sum(e.irka_iterations for e in rep.trace) <= 110
+    assert abs(rep.model.input_delays.delays[0] - STAT_TAU) <= 2.1e-8
+
+
 # ---------------------------------------------------------------------------
 # first-order condition values at the published delay
 

@@ -20,6 +20,8 @@ from delayh2 import (
     irka_reduce,
     optimality_residuals,
 )
+from delayh2.delayopt import representative
+from delayh2.irka import aitken_delta2
 from delayh2.serialize import dumps_canonical, report_to_obj
 
 SMALL_SEARCH = DelaySearchConfig(grid_points_per_channel=60, tau_max=4.0,
@@ -242,3 +244,41 @@ def test_each_search_starts_in_the_box_the_last_one_ended_in(monkeypatch):
     assert boxes[0][0] == 0.5 and boxes[-1][1] == 2.0
     for (_, ended), (started, _) in zip(boxes, boxes[1:]):
         assert started == ended
+
+
+@pytest.mark.parametrize("g, search", [
+    (lag_cascade(np.random.default_rng(94)),
+     dataclasses.replace(SMALL_SEARCH, output_mask=(False,))),
+    (random_pr(np.random.default_rng(104), 6, ny=2, nu=2),
+     dataclasses.replace(SMALL_SEARCH, grid_points_per_channel=25)),
+], ids=["siso-input", "mimo-io"])
+def test_delay_jump_is_a_steffensen_step(monkeypatch, g, search):
+    # from a point x (the initial delays, then each jump) the loop builds
+    # surrogates at x and F(x), then jumps to the clipped Aitken limit of
+    # x, F(x), F(F(x)) in the search's gauge, bit for bit; the trace marks
+    # the iterations whose surrogate was built at a jump
+    built = []
+    original = iodirka.build_gtilde
+
+    def spy(g, din, dout):
+        built.append(np.array(din.delays + dout.delays))
+        return original(g, din, dout)
+
+    monkeypatch.setattr(iodirka, "build_gtilde", spy)
+    rep = io_dirka(g, IoDirkaConfig(order=2, search=search, outer_max_iters=60))
+    out = [np.array(e.model.input_delays.delays + e.model.output_delays.delays)
+           for e in rep.trace]
+    n = rep.outer_iterations
+    assert rep.converged and n >= 6
+    assert [e.delay_jump for e in rep.trace] == [i > 0 and i % 2 == 0 for i in range(n)]
+    assert np.array_equal(built[0], np.zeros(g.nu + g.ny))
+    for i in range(1, n):
+        if not rep.trace[i].delay_jump:
+            assert np.array_equal(built[i], out[i - 1])
+            continue
+        ext = np.clip(aitken_delta2(built[i - 2], out[i - 2], out[i - 1]),
+                      0.0, 2.0 * search.tau_max)
+        din, dout = representative(
+            DelayBlock(tuple(ext[: g.nu]), search.input_mask or (True,) * g.nu),
+            DelayBlock(tuple(ext[g.nu:]), search.output_mask or (True,) * g.ny))
+        assert np.array_equal(built[i], np.array(din.delays + dout.delays))

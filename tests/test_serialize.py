@@ -269,11 +269,11 @@ def test_report_to_obj_shape_and_canonical():
                         "converged", "norm_g_sq", "total_reflections", "trace"}
     assert obj["model"]["kind"] == "delayed"
     assert len(obj["trace"]) == rep.outer_iterations
-    entry = obj["trace"][0]
-    for key in ("outer", "input_delays", "output_delays", "poles", "left",
-                "right", "gap", "irka_iterations", "irka_converged", "irka_jumps",
-                "irka_reflections"):
-        assert key in entry
+    assert set(obj["trace"][0]) == {
+        "outer", "input_delays", "output_delays", "poles", "left", "right",
+        "gap", "irka_iterations", "irka_converged", "irka_jumps",
+        "irka_reflections", "delay_jump"}
+    assert [e["delay_jump"] for e in obj["trace"]] == [e.delay_jump for e in rep.trace]
     # serializable end to end, and canonical text is parseable JSON
     text = dumps_canonical(obj)
     assert json.loads(text) == json.loads(json.dumps(json.loads(text)))
