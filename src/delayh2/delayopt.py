@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayH2Error, NonFiniteObjective
-from .h2 import _cross_tensor, _delayed_terms, _term_sums
+from .h2 import _cross_eval, _cross_tensor, _delayed_terms, _term_sums
 from .models import DelayBlock, PoleResidueModel
 from .precision import backend_for, dd_add, lattice_points, path_lattice
 
@@ -114,13 +114,16 @@ class DelaySearchResult:
     ``tau_max`` is the box the search ended in, after any growth (the
     largest over the gauge faces); ``scans`` holds each face's last grid
     scan as (face objective, grid, screening values), empty when nothing
-    was delayable.
+    was delayable. ``cross`` is the cross kernel's complex sum at the
+    returned delays, bit for bit the one :func:`delayh2.h2.compute_gap`
+    forms there (see :func:`delayh2.h2.gap_from_cross`).
     """
 
     input_delays: DelayBlock
     output_delays: DelayBlock
     tau_max: float
     scans: tuple
+    cross: complex
 
 
 def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
@@ -228,6 +231,14 @@ class _Objective:
             bound = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(core)))
             entry = self.terms[key] = (core, bound)
         return entry
+
+    def kernel_sum(self, tau: np.ndarray, gam: np.ndarray) -> complex:
+        """The complex sum of the delayed terms at full delay vectors
+        (tau, gamma), from the memoized terms where the search kept them."""
+        entry = self.terms.get(tau.tobytes() + gam.tobytes())
+        core = entry[0] if entry is not None \
+            else _delayed_terms(self.bk, self.mu, self.k, tau, gam)
+        return _term_sums(self.bk, self.mu, core, 0)[0]
 
     def _sum(self, x: np.ndarray, order: int):
         # derivatives only for the sides that hold an active coordinate
@@ -590,9 +601,10 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     act_in = np.flatnonzero(in_mask)
     act_out = np.flatnonzero(out_mask)
     if act_in.size + act_out.size == 0:
+        f, _, _, _ = _cross_eval(g, h, np.zeros(g.nu), np.zeros(g.ny))
         return DelaySearchResult(DelayBlock.zeros(g.nu, tuple(in_mask)),
                                  DelayBlock.zeros(g.ny, tuple(out_mask)),
-                                 float(tau_max0), ())
+                                 float(tau_max0), (), f)
 
     obj = _Objective(g, h, act_in, act_out)
     faces = [obj.gauge_face(m) for m in act_out] \
@@ -612,4 +624,4 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     gam[np.abs(gam) < 1e-300] = 0.0
     return DelaySearchResult(DelayBlock(tuple(tau), tuple(in_mask)),
                              DelayBlock(tuple(gam), tuple(out_mask)),
-                             box, tuple(scans))
+                             box, tuple(scans), obj.kernel_sum(tau, gam))

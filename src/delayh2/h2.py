@@ -211,8 +211,18 @@ def compute_gap(g: PoleResidueModel, hd: DelayedModel | PoleResidueModel,
     (compute it once with :func:`h2_norm_sq`).
     """
     hd = _as_delayed(hd)
-    cross = inner_product_delayed(hd, g)
-    norm_h_sq = h2_norm_sq(hd.core)
+    f, _, _, _ = _cross_eval(g, hd.core, hd.input_delays.as_array(),
+                             hd.output_delays.as_array(), order=0)
+    return gap_from_cross(g_norm_sq, f, hd.core)
+
+
+def gap_from_cross(g_norm_sq: float, cross_sum: complex,
+                   core: PoleResidueModel) -> GapValue:
+    """The gap of a delayed model with this core, from the cross kernel's
+    complex sum at its delays (as :func:`compute_gap` forms it, or as
+    :class:`delayh2.delayopt.DelaySearchResult` carries it)."""
+    cross = _real_or_raise(cross_sum, "inner product")
+    norm_h_sq = h2_norm_sq(core)
     j = g_norm_sq - 2.0 * cross + norm_h_sq
     if j < -1e-9:
         raise NegativeNormSquared(f"gap {j:.3e} below -1e-9; inconsistent inputs")

@@ -1,23 +1,24 @@
 """Alternating reduction loop: rational core by IRKA, then delay search.
 
-Each outer iteration rebuilds the delay-advanced surrogate from the current
-delays, reduces it with the interpolatory fixed point (warm-started from the
-previous reduced model), then re-optimizes the delays against the new core,
-starting from the current delays and from the box the previous search ended
-in. The delays take Steffensen steps on that outer map F: from a point x
-the loop runs F twice, then jumps to the Aitken limit of x, F(x), F(F(x)),
-which starts the next triple. The loop stops once both the poles and the
-delays stop moving. One more core reduction at the final delays follows.
-The result is ``converged`` only if the loop stopped and the returned
-model passes the first-order certificate: every residual of the paper's
-optimality conditions (Hermite interpolation at the mirrored poles, one
-stationarity condition per delay) is at most
-``CERT_RTOL * max(1, ||G||^2)``. The trace keeps every iterate's delayed
-model (masks included) with its gap, so every reported number can be
-recomputed from it exactly.
-
-The jump is :func:`delayh2.irka.aitken_delta2`, the Delta-squared rule
-that IRKA's shift iteration uses too.
+Each outer iteration rebuilds the delay-advanced surrogate at the current
+delays x, reduces it with the interpolatory fixed point (warm-started from
+the previous reduced model), then re-optimizes the delays against the new
+core, starting from x and from the box the previous search ended in; the
+search's output is F(x), and its kernel sum there gives the iterate's gap.
+The delays take Broyden steps on phi(x) = F(x) - x (Broyden, Math. Comp.
+19, 1965): the next surrogate is built at F(x) - M phi(x), clipped to the
+path range and put in the search's gauge, where M = H + I and H estimates
+the inverse Jacobian of phi. M starts at zero, so the first step is the
+plain step F(x); after that, every outer evaluation updates H by the
+"good" inverse rule from the last two points built, and so extrapolates.
+The loop stops once both the poles and the delays stop moving. One more
+core reduction at the final delays follows. The result is ``converged``
+only if the loop stopped and the returned model passes the first-order
+certificate: every residual of the paper's optimality conditions (Hermite
+interpolation at the mirrored poles, one stationarity condition per delay)
+is at most ``CERT_RTOL * max(1, ||G||^2)``. The trace keeps every
+iterate's delayed model (masks included) with its gap, so every reported
+number can be recomputed from it exactly.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from .h2 import (
     OptimalityResiduals,
     build_gtilde,
     compute_gap,
+    gap_from_cross,
     h2_norm_sq,
     optimality_residuals,
 )
-from .irka import IrkaConfig, IrkaResult, aitken_delta2, irka_reduce
+from .irka import IrkaConfig, IrkaResult, irka_reduce
 from .models import DelayBlock, DelayedModel, PoleResidueModel
 
 # bound on the max first-order residual, relative to max(1, ||G||^2)
@@ -82,7 +84,8 @@ class IoDirkaConfig:
 class TraceEntry:
     """One outer iteration: the delayed model it produced, its gap, its
     core reduction's counts (see :class:`delayh2.irka.IrkaResult`), and
-    whether its surrogate was built at an Aitken-extrapolated delay."""
+    whether its surrogate was built at a quasi-Newton point, not at the
+    previous search output."""
 
     outer: int
     model: DelayedModel
@@ -136,10 +139,12 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     stopped = False
     reflections = 0
     prev_model: PoleResidueModel | None = None
-    prev_delays = np.concatenate([din.as_array(), dout.as_array()])
-    # the points of the next Aitken triple: where a surrogate was built,
-    # then the delay search's outputs from there
-    hist = [prev_delays]
+    # x: the delays the next surrogate is built at; prev_delays: the last
+    # search output; (last_x, last_phi): the previous x and its phi = F(x) - x
+    x = prev_delays = np.concatenate([din.as_array(), dout.as_array()])
+    last_x = last_phi = None
+    # M = H + I for H, Broyden's estimate of the inverse Jacobian of phi
+    mix = np.zeros((x.size, x.size))
     jumped = False
 
     for outer in range(1, cfg.outer_max_iters + 1):
@@ -160,7 +165,7 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         # the next search starts from the box this one grew into
         search = replace(search, tau_max=found.tau_max)
         hd = DelayedModel(h, din, dout)
-        gap = compute_gap(g, hd, norm_g_sq)
+        gap = gap_from_cross(norm_g_sq, found.cross, h)
         trace.append(TraceEntry(outer=outer, model=hd, gap=gap,
                                 irka_iterations=res.iterations,
                                 irka_converged=res.converged,
@@ -179,19 +184,28 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         if stopped:
             break
 
-        # Steffensen step on the delay vector, against the slow geometric
-        # contraction of the plain outer map F: the triple is x, F(x),
-        # F(F(x)) with x the point the last jump landed on (at first, the
-        # initial delays), and the history restarts at the jump, in the
-        # search's gauge; the next delay search re-optimizes globally, so
-        # a bad jump is undone
-        hist.append(delays_now)
-        jumped = len(hist) == 3
-        if jumped:
-            ext = np.clip(aitken_delta2(*hist), 0.0, 2.0 * search.tau_max)
-            din, dout = representative(DelayBlock(tuple(ext[: g.nu]), tuple(in_mask)),
-                                       DelayBlock(tuple(ext[g.nu:]), tuple(out_mask)))
-            hist = [np.concatenate([din.as_array(), dout.as_array()])]
+        # Broyden step on phi(x) = F(x) - x, against the slow geometric
+        # contraction of the plain outer map F. H = M - I takes the "good"
+        # inverse update H += (s - Hy)(s^T H) / (s^T H y), with s and y the
+        # steps in x and in phi between the last two points built (skipped
+        # when s^T H y is not finite or negligible); the next surrogate is
+        # built at x+ = F(x) - M phi(x), clipped and in the search's gauge.
+        # Masked coordinates have s = y = phi = 0 and so stay 0; the next
+        # delay search re-optimizes globally, so a bad step is undone
+        phi = delays_now - x
+        if last_x is not None:
+            s, y = x - last_x, phi - last_phi
+            hy = mix @ y - y
+            den = float(s @ hy)
+            if np.isfinite(den) \
+                    and abs(den) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(hy)):
+                mix += np.outer(s - hy, s @ mix - s) / den
+        last_x, last_phi = x, phi
+        ext = np.clip(delays_now - mix @ phi, 0.0, 2.0 * search.tau_max)
+        din, dout = representative(DelayBlock(tuple(ext[: g.nu]), tuple(in_mask)),
+                                   DelayBlock(tuple(ext[g.nu:]), tuple(out_mask)))
+        x = np.concatenate([din.as_array(), dout.as_array()])
+        jumped = not np.array_equal(x, delays_now)
 
     if cfg.landscape_csv:
         write_landscape(cfg.landscape_csv, found)

@@ -33,11 +33,10 @@ pencil is assembled one of two ways, by precision backend:
 
 The fixed point converges only linearly, so every third plain step the
 iterate (shifts and tangential directions, real and imaginary parts
-separately) takes an Aitken delta-squared jump by :func:`aitken_delta2`,
-the rule :func:`delayh2.iodirka.io_dirka` applies to its delays. The rule
-is odd, so an exact mirror pair stays bitwise conjugate and keeps its one
-Loewner row. A jump is refused unless the three plain iterates share one
-conjugate-pair structure, every component it moves has a shrinking
+separately) takes an Aitken delta-squared jump by :func:`aitken_delta2`.
+The rule is odd, so an exact mirror pair stays bitwise conjugate and keeps
+its one Loewner row. A jump is refused unless the three plain iterates
+share one conjugate-pair structure, every component it moves has a shrinking
 difference, and every extrapolated shift is finite in the open right
 half-plane; the history restarts after every attempt. The stopping test
 compares a projection's output with its input, shift by shift, and the
@@ -367,7 +366,9 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     conditions at its mirrored poles against ``g``: its
     :func:`delayh2.h2.optimality_residuals` are checked and folded into
     ``converged``. Unstable intermediate poles are reflected into the left
-    half-plane and counted. ``n == order(g)`` recovers the target exactly.
+    half-plane and counted. From a cold start, ``n == order(g)`` recovers
+    the target exactly; a warm start at the target itself can stall on the
+    movement test where the pencil is ill-conditioned.
 
     Every third plain step the canonical iterate takes an Aitken jump (see
     :func:`_aitken_jump`), counted in ``jumps``, if all three guards pass:

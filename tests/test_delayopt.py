@@ -16,6 +16,7 @@ from delayh2 import (
     DelaySearchConfig,
     IrkaConfig,
     PoleResidueModel,
+    compute_gap,
     delayopt,
     h2_norm_pole_residue,
     h2_norm_sq,
@@ -24,7 +25,7 @@ from delayh2 import (
     optimize_delays,
 )
 from delayh2.delayopt import _grid_points, _Objective, _scan, _top, write_landscape
-from delayh2.h2 import _cross_eval, _delayed_terms, _term_sums
+from delayh2.h2 import _cross_eval, _delayed_terms, _term_sums, gap_from_cross
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -473,6 +474,33 @@ def test_payload_search_is_unchanged(bench20, evaluations):
     din = found.input_delays
     assert din.delays[0].hex() == "0x1.165b17cc574dfp+3"
     assert evaluations[0] == 8
+
+
+@pytest.mark.parametrize("case", ["payload-input", "payload-io", "mimo-float",
+                                  "all-masked"])
+def test_result_cross_is_the_gap_kernel_sum(bench20, monkeypatch, case):
+    # the search's own kernel sum at the returned delays gives the gap
+    # bit for bit as compute_gap forms it from scratch
+    if case.startswith("payload"):
+        g, h = bench20, RECORDED_REF_CORE
+        cfg = DelaySearchConfig(input_mask=(True,), output_mask=(False,)) \
+            if case == "payload-input" else DelaySearchConfig()
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        g = workloads.mimo_float_model(0)
+        h = irka_reduce(g, IrkaConfig(order=4, seed=0)).model
+        cfg = workloads.MimoFloat.cfg.search if case == "mimo-float" \
+            else DelaySearchConfig(input_mask=(False,) * 2, output_mask=(False,) * 2)
+    found = optimize_delays(g, h, cfg)
+    hd = DelayedModel(h, found.input_delays, found.output_delays)
+    norm_g_sq = h2_norm_sq(g)
+    assert gap_from_cross(norm_g_sq, found.cross, h) == compute_gap(g, hd, norm_g_sq)
+    # without the memoized terms the sum is formed afresh, to the same bits
+    obj = _Objective(g, h, np.flatnonzero(hd.input_delays.mask),
+                     np.flatnonzero(hd.output_delays.mask))
+    assert obj.kernel_sum(hd.input_delays.as_array(),
+                          hd.output_delays.as_array()) == found.cross
 
 
 @pytest.fixture
