@@ -25,8 +25,9 @@ written once against :mod:`delayh2.precision`: when a model carries the
 high-precision payload they run in its precision, on the backend's
 Gaussian-integer scalar (which takes only its own operands), because the
 float64 sum loses everything to cancellation for badly conditioned
-residue sets. The surrogate's payload (:func:`build_gtilde`) is built in
-mpmath, so its stored digits do not depend on that arithmetic.
+residue sets. The delay-advanced surrogate (:func:`build_gtilde`) is one
+more such array expression, and on a payload its result is the
+surrogate's payload.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .models import (
     _as_delayed,
     transfer_values,
 )
-from .precision import Backend, backend_for, delay_scaled_payload
+from .precision import Backend, backend_for
 
 
 @dataclass(frozen=True)
@@ -235,23 +236,22 @@ def build_gtilde(g: PoleResidueModel,
                  output_delays: DelayBlock) -> PoleResidueModel:
     """Delay-advanced surrogate: same poles, residues scaled channel-wise by
     e^{mu_j * delay} so that its impulse response is the original's advanced
-    by the delays (per channel pair)."""
+    by the delays (per channel pair). On a payload the scaled residues, in
+    its precision, are the surrogate's payload."""
     if len(input_delays) != g.nu or len(output_delays) != g.ny:
         raise DimensionMismatch("delay block lengths do not match model channels")
     tau = input_delays.as_array()
     gam = output_delays.as_array()
-    if g.hp is not None:
-        left, right = delay_scaled_payload(g.hp, tau, gam)
-        hp = HighPrecisionTerms(g.hp.poles, left, right, g.hp.dps)
-        view = lambda rows: np.array(rows, dtype=object).astype(complex)
-        return PoleResidueModel(g.poles.copy(), view(left), view(right), hp=hp)
-    # e^0 = 1 exactly, so a side without delays keeps its residues
-    left, right = g.left, g.right
-    if np.any(gam):
-        left = left * np.exp(np.outer(g.poles, gam))
-    if np.any(tau):
-        right = right * np.exp(np.outer(g.poles, tau))
-    return PoleResidueModel(g.poles.copy(), left, right)
+    bk = backend_for(g)
+    with bk.context():
+        mu, left, right = bk.terms(g)
+        # e^0 = 1 exactly, so a side without delays keeps its residues
+        if np.any(gam):
+            left = left * bk.exp(np.outer(mu, bk.lift(gam)))
+        if np.any(tau):
+            right = right * bk.exp(np.outer(mu, bk.lift(tau)))
+    hp = None if g.hp is None else HighPrecisionTerms(mu, left, right, g.hp.dps)
+    return PoleResidueModel(g.poles.copy(), bk.to_complex(left), bk.to_complex(right), hp=hp)
 
 
 # ---------------------------------------------------------------------------

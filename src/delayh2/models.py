@@ -7,14 +7,16 @@ Three value types represent everything the package computes with:
 * :class:`DelayedModel`           -- a pole/residue core wrapped by channel-wise
                                      input and output delay blocks.
 
-Pole/residue models optionally carry a high-precision payload (mpmath
-terms at a recorded decimal precision). Residues of ill-conditioned
-partial-fraction decompositions can exceed 1e15 with massive cancellation
-between terms, in which case every sum over the terms must run in extended
-precision; the complex128 arrays are then only views for inspection. The
-transfer and impulse sums here are written once against
-:mod:`delayh2.precision`, which runs them in the payload precision when a
-payload is present and in float64 otherwise. Transfer data has one kernel,
+Pole/residue models optionally carry a high-precision payload: the terms
+as :class:`delayh2.precision.XComplex` arrays, with a recorded decimal
+precision; mpmath numbers (a model file's decimals, the benchmark's
+construction) are converted once, when the payload is built. Residues of ill-conditioned partial-fraction decompositions can
+exceed 1e15 with massive cancellation between terms, in which case every
+sum over the terms must run in extended precision; the complex128 arrays
+are then only views for inspection. The transfer and impulse sums here are
+written once against :mod:`delayh2.precision`, which runs them in the
+payload precision when a payload is present and in float64 otherwise.
+Transfer data has one kernel,
 :meth:`delayh2.precision.Backend.resolvent_sums`: the IRKA pencil, the
 optimality certificate and :func:`eval_transfer` read it through
 :func:`transfer_data`, which on an exactly conjugate-closed payload sums
@@ -59,33 +61,32 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HighPrecisionTerms:
-    """mpmath mirror of a pole/residue term list.
+    """Extended-precision term list of a pole/residue model.
 
-    ``poles`` has one mpc per term; ``left``/``right`` are per-term tuples of
-    mpc residue-vector entries. ``dps`` records the decimal precision the
-    payload was produced at (and the minimum precision sums over it use).
+    ``poles`` (n,), ``left`` (n, ny) and ``right`` (n, nu) are read-only
+    arrays of :class:`delayh2.precision.XComplex` numbers. Entries given in
+    another form (mpmath or binary64 numbers) are converted once, here
+    (:func:`delayh2.precision.payload_terms`). ``dps`` records the decimal
+    precision the payload was produced at (and the minimum precision sums
+    over it use).
     """
 
-    poles: tuple
-    left: tuple
-    right: tuple
+    poles: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     dps: int
 
-    def __len__(self) -> int:
-        return len(self.poles)
-
-    @cached_property
-    def working_terms(self) -> tuple:
-        """(poles, left, right) as the sums' read-only arrays (see
-        :func:`delayh2.precision.payload_terms`), converted on first use."""
-        return payload_terms(self)
+    def __post_init__(self):
+        terms = payload_terms(self.poles, self.left, self.right, self.dps)
+        for name, a in zip(("poles", "left", "right"), terms):
+            object.__setattr__(self, name, a)
 
     @cached_property
     def resolvent_terms(self) -> tuple:
         """The transfer kernel's exact term data (see :func:`delayh2.precision.resolvent_terms`)."""
-        return resolvent_terms(*self.working_terms)
+        return resolvent_terms(self.poles, self.left, self.right)
 
     @cached_property
     def conjugate_closed(self) -> bool:
@@ -141,8 +142,9 @@ class PoleResidueModel:
     right : (n, nu) complex array
         Right (input-side) residue vectors, one row per term.
     hp : HighPrecisionTerms, optional
-        Extended-precision payload; when present it is the authoritative
-        representation and the float arrays are rounded views.
+        Extended-precision payload of the same shapes; when present it is
+        the authoritative representation and the float arrays are rounded
+        views.
 
     Terms are stored in canonical order (sorted by (Re, |Im|) with the
     positive-imaginary member of each conjugate pair first). Construction
@@ -163,20 +165,18 @@ class PoleResidueModel:
         left = left[:, None] if left.ndim == 1 else np.atleast_2d(left)
         right = right[:, None] if right.ndim == 1 else np.atleast_2d(right)
         perm = checked_order(poles, left, right)
-        n = poles.shape[0]
         object.__setattr__(self, "poles", _readonly(poles[perm]))
         object.__setattr__(self, "left", _readonly(left[perm]))
         object.__setattr__(self, "right", _readonly(right[perm]))
         if self.hp is not None:
             hp = self.hp
-            if len(hp) != n:
-                raise DimensionMismatch("high-precision payload length differs from term count")
-            take = lambda seq: tuple(seq[k] for k in perm)
-            object.__setattr__(
-                self,
-                "hp",
-                HighPrecisionTerms(take(hp.poles), take(hp.left), take(hp.right), hp.dps),
-            )
+            shapes = hp.poles.shape, hp.left.shape, hp.right.shape
+            if shapes != (poles.shape, left.shape, right.shape):
+                raise DimensionMismatch(
+                    f"payload shapes {shapes} differ from the term arrays' "
+                    f"{(poles.shape, left.shape, right.shape)}")
+            object.__setattr__(self, "hp", HighPrecisionTerms(
+                hp.poles[perm], hp.left[perm], hp.right[perm], hp.dps))
 
     @property
     def order(self) -> int:

@@ -12,17 +12,18 @@ hold (the IRKA pencil alone keeps a separate float64 form, see
 * otherwise: numpy object arrays of :class:`XComplex`, a complex number
   with a Gaussian-integer mantissa and one shared binary exponent, whose
   every sum, product and quotient is truncated toward zero to
-  :func:`working_bits` of the highest payload precision. Payload terms are
-  converted once per payload (:func:`payload_terms`), and every binary64
-  input (evaluation points, times, delays, directions, float models) is
-  lifted exactly. ``@``, ``einsum`` and broadcasting then run the same
-  expressions in Python-int arithmetic, inside :meth:`Backend.context`,
-  which sets the working width the way ``mpmath.workdps`` sets mpmath's
-  precision.
+  :func:`working_bits` of the highest payload precision. A payload holds
+  its terms in this form, and every binary64 input (evaluation points,
+  times, delays, directions, float models) is lifted exactly. ``@``,
+  ``einsum`` and broadcasting then run the same expressions in Python-int
+  arithmetic, inside :meth:`Backend.context`, which sets the working width.
 
-mpmath computes only the exponentials (on raw mantissa/exponent tuples)
-and builds payloads (:func:`delay_scaled_payload`), whose stored decimal
-digits must not depend on the arithmetic of the sums.
+A payload is stored as XComplex arrays alone: numbers given in another
+form are converted once, when it is constructed (:func:`payload_terms`),
+and a payload derived from another one (the delay-advanced surrogate) is
+built by the same array code as its float counterpart. mpmath only
+computes the exponentials (on raw mantissa/exponent tuples) and receives
+the exact value of an entry that is printed in decimal (:func:`to_mpc`).
 
 Results leave a backend as complex128 through :meth:`Backend.to_complex`.
 
@@ -252,19 +253,24 @@ def _working(bits: int):
         _bits, _reach = saved
 
 
-def payload_terms(hp) -> tuple:
-    """Read-only XComplex arrays (poles, left, right) of a payload.
+def payload_terms(poles, left, right, dps: int) -> tuple:
+    """Read-only XComplex arrays (poles, left, right) of a ``dps``-digit payload.
 
-    Each number is converted at the payload's own width, which no backend
-    over it undercuts, so the arrays do not depend on the working
-    precision; a payload keeps them (``HighPrecisionTerms.working_terms``).
+    Each number that is not XComplex already (an mpmath or binary64
+    number) is converted at the payload's own width, which no backend over
+    it undercuts, so the arrays do not depend on the working precision.
     """
-    with _working(working_bits(hp.dps)):
+    with _working(working_bits(dps)):
         arrays = tuple(_xc(np.array(part, dtype=object))
-                       for part in (hp.poles, hp.left, hp.right))
+                       for part in (poles, left, right))
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def to_mpc(z: XComplex):
+    """The exact value of ``z`` as an mpmath complex (for decimal output)."""
+    return mp.make_mpc((from_man_exp(z.re, z.exp), from_man_exp(z.im, z.exp)))
 
 
 def resolvent_terms(poles: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -329,7 +335,7 @@ def payload_closed(hp) -> bool:
     """Whether each real pole of a payload carries real residues and each
     complex term is followed by its exact conjugate term. Conversion to
     XComplex is exact and sign-symmetric, so the parts compare exactly."""
-    rows = [(p, *l, *r) for p, l, r in zip(*hp.working_terms)]
+    rows = [(p, *l, *r) for p, l, r in zip(hp.poles, hp.left, hp.right)]
     conj = lambda a, b: (a.re, a.im, a.exp) == (b.re, -b.im, b.exp)
     k = 0
     while k < len(rows):
@@ -346,8 +352,6 @@ def payload_closed(hp) -> bool:
 
 _xc_exp = np.frompyfunc(_exp, 1, 1)
 _xc = np.frompyfunc(_coerce, 1, 1)
-_mp_exp = np.frompyfunc(mp.exp, 1, 1)
-_mp_mpf = np.frompyfunc(mp.mpf, 1, 1)
 
 
 class Backend:
@@ -376,7 +380,7 @@ class Backend:
             return m.poles, m.left, m.right
         if m.hp is None:
             return self.lift(m.poles), self.lift(m.left), self.lift(m.right)
-        return m.hp.working_terms
+        return m.hp.poles, m.hp.left, m.hp.right
 
     def resolvent_sums(self, s, m, derivative: bool = True):
         """(G(s_i), -G'(s_i)) of a pole/residue model at points ``s``
@@ -411,27 +415,6 @@ def backend_for(*models) -> Backend:
     precision among them, or float64 when none carries a payload."""
     dps = [m.hp.dps for m in models if m.hp is not None]
     return Backend(max(dps)) if dps else FLOAT
-
-
-def delay_scaled_payload(hp, tau: np.ndarray, gam: np.ndarray) -> tuple[tuple, tuple]:
-    """(left, right) payload rows of ``hp`` scaled by e^{mu_j gamma_m} and
-    e^{mu_j tau_l}, as mpmath numbers at the payload precision.
-
-    A payload is data that is stored and written out in decimal, so it is
-    built in mpmath, whose rounding fixes those digits; the sums over it
-    run on :class:`XComplex` after :meth:`Backend.terms` converts it.
-    """
-    with mp.workdps(hp.dps):
-        mu = np.array(hp.poles, dtype=object)
-        left = np.array(hp.left, dtype=object)
-        right = np.array(hp.right, dtype=object)
-        # e^0 = 1 exactly, so a side without delays keeps its residues
-        if np.any(gam):
-            left = left * _mp_exp(np.outer(mu, _mp_mpf(gam)))
-        if np.any(tau):
-            right = right * _mp_exp(np.outer(mu, _mp_mpf(tau)))
-    return tuple(map(tuple, left)), tuple(map(tuple, right))
-
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 All JSON is emitted in canonical form: keys sorted, floats as %.17g (exact
 binary64 round trip), no timestamps, LF newlines. The same data therefore
 always produces byte-identical files. Models whose terms carry an
-extended-precision payload add a "precision" field (decimal digits) and
-store coefficients as decimal strings at that precision.
+extended-precision payload add a "precision" field (decimal digits, at
+least 17) and store coefficients as decimal strings at that precision,
+printed from each payload entry's exact value and parsed by mpmath.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .models import (
     PoleResidueModel,
     StateSpaceModel,
 )
+from .precision import to_mpc
 
 # ---------------------------------------------------------------------------
 # canonical JSON text
@@ -111,13 +113,19 @@ def _convert(convert, value, key: str, where: str):
 # ---------------------------------------------------------------------------
 # models
 
+# least decimal precision of a payload: the 17 digits that round-trip binary64
+MIN_PRECISION = 17
+
 
 def _pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _mp_str(v, dps: int) -> str:
-    return mpmath.nstr(v, dps, strip_zeros=True)
+def _decimal(z, dps: int) -> list:
+    """[re, im] of an XComplex payload entry, each printed to ``dps`` digits."""
+    v = to_mpc(z)
+    return [mpmath.nstr(v.real, dps, strip_zeros=True),
+            mpmath.nstr(v.imag, dps, strip_zeros=True)]
 
 
 def model_to_obj(m) -> dict:
@@ -138,15 +146,10 @@ def model_to_obj(m) -> dict:
         terms = []
         if m.hp is not None:
             dps = m.hp.dps
-            with mpmath.workdps(dps):
-                for p, lrow, rrow in zip(m.hp.poles, m.hp.left, m.hp.right):
-                    terms.append({
-                        "pole": [_mp_str(p.real, dps), _mp_str(p.imag, dps)],
-                        "left": [[_mp_str(v.real, dps), _mp_str(v.imag, dps)]
-                                 for v in lrow],
-                        "right": [[_mp_str(v.real, dps), _mp_str(v.imag, dps)]
-                                  for v in rrow],
-                    })
+            for p, lrow, rrow in zip(m.hp.poles, m.hp.left, m.hp.right):
+                terms.append({"pole": _decimal(p, dps),
+                              "left": [_decimal(v, dps) for v in lrow],
+                              "right": [_decimal(v, dps) for v in rrow]})
             return {"kind": "pole_residue", "ny": m.ny, "nu": m.nu,
                     "precision": dps, "terms": terms}
         for k in range(m.order):
@@ -175,6 +178,13 @@ def _row(term: dict, key: str, width: int, dps: int | None, where: str) -> list:
     return [_number(v, dps, f"{where} {key}") for v in row]
 
 
+def _precision(value) -> int:
+    """A payload's decimal digits: an int of at least MIN_PRECISION."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < MIN_PRECISION:
+        raise ValueError(f"{value!r} is not an integer of at least {MIN_PRECISION} digits")
+    return value
+
+
 def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
     terms = _convert(list, _require(obj, "terms", where), "terms", where)
     ny = _convert(int, _require(obj, "ny", where), "ny", where)
@@ -182,7 +192,7 @@ def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
     if len(terms) == 0:
         raise DelayH2Error(f"empty term list in {where}")
     dps = obj.get("precision")
-    dps = None if dps is None else _convert(int, dps, "precision", where)
+    dps = None if dps is None else _convert(_precision, dps, "precision", where)
     poles, left, right = [], [], []
     with nullcontext() if dps is None else mpmath.workdps(dps):
         for k, t in enumerate(terms):
@@ -192,8 +202,7 @@ def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
             right.append(_row(t, "right", nu, dps, at))
     hp = None
     if dps is not None:
-        hp = HighPrecisionTerms(tuple(poles), tuple(map(tuple, left)),
-                                tuple(map(tuple, right)), dps)
+        hp = HighPrecisionTerms(poles, left, right, dps)
     return PoleResidueModel(np.array(poles, dtype=complex),
                             np.array(left, dtype=complex),
                             np.array(right, dtype=complex), hp=hp)

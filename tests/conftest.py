@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from delayh2 import precision
 from delayh2 import (
     DelayBlock,
     DelayedModel,
@@ -108,17 +109,23 @@ def random_pr(rng, order, ny=1, nu=1, *, normalize=True):
     return PoleResidueModel(poles, left, right)
 
 
+def payload_entries(hp):
+    """(poles, left, right) of a payload as (nested) lists of mpmath
+    numbers, each the exact value of its XComplex entry."""
+    exact = np.frompyfunc(precision.to_mpc, 1, 1)
+    return tuple(exact(a).tolist() for a in (hp.poles, hp.left, hp.right))
+
+
 def payload_model(g, dps):
     """``g`` with every coefficient divided by 3 in a ``dps``-digit payload,
     so the payload is not binary64; conjugate closure is kept exactly."""
     with mpmath.workdps(dps):
         third = lambda v: mpmath.mpc(v) / 3
-        rows = lambda a: tuple(tuple(third(v) for v in row) for row in a)
-        hp = HighPrecisionTerms(tuple(third(p) for p in g.poles),
-                                rows(g.left), rows(g.right), dps)
+        rows = lambda a: [[third(v) for v in row] for row in a]
+        poles, left, right = [third(p) for p in g.poles], rows(g.left), rows(g.right)
     rounded = lambda a: np.array([[complex(v) for v in row] for row in a])
-    return PoleResidueModel(np.array([complex(p) for p in hp.poles]),
-                            rounded(hp.left), rounded(hp.right), hp=hp)
+    return PoleResidueModel(np.array([complex(p) for p in poles]), rounded(left),
+                            rounded(right), hp=HighPrecisionTerms(poles, left, right, dps))
 
 
 def corpus_model(rng, n, ny=1, nu=1):

@@ -12,6 +12,7 @@ from conftest import (
     REF_INTERP,
     REF_TAU,
     make_siso,
+    payload_entries,
     random_delayed,
     random_pr,
 )
@@ -33,7 +34,7 @@ from delayh2 import (
     optimality_residuals,
 )
 from delayh2.h2 import OptimalityResiduals, _cross_tensor
-from delayh2.precision import backend_for, working_bits
+from delayh2.precision import backend_for, to_mpc, working_bits
 
 
 def g1():
@@ -137,7 +138,7 @@ def test_inner_product_dimension_mismatch():
 @pytest.mark.parametrize("reduced", ["ref_core", "bench20"], ids=["core", "self"])
 def test_payload_cross_tensor_matches_80_digits(bench20, reduced, request):
     # K[j, m, l] = l_jm H(-mu_j)_ml r_jl on the benchmark payload against
-    # an 80-digit mpmath sum over the model terms (the payload's mpc terms
+    # an 80-digit mpmath sum over the model terms (the payload's terms
     # and the float core, each converted exactly), entrywise.
     #
     # Bound, with u = 2^(1 - b) at the working width b: a truncation toward
@@ -153,21 +154,19 @@ def test_payload_cross_tensor_matches_80_digits(bench20, reduced, request):
     bk = backend_for(bench20, h)
     _, ktensor = _cross_tensor(bk, bench20, h)
     u = mpmath.mpf(2) ** (1 - working_bits(bk.dps))
-    hp = bench20.hp
     if h.hp is not None:
-        lam, hl, hr = h.hp.poles, h.hp.left, h.hp.right
+        lam, hl, hr = payload_entries(h.hp)
     else:
         lam = [mpmath.mpc(v) for v in h.poles]
         hl, hr = ([[mpmath.mpc(v) for v in row] for row in a] for a in (h.left, h.right))
     with mpmath.workdps(80):
-        for j, (mu, gl, gr) in enumerate(zip(hp.poles, hp.left, hp.right)):
+        for j, (mu, gl, gr) in enumerate(zip(*payload_entries(bench20.hp))):
             for m, l in np.ndindex(h.ny, h.nu):
                 parts = [hl[k][m] * hr[k][l] / (-mu - lam[k]) for k in range(len(lam))]
                 hval = mpmath.fsum(parts)
                 s = mpmath.fsum(abs(p) for p in parts)
                 want = gl[m] * hval * gr[l]
-                z = ktensor[j, m, l]
-                got = mpmath.mpc(mpmath.ldexp(z.re, z.exp), mpmath.ldexp(z.im, z.exp))
+                got = to_mpc(ktensor[j, m, l])
                 bound = 1.01 * math.sqrt(2) * u * abs(gl[m]) * abs(gr[l]) * (s + 3 * abs(hval))
                 assert abs(got - want) <= bound
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import REF_POLE, REF_RESIDUE, make_siso, payload_model, random_pr
+from conftest import REF_POLE, REF_RESIDUE, make_siso, payload_entries, payload_model, random_pr
 import delayh2.irka as irka
 from delayh2 import (
     DegenerateDirections,
@@ -334,7 +334,7 @@ def pencil_pair(g, shifts, bdirs, cdirs):
     shifts, bdirs, cdirs = map(np.asarray, (shifts, bdirs, cdirs))
     groups = _pair_structure(shifts)
     got = _project(g, shifts, bdirs, cdirs, groups)
-    want = oracles.direct_pencil(g.hp.poles, g.hp.left, g.hp.right, shifts,
+    want = oracles.direct_pencil(*payload_entries(g.hp), shifts,
                                  bdirs, cdirs, g.hp.dps,
                                  [p for p in groups if p[1] is not None])
     return got, want
@@ -427,11 +427,10 @@ def test_payload_pencil_nearly_closed_payload_not_mirrored():
         [0.7 - 0.4j, 0.7 + 0.4j, 1.2, 0.5 + 0.3j, 0.5 - 0.3j]), 50)
     hp = closed.hp
     k = int(np.argmax(closed.poles.imag < 0))
-    left = list(hp.left)
-    left[k] = (left[k][0] * (1 + 2.0 ** -52),)
+    left = payload_entries(hp)[1]
+    left[k] = [left[k][0] * (1 + 2.0 ** -52)]
     moved = PoleResidueModel(closed.poles, closed.left, closed.right,
-                             hp=HighPrecisionTerms(hp.poles, tuple(left),
-                                                   hp.right, hp.dps))
+                             hp=HighPrecisionTerms(hp.poles, left, hp.right, hp.dps))
     assert closed.hp.conjugate_closed and not moved.hp.conjugate_closed
     for g in (closed, moved):
         got, want = pencil_pair(g, [0.8 + 0.6j, 0.8 - 0.6j, 1.5],

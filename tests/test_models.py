@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_siso, payload_model, random_pr, random_ss
+from conftest import make_siso, payload_entries, payload_model, random_pr, random_ss
 from delayh2 import (
     DelayBlock,
     DelayedModel,
@@ -22,6 +22,7 @@ from delayh2 import (
     build_bench_model,
     eval_transfer,
     eval_transfer_derivative,
+    h2_norm_sq,
     impulse_response,
     pole_residue_from_state_space,
     realify_check,
@@ -87,8 +88,7 @@ def exact_transfer(m, s):
     """(G(s), -G'(s), sum_k |psi_k| / |s - mu_k|, the same over |s - mu_k|^2)
     by a plain loop in mpmath at 80 digits over the model's exact terms
     (its payload, where it has one)."""
-    terms = (m.hp.poles, m.hp.left, m.hp.right) if m.hp is not None \
-        else (m.poles, m.left, m.right)
+    terms = payload_entries(m.hp) if m.hp is not None else (m.poles, m.left, m.right)
     out = [np.zeros((m.ny, m.nu), dtype=complex) for _ in range(4)]
     with mpmath.workdps(80):
         for a in range(m.ny):
@@ -164,10 +164,10 @@ def test_kernel_sums_both_rows_unless_exactly_mirrored(monkeypatch):
         [0.7 - 0.4j, 0.7 + 0.4j, 1.2, 0.5 + 0.3j, 0.5 - 0.3j]), 50)
     hp = closed.hp
     k = int(np.argmax(closed.poles.imag < 0))
-    left = list(hp.left)
-    left[k] = (left[k][0] * (1 + 2.0 ** -52),)
+    left = payload_entries(hp)[1]
+    left[k] = [left[k][0] * (1 + 2.0 ** -52)]
     moved = PoleResidueModel(closed.poles, closed.left, closed.right,
-                             hp=HighPrecisionTerms(hp.poles, tuple(left), hp.right, hp.dps))
+                             hp=HighPrecisionTerms(hp.poles, left, hp.right, hp.dps))
     pair = np.array([0.8 - 0.6j, 0.8 + 0.6j])
     near = np.array([pair[0], pair[1] * (1 + 2.0 ** -52)])
     assert closed.hp.conjugate_closed and not moved.hp.conjugate_closed
@@ -272,6 +272,22 @@ def test_pole_residue_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         PoleResidueModel(np.array([-1.0 + 0j]), np.ones((2, 1), complex),
                          np.ones((1, 1), complex))
+
+
+@pytest.mark.parametrize("poles, left, right", [
+    ([-1], [[1, 2]], [[1]]),
+    ([-1], [[1]], [[1, 2]]),
+    ([-1, -2], [[1], [1]], [[1], [1]]),
+], ids=["two-outputs", "two-inputs", "two-terms"])
+def test_pole_residue_rejects_payload_of_other_shape(poles, left, right):
+    # a 1x1 one-term model must not carry a payload of another system: the
+    # sums read the payload, so a 2x1 one would give ||G||^2 = 2.5, not 0.5
+    hp = lambda *terms: HighPrecisionTerms(*(np.array(a, dtype=complex) for a in terms), 30)
+    model = lambda payload: PoleResidueModel(np.array([-1.0 + 0j]), np.ones((1, 1), complex),
+                                             np.ones((1, 1), complex), hp=payload)
+    assert h2_norm_sq(model(hp([-1], [[1]], [[1]]))) == 0.5
+    with pytest.raises(DimensionMismatch):
+        model(hp(poles, left, right))
 
 
 def test_pole_residue_rejects_nonfinite():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import delayh2
-from conftest import payload_model, random_pr
+from conftest import payload_entries, payload_model, random_pr
 from delayh2 import (
     DelayBlock,
     DelayedModel,
@@ -126,15 +126,22 @@ def test_parity_irka(mimo_pair):
 
 
 def test_precision_stays_in_one_module():
-    # Only the backend sets a working precision or accumulates in mpmath;
-    # serialize (decimal I/O) and bench (payload construction) use mpmath
-    # for data, not for sums.
-    allowed = {"precision.py", "serialize.py", "bench.py"}
-    pattern = re.compile(r"workdps|mpc\(0\)|^\s*(?:import|from)\s+mpmath\b", re.M)
+    # mpmath parses and prints decimals (serialize) and builds the benchmark
+    # (bench), each at a precision it sets. The backend imports it only for
+    # exponentials on raw parts and the exact conversion of an entry to
+    # print, so it sets no mpmath precision and mpmath arithmetic cannot
+    # return to the sums. No other module uses mpmath.
+    rules = [(r"^\s*(?:import|from)\s+mpmath\b", {"precision.py", "serialize.py", "bench.py"}),
+             (r"workdps|workprec|mpc\(0\)", {"serialize.py", "bench.py"})]
     src = Path(delayh2.__file__).parent
-    found = {p.name: pattern.findall(p.read_text(encoding="utf-8"))
-             for p in sorted(src.glob("*.py")) if p.name not in allowed}
-    assert {name: hits for name, hits in found.items() if hits} == {}
+    found = {}
+    for p in sorted(src.glob("*.py")):
+        text = p.read_text(encoding="utf-8")
+        for pattern, allowed in rules:
+            hits = re.findall(pattern, text, re.M)
+            if hits and p.name not in allowed:
+                found.setdefault(p.name, []).extend(hits)
+    assert found == {}
 
 
 def test_library_imports_no_scipy():
@@ -191,7 +198,7 @@ def test_scalar_is_accurate_to_the_working_width(op):
         xs = _operands(rng, 40)
         got = [op(a, b) for a, b in zip(xs, xs[::-1])]
     with mpmath.workprec(1000):
-        exact = lambda z: mpmath.mpc(mpmath.ldexp(z.re, z.exp), mpmath.ldexp(z.im, z.exp))
+        exact = precision.to_mpc
         for a, b, z in zip(xs, xs[::-1], got):
             want = op(exact(a), exact(b))
             tol = mpmath.ldexp(abs(want), 2 - precision.working_bits(50))
@@ -282,7 +289,7 @@ def _scaled(g, k):
     if g.hp is not None:
         shift = lambda v: mpmath.mpc(mpmath.ldexp(v.real, k), mpmath.ldexp(v.imag, k))
         with mpmath.workdps(g.hp.dps):   # mpc() rounds to the context
-            left = tuple(tuple(map(shift, row)) for row in g.hp.left)
+            left = [list(map(shift, row)) for row in payload_entries(g.hp)[1]]
         hp = HighPrecisionTerms(g.hp.poles, left, g.hp.right, g.hp.dps)
     return PoleResidueModel(g.poles, g.left * 2.0 ** k, g.right, hp=hp)
 
@@ -313,8 +320,8 @@ def test_power_of_two_scaling_is_exact():
 
 
 def test_payload_sums_do_no_mpmath_arithmetic(monkeypatch):
-    # mpmath computes exponentials and holds payloads; the sums run on the
-    # backend's own scalar
+    # mpmath computes exponentials on raw parts; the sums and the surrogate's
+    # payload run on the backend's own scalar
     g = build_bench_model()
     h = random_pr(np.random.default_rng(5), 2)
     shifts = np.array([0.2 + 0.2j, 0.2 - 0.2j, 0.7])
@@ -330,6 +337,7 @@ def test_payload_sums_do_no_mpmath_arithmetic(monkeypatch):
     _Objective(g, h, np.array([0]), np.array([], dtype=int)).value_grad_hess(np.array([1.3]))
     hd = DelayedModel(h, DelayBlock((1.3,)), DelayBlock((0.0,), (False,)))
     compute_gap(g, hd, h2_norm_sq(g))
+    build_gtilde(g, DelayBlock((1.3,)), DelayBlock((0.4,)))
 
 
 @pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
@@ -357,16 +365,32 @@ def test_objective_forms_delayed_terms_once_per_point(monkeypatch, payload):
     assert len(calls) == 2
 
 
-# the bytes save_model has written for this surrogate since its payload is
-# built in mpmath; they must not depend on the arithmetic of the sums
+# the bytes save_model writes for this surrogate, unchanged since its payload
+# was built in mpmath: the 50 printed digits of the backend's entries are
+# those of mpmath's rounding at this delay
 GTILDE_SHA256 = "538718c28e2b4d0c4a9a71ba9879a6d76649f37940e61a92ac12af880bf6940b"
 
 
-def test_surrogate_payload_is_mpmath_and_writes_the_same_bytes(tmp_path):
-    gt = build_gtilde(build_bench_model(), DelayBlock((1.3,)),
-                      DelayBlock((0.0,), (False,)))
-    entries = gt.hp.poles + sum(gt.hp.left, ()) + sum(gt.hp.right, ())
-    assert all(isinstance(v, (mpmath.mpc, mpmath.mpf)) for v in entries)
+def test_surrogate_payload_is_accurate_and_writes_the_same_bytes(tmp_path):
+    # Each surrogate entry, l e^{mu gamma} or r e^{mu tau}, is two truncations
+    # to the working width b away from its exact value: the exponential's,
+    # then the product's (mu times a delay is exact here, both being
+    # binary64). Each moves a value by at most sqrt(2) u relative,
+    # u = 2^(1 - b); 1.01 covers the O(u^2) terms and the 80-digit oracle.
+    g = build_bench_model()
+    u = mpmath.mpf(2) ** (1 - precision.working_bits(g.hp.dps))
+    mu, g_left, g_right = payload_entries(g.hp)
+    tau = (1.3,)
+    pinned = build_gtilde(g, DelayBlock(tau), DelayBlock((0.0,), (False,)))
+    both = build_gtilde(g, DelayBlock(tau), DelayBlock((0.4,)))
+    for gt, gam in ((pinned, (0.0,)), (both, (0.4,))):
+        poles, left, right = payload_entries(gt.hp)
+        assert poles == mu
+        with mpmath.workdps(80):
+            for delays, rows, got in ((gam, g_left, left), (tau, g_right, right)):
+                for j, m in np.ndindex(len(mu), len(delays)):
+                    want = rows[j][m] * mpmath.exp(mu[j] * delays[m])
+                    assert abs(got[j][m] - want) <= 1.01 * 2 * mpmath.sqrt(2) * u * abs(want)
     path = tmp_path / "gtilde.json"
-    save_model(str(path), gt)
+    save_model(str(path), pinned)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GTILDE_SHA256

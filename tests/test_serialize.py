@@ -1,5 +1,6 @@
 """Canonical JSON / CSV serialization: byte stability and validation."""
 
+import hashlib
 import json
 import re
 
@@ -137,6 +138,16 @@ def test_high_precision_round_trip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+# the bytes of the benchmark model file: its payload's 50 stored digits
+BENCH_MODEL_SHA256 = "55d6cc4b29f5be2424c57767197bb206cb08c5163f13a6c0e9e93e9d68167850"
+
+
+def test_benchmark_model_file_bytes_are_pinned(tmp_path):
+    p = tmp_path / "bench.json"
+    save_model(p, build_bench_model())
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == BENCH_MODEL_SHA256
+
+
 def test_state_space_round_trip(tmp_path):
     A = np.array([[-1.0, 0.5], [0.0, -2.0]])
     ss = StateSpaceModel(np.eye(2), A, np.array([[1.0], [0.5]]),
@@ -232,10 +243,16 @@ _HP_ONE = (("1", "0"),)
       "input_delays": [1.0, 2.0], "input_mask": [True, True],
       "output_delays": [0.0]},
      "malformed field 'input_delays' in .*bad.json: 2 entries for 1 inputs"),
+] + [
+    ({"kind": "pole_residue", "ny": 1, "nu": 1, "precision": bad,
+      "terms": [_term(("-1", "0"), _HP_ONE, _HP_ONE)]},
+     "malformed field 'precision' in .*bad.json")
+    for bad in (-3, 2.5, True, 3, 16)
 ], ids=["hp-no-pole", "hp-bad-pole", "float-bad-pole", "short-pole",
         "short-residue-row", "bad-ny", "bad-precision", "terms-not-list",
         "state-space-bad-matrix", "bad-input-delay", "long-input-delays",
-        "long-input-delays-and-mask"])
+        "long-input-delays-and-mask", "negative-precision", "fractional-precision",
+        "bool-precision", "precision-3", "precision-16"])
 def test_malformed_model_file_exits_cleanly(tmp_path, capsys, model_obj, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(model_obj))
