@@ -491,17 +491,8 @@ def _grid_points(grid: list | np.ndarray) -> np.ndarray:
 
 
 def _top(values: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(-values, kind="stable")[:k]`` by partial selection.
-
-    Every value at or above the k-th largest, ties included, is sorted
-    stably, so the result equals the full stable sort's prefix exactly.
-    """
-    neg = -values
-    if k >= neg.size:
-        return np.argsort(neg, kind="stable")
-    kth = np.partition(neg, k - 1)[k - 1]
-    cand = np.flatnonzero(neg <= kth)
-    return cand[np.argsort(neg[cand], kind="stable")[:k]]
+    """Indices of the ``k`` largest values, largest first, ties in index order."""
+    return np.argsort(-values, kind="stable")[:k]
 
 
 def write_landscape(path: str, result: DelaySearchResult) -> None:

@@ -41,7 +41,8 @@ from .errors import (
     RepeatedPole,
     Unstable,
 )
-from .precision import Backend, backend_for, payload_closed, payload_terms, resolvent_terms
+from .precision import (Backend, backend_for, checked_precision, payload_closed, payload_terms,
+                        resolvent_terms)
 
 # Absolute tolerance for the imaginary leakage of sums that must be real.
 IMAG_TOL = 1e-10
@@ -67,10 +68,11 @@ class HighPrecisionTerms:
 
     ``poles`` (n,), ``left`` (n, ny) and ``right`` (n, nu) are read-only
     arrays of :class:`delayh2.precision.XComplex` numbers. Entries given in
-    another form (mpmath or binary64 numbers) are converted once, here
-    (:func:`delayh2.precision.payload_terms`). ``dps`` records the decimal
-    precision the payload was produced at (and the minimum precision sums
-    over it use).
+    another form (mpmath or binary64 numbers) are converted once, here, and
+    exactly (:func:`delayh2.precision.payload_terms`). ``dps`` records the
+    decimal precision the payload was produced at (and the minimum precision
+    sums over it use); it follows a model file's rule, else ValueError
+    (:func:`delayh2.precision.checked_precision`).
     """
 
     poles: np.ndarray
@@ -79,7 +81,8 @@ class HighPrecisionTerms:
     dps: int
 
     def __post_init__(self):
-        terms = payload_terms(self.poles, self.left, self.right, self.dps)
+        checked_precision(self.dps)
+        terms = payload_terms(self.poles, self.left, self.right)
         for name, a in zip(("poles", "left", "right"), terms):
             object.__setattr__(self, name, a)
 

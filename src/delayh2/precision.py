@@ -16,14 +16,17 @@ hold (the IRKA pencil alone keeps a separate float64 form, see
   its terms in this form, and every binary64 input (evaluation points,
   times, delays, directions, float models) is lifted exactly. ``@``,
   ``einsum`` and broadcasting then run the same expressions in Python-int
-  arithmetic, inside :meth:`Backend.context`, which sets the working width.
+  arithmetic, inside :meth:`Backend.context`, the one source of the
+  working width: outside every context a rounding operation raises.
 
 A payload is stored as XComplex arrays alone: numbers given in another
-form are converted once, when it is constructed (:func:`payload_terms`),
-and a payload derived from another one (the delay-advanced surrogate) is
-built by the same array code as its float counterpart. mpmath only
-computes the exponentials (on raw mantissa/exponent tuples) and receives
-the exact value of an entry that is printed in decimal (:func:`to_mpc`).
+form are converted once, exactly and so at no width, when it is
+constructed (:func:`payload_terms`), its decimal precision follows one
+rule (:func:`checked_precision`), and a payload derived from another one
+(the delay-advanced surrogate) is built by the same array code as its
+float counterpart. mpmath only computes the exponentials (on raw
+mantissa/exponent tuples) and receives the exact value of an entry that
+is printed in decimal (:func:`to_mpc`).
 
 Results leave a backend as complex128 through :meth:`Backend.to_complex`.
 
@@ -48,22 +51,33 @@ operation.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, mpc_exp, mpf_exp
+from mpmath.libmp import from_man_exp, mpc_exp
 
 # bits kept beyond the payload's decimal precision; truncation loses up to
 # one unit in the last kept bit where round-to-nearest loses half
 GUARD_BITS = 8
 LOG2_10 = math.log2(10.0)
 
+# least decimal precision of a payload: the 17 digits that round-trip binary64
+MIN_PRECISION = 17
+
 # mantissa width of XComplex results, and the exponent gap past which the
 # smaller of two such addends lies entirely below the larger one's last
-# kept bit; both set by Backend.context
-_bits = 53 + GUARD_BITS
-_reach = 2 * _bits + 4
+# kept bit; set only inside Backend.context, so that a rounding operation
+# outside every context raises TypeError
+_bits = _reach = None
+
+
+def checked_precision(dps) -> int:
+    """A payload's decimal digits, ``dps``: an int, not a bool, of at least
+    MIN_PRECISION; ValueError otherwise."""
+    if isinstance(dps, bool) or not isinstance(dps, int) or dps < MIN_PRECISION:
+        raise ValueError(f"{dps!r} is not an integer of at least {MIN_PRECISION} digits")
+    return dps
 
 
 def working_bits(dps: int) -> int:
@@ -197,13 +211,14 @@ def _to_float(m: int, e: int) -> float:
 
 
 def _from_parts(re: int, re_exp: int, im: int, im_exp: int) -> XComplex:
-    """Exact sum re 2^re_exp + i im 2^im_exp on the shared exponent."""
+    """re 2^re_exp + i im 2^im_exp on the lesser exponent, every bit of both
+    parts kept: exact at any width."""
     if not im:
-        return _round(re, 0, re_exp)
+        return _make(re, 0, re_exp)
     if not re:
-        return _round(0, im, im_exp)
+        return _make(0, im, im_exp)
     e = min(re_exp, im_exp)
-    return _round(re << (re_exp - e), im << (im_exp - e), e)
+    return _make(re << (re_exp - e), im << (im_exp - e), e)
 
 
 def _float_parts(x: float) -> tuple[int, int]:
@@ -217,14 +232,11 @@ def _mpf_parts(t) -> tuple[int, int]:
 
 
 def _coerce(v):
-    """Exact XComplex copy of a binary64 number or an mpmath complex; an
-    XComplex is returned as it is."""
+    """Exact XComplex copy of a binary64 number or an mpmath complex, which
+    needs no working width; an XComplex is returned as it is."""
     if v.__class__ is XComplex:
         return v
-    if isinstance(v, (float, np.floating)):
-        m, e = _float_parts(float(v))
-        return _make(m, 0, e)
-    if isinstance(v, (complex, np.complexfloating)):
+    if isinstance(v, (float, complex, np.floating, np.complexfloating)):
         return _from_parts(*_float_parts(v.real), *_float_parts(v.imag))
     if hasattr(v, "_mpc_"):
         re, im = v._mpc_
@@ -234,35 +246,19 @@ def _coerce(v):
 
 def _exp(z: XComplex) -> XComplex:
     """e^z at the working width: mpmath's exponential on the raw parts."""
-    x = from_man_exp(z.re, z.exp)
-    if not z.im:
-        m, e = _mpf_parts(mpf_exp(x, _bits))
-        return _round(m, 0, e)
-    re, im = mpc_exp((x, from_man_exp(z.im, z.exp)), _bits)
-    return _from_parts(*_mpf_parts(re), *_mpf_parts(im))
+    re, im = mpc_exp((from_man_exp(z.re, z.exp), from_man_exp(z.im, z.exp)), _bits)
+    z = _from_parts(*_mpf_parts(re), *_mpf_parts(im))
+    return _round(z.re, z.im, z.exp)
 
 
-@contextmanager
-def _working(bits: int):
-    global _bits, _reach
-    saved = _bits, _reach
-    _bits, _reach = bits, 2 * bits + 4
-    try:
-        yield
-    finally:
-        _bits, _reach = saved
-
-
-def payload_terms(poles, left, right, dps: int) -> tuple:
-    """Read-only XComplex arrays (poles, left, right) of a ``dps``-digit payload.
+def payload_terms(poles, left, right) -> tuple:
+    """Read-only XComplex arrays (poles, left, right) of a payload.
 
     Each number that is not XComplex already (an mpmath or binary64
-    number) is converted at the payload's own width, which no backend over
-    it undercuts, so the arrays do not depend on the working precision.
+    number) is converted exactly (:func:`_coerce`), so the arrays depend on
+    no precision.
     """
-    with _working(working_bits(dps)):
-        arrays = tuple(_xc(np.array(part, dtype=object))
-                       for part in (poles, left, right))
+    arrays = tuple(_xc(np.array(part, dtype=object)) for part in (poles, left, right))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -299,19 +295,25 @@ def _resolvent_sums(s: np.ndarray, terms, derivative: bool = True):
     (ny, nu), least, data = terms
     val = np.empty((s.size, ny * nu), dtype=object)
     nder = np.empty_like(val)
+    width = _bits + 2
     for i, z in enumerate(s.tolist()):
         z = _coerce(z)
         zr, zi, ze = z.re, z.im, z.exp
         w = []
+        low = math.inf
         for mr, mi, me, psi in data:
-            e = min(ze, me)
-            dr = (zr << (ze - e)) - (mr << (me - e))
-            di = (zi << (ze - e)) - (mi << (me - e))
+            if ze > me:
+                dr, di, e = (zr << (ze - me)) - mr, (zi << (ze - me)) - mi, me
+            else:
+                dr, di, e = zr - (mr << (me - ze)), zi - (mi << (me - ze)), ze
             den = dr * dr + di * di
-            k = _bits + 2 + den.bit_length() - max(dr.bit_length(), di.bit_length())
+            n, m = dr.bit_length(), di.bit_length()
+            k = width + den.bit_length() - (n if n > m else m)
+            we = -e - k
+            if we < low:
+                low = we
             w.append(((dr << k) // den if dr >= 0 else -((-dr << k) // den),
-                      -((di << k) // den) if di >= 0 else (-di << k) // den, -e - k, psi))
-        low = min(we for _, _, we, _ in w)
+                      -((di << k) // den) if di >= 0 else (-di << k) // den, we, psi))
         sums = [0] * (4 * ny * nu)
         for wr, wi, we, psi in w:
             for j, (pr, pi, pe) in enumerate(psi):
@@ -360,9 +362,20 @@ class Backend:
     def __init__(self, dps: int | None = None):
         self.dps = dps
 
+    @contextmanager
     def context(self):
-        """Context that every operation on this backend's arrays runs in."""
-        return nullcontext() if self.dps is None else _working(working_bits(self.dps))
+        """Context that every operation on this backend's arrays runs in: in
+        extended precision it sets the working width, the one source of
+        XComplex rounding widths."""
+        global _bits, _reach
+        saved = _bits, _reach
+        if self.dps is not None:
+            _bits = working_bits(self.dps)
+            _reach = 2 * _bits + 4
+        try:
+            yield
+        finally:
+            _bits, _reach = saved
 
     def lift(self, x):
         """Exact working-precision copy of binary64 data."""

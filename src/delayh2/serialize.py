@@ -26,7 +26,7 @@ from .models import (
     PoleResidueModel,
     StateSpaceModel,
 )
-from .precision import to_mpc
+from .precision import checked_precision, to_mpc
 
 # ---------------------------------------------------------------------------
 # canonical JSON text
@@ -113,10 +113,6 @@ def _convert(convert, value, key: str, where: str):
 # ---------------------------------------------------------------------------
 # models
 
-# least decimal precision of a payload: the 17 digits that round-trip binary64
-MIN_PRECISION = 17
-
-
 def _pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -178,13 +174,6 @@ def _row(term: dict, key: str, width: int, dps: int | None, where: str) -> list:
     return [_number(v, dps, f"{where} {key}") for v in row]
 
 
-def _precision(value) -> int:
-    """A payload's decimal digits: an int of at least MIN_PRECISION."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < MIN_PRECISION:
-        raise ValueError(f"{value!r} is not an integer of at least {MIN_PRECISION} digits")
-    return value
-
-
 def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
     terms = _convert(list, _require(obj, "terms", where), "terms", where)
     ny = _convert(int, _require(obj, "ny", where), "ny", where)
@@ -192,7 +181,7 @@ def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
     if len(terms) == 0:
         raise DelayH2Error(f"empty term list in {where}")
     dps = obj.get("precision")
-    dps = None if dps is None else _convert(_precision, dps, "precision", where)
+    dps = None if dps is None else _convert(checked_precision, dps, "precision", where)
     poles, left, right = [], [], []
     with nullcontext() if dps is None else mpmath.workdps(dps):
         for k, t in enumerate(terms):

@@ -230,6 +230,44 @@ def test_scalar_sum_starts_from_int_zero():
         assert _bits(sum([x, y, z])) == _bits((x + y) + z)
 
 
+def test_scalar_rounds_only_inside_a_backend_context():
+    # the working width has one source, Backend.context: outside every
+    # context a rounding operation raises instead of running at a default
+    with precision.Backend(50).context():
+        x, y = _operands(np.random.default_rng(10), 2)
+    assert precision._bits is None
+    for op in OPS:
+        with pytest.raises(TypeError):
+            op(x, y)
+    with pytest.raises(TypeError):
+        precision.Backend(50).exp(np.array([x], dtype=object))
+
+
+def test_payload_conversion_keeps_both_parts():
+    # each part keeps all of its bits, however far apart the two lie: here
+    # 1e-30/3 + i/7 at 50 digits, parts about 2^99 apart
+    with mpmath.workdps(50):
+        v = mpmath.mpc(mpmath.mpf("1e-30") / 3, mpmath.mpf(1) / 7)
+    terms = precision.payload_terms([v], [[v]], [[-v]])
+    assert [precision.to_mpc(a.flat[0]) for a in terms] == [v, v, -v]
+    hp = HighPrecisionTerms([v], [[v]], [[v]], 50)
+    assert payload_entries(hp) == ([v], [[v]], [[v]])
+
+
+def test_lift_keeps_both_parts():
+    z = complex(1.0, 2.0 ** -200)
+    lifted = precision.Backend(50).lift(np.array([z]))[0]
+    assert precision.to_mpc(lifted) == mpmath.mpc(z)
+    assert complex(lifted) == z
+
+
+@pytest.mark.parametrize("dps", [-3, 3, 16, 2.5, True])
+def test_payload_precision_is_an_int_of_at_least_17_digits(dps):
+    # the rule a model file's "precision" follows holds for the API too
+    with pytest.raises(ValueError, match="at least 17 digits"):
+        HighPrecisionTerms([mpmath.mpc(-1)], [[mpmath.mpc(1)]], [[mpmath.mpc(1)]], dps)
+
+
 # ---------------------------------------------------------------------------
 # the double-double kernel of the payload grid screen
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from delayh2 import (
     DelayedModel,
     DelayH2Error,
     DelaySearchConfig,
+    HighPrecisionTerms,
     IoDirkaConfig,
     PoleResidueModel,
     StateSpaceModel,
@@ -19,6 +21,7 @@ from delayh2 import (
     io_dirka,
 )
 from delayh2.cli import main
+from delayh2.precision import to_mpc
 from delayh2.serialize import (
     config_to_obj,
     dumps_canonical,
@@ -136,6 +139,26 @@ def test_high_precision_round_trip(tmp_path):
     p2 = tmp_path / "hp2.json"
     save_model(p2, m2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_payload_entry_with_parts_far_apart_round_trips(tmp_path):
+    # 1e-30/3 + i/7 and its conjugate partner: the file stores 50 digits
+    # of each part, and loading converts them exactly
+    with mpmath.workdps(50):
+        v = mpmath.mpc(mpmath.mpf("1e-30") / 3, mpmath.mpf(1) / 7)
+        poles = [mpmath.mpc(-1, 2), mpmath.mpc(-1, -2)]
+        left, right = [[v], [mpmath.conj(v)]], [[mpmath.mpc(1)], [mpmath.mpc(1)]]
+    as_float = lambda a: np.array(a, dtype=complex)
+    m = PoleResidueModel(as_float(poles), as_float(left), as_float(right),
+                         hp=HighPrecisionTerms(poles, left, right, 50))
+    p = tmp_path / "wide.json"
+    save_model(p, m)
+    got = to_mpc(load_model(p).hp.left[0, 0])
+    with mpmath.workdps(60):
+        assert abs(got.real - v.real) <= abs(v.real) * mpmath.mpf("1e-49")
+        assert abs(got.imag - v.imag) <= abs(v.imag) * mpmath.mpf("1e-49")
+    save_model(tmp_path / "again.json", load_model(p))
+    assert (tmp_path / "again.json").read_bytes() == p.read_bytes()
 
 
 # the bytes of the benchmark model file: its payload's 50 stored digits
