@@ -25,12 +25,7 @@ from .errors import DelayH2Error
 from .h2 import compute_gap, h2_norm_sq
 from .iodirka import IoDirkaConfig, io_dirka
 from .irka import IrkaConfig, irka_reduce
-from .models import (
-    DelayedModel,
-    HighPrecisionTerms,
-    PoleResidueModel,
-    impulse_response,
-)
+from .models import HighPrecisionTerms, PoleResidueModel, impulse_response
 from .serialize import report_to_obj, save_model, write_csv, write_json
 
 BENCH_ORDER = 20
@@ -67,10 +62,6 @@ def build_bench_model(order: int = BENCH_ORDER, dps_build: int = 60,
     return PoleResidueModel(poles, left, right, hp=hp)
 
 
-def _impulse_series(model, t: np.ndarray) -> np.ndarray:
-    return impulse_response(model, t)[0, 0, :]
-
-
 def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
               outer_max: int = 80, t_max: float = 50.0, n_points: int = 2000) -> dict:
     """Run the full reproduction study into ``outdir`` and return a summary."""
@@ -84,7 +75,7 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
     norm_g_sq = h2_norm_sq(g)
 
     t = np.linspace(0.0, t_max, n_points)
-    gi = _impulse_series(g, t)
+    gi = impulse_response(g, t)[0, 0]
     write_csv(os.path.join(outdir, "impulse-full.csv"),
               ("t", "g"), np.column_stack([t, gi]))
 
@@ -95,8 +86,8 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
         res = irka_reduce(g, IrkaConfig(order=n))
         h = res.model
         free_models[n] = h
-        gap = compute_gap(g, DelayedModel.undelayed(h), norm_g_sq)
-        hi = _impulse_series(DelayedModel.undelayed(h), t)
+        gap = compute_gap(g, h, norm_g_sq)
+        hi = impulse_response(h, t)[0, 0]
         mse = float(np.mean((gi - hi) ** 2))
         save_model(os.path.join(outdir, f"free-n{n}-model.json"), h)
         write_csv(os.path.join(outdir, f"impulse-free-n{n}.csv"),
@@ -111,7 +102,7 @@ def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),
             search=DelaySearchConfig(input_mask=(True,), output_mask=(False,)))
         report = io_dirka(g, cfg)
         hd = report.model
-        hi = _impulse_series(hd, t)
+        hi = impulse_response(hd, t)[0, 0]
         mse = float(np.mean((gi - hi) ** 2))
         save_model(os.path.join(outdir, f"delayed-n{n}-model.json"), hd)
         write_json(os.path.join(outdir, f"delayed-n{n}-report.json"),

@@ -8,7 +8,10 @@ residuals of a given full/reduced pair). Exit codes: 0 on success (for
 residual is at most 1e-6 max(1, ||G||^2)), 2 when a result was produced
 best-effort without meeting that rule, 1 on errors (bad files, bad flags,
 unwritable output paths). Output files carry no timestamps; a given
-config and seed always produce byte-identical files.
+config and seed always produce byte-identical files. A ``reduce`` or
+``bench`` flag left off is not passed on (each flag's ``dest`` names the
+field it sets), so each default lives only in its config class or in
+:func:`~delayh2.bench.run_bench`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .h2 import compute_gap, h2_norm_sq, optimality_residuals
 from .iodirka import IoDirkaConfig, io_dirka
 from .irka import INIT_MODES, IrkaConfig
 from .models import (
-    DelayedModel,
     PoleResidueModel,
     StateSpaceModel,
     impulse_response,
@@ -51,12 +53,20 @@ class _Parser(argparse.ArgumentParser):
         raise DelayH2Error(message)
 
 
-def _as_rational(m, where: str) -> PoleResidueModel:
+def _load(path: str, flag: str, delayed: bool = False):
+    """The model in ``path``, a state-space model in pole/residue form; a
+    delayed model only where ``delayed``."""
+    m = load_model(path)
     if isinstance(m, StateSpaceModel):
         return pole_residue_from_state_space(m)
-    if isinstance(m, PoleResidueModel):
-        return m
-    raise DelayH2Error(f"{where} must be a delay-free model")
+    if not delayed and not isinstance(m, PoleResidueModel):
+        raise DelayH2Error(f"{flag} must be a delay-free model")
+    return m
+
+
+def _given(args, *names) -> dict:
+    """The settings among ``names`` given on the command line, by name."""
+    return {k: getattr(args, k) for k in names if hasattr(args, k)}
 
 
 def _parse_delay_spec(spec: str, nu: int, ny: int):
@@ -81,20 +91,18 @@ def _parse_delay_spec(spec: str, nu: int, ny: int):
 
 
 def _cmd_reduce(args) -> int:
-    g = _as_rational(load_model(args.model), "--model")
+    g = _load(args.model, "--model")
     in_mask, out_mask = _parse_delay_spec(args.delays, g.nu, g.ny)
     search = DelaySearchConfig(
-        grid_points_per_channel=args.grid_points, tau_max=args.tau_max,
-        refine_tol=args.refine_tol, input_mask=in_mask, output_mask=out_mask)
-    irka = IrkaConfig(order=args.order, seed=args.seed,
-                      shift_tol=args.shift_tol, init=args.irka_init)
-    cfg = IoDirkaConfig(order=args.order, outer_max_iters=args.outer_max,
-                        outer_tol=args.outer_tol, irka=irka, search=search,
-                        landscape_csv=args.landscape_csv)
+        input_mask=in_mask, output_mask=out_mask,
+        **_given(args, "grid_points_per_channel", "tau_max", "refine_tol"))
+    irka = IrkaConfig(order=args.order, **_given(args, "seed", "shift_tol", "init"))
+    cfg = IoDirkaConfig(order=args.order, irka=irka, search=search, **_given(
+        args, "outer_max_iters", "outer_tol", "landscape_csv"))
     os.makedirs(args.out, exist_ok=True)
-    if args.landscape_csv:
+    if cfg.landscape_csv:
         # fail on an unwritable path now, not after the first delay search
-        open(args.landscape_csv, "a", encoding="utf-8").close()
+        open(cfg.landscape_csv, "a", encoding="utf-8").close()
     report = io_dirka(g, cfg)
     save_model(os.path.join(args.out, "reduced-model.json"), report.model)
     write_json(os.path.join(args.out, "report.json"), report_to_obj(report))
@@ -107,10 +115,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    summary = run_bench(
-        args.out, orders_free=tuple(args.orders_free),
-        orders_delayed=tuple(args.orders_delayed), outer_max=args.outer_max,
-        t_max=args.t_max, n_points=args.points)
+    summary = run_bench(args.out, **_given(
+        args, "orders_free", "orders_delayed", "outer_max", "t_max", "n_points"))
     ok = all(summary["checks"].values()) and all(
         d["converged"] for d in summary["delayed"].values())
     for name, val in sorted(summary["checks"].items()):
@@ -120,9 +126,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_impulse(args) -> int:
-    m = load_model(args.model)
-    if isinstance(m, StateSpaceModel):
-        m = pole_residue_from_state_space(m)
+    m = _load(args.model, "--model", delayed=True)
     if args.points < 0:
         raise DelayH2Error(f"--points {args.points} is negative")
     if not 0.0 <= args.t_max < np.inf:
@@ -138,13 +142,10 @@ def _cmd_impulse(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    g = _as_rational(load_model(args.model), "--model")
-    h = load_model(args.reduced)
-    if isinstance(h, StateSpaceModel):
-        h = pole_residue_from_state_space(h)
-    hd = h if isinstance(h, DelayedModel) else DelayedModel.undelayed(h)
-    gap = compute_gap(g, hd, h2_norm_sq(g))
-    res = optimality_residuals(g, hd)
+    g = _load(args.model, "--model")
+    h = _load(args.reduced, "--reduced", delayed=True)
+    gap = compute_gap(g, h, h2_norm_sq(g))
+    res = optimality_residuals(g, h)
     obj = {"gap": gap_to_obj(gap), "residuals": residuals_to_obj(res)}
     if args.out:
         write_json(args.out, obj)
@@ -156,7 +157,7 @@ def _cmd_analyze(args) -> int:
 
 def _int_list(text: str):
     try:
-        return [int(v) for v in text.split(",") if v]
+        return tuple(int(v) for v in text.split(",") if v)
     except ValueError as exc:
         raise DelayH2Error(f"bad integer list {text!r}") from exc
 
@@ -166,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
                 description="H2-optimal reduction with input/output delays")
     sub = p.add_subparsers(dest="command", required=True)
 
-    r = sub.add_parser("reduce", help="reduce a full model to a delayed model")
+    r = sub.add_parser("reduce", help="reduce a full model to a delayed model",
+                       argument_default=argparse.SUPPRESS)
     r.add_argument("--model", required=True, help="full model JSON")
     r.add_argument("--order", required=True, type=int, help="reduced order")
     r.add_argument("--out", default=".", help="output directory")
@@ -174,28 +176,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="none | input | output | io | mask:<bits>,<bits>; "
                         "with every channel delayed (io) the result is the "
                         "representative with min output delay 0")
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--outer-max", type=int, default=50)
-    r.add_argument("--outer-tol", type=float, default=1e-6)
-    r.add_argument("--shift-tol", type=float, default=1e-8)
-    r.add_argument("--irka-init", default="log-spaced-real", choices=INIT_MODES)
-    r.add_argument("--grid-points", type=int, default=400)
-    r.add_argument("--tau-max", type=float, default=None,
+    r.add_argument("--seed", type=int)
+    r.add_argument("--outer-max", dest="outer_max_iters", type=int)
+    r.add_argument("--outer-tol", type=float)
+    r.add_argument("--shift-tol", type=float)
+    r.add_argument("--irka-init", dest="init", choices=INIT_MODES)
+    r.add_argument("--grid-points", dest="grid_points_per_channel", type=int)
+    r.add_argument("--tau-max", type=float,
                    help="initial delay box (default 5 / min|Re pole|); with "
                         "every channel delayed it bounds each path delay "
                         "by 2 * tau-max")
-    r.add_argument("--refine-tol", type=float, default=1e-10)
-    r.add_argument("--landscape-csv", default=None,
+    r.add_argument("--refine-tol", type=float)
+    r.add_argument("--landscape-csv",
                    help="dump the delay-search grid to this CSV")
     r.set_defaults(func=_cmd_reduce)
 
-    b = sub.add_parser("bench", help="run the benchmark reproduction study")
+    b = sub.add_parser("bench", help="run the benchmark reproduction study",
+                       argument_default=argparse.SUPPRESS)
     b.add_argument("--out", default="bench-out", help="output directory")
-    b.add_argument("--outer-max", type=int, default=80)
-    b.add_argument("--orders-free", type=_int_list, default=[2, 3, 4, 5, 6])
-    b.add_argument("--orders-delayed", type=_int_list, default=[2, 4])
-    b.add_argument("--t-max", type=float, default=50.0)
-    b.add_argument("--points", type=int, default=2000)
+    b.add_argument("--outer-max", type=int)
+    b.add_argument("--orders-free", type=_int_list)
+    b.add_argument("--orders-delayed", type=_int_list)
+    b.add_argument("--t-max", type=float)
+    b.add_argument("--points", dest="n_points", type=int)
     b.set_defaults(func=_cmd_bench)
 
     i = sub.add_parser("impulse", help="impulse-response CSV of a model")

@@ -9,11 +9,11 @@ high as every axis neighbour (every neighbour along its line on a cyclic
 scan). The TOP_STARTS highest peaks and the caller's start are refined
 with projected gradient ascent plus a Newton polish using the analytic
 delay Hessian; neighbouring cells of one peak would all climb to the same
-maximum. Peaks are ranked by partial selection, equal to the prefix of a
-full stable sort. A Newton step is kept unless it lowers the objective by
-more than the rounding bound of the compared values (zero on a payload),
-so a start next to a maximum of a cancelling float sum converges instead
-of stalling on rounding noise.
+maximum. Peaks are ranked by a stable sort, ties in index order. A Newton
+step is kept unless it lowers the objective by more than the rounding
+bound of the compared values (zero on a payload), so a start next to a
+maximum of a cancelling float sum converges instead of stalling on
+rounding noise.
 
 Each term couples one output delay with one input delay, so the screen
 sums ny*nu channel-pair tables. On a float model it runs in float64, one
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayH2Error, NonFiniteObjective
+from .errors import DelayH2Error, DimensionMismatch, NonFiniteObjective
 from .h2 import _cross_eval, _cross_tensor, _delayed_terms, _term_sums
 from .models import DelayBlock, PoleResidueModel
 from .precision import backend_for, dd_add, lattice_points, path_lattice
@@ -78,16 +78,16 @@ class DelaySearchConfig:
     """Settings for :func:`optimize_delays`.
 
     ``tau_max=None`` defaults to five times the slowest time constant of the
-    full model (5 / min|Re mu|); with ``extend_box`` the box doubles while
-    the optimum sits on the right boundary with positive gradient, and the
-    result reports the box it ended in. ``input_mask``/``output_mask`` pin
-    masked-off channels to delay 0. The grid has
-    ``grid_points_per_channel`` points per box axis, fewer when a joint grid
-    would exceed ``joint_grid_budget`` points; its screen only picks the
-    refinement starts (see the module docstring). With every channel
-    delayed the search returns the representative with min gamma = 0, and
-    each input delay then spans the path range [0, 2 tau_max] at the same
-    grid spacing.
+    full model (5 / min|Re mu|); the box doubles, up to EXTEND_CAP times,
+    while the optimum sits on the right boundary with positive gradient,
+    and the result reports the box it ended in. ``input_mask`` and
+    ``output_mask``, one entry per channel, pin masked-off channels to delay
+    0. The grid has ``grid_points_per_channel`` points per box axis, fewer
+    when a joint grid would exceed ``joint_grid_budget`` points; its screen
+    only picks the refinement starts (see the module docstring). With every
+    channel delayed the search returns the representative with min
+    gamma = 0, and each input delay then spans the path range
+    [0, 2 tau_max] at the same grid spacing.
     """
 
     grid_points_per_channel: int = 400
@@ -95,12 +95,13 @@ class DelaySearchConfig:
     refine_tol: float = 1e-10
     input_mask: tuple | None = None
     output_mask: tuple | None = None
-    extend_box: bool = True
     joint_grid_budget: int = 400_000
 
     def __post_init__(self):
-        if self.grid_points_per_channel < 2:
-            raise DelayH2Error("grid_points_per_channel must be at least 2")
+        for name, least in (("grid_points_per_channel", 2), ("joint_grid_budget", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise DelayH2Error(f"{name} {v!r} is not an integer of at least {least}")
         if self.tau_max is not None and not 0.0 < self.tau_max < np.inf:
             raise DelayH2Error("tau_max must be positive and finite")
         if not 0.0 < self.refine_tol < np.inf:
@@ -126,16 +127,26 @@ class DelaySearchResult:
     cross: complex
 
 
+def per_channel(g: PoleResidueModel, name: str, values, fill) -> np.ndarray:
+    """Setting ``name`` as an array of ``fill``'s type, one entry per input
+    (``name`` holds ``input``) or output of ``g``; ``fill`` where unset."""
+    side, count = ("input", g.nu) if "input" in name else ("output", g.ny)
+    arr = np.full(count, fill) if values is None \
+        else np.atleast_1d(np.asarray(values, dtype=type(fill)))
+    if arr.shape != (count,):
+        raise DimensionMismatch(
+            f"{name} has {arr.size} entries for a model with {count} {side}s")
+    return arr
+
+
 def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
     """(input mask, output mask, initial box) of a delay search on ``g``.
 
     Unset masks make every channel delayable; an unset ``tau_max`` is
     5 / min|Re mu|, five of the full model's slowest time constants.
     """
-    in_mask = np.ones(g.nu, dtype=bool) if cfg.input_mask is None \
-        else np.asarray(cfg.input_mask, dtype=bool)
-    out_mask = np.ones(g.ny, dtype=bool) if cfg.output_mask is None \
-        else np.asarray(cfg.output_mask, dtype=bool)
+    in_mask = per_channel(g, "input_mask", cfg.input_mask, True)
+    out_mask = per_channel(g, "output_mask", cfg.output_mask, True)
     tau_max = cfg.tau_max if cfg.tau_max is not None \
         else 5.0 / float(np.min(np.abs(np.real(g.poles))))
     return in_mask, out_mask, tau_max
@@ -561,7 +572,7 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
             best_x = _grid_point(grid, top[0])
             best_f = grid_best
 
-        if not cfg.extend_box or tau_max >= EXTEND_CAP * tau_max0:
+        if tau_max >= EXTEND_CAP * tau_max0:
             break
         _, grad, _ = obj.value_grad_hess(best_x)
         pressing = (best_x >= hi - 2 * spacing) & (grad > 0)

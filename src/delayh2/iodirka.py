@@ -30,6 +30,7 @@ import numpy as np
 from .delayopt import (
     DelaySearchConfig,
     optimize_delays,
+    per_channel,
     representative,
     search_domain,
     write_landscape,
@@ -126,13 +127,11 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     in_mask, out_mask, box = search_domain(g, search)
     search = replace(search, input_mask=tuple(in_mask),
                      output_mask=tuple(out_mask), tau_max=box)
-    irka_cfg = cfg.irka if cfg.irka is not None else IrkaConfig(order=n)
-    if irka_cfg.order != n:
-        irka_cfg = replace(irka_cfg, order=n)
+    irka_cfg = replace(cfg.irka or IrkaConfig(order=n), order=n)
 
     din, dout = representative(
-        DelayBlock(cfg.init_input_delays or (0.0,) * g.nu, tuple(in_mask)),
-        DelayBlock(cfg.init_output_delays or (0.0,) * g.ny, tuple(out_mask)))
+        DelayBlock(per_channel(g, "init_input_delays", cfg.init_input_delays, 0.0), in_mask),
+        DelayBlock(per_channel(g, "init_output_delays", cfg.init_output_delays, 0.0), out_mask))
 
     norm_g_sq = h2_norm_sq(g)
     trace = []

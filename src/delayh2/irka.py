@@ -74,6 +74,8 @@ from .models import (
 from .precision import Backend, backend_for
 
 DIRECTION_TINY = 1e-14
+# projections per irka_reduce call at most; the result is then best-effort
+MAX_ITERS = 200
 INIT_MODES = ("log-spaced-real", "random-stable")
 
 
@@ -84,11 +86,10 @@ class IrkaConfig:
     ``init`` is ``"log-spaced-real"`` (shifts log-spaced over the target's
     pole-magnitude range, unit directions) or ``"random-stable"`` (seeded
     log-uniform real shifts, random directions). A warm start passed to
-    :func:`irka_reduce` replaces both.
+    :func:`irka_reduce` replaces both. ``MAX_ITERS`` caps the projections.
     """
 
     order: int
-    max_iters: int = 200
     shift_tol: float = 1e-8
     init: str = "log-spaced-real"
     seed: int = 0
@@ -96,8 +97,8 @@ class IrkaConfig:
     def __post_init__(self):
         if self.order < 1:
             raise DelayH2Error("reduced order must be at least 1")
-        if self.max_iters < 1 or not 0.0 < self.shift_tol < np.inf:
-            raise DelayH2Error("iteration settings must be positive and finite")
+        if not 0.0 < self.shift_tol < np.inf:
+            raise DelayH2Error("shift_tol must be positive and finite")
         if self.init not in INIT_MODES:
             raise DelayH2Error(f"unknown init mode {self.init!r}")
         if self.seed < 0:
@@ -112,7 +113,6 @@ class IrkaResult:
     model: PoleResidueModel
     iterations: int
     converged: bool
-    final_shift_movement: float
     reflections: int
     jumps: int
 
@@ -382,15 +382,12 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     if not 1 <= n <= g.order:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
     shifts, bdirs, cdirs = _initial_iterate(g, cfg, start)
-    movement = np.inf
     moved_ok = False
     reflections = 0
-    iterations = 0
     jumps = 0
     plain = []
 
-    for _ in range(cfg.max_iters):
-        iterations += 1
+    for iterations in range(1, MAX_ITERS + 1):
         groups = _pair_structure(shifts)
         Er, Ar, Br, Cr = _realify_pencil(
             *_project(g, shifts, bdirs, cdirs, groups))
@@ -431,5 +428,4 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     converged = moved_ok and optimality_residuals(g, model).max_residual() \
         <= 1e-6 * max(h2_norm_pole_residue(model), 1.0)
     return IrkaResult(model=model, iterations=iterations, converged=converged,
-                      final_shift_movement=movement, reflections=reflections,
-                      jumps=jumps)
+                      reflections=reflections, jumps=jumps)

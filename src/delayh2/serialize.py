@@ -298,8 +298,6 @@ def config_to_obj(cfg) -> dict:
         return int(cfg)
     if isinstance(cfg, np.floating):
         return float(cfg)
-    if isinstance(cfg, complex):
-        return [cfg.real, cfg.imag]
     return cfg
 
 

@@ -397,8 +397,7 @@ def test_reduction_matches_exhaustive_search():
 
 def test_exact_recovery_keeps_zero_delays():
     rng = np.random.default_rng(606)
-    search = DelaySearchConfig(grid_points_per_channel=120, tau_max=4.0,
-                               extend_box=False)
+    search = DelaySearchConfig(grid_points_per_channel=120, tau_max=4.0)
     for order, ny, nu in ((3, 1, 1), (4, 2, 2)):
         g = random_pr(rng, order, ny=ny, nu=nu)
         rep = io_dirka(g, IoDirkaConfig(order=order, search=search))

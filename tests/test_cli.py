@@ -6,10 +6,20 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_siso, random_pr
-from delayh2 import DelayBlock, DelayedModel, compute_gap, h2_norm_sq
-from delayh2.cli import main
-from delayh2.serialize import load_model, read_json, save_model
+from conftest import make_siso, random_pr, random_ss
+from delayh2 import (
+    DelayBlock,
+    DelayedModel,
+    DelayH2Error,
+    DelaySearchConfig,
+    IoDirkaConfig,
+    IrkaConfig,
+    compute_gap,
+    h2_norm_sq,
+    pole_residue_from_state_space,
+)
+from delayh2.cli import build_parser, main
+from delayh2.serialize import config_to_obj, load_model, read_json, save_model
 
 
 def _model_file(tmp_path, model, name="model.json"):
@@ -385,3 +395,90 @@ def test_bench_smoke(tmp_path, capsys):
     assert summary["checks"] == {"gap_delayed2_lt_free3": True}
     header = (out / "summary.csv").read_text().splitlines()[0]
     assert header == "order,delayed,gap,mse"
+
+
+# ---------------------------------------------------------------------------
+# settings: one source for every default
+
+
+def test_parsed_namespace_holds_only_given_settings():
+    # a config flag left off is absent, so its config class (or run_bench)
+    # supplies the default; only the CLI's own flags carry one here
+    p = build_parser()
+    r = p.parse_args(["reduce", "--model", "m.json", "--order", "2"])
+    assert set(vars(r)) == {"command", "func", "model", "order", "out", "delays"}
+    b = p.parse_args(["bench"])
+    assert set(vars(b)) == {"command", "func", "out"}
+
+
+def test_default_reduce_echoes_the_config_class_defaults(tmp_path, capsys):
+    g = random_pr(np.random.default_rng(39), 3)
+    out = tmp_path / "out"
+    rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "2",
+               "--out", str(out)])
+    assert rc in (0, 2)
+    capsys.readouterr()
+    want = IoDirkaConfig(order=2, irka=IrkaConfig(order=2), search=DelaySearchConfig(
+        input_mask=(True,), output_mask=(True,)))
+    assert read_json(out / "run-config.json")["config"] == config_to_obj(want)
+
+
+def test_reduce_flags_set_their_fields(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def stop(g, cfg):
+        seen.append(cfg)
+        raise DelayH2Error("stopped")
+
+    monkeypatch.setattr("delayh2.cli.io_dirka", stop)
+    csv = str(tmp_path / "scan.csv")
+    argv = ["reduce", "--model", _model_file(tmp_path, make_siso([-1.0, -3.0], [1.0, 0.5])),
+            "--order", "1", "--out", str(tmp_path / "out"), "--delays", "input",
+            "--seed", "3", "--outer-max", "7", "--outer-tol", "1e-5",
+            "--shift-tol", "1e-9", "--irka-init", "random-stable",
+            "--grid-points", "33", "--tau-max", "2.5", "--refine-tol", "1e-9",
+            "--landscape-csv", csv]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert seen == [IoDirkaConfig(
+        order=1, outer_max_iters=7, outer_tol=1e-5, landscape_csv=csv,
+        irka=IrkaConfig(order=1, seed=3, shift_tol=1e-9, init="random-stable"),
+        search=DelaySearchConfig(grid_points_per_channel=33, tau_max=2.5,
+                                 refine_tol=1e-9, input_mask=(True,),
+                                 output_mask=(False,)))]
+
+
+def test_bench_passes_only_given_flags(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def run(outdir, **kw):
+        calls.append((outdir, kw))
+        return {"checks": {}, "delayed": {}}
+
+    monkeypatch.setattr("delayh2.cli.run_bench", run)
+    out = str(tmp_path / "bench")
+    assert main(["bench", "--out", out]) == 0
+    assert main(["bench", "--out", out, "--outer-max", "9", "--orders-free", "2,3",
+                 "--orders-delayed", "4", "--t-max", "10", "--points", "50"]) == 0
+    capsys.readouterr()
+    assert calls == [(out, {}),
+                     (out, dict(outer_max=9, orders_free=(2, 3), orders_delayed=(4,),
+                                t_max=10.0, n_points=50))]
+
+
+def test_state_space_files_read_as_pole_residue(tmp_path, capsys):
+    # impulse and both analyze inputs take a state-space file as its
+    # pole/residue form
+    ss = random_ss(np.random.default_rng(49), 3)
+    files = [_model_file(tmp_path, m, name) for m, name in
+             ((ss, "ss.json"), (pole_residue_from_state_space(ss), "pr.json"))]
+    csvs = []
+    for i, path in enumerate(files):
+        csvs.append(tmp_path / f"imp{i}.csv")
+        assert main(["impulse", "--model", path, "--t-max", "2.0", "--points", "21",
+                     "--out", str(csvs[-1])]) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+    capsys.readouterr()
+    for model, reduced in (files, files[::-1]):
+        assert main(["analyze", "--model", model, "--reduced", reduced]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["gap"]["j"]) <= 1e-10

@@ -14,6 +14,7 @@ from delayh2 import (
     DelayedModel,
     DelayH2Error,
     DelaySearchConfig,
+    DimensionMismatch,
     IrkaConfig,
     PoleResidueModel,
     compute_gap,
@@ -66,7 +67,7 @@ def test_monotone_closed_form_pair():
     g = make_siso([-1.0], [1.0])
     h = make_siso([-2.0], [1.0])
     found = optimize_delays(g, h, DelaySearchConfig(
-        tau_max=5.0, output_mask=(False,), extend_box=False))
+        tau_max=5.0, output_mask=(False,)))
     din, dout = found.input_delays, found.output_delays
     assert din.delays[0] == pytest.approx(0.0, abs=1e-12)
     taus = np.linspace(0.0, 5.0, 100_001)
@@ -110,17 +111,14 @@ def test_reference_delay_step(bench20, ref_core):
     assert got >= at_ref
 
 
-@pytest.mark.parametrize("tau_max, extend_box, box", [
-    (5.0, True, 10.0), (5.0, False, 5.0), (3.0, True, 12.0)])
-def test_result_reports_the_box(bench20, ref_core, tau_max, extend_box, box):
+@pytest.mark.parametrize("tau_max, box", [(5.0, 10.0), (3.0, 12.0)])
+def test_result_reports_the_box(bench20, ref_core, tau_max, box):
     # the optimum tau ~ 8.6986 presses on the right boundary until the box
     # has doubled past it; the result reports the box the search ended in
     found = optimize_delays(bench20, ref_core, DelaySearchConfig(
-        input_mask=(True,), output_mask=(False,), tau_max=tau_max,
-        extend_box=extend_box))
+        input_mask=(True,), output_mask=(False,), tau_max=tau_max))
     assert found.tau_max == box
-    if extend_box:
-        assert found.input_delays.delays[0] == pytest.approx(8.69862, abs=1e-3)
+    assert found.input_delays.delays[0] == pytest.approx(8.69862, abs=1e-3)
     assert len(found.scans) == 1
 
 
@@ -129,8 +127,7 @@ def test_returned_point_dominates_grid():
     for _ in range(5):
         g = random_pr(rng, int(rng.integers(3, 7)))
         h = random_pr(rng, 2)
-        cfg = DelaySearchConfig(grid_points_per_channel=41, tau_max=3.0,
-                                extend_box=False)
+        cfg = DelaySearchConfig(grid_points_per_channel=41, tau_max=3.0)
         found = optimize_delays(g, h, cfg)
         din, dout = found.input_delays, found.output_delays
         got = cross_at(g, h, din.as_array(), dout.as_array())
@@ -152,8 +149,7 @@ def test_interior_gradient_below_tolerance():
     for _ in range(8):
         g = random_pr(rng, int(rng.integers(3, 7)))
         h = random_pr(rng, 2)
-        cfg = DelaySearchConfig(grid_points_per_channel=80, tau_max=6.0,
-                                extend_box=False)
+        cfg = DelaySearchConfig(grid_points_per_channel=80, tau_max=6.0)
         found = optimize_delays(g, h, cfg)
         din, dout = found.input_delays, found.output_delays
         x = np.array([din.delays[0], dout.delays[0]])
@@ -181,7 +177,6 @@ def test_masks_pin_channels():
     g = random_pr(rng, 5, ny=2, nu=2)
     h = random_pr(rng, 2, ny=2, nu=2)
     cfg = DelaySearchConfig(grid_points_per_channel=30, tau_max=2.0,
-                            extend_box=False,
                             input_mask=(True, False), output_mask=(False, True))
     found = optimize_delays(g, h, cfg)
     din, dout = found.input_delays, found.output_delays
@@ -209,8 +204,7 @@ def test_matches_independent_dense_scan():
     for _ in range(3):
         g = random_pr(rng, 4)
         h = random_pr(rng, 2)
-        cfg = DelaySearchConfig(tau_max=8.0, output_mask=(False,),
-                                extend_box=False)
+        cfg = DelaySearchConfig(tau_max=8.0, output_mask=(False,))
         found = optimize_delays(g, h, cfg)
         din = found.input_delays
         got = oracles.cross_inner(g.poles, g.left, g.right,
@@ -230,8 +224,7 @@ def test_landscape_csv_written(tmp_path):
     g = random_pr(rng, 3)
     h = random_pr(rng, 2)
     path = tmp_path / "landscape.csv"
-    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0,
-                            extend_box=False)
+    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0)
     write_landscape(str(path), optimize_delays(g, h, cfg))
     lines = path.read_text().splitlines()
     assert lines[0] == "tau_1,gamma_1,objective"
@@ -252,7 +245,7 @@ def test_landscape_csv_keeps_its_bytes(tmp_path):
     h = random_pr(rng, 2, ny=2, nu=2)
     path = tmp_path / "landscape.csv"
     write_landscape(str(path), optimize_delays(g, h, DelaySearchConfig(
-        grid_points_per_channel=12, tau_max=2.0, extend_box=False,
+        grid_points_per_channel=12, tau_max=2.0,
         input_mask=(True, True), output_mask=(False, False))))
     data = path.read_bytes()
     assert data.count(b"\n") == 1 + 12 * 12
@@ -266,8 +259,7 @@ def test_mimo_io_dominates_full_box_grid():
     rng = np.random.default_rng(90)
     g = lag_cascade(rng, ny=2, nu=2)
     h = random_pr(rng, 2, ny=2, nu=2)
-    cfg = DelaySearchConfig(grid_points_per_channel=9, tau_max=3.0,
-                            extend_box=False)
+    cfg = DelaySearchConfig(grid_points_per_channel=9, tau_max=3.0)
     found = optimize_delays(g, h, cfg)
     din, dout = found.input_delays, found.output_delays
     assert min(dout.delays) == 0.0
@@ -284,7 +276,7 @@ def test_cyclic_scan_search_end_to_end(tmp_path):
     # over 29 + 29 + 15 + 15 points) and refines from their rows
     g = lag_cascade(np.random.default_rng(90), 3, 2)
     h = irka_reduce(g, IrkaConfig(order=2)).model
-    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0, extend_box=False)
+    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0)
     found = optimize_delays(g, h, cfg)
     again = optimize_delays(g, h, cfg)
     assert (found.input_delays, found.output_delays, found.tau_max) == \
@@ -533,7 +525,7 @@ def test_each_peak_is_refined(refined):
     g = make_siso(fast[0] + slow[0], fast[1] + slow[1])
     h = make_siso([-4.0], [4.0])
     found = optimize_delays(g, h, DelaySearchConfig(
-        tau_max=20.0, output_mask=(False,), extend_box=False))
+        tau_max=20.0, output_mask=(False,)))
     assert len(refined) == 2
     low, high = sorted(refined, key=lambda r: r[0][0])
     assert low[0][0] < 2.0 and 10.0 < high[0][0] < 13.0
@@ -560,3 +552,25 @@ def test_config_validation():
         DelaySearchConfig(refine_tol=0.0)
     with pytest.raises(DelayH2Error):
         DelaySearchConfig(refine_tol=np.inf)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("joint_grid_budget", -5), ("joint_grid_budget", 0),
+    ("grid_points_per_channel", 2.5), ("grid_points_per_channel", True)])
+def test_grid_sizes_are_named_integers(field, value):
+    # rejected on construction, naming the field, not as a NaN or a float
+    # count deep inside the grid scan
+    with pytest.raises(DelayH2Error, match=field):
+        DelaySearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("masks, field", [
+    (dict(input_mask=(True, True, True)), "input_mask has 3 entries for a model with 2 inputs"),
+    (dict(output_mask=(True,)), "output_mask has 1 entries for a model with 2 outputs")],
+    ids=["input-mask-too-long", "output-mask-too-short"])
+def test_mask_length_is_checked_per_field(masks, field):
+    rng = np.random.default_rng(86)
+    g = random_pr(rng, 4, ny=2, nu=2)
+    h = random_pr(rng, 2, ny=2, nu=2)
+    with pytest.raises(DimensionMismatch, match=field):
+        optimize_delays(g, h, DelaySearchConfig(tau_max=2.0, **masks))

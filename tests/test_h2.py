@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import delayh2.irka as irka
 from conftest import (
     REF_DELAY_DEFECT,
     REF_INTERP,
@@ -331,10 +332,11 @@ def test_grad_residues_poles_matches_fd():
         assert np.max(np.abs(dl - fd_dl)) < 1e-5 * scale
 
 
-def test_gradients_vanish_at_interpolatory_point():
+def test_gradients_vanish_at_interpolatory_point(monkeypatch):
     rng = np.random.default_rng(64)
     g = random_pr(rng, 6)
-    res = irka_reduce(g, IrkaConfig(order=2, shift_tol=1e-13, max_iters=500))
+    monkeypatch.setattr(irka, "MAX_ITERS", 500)
+    res = irka_reduce(g, IrkaConfig(order=2, shift_tol=1e-13))
     assert res.converged
     dc, db, dl, _, _ = gap_gradient(g, res.model)
     assert max(np.max(np.abs(db)), np.max(np.abs(dc)), np.max(np.abs(dl))) < 1e-8

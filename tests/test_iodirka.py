@@ -12,6 +12,7 @@ from delayh2 import (
     DelayedModel,
     DelayH2Error,
     DelaySearchConfig,
+    DimensionMismatch,
     IoDirkaConfig,
     IrkaConfig,
     compute_gap,
@@ -26,8 +27,7 @@ from delayh2.serialize import dumps_canonical, report_to_obj
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-SMALL_SEARCH = DelaySearchConfig(grid_points_per_channel=60, tau_max=4.0,
-                                 extend_box=False)
+SMALL_SEARCH = DelaySearchConfig(grid_points_per_channel=60, tau_max=4.0)
 
 
 def small_report(seed=91, order_full=6, order_red=2, **kw):
@@ -203,6 +203,20 @@ def test_config_validation():
         IoDirkaConfig(order=2, outer_tol=0.0)
     with pytest.raises(DelayH2Error):
         io_dirka(g, IoDirkaConfig(order=5))
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(init_input_delays=(1.0,)), "init_input_delays has 1 entries for a model with 2 inputs"),
+    (dict(init_output_delays=(0.0, 0.0, 0.0)),
+     "init_output_delays has 3 entries for a model with 2 outputs"),
+    (dict(search=DelaySearchConfig(input_mask=(True,))),
+     "input_mask has 1 entries for a model with 2 inputs")],
+    ids=["init-input-delays", "init-output-delays", "input-mask"])
+def test_per_channel_settings_must_fit_the_model(kw, message):
+    # named before the first core reduction, not as a bare length mismatch
+    g = random_pr(np.random.default_rng(105), 4, ny=2, nu=2)
+    with pytest.raises(DimensionMismatch, match=message):
+        io_dirka(g, IoDirkaConfig(order=2, **kw))
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan])

@@ -297,8 +297,7 @@ def _tiny_report():
     g = random_pr(rng, 4)
     cfg = IoDirkaConfig(order=2, outer_max_iters=8,
                         search=DelaySearchConfig(grid_points_per_channel=40,
-                                                 tau_max=3.0,
-                                                 extend_box=False))
+                                                 tau_max=3.0))
     return io_dirka(g, cfg), cfg
 
 
