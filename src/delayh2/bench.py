@@ -3,9 +3,10 @@
 The benchmark full model is the order-20 SISO system with poles spaced
 uniformly on [-2, -1] and transfer function prod_j mu_j / (s - mu_j)
 (unit DC gain). Its partial-fraction residues span ~16 orders of magnitude
-with alternating signs, so the terms are built exactly with mpmath and the
-model carries an extended-precision payload; every sum over its terms runs
-in that precision end to end.
+with alternating signs, so the residues are computed as exact rationals of
+integers, each rounded once into an extended-precision payload; every sum
+over its terms runs in that precision end to end. Building the model does
+not load mpmath.
 
 ``run_bench`` reproduces the study on that model: delay-free reductions at
 several orders, input-delayed reductions at orders 2 and 4, impulse-response
@@ -15,9 +16,9 @@ JSON/CSV files.
 
 from __future__ import annotations
 
+import math
 import os
 
-import mpmath
 import numpy as np
 
 from .delayopt import DelaySearchConfig
@@ -26,40 +27,37 @@ from .h2 import compute_gap, h2_norm_sq
 from .iodirka import IoDirkaConfig, io_dirka
 from .irka import IrkaConfig, irka_reduce
 from .models import HighPrecisionTerms, PoleResidueModel, impulse_response
+from .precision import payload_entry
 from .serialize import report_to_obj, save_model, write_csv, write_json
 
 BENCH_ORDER = 20
 
 
-def build_bench_model(order: int = BENCH_ORDER, dps_build: int = 60,
-                      dps_store: int = 50) -> PoleResidueModel:
+def build_bench_model(order: int = BENCH_ORDER, dps_store: int = 50) -> PoleResidueModel:
     """Exact partial-fraction terms of the benchmark full model.
 
-    Poles are the binary64 values linspace(-2, -1, order); residues
-    psi_k = prod_j mu_j / prod_{j != k} (mu_k - mu_j) are evaluated in
-    ``dps_build`` decimal digits and stored at ``dps_store``. The squared
-    norm of this model cancels ~32 orders of magnitude across terms, so
-    the stored precision must stay well above that for float64-accurate
-    sums.
+    Poles are the binary64 values mu = linspace(-2, -1, order); each
+    residue psi_k = prod_j mu_j / prod_{j != k} (mu_k - mu_j) is an exact
+    rational, rounded once into a payload of ``dps_store`` digits
+    (:func:`delayh2.precision.payload_entry`), and its binary64 view is
+    that entry rounded to binary64. The squared norm of this model cancels
+    ~32 orders of magnitude across terms, so the stored precision must stay
+    well above that for float64-accurate sums.
     """
     mu_f = np.linspace(-2.0, -1.0, order)
-    with mpmath.workdps(dps_build):
-        mu = [mpmath.mpf(float(v)) for v in mu_f]
-        top = mpmath.fprod(mu)
-        psi = []
-        for k in range(order):
-            den = mpmath.fprod([mu[k] - mu[j] for j in range(order) if j != k])
-            psi.append(top / den)
-    with mpmath.workdps(dps_store):
-        hp = HighPrecisionTerms(
-            poles=tuple(mpmath.mpc(v) for v in mu),
-            left=tuple((mpmath.mpc(p),) for p in psi),
-            right=tuple((mpmath.mpc(1),) for _ in range(order)),
-            dps=dps_store)
-    poles = np.asarray(mu_f, dtype=complex)
-    left = np.array([[complex(p)] for p in psi])
-    right = np.ones((order, 1), dtype=complex)
-    return PoleResidueModel(poles, left, right, hp=hp)
+    # mu_j = a_j / scale with integers a_j and a power of two scale
+    ratios = [float(v).as_integer_ratio() for v in mu_f]
+    scale = max(q for _, q in ratios)
+    a = [p * (scale // q) for p, q in ratios]
+    top = math.prod(a)
+    entry = lambda num, den=1: payload_entry((num, den), (0, 1), dps_store)
+    hp = HighPrecisionTerms(
+        poles=[entry(v, scale) for v in a],
+        left=[(entry(top, scale * math.prod(a[k] - a[j] for j in range(order) if j != k)),)
+              for k in range(order)],
+        right=[(entry(1),)] * order, dps=dps_store)
+    return PoleResidueModel(mu_f.astype(complex), hp.left.astype(complex),
+                            np.ones((order, 1), dtype=complex), hp=hp)
 
 
 def run_bench(outdir, orders_free=(2, 3, 4, 5, 6), orders_delayed=(2, 4),

@@ -63,6 +63,8 @@ class IoDirkaConfig:
     iterate, at the representative with min gamma = 0 (see
     :mod:`delayh2.delayopt`). ``landscape_csv`` receives the last delay
     search's grid scans (see :func:`delayh2.delayopt.write_landscape`).
+    ``irka`` holds the core reduction's other settings; its ``order`` must
+    equal ``order``, else DelayH2Error.
     """
 
     order: int
@@ -79,6 +81,9 @@ class IoDirkaConfig:
             raise DelayH2Error("reduced order must be at least 1")
         if self.outer_max_iters < 1 or not 0.0 < self.outer_tol < np.inf:
             raise DelayH2Error("outer iteration settings must be positive and finite")
+        if self.irka is not None and self.irka.order != self.order:
+            raise DelayH2Error(f"irka order {self.irka.order} differs from the reduced "
+                               f"order {self.order}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     in_mask, out_mask, box = search_domain(g, search)
     search = replace(search, input_mask=tuple(in_mask),
                      output_mask=tuple(out_mask), tau_max=box)
-    irka_cfg = replace(cfg.irka or IrkaConfig(order=n), order=n)
+    irka_cfg = cfg.irka or IrkaConfig(order=n)
 
     din, dout = representative(
         DelayBlock(per_channel(g, "init_input_delays", cfg.init_input_delays, 0.0), in_mask),

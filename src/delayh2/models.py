@@ -9,8 +9,8 @@ Three value types represent everything the package computes with:
 
 Pole/residue models optionally carry a high-precision payload: the terms
 as :class:`delayh2.precision.XComplex` arrays, with a recorded decimal
-precision; mpmath numbers (a model file's decimals, the benchmark's
-construction) are converted once, when the payload is built. Residues of ill-conditioned partial-fraction decompositions can
+precision; numbers in another form are converted once, when the payload
+is built. Residues of ill-conditioned partial-fraction decompositions can
 exceed 1e15 with massive cancellation between terms, in which case every
 sum over the terms must run in extended precision; the complex128 arrays
 are then only views for inspection. The transfer and impulse sums here are

@@ -24,9 +24,15 @@ form are converted once, exactly and so at no width, when it is
 constructed (:func:`payload_terms`), its decimal precision follows one
 rule (:func:`checked_precision`), and a payload derived from another one
 (the delay-advanced surrogate) is built by the same array code as its
-float counterpart. mpmath only computes the exponentials (on raw
-mantissa/exponent tuples) and receives the exact value of an entry that
-is printed in decimal (:func:`to_mpc`).
+float counterpart. An exact rational entry (a model file's decimal, a
+benchmark residue) is rounded once, in integers, to the bits mpmath
+keeps at the payload's digits (:func:`payload_entry`).
+
+This module is the only one that uses mpmath, and it imports mpmath on
+first use (:func:`_mpmath`), so a run on float models never loads it.
+mpmath computes the exponentials (on raw mantissa/exponent tuples) and
+prints an entry's exact value in decimal (:func:`decimal_pair`); it never
+sets or reads a working precision.
 
 Results leave a backend as complex128 through :meth:`Backend.to_complex`.
 
@@ -53,9 +59,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, mpc_exp
 
 # bits kept beyond the payload's decimal precision; truncation loses up to
 # one unit in the last kept bit where round-to-nearest loses half
@@ -64,6 +68,9 @@ LOG2_10 = math.log2(10.0)
 
 # least decimal precision of a payload: the 17 digits that round-trip binary64
 MIN_PRECISION = 17
+
+# mpmath, once _mpmath has imported it
+_mp = None
 
 # mantissa width of XComplex results, and the exponent gap past which the
 # smaller of two such addends lies entirely below the larger one's last
@@ -83,6 +90,21 @@ def checked_precision(dps) -> int:
 def working_bits(dps: int) -> int:
     """Mantissa bits of the sums over a ``dps``-digit payload."""
     return math.ceil(dps * LOG2_10) + GUARD_BITS
+
+
+def entry_bits(dps: int) -> int:
+    """Mantissa bits of a ``dps``-digit payload entry: mpmath's
+    ``dps_to_prec``, the binary precision it works at for ``dps`` digits."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
+
+def _mpmath():
+    """The mpmath module, imported on the first call and kept in ``_mp``."""
+    global _mp
+    if _mp is None:
+        import mpmath
+        _mp = mpmath
+    return _mp
 
 
 class XComplex:
@@ -245,10 +267,46 @@ def _coerce(v):
 
 
 def _exp(z: XComplex) -> XComplex:
-    """e^z at the working width: mpmath's exponential on the raw parts."""
-    re, im = mpc_exp((from_man_exp(z.re, z.exp), from_man_exp(z.im, z.exp)), _bits)
+    """e^z at the working width: mpmath's exponential on the raw parts
+    (mpmath is loaded by :func:`_xc_exp`, the one caller)."""
+    lib = _mp.libmp
+    re, im = lib.mpc_exp((lib.from_man_exp(z.re, z.exp), lib.from_man_exp(z.im, z.exp)), _bits)
     z = _from_parts(*_mpf_parts(re), *_mpf_parts(im))
     return _round(z.re, z.im, z.exp)
+
+
+def _nearest(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(m, e) with m 2^e the rational num/den (den != 0) rounded to nearest,
+    ties to even, at ``bits`` bits; m is odd, or 0 for a zero quotient."""
+    if den < 0:
+        num, den = -num, -den
+    if not num:
+        return 0, 0
+    a = abs(num)
+    # q = floor(a 2^k / den) has bits + 1 or bits + 2 bits
+    k = bits + 1 - a.bit_length() + den.bit_length()
+    q, r = divmod(a << k, den) if k >= 0 else divmod(a, den << -k)
+    s = q.bit_length() - bits
+    half = q >> (s - 1) & 1
+    sticky = r or q & ((1 << (s - 1)) - 1)
+    q >>= s
+    if half and (sticky or q & 1):
+        q += 1
+    e = s - k
+    zeros = (q & -q).bit_length() - 1
+    q >>= zeros
+    return (-q if num < 0 else q), e + zeros
+
+
+def payload_entry(re: tuple[int, int], im: tuple[int, int], dps: int) -> XComplex:
+    """The entry re[0]/re[1] + i im[0]/im[1] of a ``dps``-digit payload.
+
+    Each exact rational part is rounded once, to nearest with ties to even,
+    at :func:`entry_bits` bits: the bits of mpmath's rounding of the same
+    rational at ``dps`` digits, found here in integer arithmetic.
+    """
+    bits = entry_bits(dps)
+    return _from_parts(*_nearest(*re, bits), *_nearest(*im, bits))
 
 
 def payload_terms(poles, left, right) -> tuple:
@@ -265,8 +323,17 @@ def payload_terms(poles, left, right) -> tuple:
 
 
 def to_mpc(z: XComplex):
-    """The exact value of ``z`` as an mpmath complex (for decimal output)."""
-    return mp.make_mpc((from_man_exp(z.re, z.exp), from_man_exp(z.im, z.exp)))
+    """The exact value of ``z`` as an mpmath complex."""
+    mp = _mpmath()
+    return mp.make_mpc((mp.libmp.from_man_exp(z.re, z.exp), mp.libmp.from_man_exp(z.im, z.exp)))
+
+
+def decimal_pair(z: XComplex, dps: int) -> list:
+    """[re, im] of ``z``, each part's exact value printed to ``dps``
+    significant digits by mpmath (trailing zeros stripped)."""
+    mp = _mpmath()
+    v = to_mpc(z)
+    return [mp.nstr(v.real, dps, strip_zeros=True), mp.nstr(v.imag, dps, strip_zeros=True)]
 
 
 def resolvent_terms(poles: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -352,8 +419,16 @@ def payload_closed(hp) -> bool:
     return True
 
 
-_xc_exp = np.frompyfunc(_exp, 1, 1)
+_exp_entries = np.frompyfunc(_exp, 1, 1)
 _xc = np.frompyfunc(_coerce, 1, 1)
+
+
+def _xc_exp(x: np.ndarray) -> np.ndarray:
+    """e^x entrywise on an XComplex array. mpmath is loaded first, outside
+    the vectorized loop: numpy reports the floating-point flags that its
+    import raises as a RuntimeWarning of the loop."""
+    _mpmath()
+    return _exp_entries(x)
 
 
 class Backend:

@@ -5,16 +5,20 @@ binary64 round trip), no timestamps, LF newlines. The same data therefore
 always produces byte-identical files. Models whose terms carry an
 extended-precision payload add a "precision" field (decimal digits, at
 least 17) and store coefficients as decimal strings at that precision,
-printed from each payload entry's exact value and parsed by mpmath.
+printed from each payload entry's exact value
+(:func:`delayh2.precision.decimal_pair`). Loading parses each decimal
+exactly into integers and rounds it once, to the bits mpmath would give it
+at that precision (:func:`delayh2.precision.payload_entry`), so only
+printing a payload loads mpmath. Masks must be JSON booleans, and numbers
+must be JSON numbers other than ``true``/``false``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
+import re
 
-import mpmath
 import numpy as np
 
 from .errors import DelayH2Error, DimensionMismatch
@@ -26,7 +30,7 @@ from .models import (
     PoleResidueModel,
     StateSpaceModel,
 )
-from .precision import checked_precision, to_mpc
+from .precision import checked_precision, decimal_pair, payload_entry
 
 # ---------------------------------------------------------------------------
 # canonical JSON text
@@ -106,7 +110,7 @@ def _convert(convert, value, key: str, where: str):
     """``convert(value)``; a value it rejects fails naming the field."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DelayH2Error(f"malformed field {key!r} in {where}: {exc}") from exc
 
 
@@ -115,13 +119,6 @@ def _convert(convert, value, key: str, where: str):
 
 def _pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def _decimal(z, dps: int) -> list:
-    """[re, im] of an XComplex payload entry, each printed to ``dps`` digits."""
-    v = to_mpc(z)
-    return [mpmath.nstr(v.real, dps, strip_zeros=True),
-            mpmath.nstr(v.imag, dps, strip_zeros=True)]
 
 
 def model_to_obj(m) -> dict:
@@ -143,9 +140,9 @@ def model_to_obj(m) -> dict:
         if m.hp is not None:
             dps = m.hp.dps
             for p, lrow, rrow in zip(m.hp.poles, m.hp.left, m.hp.right):
-                terms.append({"pole": _decimal(p, dps),
-                              "left": [_decimal(v, dps) for v in lrow],
-                              "right": [_decimal(v, dps) for v in rrow]})
+                terms.append({"pole": decimal_pair(p, dps),
+                              "left": [decimal_pair(v, dps) for v in lrow],
+                              "right": [decimal_pair(v, dps) for v in rrow]})
             return {"kind": "pole_residue", "ny": m.ny, "nu": m.nu,
                     "precision": dps, "terms": terms}
         for k in range(m.order):
@@ -156,15 +153,56 @@ def model_to_obj(m) -> dict:
     raise DelayH2Error(f"cannot serialize model of type {type(m).__name__}")
 
 
+# a decimal string: sign, digits with at most one point, optional exponent
+_DECIMAL = r"\s*([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?\s*"
+# largest decimal exponent a string may carry; past it the exact integers
+# grow with the exponent, while the binary64 view only spans 1e+-324
+MAX_DECIMAL_EXPONENT = 10_000
+
+
+def _json_number(v):
+    """``v`` if it is a JSON number (an int or a float, not a bool), else
+    TypeError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    return v
+
+
+def _count(v) -> int:
+    """``v`` if it is a JSON integer (not a bool), else TypeError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _ratio(v) -> tuple[int, int]:
+    """The exact value of a payload part, a decimal string or a finite JSON
+    number, as integers (numerator, denominator)."""
+    if not isinstance(v, str):
+        return _json_number(v).as_integer_ratio()
+    m = re.fullmatch(_DECIMAL, v)
+    if m is None:
+        raise ValueError(f"{v!r} is not a decimal number")
+    whole, _, frac = m[1].partition(".")
+    exp = int(m[2] or 0)
+    if abs(exp) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"exponent of {v!r} beyond +-{MAX_DECIMAL_EXPONENT}")
+    exp -= len(frac)
+    n = int(whole + frac)
+    return (n * 10 ** exp, 1) if exp >= 0 else (n, 10 ** -exp)
+
+
 def _number(value, dps: int | None, where: str):
-    """One [re, im] pair: an mpc at ``dps`` digits, or a complex for None."""
+    """One [re, im] pair: a payload entry at ``dps`` digits, or a complex
+    for None."""
     try:
-        re, im = value
+        real, imag = value
         if dps is None:
-            return complex(re, im)
-        return mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
-    except (TypeError, ValueError) as exc:
-        raise DelayH2Error(f"{where} is not a [re, im] number pair: {value!r}") from exc
+            return complex(_json_number(real), _json_number(imag))
+        return payload_entry(_ratio(real), _ratio(imag), dps)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DelayH2Error(
+            f"{where} is not a [re, im] number pair: {value!r} ({exc})") from exc
 
 
 def _row(term: dict, key: str, width: int, dps: int | None, where: str) -> list:
@@ -176,25 +214,31 @@ def _row(term: dict, key: str, width: int, dps: int | None, where: str) -> list:
 
 def _obj_to_pole_residue(obj: dict, where: str) -> PoleResidueModel:
     terms = _convert(list, _require(obj, "terms", where), "terms", where)
-    ny = _convert(int, _require(obj, "ny", where), "ny", where)
-    nu = _convert(int, _require(obj, "nu", where), "nu", where)
+    ny = _convert(_count, _require(obj, "ny", where), "ny", where)
+    nu = _convert(_count, _require(obj, "nu", where), "nu", where)
     if len(terms) == 0:
         raise DelayH2Error(f"empty term list in {where}")
     dps = obj.get("precision")
     dps = None if dps is None else _convert(checked_precision, dps, "precision", where)
     poles, left, right = [], [], []
-    with nullcontext() if dps is None else mpmath.workdps(dps):
-        for k, t in enumerate(terms):
-            at = f"{where} term {k}"
-            poles.append(_number(_require(t, "pole", at), dps, f"{at} pole"))
-            left.append(_row(t, "left", ny, dps, at))
-            right.append(_row(t, "right", nu, dps, at))
+    for k, t in enumerate(terms):
+        at = f"{where} term {k}"
+        poles.append(_number(_require(t, "pole", at), dps, f"{at} pole"))
+        left.append(_row(t, "left", ny, dps, at))
+        right.append(_row(t, "right", nu, dps, at))
     hp = None
     if dps is not None:
         hp = HighPrecisionTerms(poles, left, right, dps)
     return PoleResidueModel(np.array(poles, dtype=complex),
                             np.array(left, dtype=complex),
                             np.array(right, dtype=complex), hp=hp)
+
+
+def _flag(v) -> bool:
+    """``v`` if it is a JSON boolean, else TypeError."""
+    if not isinstance(v, bool):
+        raise TypeError(f"{v!r} is not true or false")
+    return v
 
 
 def _sized(values, convert, width: int, side: str) -> tuple:
@@ -218,10 +262,10 @@ def obj_to_model(obj: dict, where: str = "model"):
         core = _obj_to_pole_residue(obj, where)
         blocks = []
         for side, width in (("input", core.nu), ("output", core.ny)):
-            delays = _convert(lambda v: _sized(v, float, width, side),
+            delays = _convert(lambda v: _sized(v, lambda d: float(_json_number(d)), width, side),
                               _require(obj, f"{side}_delays", where),
                               f"{side}_delays", where)
-            mask = _convert(lambda v: _sized(v, bool, width, side),
+            mask = _convert(lambda v: _sized(v, _flag, width, side),
                             obj.get(f"{side}_mask", [True] * width),
                             f"{side}_mask", where)
             blocks.append(DelayBlock(delays, mask))

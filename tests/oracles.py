@@ -261,6 +261,26 @@ def product_transfer(mu, s):
     return out
 
 
+def cascade_residues_mpmath(order, dps_build=60, dps_store=50):
+    """Partial-fraction residues of the cascade benchmark, built in mpmath.
+
+    mu = linspace(-2, -1, order) in binary64; psi_k = prod_j mu_j /
+    prod_{j != k} (mu_k - mu_j) is evaluated at ``dps_build`` digits.
+    Returns (mu, stored, floats): mu as mpmath numbers, each psi_k rounded
+    to ``dps_store`` digits, and each psi_k rounded to binary64 from its
+    ``dps_build``-digit value.
+    """
+    mu_f = np.linspace(-2.0, -1.0, order)
+    with mpmath.workdps(dps_build):
+        mu = [mpmath.mpf(float(v)) for v in mu_f]
+        top = mpmath.fprod(mu)
+        psi = [top / mpmath.fprod([mu[k] - mu[j] for j in range(order) if j != k])
+               for k in range(order)]
+    with mpmath.workdps(dps_store):
+        stored = [+p for p in psi]
+    return mu, stored, [float(p) for p in psi]
+
+
 def cascade_gap_sq(mu, poles, left, right, delay=0.0, omega=None):
     """(1/2pi) int |G(i w) - e^{-i w delay} H(i w)|^2 dw by Simpson.
 

@@ -1,10 +1,11 @@
 """Benchmark model construction against independent closed forms."""
 
 import numpy as np
+import pytest
 
 import oracles
 from conftest import BENCH_NORM_SQ
-from delayh2 import eval_transfer, h2_norm_sq, impulse_response
+from delayh2 import build_bench_model, eval_transfer, h2_norm_sq, impulse_response
 
 
 def test_bench_poles_are_uniform_grid(bench20):
@@ -56,3 +57,25 @@ def test_bench_impulse_matches_cascade_integration(bench20):
     got = impulse_response(bench20, t)[0, 0, :]
     assert np.max(np.abs(got - ref)) < 1e-6
     assert np.max(np.abs(got)) > 0.1  # response is not trivially tiny
+
+
+def _parts(x):
+    """(signed mantissa, exponent) of a real mpmath number, as stored."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+@pytest.mark.parametrize("order", range(2, 21))
+def test_bench_terms_match_the_mpmath_construction(order):
+    # the exact-rational residues, rounded once to 50 digits, carry the same
+    # bits in the payload and the same binary64 view as residues evaluated
+    # at 60 digits in mpmath and then rounded
+    mu, stored, floats = oracles.cascade_residues_mpmath(order)
+    g = build_bench_model(order)
+    as_parts = lambda a: [(z.re, z.im, z.exp) for z in a.flat]
+    assert as_parts(g.hp.poles) == [(m, 0, e) for m, e in map(_parts, mu)]
+    assert as_parts(g.hp.left) == [(m, 0, e) for m, e in map(_parts, stored)]
+    assert as_parts(g.hp.right) == [(1, 0, 0)] * order
+    assert np.array_equal(g.poles, np.array([float(v) for v in mu], dtype=complex))
+    assert np.array_equal(g.left, np.array(floats, dtype=complex)[:, None])
+    assert np.array_equal(g.right, np.ones((order, 1), dtype=complex))

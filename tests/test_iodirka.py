@@ -219,6 +219,13 @@ def test_per_channel_settings_must_fit_the_model(kw, message):
         io_dirka(g, IoDirkaConfig(order=2, **kw))
 
 
+def test_irka_settings_carry_the_reduced_order():
+    # one order: an IRKA config of another order is refused, not overwritten
+    with pytest.raises(DelayH2Error, match="irka order 3 differs from the reduced order 2"):
+        IoDirkaConfig(order=2, irka=IrkaConfig(order=3))
+    assert IoDirkaConfig(order=2, irka=IrkaConfig(order=2, seed=4)).irka.seed == 4
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan])
 def test_outer_tol_must_be_finite(tol):
     # run-config.json cannot hold a non-finite value

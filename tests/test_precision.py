@@ -10,7 +10,10 @@ exactly, and the payload sums run without mpmath arithmetic.
 
 import hashlib
 import operator
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -126,13 +129,12 @@ def test_parity_irka(mimo_pair):
 
 
 def test_precision_stays_in_one_module():
-    # mpmath parses and prints decimals (serialize) and builds the benchmark
-    # (bench), each at a precision it sets. The backend imports it only for
-    # exponentials on raw parts and the exact conversion of an entry to
-    # print, so it sets no mpmath precision and mpmath arithmetic cannot
-    # return to the sums. No other module uses mpmath.
-    rules = [(r"^\s*(?:import|from)\s+mpmath\b", {"precision.py", "serialize.py", "bench.py"}),
-             (r"workdps|workprec|mpc\(0\)", {"serialize.py", "bench.py"})]
+    # the backend is the only module that uses mpmath: it imports it on first
+    # use, for exponentials on raw parts and for printing an entry's exact
+    # value, and sets no mpmath precision, so mpmath arithmetic cannot return
+    # to the sums. Decimals are parsed and the benchmark is built in integers.
+    rules = [(r"^\s*(?:import|from)\s+mpmath\b", {"precision.py"}),
+             (r"workdps|workprec|mpc\(0\)", set())]
     src = Path(delayh2.__file__).parent
     found = {}
     for p in sorted(src.glob("*.py")):
@@ -142,6 +144,45 @@ def test_precision_stays_in_one_module():
             if hits and p.name not in allowed:
                 found.setdefault(p.name, []).extend(hits)
     assert found == {}
+
+
+FLOAT_RUN = """
+import sys
+loaded = lambda: "mpmath" in sys.modules
+import numpy as np
+import delayh2, delayh2.cli
+from delayh2 import DelaySearchConfig, IoDirkaConfig, io_dirka, impulse_response
+from delayh2.serialize import load_model
+seen = [loaded()]
+model, bench, out = sys.argv[1:]
+search = DelaySearchConfig(grid_points_per_channel=40, tau_max=3.0)
+io_dirka(load_model(model), IoDirkaConfig(order=2, outer_max_iters=4, search=search))
+seen.append(loaded())
+rc = delayh2.cli.main(["reduce", "--model", model, "--order", "2", "--out", out,
+                       "--outer-max", "4", "--grid-points", "40", "--tau-max", "3"])
+seen.append(loaded())
+g = load_model(bench)
+seen.append(loaded())
+impulse_response(g, np.array([0.5]))
+seen.append(loaded())
+print(rc in (0, 2), g.hp is not None, *seen)
+"""
+
+
+def test_float_run_never_imports_mpmath(tmp_path):
+    # a fresh interpreter: importing the package, io_dirka and `delayh2
+    # reduce` on a float model, and loading the benchmark's payload file leave
+    # mpmath unloaded; the first payload exponential loads it, warning-free
+    model, bench = tmp_path / "float.json", tmp_path / "bench.json"
+    save_model(model, random_pr(np.random.default_rng(3), 4))
+    save_model(bench, build_bench_model())
+    env = dict(os.environ, PYTHONPATH=str(Path(delayh2.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FLOAT_RUN, str(model), str(bench),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last == ["True", "True", "False", "False", "False", "False", "True"]
 
 
 def test_library_imports_no_scipy():

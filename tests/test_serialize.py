@@ -21,7 +21,7 @@ from delayh2 import (
     io_dirka,
 )
 from delayh2.cli import main
-from delayh2.precision import to_mpc
+from delayh2.precision import entry_bits, to_mpc
 from delayh2.serialize import (
     config_to_obj,
     dumps_canonical,
@@ -171,6 +171,52 @@ def test_benchmark_model_file_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == BENCH_MODEL_SHA256
 
 
+def _decimal_strings(rng, digits, count):
+    """Seeded decimals of ``digits`` significant digits: either sign, the
+    point anywhere, exponents up to +-40."""
+    out = []
+    for _ in range(count):
+        body = "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, digits - 1)]))
+        k = int(rng.integers(0, digits + 1))
+        exp = int(rng.integers(-40, 41))
+        out.append(str(rng.choice(["", "-", "+"])) + body[:k] + "." + body[k:]
+                   + (f"e{exp:+d}" if exp else ""))
+    return out
+
+
+def _binary_ties(rng, bits, count):
+    """Exact decimals of m 2^e with m odd of bits + 1 bits: each lies halfway
+    between two neighbouring values of ``bits`` bits."""
+    out = []
+    for _ in range(count):
+        m = int.from_bytes(rng.bytes(bits // 8 + 1), "big") % (1 << bits) | 1 << bits | 1
+        e = int(rng.integers(-150, 151))
+        text = str(m << e) if e >= 0 else f"{m * 5 ** -e}e{e}"
+        out.append(text if rng.integers(2) else "-" + text)
+    return out
+
+
+@pytest.mark.parametrize("dps", [17, 30, 50, 80])
+def test_payload_decimals_parse_to_the_bits_of_mpmath(dps):
+    # every decimal of a payload file is rounded once to the value mpmath
+    # gives it at the file's precision, also at exact binary ties
+    rng = np.random.default_rng(dps)
+    texts = [t for digits in (17, 30, 50, 80) for t in _decimal_strings(rng, digits, 50)]
+    texts += _binary_ties(rng, entry_bits(dps), 50)
+    terms = [{"pole": [str(-1 - k), "0"], "left": [[t, "0"]], "right": [["1", "0"]]}
+             for k, t in enumerate(texts)]
+    m = obj_to_model({"kind": "pole_residue", "ny": 1, "nu": 1, "precision": dps,
+                      "terms": terms})
+    got = {-1 - int(p.real): (z, v) for p, z, v in zip(m.poles, m.hp.left[:, 0], m.left[:, 0])}
+    for k, t in enumerate(texts):
+        with mpmath.workdps(dps):
+            want = mpmath.mpf(t)
+        sign, man, exp, _ = want._mpf_
+        z, v = got[k]
+        assert (z.re, z.im, z.exp) == ((-man if sign else man), 0, exp), t
+        assert v == complex(float(want)), t
+
+
 def test_state_space_round_trip(tmp_path):
     A = np.array([[-1.0, 0.5], [0.0, -2.0]])
     ss = StateSpaceModel(np.eye(2), A, np.array([[1.0], [0.5]]),
@@ -231,6 +277,66 @@ def _term(pole, left=((1.0, 0.0),), right=((1.0, 0.0),)):
 
 
 _HP_ONE = (("1", "0"),)
+
+
+def test_payload_decimal_exponent_is_bounded():
+    # the exact integers grow with the exponent: a huge one fails at once
+    obj = {"kind": "pole_residue", "ny": 1, "nu": 1, "precision": 30,
+           "terms": [_term(("-1", "0"), (("1e999999999", "0"),), _HP_ONE)]}
+    with pytest.raises(DelayH2Error,
+                       match="term 0 left is not a .*exponent of '1e999999999' beyond"):
+        obj_to_model(obj)
+
+
+def _delayed_two_inputs(**fields):
+    obj = {"kind": "delayed", "ny": 1, "nu": 2,
+           "terms": [_term((-1.0, 0.0), right=((1.0, 0.0), (1.0, 0.0)))],
+           "input_delays": [0.5, 0.0], "output_delays": [0.0],
+           "input_mask": [True, False], "output_mask": [False]}
+    return dict(obj, **fields)
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_delayed_two_inputs(input_mask=["false", "true"]),
+     "malformed field 'input_mask' .*'false' is not true or false"),
+    (_delayed_two_inputs(input_mask=[None, True]),
+     "malformed field 'input_mask' .*None is not true or false"),
+    (_delayed_two_inputs(input_mask=[[], True]),
+     "malformed field 'input_mask' .*\\[\\] is not true or false"),
+    (_delayed_two_inputs(output_mask=[1]),
+     "malformed field 'output_mask' .*1 is not true or false"),
+    (_delayed_two_inputs(input_delays=[True, 0.0]),
+     "malformed field 'input_delays' .*True is not a number"),
+    (_delayed_two_inputs(input_delays=["0.5", 0.0]),
+     "malformed field 'input_delays' .*'0.5' is not a number"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1,
+      "terms": [_term((-1.0, 0.0), left=((True, 0.0),))]},
+     "term 0 left is not a \\[re, im\\] number pair.*True is not a number"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1,
+      "terms": [_term((-1.0, False))]},
+     "term 0 pole is not a \\[re, im\\] number pair.*False is not a number"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1, "precision": 30,
+      "terms": [_term(("-1", "0"), ((True, "0"),), _HP_ONE)]},
+     "term 0 left is not a \\[re, im\\] number pair.*True is not a number"),
+    ({"kind": "pole_residue", "ny": True, "nu": 1, "terms": [_term((-1.0, 0.0))]},
+     "malformed field 'ny' .*True is not an integer"),
+    ({"kind": "pole_residue", "ny": 1, "nu": 1.9, "terms": [_term((-1.0, 0.0))]},
+     "malformed field 'nu' .*1.9 is not an integer"),
+], ids=["mask-strings", "mask-null", "mask-list", "mask-int", "delay-bool",
+        "delay-string", "residue-bool", "pole-bool", "payload-bool", "ny-bool",
+        "nu-fraction"])
+def test_masks_are_booleans_and_numbers_are_not(obj, message):
+    # a mask entry that is not true/false, or a bool where a number belongs,
+    # fails naming its field instead of loading as a truth value or 0/1
+    with pytest.raises(DelayH2Error, match=message):
+        obj_to_model(obj)
+
+
+def test_delayed_model_with_json_masks_loads():
+    m = obj_to_model(_delayed_two_inputs())
+    assert m.input_delays.mask == (True, False)
+    assert m.input_delays.delays == (0.5, 0.0)
+    assert m.output_delays.mask == (False,)
 
 
 @pytest.mark.parametrize("model_obj, message", [
