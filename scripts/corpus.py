@@ -1,0 +1,106 @@
+"""delayh2 corpus: the seeded reductions beyond the benchmark, one row per run.
+
+    python3 scripts/corpus.py [--shape N20-o2 ...] [--seed 3 ...] [--json corpus.json]
+
+Run from anywhere; the program is imported from ``src/`` and the models
+from ``tests/conftest.py``. Each run reduces
+``corpus_model(default_rng(1000 + seed), n, ny, nu)`` with ``io_dirka`` at
+default settings, for seeds 0-5 in four shapes: N=20 SISO at orders 2 and
+4 and N=50 SISO at order 4 (input delay), and N=30 2x2 at order 4 (input
+and output delays). A row gives whether the run converged, its outer
+iterations, J/||G||^2, the max first-order residual, the delay search's
+objective evaluations (values and derivative sets, counted by wrapping
+``_Objective`` here, so the library carries no counter) and its wall time;
+the last line gives the converged total. ``--json PATH`` writes the same
+rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+from conftest import corpus_model  # noqa: E402
+from delayh2 import DelaySearchConfig, IoDirkaConfig, io_dirka  # noqa: E402
+from delayh2.delayopt import _Objective  # noqa: E402
+
+INPUT = DelaySearchConfig(input_mask=(True,), output_mask=(False,))
+# name: (n, ny, nu, order, search)
+SHAPES = {
+    "N20-o2": (20, 1, 1, 2, INPUT),
+    "N20-o4": (20, 1, 1, 4, INPUT),
+    "N50-o4": (50, 1, 1, 4, INPUT),
+    "N30-io": (30, 2, 2, 4, None),
+}
+SEEDS = range(6)
+
+
+@contextmanager
+def counting():
+    """A one-element list counting ``_Objective`` evaluations while open."""
+    count = [0]
+    saved = {name: getattr(_Objective, name) for name in ("value", "value_grad_hess")}
+    for name, orig in saved.items():
+        def counted(self, x, _orig=orig):
+            count[0] += 1
+            return _orig(self, x)
+        setattr(_Objective, name, counted)
+    try:
+        yield count
+    finally:
+        for name, orig in saved.items():
+            setattr(_Objective, name, orig)
+
+
+def run(shape: str, seed: int) -> dict:
+    """One corpus reduction as a row."""
+    n, ny, nu, order, search = SHAPES[shape]
+    g = corpus_model(np.random.default_rng(1000 + seed), n, ny, nu)
+    with counting() as count:
+        start = time.perf_counter()
+        rep = io_dirka(g, IoDirkaConfig(order=order, search=search))
+        seconds = time.perf_counter() - start
+    return {"shape": shape, "seed": seed, "converged": rep.converged,
+            "outer": rep.outer_iterations, "j_rel": rep.gap.j / rep.norm_g_sq,
+            "max_residual": rep.residuals.max_residual(), "evaluations": count[0],
+            "seconds": seconds}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--shape", action="append", choices=list(SHAPES),
+                   help="run only this shape (repeatable; default all)")
+    p.add_argument("--seed", action="append", type=int, choices=list(SEEDS),
+                   help="run only this seed (repeatable; default 0-5)")
+    p.add_argument("--json", metavar="PATH", help="also write the rows here")
+    args = p.parse_args(argv)
+    rows = []
+    print(f"{'run':<10} {'conv':<5} {'outer':>5} {'J/|G|^2':>10} "
+          f"{'max res':>9} {'evals':>7} {'s':>6}")
+    for shape in args.shape or SHAPES:
+        for seed in args.seed or SEEDS:
+            r = run(shape, seed)
+            rows.append(r)
+            print(f"{shape + ' s' + str(seed):<10} {str(r['converged']):<5} "
+                  f"{r['outer']:>5} {r['j_rel']:>10.6g} {r['max_residual']:>9.2e} "
+                  f"{r['evaluations']:>7} {r['seconds']:>6.2f}", flush=True)
+    converged = sum(r["converged"] for r in rows)
+    print(f"converged {converged} of {len(rows)}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"rows": rows, "converged": converged}, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,13 +7,13 @@ trustworthy: the search screens a coarse grid over the box [0, tau_max]^k
 above) and refines one start per peak of that screen, a cell at least as
 high as every axis neighbour (every neighbour along its line on a cyclic
 scan). The TOP_STARTS highest peaks and the caller's start are refined
-with projected gradient ascent plus a Newton polish using the analytic
-delay Hessian; neighbouring cells of one peak would all climb to the same
-maximum. Peaks are ranked by a stable sort, ties in index order. A Newton
-step is kept unless it lowers the objective by more than the rounding
-bound of the compared values (zero on a payload), so a start next to a
-maximum of a cancelling float sum converges instead of stalling on
-rounding noise.
+by Newton steps on the analytic delay Hessian, damped Levenberg-Marquardt
+steps where it is not negative definite; neighbouring cells of one peak
+would all climb to the same maximum. Peaks are ranked by a stable sort,
+ties in index order. A Newton step is kept unless it lowers the objective
+by more than the rounding bound of the compared values (zero on a
+payload), so a start next to a maximum of a cancelling float sum
+converges instead of stalling on rounding noise.
 
 Each term couples one output delay with one input delay, so the screen
 sums ny*nu channel-pair tables. On a float model it runs in float64, one
@@ -60,7 +60,7 @@ from .h2 import _cross_eval, _cross_tensor, _delayed_terms, _term_sums
 from .models import DelayBlock, PoleResidueModel
 from .precision import backend_for, dd_add, lattice_points, path_lattice
 
-# Newton/ascent steps per refinement start
+# Newton or damped Newton steps per refinement start
 MAX_REFINE_ITERS = 100
 # the box grows to at most this multiple of its initial size
 EXTEND_CAP = 64.0
@@ -371,59 +371,57 @@ class _Objective:
 
 
 def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
-            cfg: DelaySearchConfig, step0: float) -> tuple[np.ndarray, float]:
-    """Projected ascent with Newton polish from x0 within [0, hi]; returns (x, f).
+            cfg: DelaySearchConfig) -> tuple[np.ndarray, float]:
+    """Damped Newton ascent from x0 within [0, hi]; returns (x, f).
 
-    A Newton step (taken where the Hessian is negative definite) is kept
-    unless it lowers f by more than the rounding bound of the two compared
-    values (:meth:`_Objective.rounding`): near a maximum of a cancelling
-    float sum the step's true gain lies below that level, and refusing it
-    on rounding noise would leave the start to the halving line search.
-    Otherwise the ascent steps along the projected gradient with an Armijo
-    test. Stops when the projected gradient is below ``cfg.refine_tol``,
-    when no step ascends, or after ``MAX_REFINE_ITERS`` steps.
+    A Newton step (taken where the symmetric Hessian is negative definite)
+    is kept unless it lowers f by more than the rounding bound of the two
+    compared values (:meth:`_Objective.rounding`): near a maximum of a
+    cancelling float sum the step's true gain lies below that level, and
+    refusing it on rounding noise would leave the start to the damped step.
+    Otherwise a Levenberg-Marquardt step (More, 1978) solves
+    (mu I - H) d = pg on the free coordinates (nonzero projected gradient
+    pg), H the symmetric Hessian with eigenvalues lambda, from
+    mu = max(lambda_max, 0) + 1e-3 max|lambda| so that the matrix is
+    positive definite; the clipped point x+ is kept if it gains
+    1e-4 pg.(x+ - x), else mu grows 4-fold, for at most 60 trials. Stops
+    when the projected gradient is below ``cfg.refine_tol``, when no trial
+    ascends, or after ``MAX_REFINE_ITERS`` steps.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
     f, grad, hess = obj.value_grad_hess(x)
-    step = step0
     for _ in range(MAX_REFINE_ITERS):
         pg = grad.copy()
         pg[(x <= 0.0) & (grad < 0)] = 0.0
         pg[(x >= hi) & (grad > 0)] = 0.0
         if np.max(np.abs(pg), initial=0.0) < cfg.refine_tol:
             break
-        moved = False
+        sym = 0.5 * (hess + hess.T)
+        eigs = np.linalg.eigvalsh(sym)
         # Newton step when the curvature certifies a local max
-        try:
-            eigs = np.linalg.eigvalsh(0.5 * (hess + hess.T))
-            if np.max(eigs) < 0:
+        if np.max(eigs) < 0:
+            try:
                 xn = np.clip(x + np.linalg.solve(-hess, grad), 0.0, hi)
                 fn, gn, hn = obj.value_grad_hess(xn)
                 if fn >= f - (obj.rounding(x) + obj.rounding(xn)):
                     x, f, grad, hess = xn, fn, gn, hn
-                    moved = True
-        except np.linalg.LinAlgError:
-            pass
-        if not moved:
-            # scale so the first trial moves ~step along the steepest axis,
-            # growing on clean accepts so distant starts traverse quickly
-            t = step / max(float(np.max(np.abs(pg))), 1e-300)
-            gnorm2 = float(pg @ pg)
-            halvings = 0
-            for _ in range(60):
-                xn = np.clip(x + t * pg, 0.0, hi)
-                fn = obj.value(xn)
-                if fn > f + 1e-4 * t * gnorm2:
-                    fn, gn, hn = obj.value_grad_hess(xn)
-                    x, f, grad, hess = xn, fn, gn, hn
-                    moved = True
-                    break
-                t *= 0.5
-                halvings += 1
-            if not moved:
+                    continue
+            except np.linalg.LinAlgError:
+                pass
+        free = pg != 0.0
+        sym = sym[np.ix_(free, free)]
+        mu = max(float(eigs[-1]), 0.0) + 1e-3 * float(np.max(np.abs(eigs)))
+        for _ in range(60):
+            d = np.zeros_like(x)
+            d[free] = np.linalg.solve(mu * np.eye(sym.shape[0]) - sym, pg[free])
+            xn = np.clip(x + d, 0.0, hi)
+            if obj.value(xn) > f + 1e-4 * float(pg @ (xn - x)):
+                f, grad, hess = obj.value_grad_hess(xn)
+                x = xn
                 break
-            step = min(step * 2.0, float(np.max(hi))) if halvings == 0 \
-                else max(step * 0.5 ** halvings, step0)
+            mu *= 4.0
+        else:
+            break
     return x, f
 
 
@@ -559,10 +557,9 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
         # lies on every line, and the caller's start may be a peak
         starts = list({x0.tobytes(): x0 for x0 in starts}.values())
 
-        _, spacing = _grid_axes(obj.span, tau_max, cfg)
         best_x, best_f = None, 0.0
         for x0 in starts:
-            x, f = _refine(obj, x0, hi, cfg, step0=spacing)
+            x, f = _refine(obj, x0, hi, cfg)
             if best_x is None or _better(f, x, best_f, best_x):
                 best_x, best_f = x, f
 
@@ -575,6 +572,7 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
         if tau_max >= EXTEND_CAP * tau_max0:
             break
         _, grad, _ = obj.value_grad_hess(best_x)
+        _, spacing = _grid_axes(obj.span, tau_max, cfg)
         pressing = (best_x >= hi - 2 * spacing) & (grad > 0)
         if not np.any(pressing):
             break

@@ -68,11 +68,11 @@ class HighPrecisionTerms:
 
     ``poles`` (n,), ``left`` (n, ny) and ``right`` (n, nu) are read-only
     arrays of :class:`delayh2.precision.XComplex` numbers. Entries given in
-    another form (mpmath or binary64 numbers) are converted once, here, and
-    exactly (:func:`delayh2.precision.payload_terms`). ``dps`` records the
-    decimal precision the payload was produced at (and the minimum precision
-    sums over it use); it follows a model file's rule, else ValueError
-    (:func:`delayh2.precision.checked_precision`).
+    another form (integers, mpmath or binary64 numbers) are converted once,
+    here, and exactly (:func:`delayh2.precision.payload_terms`). ``dps``
+    records the decimal precision the payload was produced at (and the
+    minimum precision sums over it use); it follows a model file's rule,
+    else ValueError (:func:`delayh2.precision.checked_precision`).
     """
 
     poles: np.ndarray

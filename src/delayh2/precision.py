@@ -254,12 +254,15 @@ def _mpf_parts(t) -> tuple[int, int]:
 
 
 def _coerce(v):
-    """Exact XComplex copy of a binary64 number or an mpmath complex, which
-    needs no working width; an XComplex is returned as it is."""
+    """Exact XComplex copy of an integer (not a bool), a binary64 number or
+    an mpmath complex, which needs no working width; an XComplex is returned
+    as it is."""
     if v.__class__ is XComplex:
         return v
     if isinstance(v, (float, complex, np.floating, np.complexfloating)):
         return _from_parts(*_float_parts(v.real), *_float_parts(v.imag))
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return _make(int(v), 0, 0)
     if hasattr(v, "_mpc_"):
         re, im = v._mpc_
         return _from_parts(*_mpf_parts(re), *_mpf_parts(im))
@@ -312,9 +315,9 @@ def payload_entry(re: tuple[int, int], im: tuple[int, int], dps: int) -> XComple
 def payload_terms(poles, left, right) -> tuple:
     """Read-only XComplex arrays (poles, left, right) of a payload.
 
-    Each number that is not XComplex already (an mpmath or binary64
-    number) is converted exactly (:func:`_coerce`), so the arrays depend on
-    no precision.
+    Each number that is not XComplex already (an integer, an mpmath or a
+    binary64 number) is converted exactly (:func:`_coerce`), so the arrays
+    depend on no precision.
     """
     arrays = tuple(_xc(np.array(part, dtype=object)) for part in (poles, left, right))
     for a in arrays:
@@ -400,12 +403,23 @@ def _resolvent_sums(s: np.ndarray, terms, derivative: bool = True):
     return val.reshape(-1, ny, nu), nder.reshape(-1, ny, nu) if derivative else None
 
 
+def _value(z: XComplex) -> tuple[int, int, int]:
+    """(re, im, exp) of z without the trailing zero bits its two parts
+    share: one triple per value, whatever the representation (a binary64
+    number converts with a 53-bit mantissa, an mpmath one with an odd one)."""
+    bits = z.re | z.im
+    if not bits:
+        return 0, 0, 0
+    t = (bits & -bits).bit_length() - 1
+    return z.re >> t, z.im >> t, z.exp + t
+
+
 def payload_closed(hp) -> bool:
     """Whether each real pole of a payload carries real residues and each
     complex term is followed by its exact conjugate term. Conversion to
-    XComplex is exact and sign-symmetric, so the parts compare exactly."""
+    XComplex is exact and sign-symmetric, so the values compare exactly."""
     rows = [(p, *l, *r) for p, l, r in zip(hp.poles, hp.left, hp.right)]
-    conj = lambda a, b: (a.re, a.im, a.exp) == (b.re, -b.im, b.exp)
+    conj = lambda a, b: _value(a) == _value(b.conjugate())
     k = 0
     while k < len(rows):
         if not rows[k][0].im:

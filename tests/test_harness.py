@@ -1,11 +1,13 @@
-"""The benchmark harness's hold on the library: names, configs and flags.
+"""The measurement tools' hold on the library: names, configs and flags.
 
 ``perfbench/`` imports library names, reads config fields and wraps the
 functions the layers import from each other. A rename there would not fail
 a benchmark run, it would only drop the renamed layer's spans, so these
-tests run the harness's own modules (unchanged) against the library.
+tests run the harness's own modules (unchanged) against the library. The
+corpus runner in ``scripts/`` wraps the search objective the same way.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,10 @@ import pytest
 from conftest import random_pr
 from delayh2 import DelaySearchConfig, IoDirkaConfig, PoleResidueModel, iodirka
 from delayh2.cli import build_parser
+from delayh2.delayopt import _Objective
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -82,3 +86,19 @@ def test_tracer_records_one_search_span_per_outer_iteration(harness):
     spans = [s for s in tracer.spans if s.layer == "delayopt"]
     assert len(spans) == rep.outer_iterations
     assert all(s.counts["grid_points_computed"] > 0 for s in spans)
+
+
+def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
+    # one two-iteration corpus run; the evaluation counter is the runner's
+    # own wrapper, removed again when the run ends
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import corpus
+    value = _Objective.value
+    out = tmp_path / "corpus.json"
+    assert corpus.main(["--shape", "N20-o2", "--seed", "3", "--json", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    (row,) = written["rows"]
+    assert (row["shape"], row["seed"], row["converged"], row["outer"]) == ("N20-o2", 3, True, 2)
+    assert row["evaluations"] > 0 and written["converged"] == 1
+    assert _Objective.value is value
+    assert capsys.readouterr().out.splitlines()[-1] == "converged 1 of 1"

@@ -295,6 +295,30 @@ def test_payload_conversion_keeps_both_parts():
     assert payload_entries(hp) == ([v], [[v]], [[v]])
 
 
+def test_conjugate_closure_compares_values():
+    # a binary64 entry converts with a 53-bit mantissa and an mpmath one
+    # with an odd mantissa: the same values in mixed forms still pair up
+    poles = [complex(-1, 2), mpmath.mpc(-1, -2)]
+    left = [[1 + 1j], [mpmath.mpc(1, -1)]]
+    assert HighPrecisionTerms(poles, left, [[1.0], [1.0]], 30).conjugate_closed
+    # one bit off the conjugate, 150 binades down, does not
+    with mpmath.workprec(200):
+        off = mpmath.mpc(-1, -2) - mpmath.mpc(0, mpmath.mpf(2) ** -150)
+    assert not HighPrecisionTerms([poles[0], off], left, [[1.0], [1.0]],
+                                  30).conjugate_closed
+
+
+def test_integer_entries_convert_exactly():
+    hp = HighPrecisionTerms([-1, np.int64(-3)], [[1], [2 ** 80]], [[np.int32(-5)], [0]], 30)
+    parts = [(z.re, z.im, z.exp) for a in (hp.poles, hp.left, hp.right) for z in a.flat]
+    assert parts == [(-1, 0, 0), (-3, 0, 0), (1, 0, 0), (2 ** 80, 0, 0),
+                     (-5, 0, 0), (0, 0, 0)]
+    assert hp.conjugate_closed
+    for flag in (True, np.True_):
+        with pytest.raises(TypeError, match="no exact XComplex copy"):
+            HighPrecisionTerms([-1], [[1]], [[flag]], 30)
+
+
 def test_lift_keeps_both_parts():
     z = complex(1.0, 2.0 ** -200)
     lifted = precision.Backend(50).lift(np.array([z]))[0]
