@@ -8,11 +8,12 @@ from ``tests/conftest.py``. Each run reduces
 default settings, for seeds 0-5 in four shapes: N=20 SISO at orders 2 and
 4 and N=50 SISO at order 4 (input delay), and N=30 2x2 at order 4 (input
 and output delays). A row gives whether the run converged, its outer
-iterations, J/||G||^2, the max first-order residual, the delay search's
-objective evaluations (values and derivative sets, counted by wrapping
-``_Objective`` here, so the library carries no counter) and its wall time;
-the last line gives the converged total. ``--json PATH`` writes the same
-rows.
+iterations, its IRKA iterations summed over the trace, J/||G||^2, the max
+first-order residual, the delay search's objective evaluations (values and
+derivative sets, counted by wrapping ``_Objective`` here, so the library
+carries no counter) and its wall time; then one line per shape gives the
+runs converged in it, and the last line the converged total. ``--json
+PATH`` writes the same rows and counts.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ def run(shape: str, seed: int) -> dict:
         rep = io_dirka(g, IoDirkaConfig(order=order, search=search))
         seconds = time.perf_counter() - start
     return {"shape": shape, "seed": seed, "converged": rep.converged,
-            "outer": rep.outer_iterations, "j_rel": rep.gap.j / rep.norm_g_sq,
+            "outer": rep.outer_iterations,
+            "irka": sum(e.irka_iterations for e in rep.trace),
+            "j_rel": rep.gap.j / rep.norm_g_sq,
             "max_residual": rep.residuals.max_residual(), "evaluations": count[0],
             "seconds": seconds}
 
@@ -84,20 +87,28 @@ def main(argv=None) -> int:
     p.add_argument("--json", metavar="PATH", help="also write the rows here")
     args = p.parse_args(argv)
     rows = []
-    print(f"{'run':<10} {'conv':<5} {'outer':>5} {'J/|G|^2':>10} "
+    print(f"{'run':<10} {'conv':<5} {'outer':>5} {'irka':>5} {'J/|G|^2':>10} "
           f"{'max res':>9} {'evals':>7} {'s':>6}")
     for shape in args.shape or SHAPES:
         for seed in args.seed or SEEDS:
             r = run(shape, seed)
             rows.append(r)
             print(f"{shape + ' s' + str(seed):<10} {str(r['converged']):<5} "
-                  f"{r['outer']:>5} {r['j_rel']:>10.6g} {r['max_residual']:>9.2e} "
+                  f"{r['outer']:>5} {r['irka']:>5} {r['j_rel']:>10.6g} "
+                  f"{r['max_residual']:>9.2e} "
                   f"{r['evaluations']:>7} {r['seconds']:>6.2f}", flush=True)
+    shapes = {}
+    for r in rows:
+        share = shapes.setdefault(r["shape"], {"converged": 0, "runs": 0})
+        share["converged"] += r["converged"]
+        share["runs"] += 1
+    for shape, share in shapes.items():
+        print(f"{shape:<10} converged {share['converged']} of {share['runs']}")
     converged = sum(r["converged"] for r in rows)
     print(f"converged {converged} of {len(rows)}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows, "converged": converged}, fh, indent=1)
+            json.dump({"rows": rows, "shapes": shapes, "converged": converged}, fh, indent=1)
             fh.write("\n")
     return 0
 

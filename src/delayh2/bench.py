@@ -31,14 +31,15 @@ from .precision import payload_entry
 from .serialize import report_to_obj, save_model, write_csv, write_json
 
 BENCH_ORDER = 20
+BENCH_DPS = 50
 
 
-def build_bench_model(order: int = BENCH_ORDER, dps_store: int = 50) -> PoleResidueModel:
+def build_bench_model(order: int = BENCH_ORDER) -> PoleResidueModel:
     """Exact partial-fraction terms of the benchmark full model.
 
     Poles are the binary64 values mu = linspace(-2, -1, order); each
     residue psi_k = prod_j mu_j / prod_{j != k} (mu_k - mu_j) is an exact
-    rational, rounded once into a payload of ``dps_store`` digits
+    rational, rounded once into a payload of BENCH_DPS digits
     (:func:`delayh2.precision.payload_entry`), and its binary64 view is
     that entry rounded to binary64. The squared norm of this model cancels
     ~32 orders of magnitude across terms, so the stored precision must stay
@@ -50,12 +51,12 @@ def build_bench_model(order: int = BENCH_ORDER, dps_store: int = 50) -> PoleResi
     scale = max(q for _, q in ratios)
     a = [p * (scale // q) for p, q in ratios]
     top = math.prod(a)
-    entry = lambda num, den=1: payload_entry((num, den), (0, 1), dps_store)
+    entry = lambda num, den=1: payload_entry((num, den), (0, 1), BENCH_DPS)
     hp = HighPrecisionTerms(
         poles=[entry(v, scale) for v in a],
         left=[(entry(top, scale * math.prod(a[k] - a[j] for j in range(order) if j != k)),)
               for k in range(order)],
-        right=[(entry(1),)] * order, dps=dps_store)
+        right=[(entry(1),)] * order, dps=BENCH_DPS)
     return PoleResidueModel(mu_f.astype(complex), hp.left.astype(complex),
                             np.ones((order, 1), dtype=complex), hp=hp)
 

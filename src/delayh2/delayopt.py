@@ -16,17 +16,13 @@ payload), so a start next to a maximum of a cancelling float sum
 converges instead of stalling on rounding noise.
 
 Each term couples one output delay with one input delay, so the screen
-sums ny*nu channel-pair tables. On a float model it runs in float64, one
-matrix product over the poles per two-axis table. On a model with an
-extended-precision payload float64 would misrank cells by O(1) and invent
-maxima (the objective cancels far below binary64), so the screen runs in
-double-double instead: every grid point lies on the lattice of the grid's
-common spacing, up to rounding, and each pair's path function
-sum_j K_jml e^{mu_j t} is evaluated once on that lattice
-(:func:`precision.path_lattice`); a cell is an index sum. Its rounding
-bound is far below the landscape's relief, so the exact kernel confirms
-only the peaks within that bound of the best (usually one) and gives the
-grid's best value from them.
+sums ny*nu channel-pair tables: each pair's path function
+sum_j K_jml e^{mu_j t} is tabulated once on the lattice of the grid's
+common spacing (:meth:`precision.Backend.path_lattice`), in float64 on a
+float model and in double-double on a payload, whose cancelling objective
+float64 would misrank by O(1). A cell is an index sum whose rounding bound
+lies far below the landscape's relief, so the exact kernel ranks only the
+peaks within that bound of the best (usually one).
 
 The box is grown (doubling, up to EXTEND_CAP times its initial size)
 while the winner presses against the right boundary with positive
@@ -55,10 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayH2Error, DimensionMismatch, NonFiniteObjective
+from .errors import DelayH2Error, DimensionMismatch, NonFiniteObjective, check_int
 from .h2 import _cross_eval, _cross_tensor, _delayed_terms, _term_sums
 from .models import DelayBlock, PoleResidueModel
-from .precision import backend_for, dd_add, lattice_points, path_lattice
+from .precision import backend_for, lattice_points
 
 # Newton or damped Newton steps per refinement start
 MAX_REFINE_ITERS = 100
@@ -66,8 +62,8 @@ MAX_REFINE_ITERS = 100
 EXTEND_CAP = 64.0
 # best-ranked screen peaks refined, besides the caller's start
 TOP_STARTS = 5
-# payload peaks the exact kernel confirms at most, when that many lie within
-# the screen's rounding bound of the best
+# screen peaks the exact kernel ranks at most, when that many lie within the
+# screen's rounding bound of the best
 CONFIRM_CAP = 25
 # evaluated points whose delayed terms a search keeps for revisits
 MEMO_POINTS = 64
@@ -98,10 +94,8 @@ class DelaySearchConfig:
     joint_grid_budget: int = 400_000
 
     def __post_init__(self):
-        for name, least in (("grid_points_per_channel", 2), ("joint_grid_budget", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-                raise DelayH2Error(f"{name} {v!r} is not an integer of at least {least}")
+        check_int("grid_points_per_channel", self.grid_points_per_channel, 2)
+        check_int("joint_grid_budget", self.joint_grid_budget, 1)
         if self.tau_max is not None and not 0.0 < self.tau_max < np.inf:
             raise DelayH2Error("tau_max must be positive and finite")
         if not 0.0 < self.refine_tol < np.inf:
@@ -176,12 +170,10 @@ class _Objective:
 
     Active coordinates are the unmasked channels, inputs first; masked
     channels stay pinned at 0. Coordinate c ranges over [0, span[c] *
-    tau_max]. Grids are screened by channel-pair tables: in float64 on a
-    float model (:meth:`prescreen`, its values as exact as :meth:`value`'s
-    to rounding), in double-double on a payload (:meth:`path_screen`, with
-    a stated rounding bound), where the exact kernel still gives every
-    value that is kept: the confirmed best peaks, refinement iterates, and
-    the returned optimum.
+    tau_max]. Grids are screened by channel-pair lattice tables with a
+    stated rounding bound (:meth:`path_screen`); the exact kernel gives
+    every value that is kept: the best-ranked peaks, refinement iterates,
+    and the returned optimum.
     """
 
     def __init__(self, g: PoleResidueModel, h: PoleResidueModel,
@@ -195,9 +187,10 @@ class _Objective:
         self.mu, self.k = _cross_tensor(self.bk, g, h)
         with self.bk.context():
             self.mu2 = self.mu * self.mu
-        # rounding bound of a float value per unit of its terms' abs-sum
-        # (see rounding)
+        # rounding bound of a float value per unit of its terms' abs-sum, and
+        # its largest value at delays >= 0, where no term grows (see rounding)
         self.round_scale = (math.ceil(math.log2(self.k.size)) + 24) * 2.0 ** -53
+        self.round_cap = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(self.k)))
         # (delayed terms, rounding bound) per evaluated point, shared by the
         # gauge faces
         self.terms = {}
@@ -286,18 +279,19 @@ class _Objective:
         return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)]
 
     def path_screen(self, axes: list[np.ndarray], spacing: float):
-        """(screen, bound) of a payload grid with these axes and common spacing.
+        """(screen, bound) of a grid with these axes and common spacing.
 
         Each channel pair (m, l) contributes Re F_ml(gamma_m + tau_l), with
         F_ml(t) = sum_j K_jml e^{mu_j t}, and every axis point lies within
         rounding of a lattice point a spacing, so a cell's path delay is
-        (a + b) spacing plus a tiny offset. :func:`precision.path_lattice`
-        gives F_ml and F_ml' on that lattice in double-double, once per
-        grid; ``screen`` takes axes like :meth:`prescreen` (each a subset of
-        the matching grid axis) and reads every cell by index sums, with the
-        first-order offset correction. ``bound`` covers the difference from
-        :meth:`value` at any cell: the lattice bound plus 2^-52 times the
-        largest value, for the final rounding of both to binary64.
+        (a + b) spacing plus a tiny offset. ``screen`` takes one subset per
+        grid axis and returns the values raveled like ``np.meshgrid(*sub,
+        indexing="ij")``, each the in-place sum over pairs of table +
+        slope * offset (:meth:`precision.Backend.path_lattice`). ``bound``
+        covers the difference from :meth:`value` at any cell: the lattice
+        bound, a float value's rounding bound, and 2^-52 (P + 1) times the
+        sum of the tables' largest entries for the rounding of the tables,
+        the P pair sums, their P - 1 additions and the value's rounding.
         """
         coords = [(self.act_in, 0, self.g.nu), (self.act_out, self.act_in.size, self.g.ny)]
         # the furthest lattice index and offset a path delay reaches
@@ -306,10 +300,10 @@ class _Objective:
             points = [lattice_points(a, spacing) for a in axes[first:first + act.size]]
             reach += max((int(i[-1]) for i, _ in points), default=0)
             offset += max((float(np.max(np.abs(d))) for _, d in points), default=0.0)
-        with self.bk.context():
-            hi, lo, slope, bound = path_lattice(self.mu, self.k.reshape(self.mu.size, -1),
-                                                spacing, reach + 1, offset)
-        bound += 2.0 ** -52 * float(np.sum(np.max(np.abs(hi), axis=1)))
+        table, slope, bound = self.bk.path_lattice(
+            self.mu, self.k.reshape(self.mu.size, -1), spacing, reach + 1, offset)
+        bound += self.round_cap \
+            + 2.0 ** -52 * (table.shape[0] + 1) * float(np.sum(np.max(np.abs(table), axis=1)))
 
         def screen(sub: list[np.ndarray]) -> np.ndarray:
             shape = [a.size for a in sub]
@@ -324,50 +318,14 @@ class _Objective:
                     idx, off = lattice_points(sub[first + i], spacing)
                     side[c] = idx.reshape(place), off.reshape(place)
                 sides.append(side)
-            total, corr = (0.0, 0.0), 0.0
+            total = np.zeros(shape)
             for m, (b, db) in enumerate(sides[1]):
                 for l, (a, da) in enumerate(sides[0]):
                     p = m * self.g.nu + l
-                    total = dd_add(total, (hi[p][a + b], lo[p][a + b]))
-                    corr = corr + slope[p][a + b] * (da + db)
-            return np.broadcast_to(total[0] + (total[1] + corr), shape).ravel()
+                    total += table[p][a + b] + slope[p][a + b] * (da + db)
+            return total.ravel()
 
         return screen, bound
-
-    def prescreen(self, axes: list[np.ndarray]) -> np.ndarray:
-        """Float objective of a float model on the tensor grid of one axis
-        per active coordinate.
-
-        ``axes`` lists the inputs first; the result is raveled like
-        ``np.meshgrid(*axes, indexing="ij")``. Term (m, l) adds the table
-        Re[(K[:, m, l] E_m)^T E_l], with E = exp(mu x axis) for an active
-        channel and a column of ones for a masked one, broadcast over the
-        grid; no intermediate is larger than one such table.
-        """
-        mu = self.g.poles
-        ones = np.ones((mu.size, 1))
-
-        def factors(act: np.ndarray, count: int, first: int) -> list:
-            # (E, grid axis) per channel; a masked channel has no axis
-            out = [(ones, None)] * count
-            for i, c in enumerate(act):
-                out[c] = (np.exp(np.outer(mu, axes[first + i])), first + i)
-            return out
-
-        ins = factors(self.act_in, self.g.nu, 0)
-        outs = factors(self.act_out, self.g.ny, self.act_in.size)
-        total = np.zeros([a.size for a in axes])
-        for m, (e_out, a_out) in enumerate(outs):
-            for l, (e_in, a_in) in enumerate(ins):
-                table = np.real((self.k[:, m, l, None] * e_out).T @ e_in)
-                # inputs precede outputs on the grid, so place the transpose
-                shape = [1] * len(axes)
-                if a_in is not None:
-                    shape[a_in] = table.shape[1]
-                if a_out is not None:
-                    shape[a_out] = table.shape[0]
-                total += table.T.reshape(shape)
-        return total.ravel()
 
 
 def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
@@ -447,11 +405,10 @@ def _scan(obj: _Objective, k_act: int, tau_max: float, cfg: DelaySearchConfig):
     points as rows. The peaks are the indices of the local maxima (see
     :func:`_peaks`): on a joint grid against every axis neighbour, on the
     cyclic scans against the neighbours along each scanned line. ``bound``
-    is the payload screen's rounding bound (:meth:`_Objective.path_screen`),
-    None for the float screen.
+    is the screen's rounding bound (:meth:`_Objective.path_screen`).
     """
     axes, spacing = _grid_axes(obj.span, tau_max, cfg)
-    screen, bound = obj.path_screen(axes, spacing) if obj.hp else (obj.prescreen, None)
+    screen, bound = obj.path_screen(axes, spacing)
     if k_act <= 3:
         values = screen(axes)
         return axes, values, _peaks(values.reshape([a.size for a in axes])), bound
@@ -538,16 +495,13 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
         if not np.all(np.isfinite(values)):
             raise NonFiniteObjective("grid scan produced non-finite objective values")
         ranked = peaks[_top(values[peaks], CONFIRM_CAP)]
-        if obj.hp:
-            # only peaks within the screen's rounding bound of the best can
-            # be the best: the exact kernel ranks those
-            near = ranked[values[ranked] >= values[ranked[0]] - 2.0 * bound]
-            exact = np.array([obj.value(_grid_point(grid, i)) for i in near])
-            order = np.argsort(-exact, kind="stable")
-            grid_best = float(exact[order[0]])
-            ranked = np.concatenate([near[order], ranked[near.size:]])
-        else:
-            grid_best = float(values[ranked[0]])
+        # only peaks within the screen's rounding bound of the best can be
+        # the best: the exact kernel ranks those
+        near = ranked[values[ranked] >= values[ranked[0]] - 2.0 * bound]
+        exact = np.array([obj.value(_grid_point(grid, i)) for i in near])
+        order = np.argsort(-exact, kind="stable")
+        grid_best = float(exact[order[0]])
+        ranked = np.concatenate([near[order], ranked[near.size:]])
         top = ranked[:TOP_STARTS]
         hi = obj.span * tau_max
         starts = [_grid_point(grid, i) for i in top]
@@ -588,9 +542,9 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     The delays are, with every channel delayed, the representative with
     min gamma = 0 (see the module docstring). ``start=(tau, gamma)`` adds
     one refinement start, e.g. the previous outer iteration's delays. The
-    returned objective value is >= the grid's best: the largest screen value
-    on a float model, the exact value at the best confirmed peak on a
-    payload, whose screen values are within their rounding bound. Each
+    returned objective value is >= the grid's best: the exact value at the
+    best of the peaks whose screen values lie within twice the screen's
+    rounding bound of the largest. Each
     refinement start stops once its projected gradient is below
     ``refine_tol``, or earlier where no step gains more than the
     objective's rounding error (see :func:`_refine`); boundary points may

@@ -1,9 +1,11 @@
-"""Exception taxonomy for the delayh2 package.
+"""Exception taxonomy for the delayh2 package, and its integer-setting check.
 
 Every error raised by the library derives from :class:`DelayH2Error`, so
 callers (and the CLI) can catch one type. Names mirror the failure they
 signal; none of them carries state beyond the message.
 """
+
+import numbers
 
 
 class DelayH2Error(Exception):
@@ -52,3 +54,10 @@ class DegenerateDirections(DelayH2Error):
 
 class NonFiniteObjective(DelayH2Error):
     """The delay-search objective evaluated to NaN or infinity."""
+
+
+def check_int(name: str, value, least: int) -> None:
+    """DelayH2Error naming the setting ``name`` unless ``value`` is an int or a
+    numpy integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DelayH2Error(f"{name} {value!r} is not an integer of at least {least}")

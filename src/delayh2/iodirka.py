@@ -35,7 +35,7 @@ from .delayopt import (
     search_domain,
     write_landscape,
 )
-from .errors import DelayH2Error
+from .errors import DelayH2Error, check_int
 from .h2 import (
     GapValue,
     OptimalityResiduals,
@@ -77,10 +77,10 @@ class IoDirkaConfig:
     landscape_csv: str | None = None
 
     def __post_init__(self):
-        if self.order < 1:
-            raise DelayH2Error("reduced order must be at least 1")
-        if self.outer_max_iters < 1 or not 0.0 < self.outer_tol < np.inf:
-            raise DelayH2Error("outer iteration settings must be positive and finite")
+        check_int("order", self.order, 1)
+        check_int("outer_max_iters", self.outer_max_iters, 1)
+        if not 0.0 < self.outer_tol < np.inf:
+            raise DelayH2Error("outer_tol must be positive and finite")
         if self.irka is not None and self.irka.order != self.order:
             raise DelayH2Error(f"irka order {self.irka.order} differs from the reduced "
                                f"order {self.order}")

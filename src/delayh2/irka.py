@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirections, DelayH2Error
+from .errors import DegenerateDirections, DelayH2Error, check_int
 from .h2 import h2_norm_pole_residue, optimality_residuals
 from .models import (
     PoleResidueModel,
@@ -95,14 +95,12 @@ class IrkaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise DelayH2Error("reduced order must be at least 1")
+        check_int("order", self.order, 1)
+        check_int("seed", self.seed, 0)
         if not 0.0 < self.shift_tol < np.inf:
             raise DelayH2Error("shift_tol must be positive and finite")
         if self.init not in INIT_MODES:
             raise DelayH2Error(f"unknown init mode {self.init!r}")
-        if self.seed < 0:
-            raise DelayH2Error(f"seed {self.seed} is negative")
 
 
 @dataclass(frozen=True)

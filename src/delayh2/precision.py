@@ -44,14 +44,14 @@ operation would cost more than the arithmetic there. Its points are
 binary64 (IRKA shifts, the certificate's mirrored poles) or XComplex (the
 H2 cross kernel's mirrored payload poles).
 
-A third arithmetic serves the delay search's grid screen on payload models
-(:func:`path_lattice`): double-double numbers (an unevaluated sum hi + lo
-of two float64 arrays; Dekker, Numer. Math. 18, 1971) built from the error-
-free TwoSum and TwoProduct (with Dekker's split), the compensated arithmetic
-of Ogita, Rump and Oishi (SISC 26, 2005). They keep about 106 bits in plain
-numpy array code, enough to rank a payload's grid cells, where float64
-misranks them by O(1) and :class:`XComplex` would be one Python call per
-operation.
+The delay search's grid screen reads lattice tables with an error bound
+(:meth:`Backend.path_lattice`), which a third arithmetic builds on a
+payload: double-double numbers (an unevaluated sum hi + lo of two float64
+arrays; Dekker, Numer. Math. 18, 1971) built from the error-free TwoSum
+and TwoProduct (with Dekker's split), the compensated arithmetic of Ogita,
+Rump and Oishi (SISC 26, 2005). They keep about 106 bits in plain numpy
+array code, enough to rank a payload's grid cells, where float64 misranks
+them by O(1) and :class:`XComplex` would be one Python call per operation.
 """
 
 from __future__ import annotations
@@ -499,6 +499,42 @@ class Backend:
         terms = m.hp.resolvent_terms if m.hp is not None else resolvent_terms(*self.terms(m))
         return _resolvent_sums(s, terms, derivative)
 
+    def path_lattice(self, mu, coef, spacing: float, length: int, offset: float):
+        """(table, slope, bound): Re F_p and Re F_p' at i spacing, i < length,
+        of F_p(t) = sum_j coef[j, p] e^{mu_j t}, as (P, length) float64
+        arrays, for ``mu`` (N,) and ``coef`` (N, P) in this backend's
+        precision. ``bound`` is the error, before the table's rounding to
+        binary64, of sum_p table[p, i_p] + slope[p, i_p] d_p against
+        sum_p Re F_p(i_p spacing + d_p), for any indices and |d_p| <= ``offset``.
+
+        Both are one float64 product of e^{t mu_j} with [coef, mu coef]; in
+        extended precision the table is rebuilt in double-double
+        (:func:`_path_lattice`). With u = 2^-53, t_max = (length - 1)
+        spacing and S, S1, S2 = sum |coef|, |mu coef|, |mu^2 coef| (no term
+        exceeds its t = 0 size on stable poles): the argument
+        fl(fl(i spacing) mu_j) is off by 2u |mu_j| t_max, and a term's
+        products and exponential with a 2N-product real part summed in any
+        order (Higham, Accuracy and Stability, 2002, 3.1) add (2N + 16) u.
+        So a float64 table errs by (2N + 16) u S + 2u S1 t_max, the slope
+        correction by ((2N + 16) S1 + 2 S2 t_max) u offset, and dropping
+        the second order of e^{mu d} by S (max|mu| offset)^2 while
+        max|mu| offset < ln 2.
+        """
+        n = coef.shape[0]
+        mu_f, coef_f = self.to_complex(mu), self.to_complex(coef)
+        dk = mu_f[:, None] * coef_f
+        e = np.exp(np.outer(np.arange(length) * spacing, mu_f))
+        table, slope = np.split((e @ np.concatenate([coef_f, dk], axis=1)).real.T, 2)
+        s0, s1, s2 = (float(np.sum(np.abs(mu_f[:, None] ** k * coef_f))) for k in range(3))
+        t_max = (length - 1) * spacing
+        bound = (2.0 ** -53 * ((2 * n + 16) * s1 + 2 * s2 * t_max) * offset
+                 + s0 * (float(np.max(np.abs(mu_f))) * offset) ** 2)
+        if self.dps is None:
+            return table, slope, bound + 2.0 ** -53 * ((2 * n + 16) * s0 + 2 * s1 * t_max)
+        with self.context():
+            table, unit = _path_lattice(mu, coef, spacing, length)
+        return table, slope, bound + unit * s0
+
     def exp(self, x):
         return np.exp(x) if self.dps is None else _xc_exp(x)
 
@@ -528,7 +564,7 @@ def backend_for(*models) -> Backend:
 
 # error unit of the double-double operations: 4 u^2 with u = 2^-53
 DD_UNIT = 2.0 ** -104
-# entries of a full-size double-double temporary in path_lattice; larger
+# entries of a full-size double-double temporary in _path_lattice; larger
 # blocks raise the peak resident set, and near 128 kB they fragment the heap
 DD_BLOCK = 4096
 _SPLITTER = 134217729.0   # 2^27 + 1
@@ -657,37 +693,23 @@ def _dd_sum_rows(hi, lo):
     return hi[0], lo[0]
 
 
-def path_lattice(mu, coef, spacing: float, length: int, offset: float):
-    """Re F_p(i spacing), i < length, of F_p(t) = sum_j coef[j, p] e^{mu_j t}.
-
-    ``mu`` (N,) and ``coef`` (N, P) are XComplex arrays, used inside their
-    backend's context. Returns (hi, lo, slope, bound), each (P, length)
-    but the bound: Re F_p in double-double, Re F_p' in float64, and
-    ``bound``, the absolute error, before its final rounding to binary64,
-    of sum_p F_p(i_p spacing + d_p) formed as the dd_add sum over p of
-    (hi, lo)[p, i_p] plus the float64 sum of slope[p, i_p] d_p, for any
-    indices and any |d_p| <= ``offset`` (the distance of the points read
-    from the lattice).
+def _path_lattice(mu, coef, spacing: float, length: int):
+    """(table, error per unit of sum |coef|) of :meth:`Backend.path_lattice`
+    in double-double, for XComplex ``mu`` and ``coef`` inside their
+    backend's context.
 
     z = e^{mu spacing} and the block power w = z^B (B the power of two
     with B^2 >= length, so w takes log2 B squarings) are formed in
     XComplex and rounded to double-double. Their power tables have B and
     Q = ceil(length / B) columns, and z^{qB + r} = w^q z^r makes one
     full-size product per channel pair, formed over blocks of w-powers of
-    at most DD_BLOCK entries.
+    at most DD_BLOCK entries; an entry is the high part of its sum.
 
-    The bound, with U = DD_UNIT, S = sum |coef| and S1 = sum |mu coef|
-    (every term magnitude |coef e^{mu t}| is at most |coef| for t >= 0 on
-    stable poles): z and w round by U/2 each and every complex product
+    With U = DD_UNIT: z and w round by U/2 each and every complex product
     errs by at most 4U, so z^r and w^q carry 4.5U per power; coef w^q adds
     4.5U and the real part of its product with z^r 2.75U. Summing N terms
-    pairwise adds 2 ceil(log2 N) U, and the caller's P additions P U, so
-    the sums err by at most (5 (B + Q) + 2 ceil(log2 N) + P + 2) U S. The
-    float64 slope (three rounded complex products per term, summed over N)
-    errs by at most (N + P + 16) u S1 offset in the correction, u = 2^-53,
-    and dropping the second order of e^{mu d} = 1 + mu d + ... by at most
-    S (max|mu| offset)^2 while max|mu| offset < ln 2 (offsets are of order
-    u times the delay).
+    pairwise adds 2 ceil(log2 N) U, so the sums err by at most
+    (5 (B + Q) + 2 ceil(log2 N) + 2) U sum |coef|.
     """
     n, pairs = coef.shape
     b = 1 << ((length - 1).bit_length() + 1) // 2
@@ -699,7 +721,7 @@ def path_lattice(mu, coef, spacing: float, length: int, offset: float):
     zp = _cmap(lambda a: a[:n, None, :b], zw)
     wp = _cmap(lambda a: a[n:, :q], zw)
     k = _to_dd(coef)
-    hi, lo = np.empty((pairs, q * b)), np.empty((pairs, q * b))
+    table = np.empty((pairs, q * b))
     rows = max(1, DD_BLOCK // (n * b))
     for p in range(pairs):
         ar, ai = _cdd_mul(_cmap(lambda a: a[:, p, None], k), wp)
@@ -710,19 +732,5 @@ def path_lattice(mu, coef, spacing: float, length: int, offset: float):
                 t = _dd_mul((ai[0][:, part, None], ai[1][:, part, None]), zp[1])
                 terms = dd_add(terms, (-t[0], -t[1]))
             cells = slice(c * b, (c + rows) * b)
-            hi[p, cells], lo[p, cells] = (v.ravel() for v in _dd_sum_rows(*terms))
-    hi, lo = hi[:, :length], lo[:, :length]
-
-    # the slope only scales a correction of relative size u: float64 tables
-    as_complex = lambda c: c[0][0] + (0j if c[1] is None else 1j * c[1][0])
-    mu_f = mu.astype(complex)
-    kf = as_complex(k)
-    dk = mu_f[:, None] * kf
-    slope = ((dk[:, :, None] * as_complex(wp)[:, None, :]).reshape(n, -1).T
-             @ as_complex(zp)[:, 0, :]).real.reshape(pairs, -1)[:, :length]
-    s0 = float(np.sum(np.abs(kf)))
-    s1 = float(np.sum(np.abs(dk)))
-    bound = (DD_UNIT * (5 * (b + q) + 2 * (n - 1).bit_length() + pairs + 2) * s0
-             + 2.0 ** -53 * (n + pairs + 16) * s1 * offset
-             + s0 * (float(np.max(np.abs(mu_f))) * offset) ** 2)
-    return hi, lo, slope, bound
+            table[p, cells] = _dd_sum_rows(*terms)[0].ravel()
+    return table[:, :length], DD_UNIT * (5 * (b + q) + 2 * (n - 1).bit_length() + 2)

@@ -294,8 +294,9 @@ def test_cyclic_scan_search_end_to_end(tmp_path):
     assert len(found.scans) == 3
     for _, grid, values in found.scans:
         assert grid.shape == (176, 4)
-        # the float screen agrees with the kernel to 1e-12 relative (see
-        # test_scan_matches_exact_kernel), and faces tie at 1e-14 relative
+        # the screen agrees with the kernel within a bound of 1e-12
+        # relative (see test_scan_matches_exact_kernel), and faces tie at
+        # 1e-14 relative
         best = float(np.max(values))
         assert got >= best - 1e-12 * max(1.0, abs(best))
 
@@ -317,8 +318,9 @@ def test_cyclic_scan_search_end_to_end(tmp_path):
 def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, face):
     # the screen against the exact kernel at every returned point, on the
     # joint grid (k <= 3), a gauge face and the cyclic scans (k = 4): the
-    # float per-channel-pair tables to 1e-12, the payload's double-double
-    # lattice within its rounding bound
+    # lattice tables, float64 or double-double, within their stated
+    # rounding bound, and that bound tight enough that CONFIRM_CAP peaks
+    # seldom tie within it
     rng = np.random.default_rng(89)
     g = random_pr(rng, 5, ny=ny, nu=nu)
     h = random_pr(rng, 2, ny=ny, nu=nu)
@@ -335,11 +337,8 @@ def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, fac
     assert points.shape == (values.size, k_act)
     assert values.size == (2 * 20 - 1 if face else size)
     exact = np.array([obj.value(p) for p in points])
-    if payload:
-        assert np.all(np.abs(values - exact) <= bound)
-    else:
-        assert bound is None
-    assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert np.all(np.abs(values - exact) <= bound)
+    assert bound <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_payload_scan_ranks_the_benchmark_landscape(bench20):

@@ -100,5 +100,8 @@ def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
     (row,) = written["rows"]
     assert (row["shape"], row["seed"], row["converged"], row["outer"]) == ("N20-o2", 3, True, 2)
     assert row["evaluations"] > 0 and written["converged"] == 1
+    assert row["irka"] > 0 and written["shapes"] == {"N20-o2": {"converged": 1, "runs": 1}}
     assert _Objective.value is value
-    assert capsys.readouterr().out.splitlines()[-1] == "converged 1 of 1"
+    lines = capsys.readouterr().out.splitlines()
+    assert f" {row['irka']:>5} " in lines[1]
+    assert lines[-2:] == ["N20-o2     converged 1 of 1", "converged 1 of 1"]

@@ -226,6 +226,22 @@ def test_irka_settings_carry_the_reduced_order():
     assert IoDirkaConfig(order=2, irka=IrkaConfig(order=2, seed=4)).irka.seed == 4
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: IrkaConfig(order=2.5), "order"),
+    (lambda: IrkaConfig(order=True), "order"),
+    (lambda: IrkaConfig(order="2"), "order"),
+    (lambda: IrkaConfig(order=2, seed=1.5, init="random-stable"), "seed"),
+    (lambda: IoDirkaConfig(order=2, outer_max_iters=2.5), "outer_max_iters"),
+    (lambda: IoDirkaConfig(order=2.5), "order")],
+    ids=["irka-order-float", "irka-order-bool", "irka-order-str", "irka-seed-float",
+         "outer-max-iters-float", "iodirka-order-float"])
+def test_integer_settings_are_named(make, field):
+    # refused on construction, naming the field: not a raw TypeError from a
+    # comparison, nor an order silently cut to an int
+    with pytest.raises(DelayH2Error, match=f"^{field} .* is not an integer of at least"):
+        make()
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan])
 def test_outer_tol_must_be_finite(tol):
     # run-config.json cannot hold a non-finite value

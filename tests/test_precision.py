@@ -377,13 +377,12 @@ def test_path_lattice_blocks_give_the_same_sums(monkeypatch):
     obj = _Objective(g, random_pr(np.random.default_rng(14), 2, ny=2, nu=2),
                      np.array([0, 1]), np.array([0, 1]))
     coef = obj.k.reshape(obj.mu.size, -1)
-    with obj.bk.context():
-        want = precision.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
-        for block in (1, 100, 10 ** 6):
-            monkeypatch.setattr(precision, "DD_BLOCK", block)
-            got = precision.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
-            assert all(np.array_equal(u, v) for u, v in zip(got[:3], want[:3]))
-            assert got[3] == want[3]
+    want = obj.bk.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
+    for block in (1, 100, 10 ** 6):
+        monkeypatch.setattr(precision, "DD_BLOCK", block)
+        got = obj.bk.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
+        assert all(np.array_equal(u, v) for u, v in zip(got[:2], want[:2]))
+        assert got[2] == want[2]
 
 
 def _scaled(g, k):
