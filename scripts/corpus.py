@@ -10,10 +10,11 @@ default settings, for seeds 0-5 in four shapes: N=20 SISO at orders 2 and
 and output delays). A row gives whether the run converged, its outer
 iterations, its IRKA iterations summed over the trace, J/||G||^2, the max
 first-order residual, the delay search's objective evaluations (values and
-derivative sets, counted by wrapping ``_Objective`` here, so the library
-carries no counter) and its wall time; then one line per shape gives the
-runs converged in it, and the last line the converged total. ``--json
-PATH`` writes the same rows and counts.
+derivative sets) and the most of them any one refinement start took, and
+its wall time; then one line per shape gives the runs converged in it, and
+the last line the converged total. ``--json PATH`` writes the same rows
+and counts. The evaluations are counted by wrapping ``_Objective`` and
+``delayopt._refine`` here, so the library carries no counter.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from conftest import corpus_model  # noqa: E402
-from delayh2 import DelaySearchConfig, IoDirkaConfig, io_dirka  # noqa: E402
+from delayh2 import DelaySearchConfig, IoDirkaConfig, delayopt, io_dirka  # noqa: E402
 from delayh2.delayopt import _Objective  # noqa: E402
 
 INPUT = DelaySearchConfig(input_mask=(True,), output_mask=(False,))
@@ -47,19 +48,29 @@ SEEDS = range(6)
 
 @contextmanager
 def counting():
-    """A one-element list counting ``_Objective`` evaluations while open."""
-    count = [0]
+    """[``_Objective`` evaluations, the most of them in one ``_refine``
+    call] while open."""
+    count = [0, 0]
     saved = {name: getattr(_Objective, name) for name in ("value", "value_grad_hess")}
     for name, orig in saved.items():
         def counted(self, x, _orig=orig):
             count[0] += 1
             return _orig(self, x)
         setattr(_Objective, name, counted)
+    refine = delayopt._refine
+
+    def refine_counted(*args):
+        before = count[0]
+        out = refine(*args)
+        count[1] = max(count[1], count[0] - before)
+        return out
+    delayopt._refine = refine_counted
     try:
         yield count
     finally:
         for name, orig in saved.items():
             setattr(_Objective, name, orig)
+        delayopt._refine = refine
 
 
 def run(shape: str, seed: int) -> dict:
@@ -75,7 +86,7 @@ def run(shape: str, seed: int) -> dict:
             "irka": sum(e.irka_iterations for e in rep.trace),
             "j_rel": rep.gap.j / rep.norm_g_sq,
             "max_residual": rep.residuals.max_residual(), "evaluations": count[0],
-            "seconds": seconds}
+            "max_start": count[1], "seconds": seconds}
 
 
 def main(argv=None) -> int:
@@ -88,7 +99,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     rows = []
     print(f"{'run':<10} {'conv':<5} {'outer':>5} {'irka':>5} {'J/|G|^2':>10} "
-          f"{'max res':>9} {'evals':>7} {'s':>6}")
+          f"{'max res':>9} {'evals':>7} {'start':>5} {'s':>6}")
     for shape in args.shape or SHAPES:
         for seed in args.seed or SEEDS:
             r = run(shape, seed)
@@ -96,7 +107,8 @@ def main(argv=None) -> int:
             print(f"{shape + ' s' + str(seed):<10} {str(r['converged']):<5} "
                   f"{r['outer']:>5} {r['irka']:>5} {r['j_rel']:>10.6g} "
                   f"{r['max_residual']:>9.2e} "
-                  f"{r['evaluations']:>7} {r['seconds']:>6.2f}", flush=True)
+                  f"{r['evaluations']:>7} {r['max_start']:>5} {r['seconds']:>6.2f}",
+                  flush=True)
     shapes = {}
     for r in rows:
         share = shapes.setdefault(r["shape"], {"converged": 0, "runs": 0})

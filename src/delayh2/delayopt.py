@@ -6,14 +6,15 @@ trustworthy: the search screens a coarse grid over the box [0, tau_max]^k
 (joint for up to three searched coordinates, cyclic coordinate scans
 above) and refines one start per peak of that screen, a cell at least as
 high as every axis neighbour (every neighbour along its line on a cyclic
-scan). The TOP_STARTS highest peaks and the caller's start are refined
-by Newton steps on the analytic delay Hessian, damped Levenberg-Marquardt
-steps where it is not negative definite; neighbouring cells of one peak
-would all climb to the same maximum. Peaks are ranked by a stable sort,
-ties in index order. A Newton step is kept unless it lowers the objective
-by more than the rounding bound of the compared values (zero on a
-payload), so a start next to a maximum of a cancelling float sum
-converges instead of stalling on rounding noise.
+scan). The TOP_STARTS highest peaks and the caller's start are refined;
+neighbouring cells of one peak would all climb to the same maximum. Peaks
+are ranked by a stable sort, ties in index order. A refinement step moves
+the coordinates not held at a bound, by Newton's step on the analytic
+delay Hessian where their block of it is negative definite, and a damped
+step otherwise. A Newton step is kept unless it lowers the objective by
+more than the rounding bound of the compared values (zero on a payload),
+so a start next to a maximum of a cancelling float sum converges instead
+of stalling on rounding noise.
 
 Each term couples one output delay with one input delay, so the screen
 sums ny*nu channel-pair tables: each pair's path function
@@ -332,52 +333,52 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
             cfg: DelaySearchConfig) -> tuple[np.ndarray, float]:
     """Damped Newton ascent from x0 within [0, hi]; returns (x, f).
 
-    A Newton step (taken where the symmetric Hessian is negative definite)
-    is kept unless it lowers f by more than the rounding bound of the two
-    compared values (:meth:`_Objective.rounding`): near a maximum of a
-    cancelling float sum the step's true gain lies below that level, and
-    refusing it on rounding noise would leave the start to the damped step.
-    Otherwise a Levenberg-Marquardt step (More, 1978) solves
-    (mu I - H) d = pg on the free coordinates (nonzero projected gradient
-    pg), H the symmetric Hessian with eigenvalues lambda, from
-    mu = max(lambda_max, 0) + 1e-3 max|lambda| so that the matrix is
-    positive definite; the clipped point x+ is kept if it gains
-    1e-4 pg.(x+ - x), else mu grows 4-fold, for at most 60 trials. Stops
-    when the projected gradient is below ``cfg.refine_tol``, when no trial
-    ascends, or after ``MAX_REFINE_ITERS`` steps.
+    A step moves the free coordinates (nonzero projected gradient pg): it
+    solves (mu I - H) d = pg, H their Hessian block with eigenvalues lambda
+    and mu = max(lambda_max, 0) + damp, and clips x + d into the box. damp
+    is 0, Newton's step, where lambda_max < -r, r = n 2^-52 max|lambda|
+    the rounding level of the n eigenvalues; that step is kept unless it
+    lowers f by more than the rounding bound of the two compared values
+    (:meth:`_Objective.rounding`), under which the true gain near a maximum
+    of a cancelling float sum lies. Otherwise damp carries over from the
+    last step, at least r, or starts at 1e-3 max|lambda| (More, 1978), and
+    a step is kept if it gains 1e-4 pg.(x+ - x). A refused trial grows
+    damp 4-fold (from 0, to 1e-3 max|lambda|), for at most 60 trials, and
+    a kept one lowers it 4-fold; each trial is one
+    :meth:`_Objective.value_grad_hess`. Stops when the projected gradient
+    is below ``cfg.refine_tol``, when no trial ascends, or after
+    ``MAX_REFINE_ITERS`` steps.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
     f, grad, hess = obj.value_grad_hess(x)
+    damp = 0.0
     for _ in range(MAX_REFINE_ITERS):
         pg = grad.copy()
         pg[(x <= 0.0) & (grad < 0)] = 0.0
         pg[(x >= hi) & (grad > 0)] = 0.0
         if np.max(np.abs(pg), initial=0.0) < cfg.refine_tol:
             break
-        sym = 0.5 * (hess + hess.T)
-        eigs = np.linalg.eigvalsh(sym)
-        # Newton step when the curvature certifies a local max
-        if np.max(eigs) < 0:
-            try:
-                xn = np.clip(x + np.linalg.solve(-hess, grad), 0.0, hi)
-                fn, gn, hn = obj.value_grad_hess(xn)
-                if fn >= f - (obj.rounding(x) + obj.rounding(xn)):
-                    x, f, grad, hess = xn, fn, gn, hn
-                    continue
-            except np.linalg.LinAlgError:
-                pass
         free = pg != 0.0
-        sym = sym[np.ix_(free, free)]
-        mu = max(float(eigs[-1]), 0.0) + 1e-3 * float(np.max(np.abs(eigs)))
+        sub = hess[np.ix_(free, free)]
+        eigs = np.linalg.eigvalsh(sub)
+        scale = float(np.max(np.abs(eigs)))
+        # only a curvature beyond eigvalsh's rounding level certifies a local
+        # max, and a damping under it could leave the matrix singular
+        damp0, tiny = 1e-3 * scale, sub.shape[0] * 2.0 ** -52 * scale
+        damp = 0.0 if eigs[-1] < -tiny else max(damp or damp0, tiny)
         for _ in range(60):
+            mu = max(float(eigs[-1]), 0.0) + damp
             d = np.zeros_like(x)
-            d[free] = np.linalg.solve(mu * np.eye(sym.shape[0]) - sym, pg[free])
+            d[free] = np.linalg.solve(mu * np.eye(sub.shape[0]) - sub, pg[free])
             xn = np.clip(x + d, 0.0, hi)
-            if obj.value(xn) > f + 1e-4 * float(pg @ (xn - x)):
-                f, grad, hess = obj.value_grad_hess(xn)
-                x = xn
+            fn, gn, hn = obj.value_grad_hess(xn)
+            kept = fn >= f - (obj.rounding(x) + obj.rounding(xn)) if damp == 0.0 \
+                else fn > f + 1e-4 * float(pg @ (xn - x))
+            if kept:
+                x, f, grad, hess = xn, fn, gn, hn
+                damp *= 0.25
                 break
-            mu *= 4.0
+            damp = 4.0 * damp if damp else damp0
         else:
             break
     return x, f

@@ -108,6 +108,18 @@ def _sort_permutation(poles: np.ndarray) -> np.ndarray:
     return np.lexsort((-np.sign(im), np.abs(im), re))
 
 
+def _check_distinct(poles: np.ndarray, what: str) -> None:
+    """Raise RepeatedPole where two poles p, q lie closer than
+    REPEATED_POLE_RTOL max(1, |p|, |q|), naming the pair deepest inside."""
+    dist = np.abs(poles[:, None] - poles[None, :])
+    mag = np.maximum(np.abs(poles), 1.0)
+    excess = dist - REPEATED_POLE_RTOL * np.maximum.outer(mag, mag)
+    np.fill_diagonal(excess, np.inf)
+    i, j = np.unravel_index(np.argmin(excess), excess.shape)
+    if excess[i, j] < 0.0:
+        raise RepeatedPole(f"{what} {poles[i]} and {poles[j]} coincide within tolerance")
+
+
 def checked_order(poles: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Canonical order of raw (poles, left, right) term arrays, raising what
     :class:`PoleResidueModel` raises for them (non-finite, unstable or
@@ -123,13 +135,7 @@ def checked_order(poles: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.
     if (poles.real >= 0).any():
         worst = poles[np.argmax(poles.real)]
         raise Unstable(f"pole {worst} has nonnegative real part")
-    scale = max(1.0, float(np.abs(poles).max()))
-    if n > 1:
-        dist = np.abs(poles[:, None] - poles[None, :])
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < REPEATED_POLE_RTOL * scale:
-            i, j = np.unravel_index(np.argmin(dist), dist.shape)
-            raise RepeatedPole(f"poles {poles[i]} and {poles[j]} coincide within tolerance")
+    _check_distinct(poles, "poles")
     return _sort_permutation(poles)
 
 
@@ -410,16 +416,7 @@ def pole_residue_from_state_space(m: StateSpaceModel) -> PoleResidueModel:
     rank-1 residues are balanced so that ``norm(left) == norm(right)``.
     """
     eigvals, X = np.linalg.eig(np.linalg.solve(m.E, m.A))
-    n = m.order
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    if n > 1:
-        dist = np.abs(eigvals[:, None] - eigvals[None, :])
-        dist[np.diag_indices(n)] = np.inf
-        if dist.min() < REPEATED_POLE_RTOL * scale:
-            i, j = np.unravel_index(np.argmin(dist), dist.shape)
-            raise RepeatedPole(
-                f"eigenvalues {eigvals[i]} and {eigvals[j]} coincide within tolerance"
-            )
+    _check_distinct(eigvals, "eigenvalues")
     # C (sE-A)^{-1} B = (C X) diag(1/(s-lam)) (X^{-1} E^{-1} B)
     CX = m.C @ X
     BX = np.linalg.solve(X, np.linalg.solve(m.E, m.B))

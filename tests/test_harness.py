@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pr
-from delayh2 import DelaySearchConfig, IoDirkaConfig, PoleResidueModel, iodirka
+from delayh2 import DelaySearchConfig, IoDirkaConfig, PoleResidueModel, delayopt, iodirka
 from delayh2.cli import build_parser
 from delayh2.delayopt import _Objective
 
@@ -89,11 +89,11 @@ def test_tracer_records_one_search_span_per_outer_iteration(harness):
 
 
 def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
-    # one two-iteration corpus run; the evaluation counter is the runner's
-    # own wrapper, removed again when the run ends
+    # one two-iteration corpus run; the evaluation counters are the runner's
+    # own wrappers, removed again when the run ends
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import corpus
-    value = _Objective.value
+    value, refine = _Objective.value, delayopt._refine
     out = tmp_path / "corpus.json"
     assert corpus.main(["--shape", "N20-o2", "--seed", "3", "--json", str(out)]) == 0
     written = json.loads(out.read_text(encoding="utf-8"))
@@ -101,7 +101,9 @@ def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
     assert (row["shape"], row["seed"], row["converged"], row["outer"]) == ("N20-o2", 3, True, 2)
     assert row["evaluations"] > 0 and written["converged"] == 1
     assert row["irka"] > 0 and written["shapes"] == {"N20-o2": {"converged": 1, "runs": 1}}
-    assert _Objective.value is value
+    assert 0 < row["max_start"] <= row["evaluations"]
+    assert _Objective.value is value and delayopt._refine is refine
     lines = capsys.readouterr().out.splitlines()
     assert f" {row['irka']:>5} " in lines[1]
+    assert f" {row['evaluations']:>7} {row['max_start']:>5} " in lines[1]
     assert lines[-2:] == ["N20-o2     converged 1 of 1", "converged 1 of 1"]

@@ -243,6 +243,19 @@ def test_repeated_pole_raises():
         pole_residue_from_state_space(ss)
 
 
+def test_pole_distance_is_relative_to_the_pair():
+    # a far pole does not widen the tolerance between two near ones: the
+    # rule is |p - q| < REPEATED_POLE_RTOL max(1, |p|, |q|)
+    poles = [-1.0, -1.5, -1e8]
+    m = make_siso(poles, [1.0, 1.0, 1.0])
+    assert np.array_equal(np.sort(m.poles.real), np.sort(poles))
+    ss = StateSpaceModel(np.eye(3), np.diag(poles), np.ones((3, 1)), np.ones((1, 3)))
+    m = pole_residue_from_state_space(ss)
+    assert np.array_equal(np.sort(m.poles.real), np.sort(poles))
+    with pytest.raises(RepeatedPole):
+        make_siso([-1e8, -1e8 * (1 + 1e-9)], [1.0, 1.0])
+
+
 def test_unstable_state_space_raises():
     with pytest.raises(Unstable):
         StateSpaceModel(np.eye(1), np.array([[0.5]]), np.eye(1), np.eye(1))
