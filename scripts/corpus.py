@@ -13,13 +13,17 @@ first-order residual, the delay search's objective evaluations (values and
 derivative sets) and the most of them any one refinement start took, and
 its wall time; then one line per shape gives the runs converged in it, and
 the last line the converged total. ``--json PATH`` writes the same rows
-and counts. The evaluations are counted by wrapping ``_Objective`` and
-``delayopt._refine`` here, so the library carries no counter.
+and counts; each row there also carries a ``fingerprint``, the sha256 of
+its counts and of the exact (hex) J, max residual, delays and poles, so
+two trees' files can be compared run by run. The evaluations are counted
+by wrapping ``_Objective`` and ``delayopt._refine`` here, so the library
+carries no counter.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -81,12 +85,18 @@ def run(shape: str, seed: int) -> dict:
         start = time.perf_counter()
         rep = io_dirka(g, IoDirkaConfig(order=order, search=search))
         seconds = time.perf_counter() - start
-    return {"shape": shape, "seed": seed, "converged": rep.converged,
-            "outer": rep.outer_iterations,
-            "irka": sum(e.irka_iterations for e in rep.trace),
-            "j_rel": rep.gap.j / rep.norm_g_sq,
-            "max_residual": rep.residuals.max_residual(), "evaluations": count[0],
-            "max_start": count[1], "seconds": seconds}
+    counts = {"outer": rep.outer_iterations,
+              "irka": sum(e.irka_iterations for e in rep.trace),
+              "evaluations": count[0], "max_start": count[1]}
+    max_res = float(rep.residuals.max_residual())
+    m = rep.model
+    exact = (sorted(counts.items()), float(rep.gap.j).hex(), max_res.hex(),
+             [float(v).hex() for v in m.input_delays.delays + m.output_delays.delays],
+             [(complex(p).real.hex(), complex(p).imag.hex()) for p in m.core.poles])
+    return {"shape": shape, "seed": seed, "converged": rep.converged, **counts,
+            "j_rel": rep.gap.j / rep.norm_g_sq, "max_residual": max_res,
+            "seconds": seconds,
+            "fingerprint": hashlib.sha256(repr(exact).encode()).hexdigest()}
 
 
 def main(argv=None) -> int:

@@ -26,6 +26,7 @@ from .models import (
     PoleResidueModel,
     StateSpaceModel,
     canonicalize_terms,
+    conjugate_pairs,
     eval_transfer,
     eval_transfer_derivative,
     impulse_response,
@@ -55,7 +56,7 @@ __all__ = [
     "NegativeNormSquared", "NonFiniteObjective", "NonInvertibleE",
     "NonRealModel", "NonRealSum", "RepeatedPole", "Unstable",
     "DelayBlock", "DelayedModel", "HighPrecisionTerms", "PoleResidueModel",
-    "StateSpaceModel", "canonicalize_terms", "eval_transfer",
+    "StateSpaceModel", "canonicalize_terms", "conjugate_pairs", "eval_transfer",
     "eval_transfer_derivative", "impulse_response",
     "pole_residue_from_state_space", "realify_check",
     "GapValue", "OptimalityResiduals", "build_gtilde", "compute_gap",

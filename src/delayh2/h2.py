@@ -165,7 +165,8 @@ def _cross_eval(g: PoleResidueModel, h: PoleResidueModel,
 
 
 def _real_or_raise(value: complex, what: str) -> float:
-    if abs(np.imag(value)) >= IMAG_TOL:
+    """Re value; NonRealSum where |Im value| >= IMAG_TOL max(1, |Re value|)."""
+    if abs(np.imag(value)) >= IMAG_TOL * max(1.0, abs(np.real(value))):
         raise NonRealSum(f"{what} has imaginary leakage {np.imag(value):.3e}")
     return float(np.real(value))
 

@@ -2,10 +2,12 @@
 
 The full model is kept in pole/residue coordinates, where each projection
 "solve" (sigma I - A)^{-1} B b is a rational evaluation over the terms, O(N)
-per shift. Conjugate shift pairs contribute one complex column each; the
-pair's two columns are replaced by (real, imaginary) parts, which together
-with conjugate-closed data makes the projected pencil exactly real. The
-pencil is assembled one of two ways, by precision backend:
+per shift. Shifts pair up as their mirrored poles do under
+:func:`delayh2.models.conjugate_pairs`, the rule that canonicalizes the
+reduced terms; a pair's two columns are replaced by (real, imaginary)
+parts, which together with conjugate-closed data makes the projected
+pencil exactly real. The pencil is assembled one of two ways, by precision
+backend:
 
 * Float models contract over the terms (W^T V and friends, realified on
   V and W), O(N n^2). Binary64 needs this route: the Loewner quotient below
@@ -36,15 +38,15 @@ iterate (shifts and tangential directions, real and imaginary parts
 separately) takes an Aitken delta-squared jump by :func:`aitken_delta2`.
 The rule is odd, so an exact mirror pair stays bitwise conjugate and keeps
 its one Loewner row. A jump is refused unless the three plain iterates
-share one conjugate-pair structure, every component it moves has a shrinking
-difference, and every extrapolated shift is finite in the open right
-half-plane; the history restarts after every attempt. The stopping test
-compares a projection's output with its input, shift by shift, and the
-returned model is always a projection output, never an extrapolated
-point. Every iterate, the first included, orders its shifts as the
-mirrored poles of a canonical model (a pair's -Im shift first), so a warm
-start from a converged model stops after one projection. Iterates stay raw
-canonical arrays, checked as a model would check them, and the
+share one conjugate-pair structure (by that rule), every component it
+moves has a shrinking difference, and every extrapolated shift is finite
+in the open right half-plane; the history restarts after every attempt.
+The stopping test compares a projection's output with its input, shift by
+shift, and the returned model is always a projection output, never an
+extrapolated point. Every iterate, the first included, orders its shifts
+as the mirrored poles of a canonical model (a pair's -Im shift first), so
+a warm start from a converged model stops after one projection. Iterates
+stay raw canonical arrays, checked as a model would check them, and the
 :class:`PoleResidueModel` is built once, at exit.
 
 At a fixed point the reduced model bitangentially Hermite-interpolates the
@@ -69,6 +71,7 @@ from .models import (
     _sort_permutation,
     canonicalize_terms,
     checked_order,
+    conjugate_pairs,
     transfer_data,
 )
 from .precision import Backend, backend_for
@@ -159,23 +162,6 @@ def _initial_iterate(g: PoleResidueModel, cfg: IrkaConfig,
     # start is already in that order
     order = _sort_permutation(-shifts)
     return shifts[order], bdirs[order], cdirs[order]
-
-
-def _pair_structure(shifts: np.ndarray) -> list[tuple[int, int | None]]:
-    """Group canonical shifts into (index, conjugate partner index or None)."""
-    groups = []
-    k = 0
-    n = shifts.size
-    while k < n:
-        if abs(shifts[k].imag) > 1e-14 * max(1.0, abs(shifts[k])) and k + 1 < n \
-                and abs(shifts[k + 1] - np.conj(shifts[k])) \
-                <= 1e-8 * max(1.0, abs(shifts[k])):
-            groups.append((k, k + 1))
-            k += 2
-        else:
-            groups.append((k, None))
-            k += 1
-    return groups
 
 
 def _combine_pairs(M: np.ndarray, groups) -> np.ndarray:
@@ -308,7 +294,7 @@ def _aitken_jump(history):
     """Aitken jump (shifts, bdirs, cdirs) from three consecutive plain
     iterates, or None where one of :func:`irka_reduce`'s guards refuses it.
     Real and imaginary parts are extrapolated separately on one flat view."""
-    if len({tuple(_pair_structure(s)) for s, _, _ in history}) != 1:
+    if len({tuple(conjugate_pairs(-s)) for s, _, _ in history}) != 1:
         return None
     x0, x1, x2 = (np.concatenate([s, b.ravel(), c.ravel()]).view(float)
                   for s, b, c in history)
@@ -386,7 +372,7 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     plain = []
 
     for iterations in range(1, MAX_ITERS + 1):
-        groups = _pair_structure(shifts)
+        groups = conjugate_pairs(-shifts)
         Er, Ar, Br, Cr = _realify_pencil(
             *_project(g, shifts, bdirs, cdirs, groups))
         try:

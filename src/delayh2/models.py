@@ -23,6 +23,10 @@ optimality certificate and :func:`eval_transfer` read it through
 one point of each exactly conjugate pair, and the H2 cross kernel reads it
 at the full model's mirrored poles. All reduced-order models produced by
 this package are plain float64.
+
+Whether a pole is real or pairs with a conjugate is decided once, relative
+to that pole, by :func:`conjugate_pairs`: canonicalization, :func:`realify_check`
+and the IRKA shift pairs read it. The exact-closure rules are bitwise.
 """
 
 from __future__ import annotations
@@ -44,15 +48,16 @@ from .errors import (
 from .precision import (Backend, backend_for, checked_precision, payload_closed, payload_terms,
                         resolvent_terms)
 
-# Absolute tolerance for the imaginary leakage of sums that must be real.
+# Imaginary-leakage tolerance of sums that must be real (h2 scales it by max(1, |Re|)).
 IMAG_TOL = 1e-10
 # Relative pole-coincidence tolerance for the semi-simplicity check.
 REPEATED_POLE_RTOL = 1e-8
-# Relative tolerance used when deciding that a pole is real / pairing conjugates.
+# Relative tolerance, scaled by max(1, |p|) of the pole p tested, for reading
+# p as real and (times 10) for pairing it with a conjugate (conjugate_pairs).
 PAIR_RTOL = 1e-8
 # Condition-number ceiling for the descriptor matrix E.
 E_COND_MAX = 1e12
-# Relative guard radius around poles for transfer evaluation.
+# Guard radius around each pole p for transfer evaluation, times max(1, |p|).
 EVAL_POLE_RTOL = 1e-12
 
 
@@ -330,6 +335,36 @@ def _as_delayed(m) -> DelayedModel:
 # by the reduced-pencil extraction in irka)
 
 
+def conjugate_pairs(poles: np.ndarray) -> list[tuple[int, int | None]]:
+    """(k, None) for each real pole and (k, j), k < j, for each conjugate
+    pair of ``poles``, ordered by k: the package's one real/pair rule.
+
+    p is real when |Im p| <= PAIR_RTOL max(1, |p|). Each +Im pole p, in
+    (Re, Im) order, pairs with the nearest unpaired -Im pole q (not the
+    next one in a sort, which rounding of equal real parts can interleave),
+    and |p - conj q| <= 10 PAIR_RTOL max(1, |p|) must hold; a complex pole
+    left without a partner raises NonRealModel.
+    """
+    # Python scalars compare, subtract and take |.| (hypot) as numpy's do
+    P = np.asarray(poles, dtype=complex).tolist()
+    groups, pos, neg = [], [], []
+    for k, p in enumerate(P):
+        if abs(p.imag) <= PAIR_RTOL * max(1.0, abs(p)):
+            groups.append((k, None))
+        else:
+            (pos if p.imag > 0 else neg).append(k)
+    for k in sorted(pos, key=lambda i: (P[i].real, P[i].imag)):
+        dist = lambda j: abs(P[k] - P[j].conjugate())
+        j = min(neg, key=dist, default=None)
+        if j is None or dist(j) > 10 * PAIR_RTOL * max(1.0, abs(P[k])):
+            raise NonRealModel(f"no conjugate partner for pole {P[k]}")
+        neg.remove(j)
+        groups.append((min(k, j), max(k, j)))
+    if neg:
+        raise NonRealModel(f"no conjugate partner for pole {P[neg[0]]}")
+    return sorted(groups)
+
+
 def canonicalize_terms(
     poles: np.ndarray,
     left: np.ndarray,
@@ -338,6 +373,7 @@ def canonicalize_terms(
     """Turn noisy eigen-decomposition output into exactly conjugate-closed,
     balanced, deterministically phased term data.
 
+    The real poles and conjugate pairs are those of :func:`conjugate_pairs`.
     Real-pole terms get their imaginary parts dropped; conjugate pairs are
     averaged and re-emitted as exact conjugates. Each term is rebalanced to
     ``norm(left) == norm(right)`` and rotated so the largest-magnitude entry
@@ -349,58 +385,42 @@ def canonicalize_terms(
     right = np.asarray(right, dtype=complex)
     left = left[:, None] if left.ndim == 1 else np.atleast_2d(left)
     right = right[:, None] if right.ndim == 1 else np.atleast_2d(right)
-    scale = max(1.0, float(np.max(np.abs(poles))))
-    tol = PAIR_RTOL * scale
-    # Python scalars compare, subtract and take |.| (hypot) as numpy's do
-    P = poles.tolist()
-    real_idx = [k for k, p in enumerate(P) if abs(p.imag) <= tol]
-    pos_idx = [k for k, p in enumerate(P) if p.imag > tol]
-    neg_idx = [k for k, p in enumerate(P) if p.imag < -tol]
-    if len(pos_idx) != len(neg_idx):
-        raise NonRealModel("conjugate pairing impossible: unequal +Im / -Im pole counts")
+    groups = conjugate_pairs(poles)
+    real_idx = [k for k, j in groups if j is None]
 
-    out_p, out_l, out_r = [], [], []
-
-    def _balanced(lam, lv, rv):
+    def _balanced(lv, rv):
         # the 2-norms as np.linalg.norm forms them
         nl = np.sqrt(lv.real.dot(lv.real) + lv.imag.dot(lv.imag))
         nr = np.sqrt(rv.real.dot(rv.real) + rv.imag.dot(rv.imag))
         if nl == 0.0 or nr == 0.0:
-            return lam, lv, rv
+            return lv, rv
         alpha = np.sqrt(nr / nl)
         lv = lv * alpha
         rv = rv / alpha
         ph = lv[np.abs(lv).argmax()]
         ph = ph / abs(ph)
-        return lam, lv / ph, rv * ph
+        return lv / ph, rv * ph
 
     lr, rr = left[real_idx], right[real_idx]
     res_scale = np.maximum(np.maximum(np.abs(lr).max(axis=1), np.abs(rr).max(axis=1)), 1.0)
     leak = np.maximum(np.abs(lr.imag).max(axis=1), np.abs(rr.imag).max(axis=1)) > 1e-6 * res_scale
     if leak.any():
         raise NonRealModel(f"real pole {poles[real_idx[np.argmax(leak)]]} carries complex residues")
+    out_p, out_l, out_r = [], [], []
     for k, lv, rv in zip(real_idx, lr.real + 0j, rr.real + 0j):
-        lam, lv, rv = _balanced(poles[k].real + 0j, lv, rv)
-        out_p.append(lam)
+        lv, rv = _balanced(lv, rv)
+        out_p.append(poles[k].real + 0j)
         out_l.append(lv.real + 0j)
         out_r.append(rv.real + 0j)
-
-    # pair each +Im pole with the closest conjugate among the -Im poles
-    neg_free = list(neg_idx)
-    for k in sorted(pos_idx, key=lambda i: (P[i].real, P[i].imag)):
-        dists = [abs(P[k] - P[j].conjugate()) for j in neg_free]
-        jbest = min(range(len(dists)), key=dists.__getitem__)
-        if dists[jbest] > 10 * tol:
-            raise NonRealModel(f"no conjugate partner for pole {poles[k]}")
-        j = neg_free.pop(jbest)
+    for k, j in (g for g in groups if g[1] is not None):
+        if poles[k].imag < 0:
+            k, j = j, k
         lam = 0.5 * (poles[k] + np.conj(poles[j]))
-        lv = 0.5 * (left[k] + np.conj(left[j]))
-        rv = 0.5 * (right[k] + np.conj(right[j]))
-        lam, lv, rv = _balanced(lam, lv, rv)
-        out_p.extend([lam, np.conj(lam)])
-        out_l.extend([lv, np.conj(lv)])
-        out_r.extend([rv, np.conj(rv)])
-
+        lv, rv = _balanced(0.5 * (left[k] + np.conj(left[j])),
+                           0.5 * (right[k] + np.conj(right[j])))
+        out_p += [lam, np.conj(lam)]
+        out_l += [lv, np.conj(lv)]
+        out_r += [rv, np.conj(rv)]
     return np.array(out_p), np.array(out_l), np.array(out_r)
 
 
@@ -453,9 +473,9 @@ def transfer_data(bk: Backend, m: PoleResidueModel, s: np.ndarray):
 
 def transfer_values(m: PoleResidueModel, s) -> tuple[np.ndarray, np.ndarray]:
     """:func:`transfer_data` in ``m``'s precision, rounded to complex128; a
-    point within ``EVAL_POLE_RTOL`` (relative) of a pole raises EvalAtPole."""
+    point within EVAL_POLE_RTOL max(1, |p|) of a pole p raises EvalAtPole."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    near = np.abs(s[:, None] - m.poles) < EVAL_POLE_RTOL * max(1.0, float(np.abs(m.poles).max()))
+    near = np.abs(s[:, None] - m.poles) < EVAL_POLE_RTOL * np.maximum(1.0, np.abs(m.poles))
     if near.any():
         raise EvalAtPole(f"evaluation point {s[near.any(axis=1)][0]} is within tolerance of a pole")
     bk = backend_for(m)
@@ -478,31 +498,18 @@ def eval_transfer_derivative(m: PoleResidueModel, s: complex) -> np.ndarray:
 
 
 def realify_check(m: PoleResidueModel, tol: float = IMAG_TOL) -> bool:
-    """True iff the model represents a real system: every complex pole has an
-    exact-conjugate partner term (pole and both residue vectors) within tol."""
-    scale = max(1.0, float(np.max(np.abs(m.poles))))
-    res_scale = max(1.0, float(max(np.max(np.abs(m.left)), np.max(np.abs(m.right)))))
-    unmatched = list(range(m.order))
-    while unmatched:
-        k = unmatched.pop(0)
-        lam = m.poles[k]
-        if abs(lam.imag) <= tol * scale:
-            if max(np.max(np.abs(m.left[k].imag)), np.max(np.abs(m.right[k].imag))) > tol * res_scale:
-                return False
-            continue
-        found = None
-        for j in unmatched:
-            if (
-                abs(m.poles[j] - np.conj(lam)) <= tol * scale
-                and np.max(np.abs(m.left[j] - np.conj(m.left[k]))) <= tol * res_scale
-                and np.max(np.abs(m.right[j] - np.conj(m.right[k]))) <= tol * res_scale
-            ):
-                found = j
-                break
-        if found is None:
-            return False
-        unmatched.remove(found)
-    return True
+    """True iff the model represents a real system: its poles are real or
+    conjugate pairs (:func:`conjugate_pairs`), each real pole's residue
+    vectors are real and each pair's are conjugates, all within
+    tol max(1, largest residue entry)."""
+    try:
+        groups = conjugate_pairs(m.poles)
+    except NonRealModel:
+        return False
+    res_tol = tol * max(1.0, float(max(np.max(np.abs(m.left)), np.max(np.abs(m.right)))))
+    # a real pole's residues against their own conjugates, a pair's against each other
+    defect = lambda a, k, j: np.max(np.abs(a[k].imag if j is None else a[j] - np.conj(a[k])))
+    return all(max(defect(m.left, k, j), defect(m.right, k, j)) <= res_tol for k, j in groups)
 
 
 def impulse_response(m: DelayedModel | PoleResidueModel, t_grid: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from delayh2 import (
     DimensionMismatch,
     IrkaConfig,
     NonRealSum,
+    PoleResidueModel,
     build_gtilde,
     compute_gap,
     eval_transfer,
@@ -91,6 +92,20 @@ def test_quadrature_matches_pole_residue_on_ref_core(ref_core):
 def test_norm_rejects_nonclosed():
     with pytest.raises(NonRealSum):
         h2_norm_pole_residue(make_siso([-1.0 + 1.0j], [1.0]))
+
+
+def test_imaginary_leakage_test_scales_with_the_sum():
+    # a large gain (||G||^2 about 9e6) scales the rounding of a real sum's
+    # imaginary part with it; a model that is not conjugate-closed still raises
+    for seed in range(4):
+        g = random_pr(np.random.default_rng(seed), 12, ny=2, nu=2)
+        big = PoleResidueModel(g.poles, 3e3 * g.left, g.right)
+        assert h2_norm_sq(big) == pytest.approx(9e6 * h2_norm_sq(g), rel=1e-12)
+    g = make_siso([-1.0 + 1.0j, -1.0 - 1.0j, -2.0], [3e3 + 1e3j, 3e3 - 1e3j, 1e3])
+    skew = PoleResidueModel(g.poles, g.left * [[1.0], [1.0], [np.exp(1e-6j)]], g.right)
+    assert h2_norm_sq(g) > 0.0
+    with pytest.raises(NonRealSum):
+        h2_norm_sq(skew)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,8 @@ def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
     assert row["evaluations"] > 0 and written["converged"] == 1
     assert row["irka"] > 0 and written["shapes"] == {"N20-o2": {"converged": 1, "runs": 1}}
     assert 0 < row["max_start"] <= row["evaluations"]
+    assert len(row["fingerprint"]) == 64 and int(row["fingerprint"], 16) >= 0
+    assert corpus.run("N20-o2", 3)["fingerprint"] == row["fingerprint"]
     assert _Objective.value is value and delayopt._refine is refine
     lines = capsys.readouterr().out.splitlines()
     assert f" {row['irka']:>5} " in lines[1]

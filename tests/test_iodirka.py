@@ -15,6 +15,7 @@ from delayh2 import (
     DimensionMismatch,
     IoDirkaConfig,
     IrkaConfig,
+    PoleResidueModel,
     compute_gap,
     h2_norm_sq,
     io_dirka,
@@ -63,6 +64,17 @@ def test_delay_free_masks_reduce_to_plain_irka():
                        rtol=1e-8, atol=1e-10)
     r = optimality_residuals(g, rep.model.core)
     assert r.max_residual() < 1e-6 * max(1.0, h2_norm_sq(g))
+
+
+def test_large_gain_reduces_like_the_unit_gain_model():
+    # left residues x1e4 scale ||G||^2 by 1e8: the realness tests of the
+    # sums scale with them, so the run ends as the unscaled one does
+    g = random_pr(np.random.default_rng(3), 12)
+    big = PoleResidueModel(g.poles, 1e4 * g.left, g.right)
+    ref, rep = (io_dirka(m, IoDirkaConfig(order=4)) for m in (g, big))
+    assert (rep.converged, rep.outer_iterations) == (ref.converged, ref.outer_iterations)
+    assert ref.converged
+    assert rep.gap.j / rep.norm_g_sq == pytest.approx(ref.gap.j / ref.norm_g_sq, rel=1e-7)
 
 
 def test_perturbed_delay_grows_residual():

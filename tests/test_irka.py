@@ -20,6 +20,7 @@ from delayh2 import (
     build_gtilde,
     canonicalize_terms,
     compute_gap,
+    conjugate_pairs,
     h2_norm_sq,
     irka_reduce,
     optimality_residuals,
@@ -31,7 +32,6 @@ from delayh2.irka import (
     _aitken_jump,
     _exact_mirrors,
     _next_iterate,
-    _pair_structure,
     _project,
     _realify_pencil,
 )
@@ -240,7 +240,7 @@ def test_aitken_jump_keeps_mirror_pairs():
                                 [1.0 + 0.5j, 1.0 - 0.5j, -0.3])
     shifts, bdirs, cdirs = _aitken_jump(history)
     assert np.array_equal(shifts, [0.5 + 0.75j, 0.5 - 0.75j, 2.0])
-    assert _exact_mirrors(shifts, bdirs, cdirs, _pair_structure(shifts)) == [(0, 1)]
+    assert _exact_mirrors(shifts, bdirs, cdirs, conjugate_pairs(-shifts)) == [(0, 1)]
     assert bdirs[:, 0] == pytest.approx([1.0 + 0.5j, 1.0 - 0.5j, -0.3], rel=1e-15)
 
 
@@ -254,12 +254,13 @@ def test_aitken_jump_refuses_a_growing_difference():
 
 
 def test_aitken_jump_refuses_a_changed_pair_structure():
-    # Every difference shrinks, but the pair's imaginary part (4e-14,
-    # 2e-14, 1e-14) falls below the pairing threshold 1e-14 |s| in the
-    # last iterate, which then holds two real shifts.
+    # Every difference shrinks, but the pair's imaginary part (4e-8, 2e-8,
+    # 1e-8) falls below the real-pole threshold PAIR_RTOL |s| (1.5e-8,
+    # 1.25e-8, 1.125e-8) in the last iterate, which then holds two real
+    # shifts.
     history = geometric_history([1.0, 1.0], [1.0, 1.0],
-                                step=[0.5 + 4e-14j, 0.5 - 4e-14j])
-    assert [len(_pair_structure(s)) for s, _, _ in history] == [1, 1, 2]
+                                step=[0.5 + 4e-8j, 0.5 - 4e-8j])
+    assert [len(conjugate_pairs(-s)) for s, _, _ in history] == [1, 1, 2]
     assert _aitken_jump(history) is None
 
 
@@ -341,7 +342,7 @@ def test_exact_mirror_found_after_every_jump(gt_zero_delay, monkeypatch):
 def pencil_pair(g, shifts, bdirs, cdirs):
     """(library pencil, plain-loop direct contraction at the payload precision)."""
     shifts, bdirs, cdirs = map(np.asarray, (shifts, bdirs, cdirs))
-    groups = _pair_structure(shifts)
+    groups = conjugate_pairs(-shifts)
     got = _project(g, shifts, bdirs, cdirs, groups)
     want = oracles.direct_pencil(*payload_entries(g.hp), shifts,
                                  bdirs, cdirs, g.hp.dps,
@@ -396,7 +397,7 @@ def test_unclosed_payload_pencil_fails_to_realify():
     bdirs = np.array([[1.0 + 0.3j], [1.0 - 0.3j]])
     cdirs = np.array([[0.6 - 0.2j], [0.6 + 0.2j]])
     with pytest.raises(DelayH2Error):
-        _realify_pencil(*_project(g, shifts, bdirs, cdirs, _pair_structure(shifts)))
+        _realify_pencil(*_project(g, shifts, bdirs, cdirs, conjugate_pairs(-shifts)))
 
 
 def test_payload_pencil_two_mirrored_pairs():
@@ -407,7 +408,7 @@ def test_payload_pencil_two_mirrored_pairs():
     cdirs = [[1.0 - 0.2j], [1.0 + 0.2j], [0.4 + 0.9j], [0.4 - 0.9j]]
     assert g.hp.conjugate_closed
     assert _exact_mirrors(np.array(shifts), np.array(bdirs), np.array(cdirs),
-                          _pair_structure(np.array(shifts))) == [(0, 1), (2, 3)]
+                          conjugate_pairs(-np.array(shifts))) == [(0, 1), (2, 3)]
     got, want = pencil_pair(g, shifts, bdirs, cdirs)
     for a, w in zip(got, want):
         assert np.array_equal(a, w)
@@ -420,7 +421,7 @@ def test_payload_pencil_nearly_conjugate_directions_not_mirrored():
     shifts = np.array([0.4 + 0.3j, 0.4 - 0.3j, 0.9])
     bdirs = np.array([[1.0 + 0.5j], [(1.0 - 0.5j) * (1 + 1e-12)], [0.3]])
     cdirs = np.array([[0.4 - 1.0j], [0.4 + 1.0j], [-0.8]])
-    assert _exact_mirrors(shifts, bdirs, cdirs, _pair_structure(shifts)) == []
+    assert _exact_mirrors(shifts, bdirs, cdirs, conjugate_pairs(-shifts)) == []
     got, want = pencil_pair(g, shifts, bdirs, cdirs)
     assert np.max(np.abs(got[0].imag)) > 0.0
     for a, w in zip(got, want):
@@ -579,6 +580,18 @@ def test_lean_step_is_the_models_iterate(n_real, n_pairs, ny, nu):
         got = _next_iterate(lam, CX, BX)
         for a, b in zip(got, (-m.poles, m.right, m.left)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_canonical_terms_do_not_depend_on_the_input_order():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        lam, CX, BX = eigen_output(rng, 2, 2, 2, 2)
+        ref = PoleResidueModel(*canonicalize_terms(lam, CX.T, BX))
+        for _ in range(5):
+            p = rng.permutation(lam.size)
+            m = PoleResidueModel(*canonicalize_terms(lam[p], CX.T[p], BX[p]))
+            for a, b in zip((m.poles, m.left, m.right), (ref.poles, ref.left, ref.right)):
+                assert a.tobytes() == b.tobytes()
 
 
 def _lone_pole(out):

@@ -20,6 +20,8 @@ from delayh2 import (
     StateSpaceModel,
     Unstable,
     build_bench_model,
+    canonicalize_terms,
+    conjugate_pairs,
     eval_transfer,
     eval_transfer_derivative,
     h2_norm_sq,
@@ -56,6 +58,16 @@ def test_eval_at_pole_raises():
         eval_transfer(m, -1.0)
     with pytest.raises(EvalAtPole):
         eval_transfer_derivative(m, -1.0 + 1e-14j)
+
+
+def test_eval_pole_guard_is_relative_to_each_pole():
+    # the radius is EVAL_POLE_RTOL max(1, |p|) around each pole p, so a far
+    # pole does not widen the guard around a near one
+    m = make_siso([-1.0, -1e9], [1.0, 1.0])
+    assert eval_transfer(m, -0.9999)[0, 0] == pytest.approx(1e4, rel=1e-9)
+    for s in (-1.0 + 1e-13, -1e9 * (1 + 1e-13), -1e9 + 5e-4j):
+        with pytest.raises(EvalAtPole):
+            eval_transfer(m, s)
 
 
 def test_eval_transfer_matches_plain_loop():
@@ -256,6 +268,21 @@ def test_pole_distance_is_relative_to_the_pair():
         make_siso([-1e8, -1e8 * (1 + 1e-9)], [1.0, 1.0])
 
 
+def test_state_space_pair_next_to_a_far_pole():
+    # the real/pair test is relative to each pole: -1 +- 0.5i stays a pair
+    # next to -1e9 and keeps its complex residues
+    A = np.zeros((3, 3))
+    A[:2, :2] = [[-1.0, 0.5], [-0.5, -1.0]]
+    A[2, 2] = -1e9
+    ss = StateSpaceModel(np.eye(3), A, np.ones((3, 1)), np.ones((1, 3)))
+    m = pole_residue_from_state_space(ss)
+    assert m.poles == pytest.approx([-1e9, -1.0 + 0.5j, -1.0 - 0.5j], rel=1e-12)
+    assert realify_check(m)
+    for s in (0.5, 1j, 2.0 + 3.0j):
+        direct = ss.C @ np.linalg.solve(s * np.eye(3) - A, ss.B)
+        assert eval_transfer(m, s) == pytest.approx(direct, rel=1e-12)
+
+
 def test_unstable_state_space_raises():
     with pytest.raises(Unstable):
         StateSpaceModel(np.eye(1), np.array([[0.5]]), np.eye(1), np.eye(1))
@@ -406,3 +433,35 @@ def test_realify_check_cases():
     assert not realify_check(make_siso([-1.0 + 1.0j], [1.0]))
     assert realify_check(make_siso([-1.0 + 1.0j, -1.0 - 1.0j],
                                    [0.5 + 0.2j, 0.5 - 0.2j]))
+
+
+def test_realness_of_a_pair_next_to_a_far_pole():
+    m = make_siso([-1.0 + 0.5j, -1.0 - 0.5j, -1e9], [0.5 - 0.25j, 0.5 + 0.25j, 1.0])
+    assert realify_check(m, tol=1e-8)
+    t = np.linspace(0.0, 2.0, 5)
+    want = 2.0 * ((0.5 - 0.25j) * np.exp((-1.0 + 0.5j) * t)).real + np.exp(-1e9 * t)
+    assert impulse_response(m, t)[0, 0] == pytest.approx(want, rel=1e-13)
+
+
+def test_conjugate_pairs_are_relative_to_each_pole():
+    # |Im p| <= PAIR_RTOL max(1, |p|) reads p as real, whatever the others
+    assert conjugate_pairs([-1e9 + 5.0j, -1.0 + 5e-9j]) == [(0, None), (1, None)]
+    assert conjugate_pairs([-1.0 + 0.5j, -1e9, -1.0 - 0.5j]) == [(0, 2), (1, None)]
+    for poles in ([-1.0 + 2e-8j, -1e9], [-1e9, -1.0 - 2e-8j],
+                  [-1.0 + 1.0j, -1.0 - 1.001j]):
+        with pytest.raises(NonRealModel, match="no conjugate partner"):
+            conjugate_pairs(poles)
+
+
+def test_conjugate_pairs_pick_the_nearest_partner():
+    # two pairs with one real part, perturbed by rounding: a (Re, |Im|)
+    # sort interleaves them as 2i, -1i, 1i, -2i; the pairing does not
+    eps = np.finfo(float).eps
+    poles = np.array([complex(-1 - 2 * eps, 2), complex(-1 - eps, -1),
+                      complex(-1, 1), complex(-1 + 2 * eps, -2)])
+    assert conjugate_pairs(poles) == [(0, 3), (1, 2)]
+    left = np.array([[0.3 + 0.1j], [0.7 + 0.2j], [0.7 - 0.2j], [0.3 - 0.1j]])
+    m = PoleResidueModel(*canonicalize_terms(poles, left, np.ones((4, 1))))
+    assert realify_check(m, tol=0.0)
+    assert m.poles == pytest.approx([-1 + 1j, -1 - 1j, -1 + 2j, -1 - 2j], abs=1e-15)
+    assert m.left[:, 0] * m.right[:, 0] == pytest.approx(left[[2, 1, 0, 3], 0], rel=1e-15)

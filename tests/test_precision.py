@@ -31,6 +31,7 @@ from delayh2 import (
     build_bench_model,
     build_gtilde,
     compute_gap,
+    conjugate_pairs,
     eval_transfer,
     eval_transfer_derivative,
     h2_norm_sq,
@@ -40,7 +41,7 @@ from delayh2 import (
 from delayh2 import delayopt, precision
 from delayh2.delayopt import _Objective
 from delayh2.h2 import _cross_eval
-from delayh2.irka import _pair_structure, _project
+from delayh2.irka import _project
 from delayh2.serialize import save_model
 
 PARITY_RTOL = 1e-13
@@ -416,7 +417,7 @@ def test_power_of_two_scaling_is_exact():
     shifts = np.array([0.2 + 0.2j, 0.2 - 0.2j, 0.7])
     bdirs = np.array([[1.0 + 0.5j], [1.0 - 0.5j], [0.3]])
     cdirs = np.array([[0.4 - 1.0j], [0.4 + 1.0j], [-0.8]])
-    pencil = lambda m: _project(m, shifts, bdirs, cdirs, _pair_structure(shifts))
+    pencil = lambda m: _project(m, shifts, bdirs, cdirs, conjugate_pairs(-shifts))
     for got, want in zip(pencil(gs), pencil(g)):
         assert np.array_equal(got, want * 2.0 ** -70)
 
@@ -435,7 +436,7 @@ def test_payload_sums_do_no_mpmath_arithmetic(monkeypatch):
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                      "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
             monkeypatch.setattr(cls, name, refuse)
-    _project(g, shifts, np.ones((3, 1)), np.ones((3, 1)), _pair_structure(shifts))
+    _project(g, shifts, np.ones((3, 1)), np.ones((3, 1)), conjugate_pairs(-shifts))
     _Objective(g, h, np.array([0]), np.array([], dtype=int)).value_grad_hess(np.array([1.3]))
     hd = DelayedModel(h, DelayBlock((1.3,)), DelayBlock((0.0,), (False,)))
     compute_gap(g, hd, h2_norm_sq(g))
