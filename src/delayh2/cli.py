@@ -95,10 +95,10 @@ def _cmd_reduce(args) -> int:
     in_mask, out_mask = _parse_delay_spec(args.delays, g.nu, g.ny)
     search = DelaySearchConfig(
         input_mask=in_mask, output_mask=out_mask,
-        **_given(args, "grid_points_per_channel", "tau_max", "refine_tol"))
-    irka = IrkaConfig(order=args.order, **_given(args, "seed", "shift_tol", "init"))
+        **_given(args, "grid_points_per_channel", "tau_max"))
+    irka = IrkaConfig(order=args.order, **_given(args, "seed", "init"))
     cfg = IoDirkaConfig(order=args.order, irka=irka, search=search, **_given(
-        args, "outer_max_iters", "outer_tol", "landscape_csv"))
+        args, "outer_max_iters", "landscape_csv"))
     os.makedirs(args.out, exist_ok=True)
     if cfg.landscape_csv:
         # fail on an unwritable path now, not after the first delay search
@@ -178,15 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "representative with min output delay 0")
     r.add_argument("--seed", type=int)
     r.add_argument("--outer-max", dest="outer_max_iters", type=int)
-    r.add_argument("--outer-tol", type=float)
-    r.add_argument("--shift-tol", type=float)
     r.add_argument("--irka-init", dest="init", choices=INIT_MODES)
     r.add_argument("--grid-points", dest="grid_points_per_channel", type=int)
     r.add_argument("--tau-max", type=float,
                    help="initial delay box (default 5 / min|Re pole|); with "
                         "every channel delayed it bounds each path delay "
                         "by 2 * tau-max")
-    r.add_argument("--refine-tol", type=float)
     r.add_argument("--landscape-csv",
                    help="dump the delay-search grid to this CSV")
     r.set_defaults(func=_cmd_reduce)

@@ -14,7 +14,8 @@ delay Hessian where their block of it is negative definite, and a damped
 step otherwise. A Newton step is kept unless it lowers the objective by
 more than the rounding bound of the compared values (zero on a payload),
 so a start next to a maximum of a cancelling float sum converges instead
-of stalling on rounding noise.
+of stalling on rounding noise. A start stops once its projected gradient
+is below ``REFINE_TOL``.
 
 Each term couples one output delay with one input delay, so the screen
 sums ny*nu channel-pair tables: each pair's path function
@@ -59,6 +60,8 @@ from .precision import backend_for, lattice_points
 
 # Newton or damped Newton steps per refinement start
 MAX_REFINE_ITERS = 100
+# a refinement start stops once its projected gradient is below this
+REFINE_TOL = 1e-10
 # the box grows to at most this multiple of its initial size
 EXTEND_CAP = 64.0
 # best-ranked screen peaks refined, besides the caller's start
@@ -89,7 +92,6 @@ class DelaySearchConfig:
 
     grid_points_per_channel: int = 400
     tau_max: float | None = None
-    refine_tol: float = 1e-10
     input_mask: tuple | None = None
     output_mask: tuple | None = None
     joint_grid_budget: int = 400_000
@@ -99,8 +101,6 @@ class DelaySearchConfig:
         check_int("joint_grid_budget", self.joint_grid_budget, 1)
         if self.tau_max is not None and not 0.0 < self.tau_max < np.inf:
             raise DelayH2Error("tau_max must be positive and finite")
-        if not 0.0 < self.refine_tol < np.inf:
-            raise DelayH2Error("refine_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -329,8 +329,7 @@ class _Objective:
         return screen, bound
 
 
-def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
-            cfg: DelaySearchConfig) -> tuple[np.ndarray, float]:
+def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, float]:
     """Damped Newton ascent from x0 within [0, hi]; returns (x, f).
 
     A step moves the free coordinates (nonzero projected gradient pg): it
@@ -346,7 +345,7 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
     damp 4-fold (from 0, to 1e-3 max|lambda|), for at most 60 trials, and
     a kept one lowers it 4-fold; each trial is one
     :meth:`_Objective.value_grad_hess`. Stops when the projected gradient
-    is below ``cfg.refine_tol``, when no trial ascends, or after
+    is below ``REFINE_TOL``, when no trial ascends, or after
     ``MAX_REFINE_ITERS`` steps.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
@@ -356,7 +355,7 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray,
         pg = grad.copy()
         pg[(x <= 0.0) & (grad < 0)] = 0.0
         pg[(x >= hi) & (grad > 0)] = 0.0
-        if np.max(np.abs(pg), initial=0.0) < cfg.refine_tol:
+        if np.max(np.abs(pg), initial=0.0) < REFINE_TOL:
             break
         free = pg != 0.0
         sub = hess[np.ix_(free, free)]
@@ -514,7 +513,7 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
 
         best_x, best_f = None, 0.0
         for x0 in starts:
-            x, f = _refine(obj, x0, hi, cfg)
+            x, f = _refine(obj, x0, hi)
             if best_x is None or _better(f, x, best_f, best_x):
                 best_x, best_f = x, f
 
@@ -547,7 +546,7 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
     best of the peaks whose screen values lie within twice the screen's
     rounding bound of the largest. Each
     refinement start stops once its projected gradient is below
-    ``refine_tol``, or earlier where no step gains more than the
+    ``REFINE_TOL``, or earlier where no step gains more than the
     objective's rounding error (see :func:`_refine`); boundary points may
     carry an outward gradient. All-masked problems return zero delays and
     the initial box immediately.

@@ -222,12 +222,13 @@ def gap_from_cross(g_norm_sq: float, cross_sum: complex,
                    core: PoleResidueModel) -> GapValue:
     """The gap of a delayed model with this core, from the cross kernel's
     complex sum at its delays (as :func:`compute_gap` forms it, or as
-    :class:`delayh2.delayopt.DelaySearchResult` carries it)."""
+    :class:`delayh2.delayopt.DelaySearchResult` carries it). A gap below
+    -1e-9 max(1, ||G||^2 + ||H||^2) raises NegativeNormSquared."""
     cross = _real_or_raise(cross_sum, "inner product")
     norm_h_sq = h2_norm_sq(core)
     j = g_norm_sq - 2.0 * cross + norm_h_sq
-    if j < -1e-9:
-        raise NegativeNormSquared(f"gap {j:.3e} below -1e-9; inconsistent inputs")
+    if j < -1e-9 * max(1.0, g_norm_sq + norm_h_sq):
+        raise NegativeNormSquared(f"gap {j:.3e} below -1e-9 max(1, |G|^2 + |H|^2)")
     return GapValue(j=max(j, 0.0), norm_g_sq=float(g_norm_sq),
                     cross=cross, norm_h_sq=norm_h_sq)
 

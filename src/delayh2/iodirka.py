@@ -11,14 +11,14 @@ path range and put in the search's gauge, where M = H + I and H estimates
 the inverse Jacobian of phi. M starts at zero, so the first step is the
 plain step F(x); after that, every outer evaluation updates H by the
 "good" inverse rule from the last two points built, and so extrapolates.
-The loop stops once both the poles and the delays stop moving. One more
-core reduction at the final delays follows. The result is ``converged``
-only if the loop stopped and the returned model passes the first-order
-certificate: every residual of the paper's optimality conditions (Hermite
-interpolation at the mirrored poles, one stationarity condition per delay)
-is at most ``CERT_RTOL * max(1, ||G||^2)``. The trace keeps every
-iterate's delayed model (masks included) with its gap, so every reported
-number can be recomputed from it exactly.
+The loop stops once the poles and the delays both move by less than
+``OUTER_TOL``. One more core reduction at the final delays follows. The
+result is ``converged`` only if the loop stopped and the returned model
+passes the first-order certificate: every residual of the paper's
+optimality conditions (Hermite interpolation at the mirrored poles, one
+stationarity condition per delay) is at most ``CERT_RTOL * max(1, ||G||^2)``.
+The trace keeps every iterate's delayed model (masks included) with its
+gap, so every reported number can be recomputed from it exactly.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from .models import DelayBlock, DelayedModel, PoleResidueModel
 
 # bound on the max first-order residual, relative to max(1, ||G||^2)
 CERT_RTOL = 1e-6
+# the outer loop stops once the pole and delay movements are both below this
+OUTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class IoDirkaConfig:
     """Settings for :func:`io_dirka`.
 
     The loop stops when both the relative pole-set movement and the delay
-    movement fall below ``outer_tol``, or after ``outer_max_iters`` outer
+    movement fall below ``OUTER_TOL``, or after ``outer_max_iters`` outer
     iterations. Delays start at ``init_input_delays``/``init_output_delays``,
     zero where unset; with every channel delayed they start, like every
     iterate, at the representative with min gamma = 0 (see
@@ -71,7 +73,6 @@ class IoDirkaConfig:
     init_input_delays: tuple | None = None
     init_output_delays: tuple | None = None
     outer_max_iters: int = 50
-    outer_tol: float = 1e-6
     irka: IrkaConfig | None = None
     search: DelaySearchConfig | None = None
     landscape_csv: str | None = None
@@ -79,8 +80,6 @@ class IoDirkaConfig:
     def __post_init__(self):
         check_int("order", self.order, 1)
         check_int("outer_max_iters", self.outer_max_iters, 1)
-        if not 0.0 < self.outer_tol < np.inf:
-            raise DelayH2Error("outer_tol must be positive and finite")
         if self.irka is not None and self.irka.order != self.order:
             raise DelayH2Error(f"irka order {self.irka.order} differs from the reduced "
                                f"order {self.order}")
@@ -183,7 +182,7 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                 / max(float(np.max(np.abs(prev_model.poles))), 1e-300)
             dmove = float(np.max(np.abs(delays_now - prev_delays), initial=0.0)) \
                 / max(float(np.max(np.abs(prev_delays), initial=0.0)), 1.0)
-            stopped = pmove < cfg.outer_tol and dmove < cfg.outer_tol
+            stopped = pmove < OUTER_TOL and dmove < OUTER_TOL
         prev_model, prev_delays = h, delays_now
         if stopped:
             break

@@ -42,12 +42,12 @@ share one conjugate-pair structure (by that rule), every component it
 moves has a shrinking difference, and every extrapolated shift is finite
 in the open right half-plane; the history restarts after every attempt.
 The stopping test compares a projection's output with its input, shift by
-shift, and the returned model is always a projection output, never an
-extrapolated point. Every iterate, the first included, orders its shifts
-as the mirrored poles of a canonical model (a pair's -Im shift first), so
-a warm start from a converged model stops after one projection. Iterates
-stay raw canonical arrays, checked as a model would check them, and the
-:class:`PoleResidueModel` is built once, at exit.
+shift, against ``SHIFT_TOL``, and the returned model is always a projection
+output, never an extrapolated point. Every iterate, the first included,
+orders its shifts as the mirrored poles of a canonical model (a pair's -Im
+shift first), so a warm start from a converged model stops after one
+projection. Iterates stay raw canonical arrays, checked as a model would
+check them, and the :class:`PoleResidueModel` is built once, at exit.
 
 At a fixed point the reduced model bitangentially Hermite-interpolates the
 target at its mirrored poles: the gap gradient in the residues and poles
@@ -79,6 +79,8 @@ from .precision import Backend, backend_for
 DIRECTION_TINY = 1e-14
 # projections per irka_reduce call at most; the result is then best-effort
 MAX_ITERS = 200
+# the iteration stops once a projection moves every shift by less than this
+SHIFT_TOL = 1e-8
 INIT_MODES = ("log-spaced-real", "random-stable")
 
 
@@ -89,19 +91,17 @@ class IrkaConfig:
     ``init`` is ``"log-spaced-real"`` (shifts log-spaced over the target's
     pole-magnitude range, unit directions) or ``"random-stable"`` (seeded
     log-uniform real shifts, random directions). A warm start passed to
-    :func:`irka_reduce` replaces both. ``MAX_ITERS`` caps the projections.
+    :func:`irka_reduce` replaces both. The iteration stops below the
+    relative shift movement ``SHIFT_TOL``, or after ``MAX_ITERS`` projections.
     """
 
     order: int
-    shift_tol: float = 1e-8
     init: str = "log-spaced-real"
     seed: int = 0
 
     def __post_init__(self):
         check_int("order", self.order, 1)
         check_int("seed", self.seed, 0)
-        if not 0.0 < self.shift_tol < np.inf:
-            raise DelayH2Error("shift_tol must be positive and finite")
         if self.init not in INIT_MODES:
             raise DelayH2Error(f"unknown init mode {self.init!r}")
 
@@ -396,7 +396,7 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
         movement = float(np.max(np.abs(new_shifts - shifts))) / denom
         shifts, bdirs, cdirs = new_shifts, bdirs_new, cdirs_new
         last = shifts, bdirs, cdirs
-        if movement < cfg.shift_tol:
+        if movement < SHIFT_TOL:
             moved_ok = True
             break
         plain.append((shifts, bdirs, cdirs))

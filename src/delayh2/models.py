@@ -378,7 +378,8 @@ def canonicalize_terms(
     averaged and re-emitted as exact conjugates. Each term is rebalanced to
     ``norm(left) == norm(right)`` and rotated so the largest-magnitude entry
     of ``left`` is real positive (the pair's +Im member sets the phase).
-    Raises NonRealModel if terms cannot be paired within tolerance.
+    Raises NonRealModel if terms cannot be paired within tolerance, or if a
+    real pole's term leaks |Im l| |r| + |l| |Im r| > 1e-6 max(1, |l| |r|).
     """
     poles = np.asarray(poles, dtype=complex)
     left = np.asarray(left, dtype=complex)
@@ -402,8 +403,9 @@ def canonicalize_terms(
         return lv / ph, rv * ph
 
     lr, rr = left[real_idx], right[real_idx]
-    res_scale = np.maximum(np.maximum(np.abs(lr).max(axis=1), np.abs(rr).max(axis=1)), 1.0)
-    leak = np.maximum(np.abs(lr.imag).max(axis=1), np.abs(rr.imag).max(axis=1)) > 1e-6 * res_scale
+    al, ar = np.abs(lr).max(axis=1), np.abs(rr).max(axis=1)
+    leak = np.abs(lr.imag).max(axis=1) * ar + al * np.abs(rr.imag).max(axis=1) \
+        > 1e-6 * np.maximum(al * ar, 1.0)
     if leak.any():
         raise NonRealModel(f"real pole {poles[real_idx[np.argmax(leak)]]} carries complex residues")
     out_p, out_l, out_r = [], [], []

@@ -352,10 +352,8 @@ def test_bad_impulse_grid_exit1(tmp_path, capsys, argv):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags", [["--tau-max", "inf"],
-                                   ["--irka-init", "random-stable", "--seed", "-1"],
-                                   ["--shift-tol", "inf"], ["--refine-tol", "inf"]],
-                         ids=["tau-max-inf", "negative-seed", "shift-tol-inf",
-                              "refine-tol-inf"])
+                                   ["--irka-init", "random-stable", "--seed", "-1"]],
+                         ids=["tau-max-inf", "negative-seed"])
 def test_reduce_bad_config_exit1(tmp_path, capsys, monkeypatch, flags):
     # rejected while building the config: no warning, no reduction, no --out
     monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
@@ -365,6 +363,21 @@ def test_reduce_bad_config_exit1(tmp_path, capsys, monkeypatch, flags):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_reduce_rejects_the_removed_tolerance_flags(tmp_path, capsys, monkeypatch):
+    # the stop tolerances are module constants now: each old flag is an
+    # unknown argument, exit 1 before --out exists
+    monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
+    model = _model_file(tmp_path, make_siso([-1.0, -3.0], [1.0, 0.5]))
+    out = tmp_path / "out"
+    for flag in ("--outer-tol", "--shift-tol", "--refine-tol"):
+        argv = ["reduce", "--model", model, "--order", "1", "--out", str(out),
+                flag, "1e-9"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +447,15 @@ def test_reduce_flags_set_their_fields(tmp_path, capsys, monkeypatch):
     csv = str(tmp_path / "scan.csv")
     argv = ["reduce", "--model", _model_file(tmp_path, make_siso([-1.0, -3.0], [1.0, 0.5])),
             "--order", "1", "--out", str(tmp_path / "out"), "--delays", "input",
-            "--seed", "3", "--outer-max", "7", "--outer-tol", "1e-5",
-            "--shift-tol", "1e-9", "--irka-init", "random-stable",
-            "--grid-points", "33", "--tau-max", "2.5", "--refine-tol", "1e-9",
-            "--landscape-csv", csv]
+            "--seed", "3", "--outer-max", "7", "--irka-init", "random-stable",
+            "--grid-points", "33", "--tau-max", "2.5", "--landscape-csv", csv]
     assert main(argv) == 1
     capsys.readouterr()
     assert seen == [IoDirkaConfig(
-        order=1, outer_max_iters=7, outer_tol=1e-5, landscape_csv=csv,
-        irka=IrkaConfig(order=1, seed=3, shift_tol=1e-9, init="random-stable"),
+        order=1, outer_max_iters=7, landscape_csv=csv,
+        irka=IrkaConfig(order=1, seed=3, init="random-stable"),
         search=DelaySearchConfig(grid_points_per_channel=33, tau_max=2.5,
-                                 refine_tol=1e-9, input_mask=(True,),
-                                 output_mask=(False,)))]
+                                 input_mask=(True,), output_mask=(False,)))]
 
 
 def test_bench_passes_only_given_flags(tmp_path, capsys, monkeypatch):

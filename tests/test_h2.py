@@ -22,6 +22,7 @@ from delayh2 import (
     DelayedModel,
     DimensionMismatch,
     IrkaConfig,
+    NegativeNormSquared,
     NonRealSum,
     PoleResidueModel,
     build_gtilde,
@@ -35,7 +36,7 @@ from delayh2 import (
     irka_reduce,
     optimality_residuals,
 )
-from delayh2.h2 import OptimalityResiduals, _cross_tensor
+from delayh2.h2 import OptimalityResiduals, _cross_tensor, gap_from_cross
 from delayh2.precision import backend_for, to_mpc, working_bits
 
 
@@ -215,6 +216,21 @@ def test_gap_closed_form():
     assert abs(gap.j - quad) < 1e-4 * gap.j
 
 
+def test_negative_gap_bound_is_relative_to_the_norms():
+    # ||G||^2 = ||H||^2 = cross = 5e9: a gap of -1e-5 is rounding and reads
+    # 0, one of -100 is not, and an inconsistent ||G||^2 = 0 raises at any
+    # scale
+    g = g1()
+    big = make_siso([-1.0], [1e5])
+    nb = h2_norm_sq(big)
+    assert nb == pytest.approx(5e9)
+    assert gap_from_cross(nb - 1e-5, complex(nb), big).j == 0.0
+    with pytest.raises(NegativeNormSquared):
+        gap_from_cross(nb - 100.0, complex(nb), big)
+    with pytest.raises(NegativeNormSquared, match="gap -5.000e-01"):
+        compute_gap(g, DelayedModel.undelayed(g), 0.0)
+
+
 def test_gap_internal_consistency():
     rng = np.random.default_rng(47)
     for _ in range(10):
@@ -351,7 +367,8 @@ def test_gradients_vanish_at_interpolatory_point(monkeypatch):
     rng = np.random.default_rng(64)
     g = random_pr(rng, 6)
     monkeypatch.setattr(irka, "MAX_ITERS", 500)
-    res = irka_reduce(g, IrkaConfig(order=2, shift_tol=1e-13))
+    monkeypatch.setattr(irka, "SHIFT_TOL", 1e-13)
+    res = irka_reduce(g, IrkaConfig(order=2))
     assert res.converged
     dc, db, dl, _, _ = gap_gradient(g, res.model)
     assert max(np.max(np.abs(db)), np.max(np.abs(dc)), np.max(np.abs(dl))) < 1e-8

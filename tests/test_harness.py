@@ -109,3 +109,28 @@ def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
     assert f" {row['irka']:>5} " in lines[1]
     assert f" {row['evaluations']:>7} {row['max_start']:>5} " in lines[1]
     assert lines[-2:] == ["N20-o2     converged 1 of 1", "converged 1 of 1"]
+
+
+def test_fingerprint_script_prints_the_workload_fingerprint(harness, monkeypatch,
+                                                            tmp_path, capsys):
+    # the script's row for mimo-float seed 0 carries the fingerprint the
+    # workload's own check computes; --compare lists a row that differs
+    workloads, _ = harness
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fingerprints
+    saved = tmp_path / "fingerprints.json"
+    assert fingerprints.main(["--workload", "mimo-float", "--json", str(saved)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rep = iodirka.io_dirka(workloads.mimo_float_model(0), workloads.MimoFloat.cfg)
+    want = workloads._report_outcome("n4", rep, 1.0).fingerprint
+    assert lines[0].split()[:4] == ["mimo-float", "s0", "n4", "ok"]
+    assert lines[0].endswith(" " + want)
+    written = json.loads(saved.read_text(encoding="utf-8"))
+    assert [r["label"] for r in written["rows"]] == [
+        "mimo-float s0 n4", "mimo-float s1 n4", "mimo-float s2 n4"]
+    written["rows"][1]["fingerprint"] = "0" * 64
+    saved.write_text(json.dumps(written), encoding="utf-8")
+    assert fingerprints.main(["--workload", "mimo-float", "--compare", str(saved)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["fingerprint differs: mimo-float s1 n4",
+                          f"1 of 3 fingerprints differ from {saved}"]

@@ -453,6 +453,18 @@ def test_conjugate_pairs_are_relative_to_each_pole():
             conjugate_pairs(poles)
 
 
+def test_real_pole_leak_is_measured_on_the_term():
+    # |Im l| |r| + |l| |Im r| against 1e-6 max(1, |l| |r|): a negligible
+    # term passes whatever the relative imaginary part of one factor
+    pole = np.array([-1.0 + 0j])
+    p, lv, rv = canonicalize_terms(pole, np.array([[4e-14]]),
+                                   np.array([[2.4e7 * (1 + 2e-6j)]]))
+    assert not any(np.any(a.imag) for a in (p, lv, rv))
+    assert (lv * rv).real == pytest.approx(9.6e-7, rel=1e-12)
+    with pytest.raises(NonRealModel, match="carries complex residues"):
+        canonicalize_terms(pole, np.array([[1.0]]), np.array([[1.0 + 1e-3j]]))
+
+
 def test_conjugate_pairs_pick_the_nearest_partner():
     # two pairs with one real part, perturbed by rounding: a (Re, |Im|)
     # sort interleaves them as 2i, -1i, 1i, -2i; the pairing does not
