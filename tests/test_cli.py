@@ -352,10 +352,13 @@ def test_bad_impulse_grid_exit1(tmp_path, capsys, argv):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags", [["--tau-max", "inf"],
-                                   ["--irka-init", "random-stable", "--seed", "-1"]],
-                         ids=["tau-max-inf", "negative-seed"])
+                                   ["--irka-init", "random-stable", "--seed", "-1"],
+                                   ["--shift-tol", "inf"], ["--refine-tol", "inf"]],
+                         ids=["tau-max-inf", "negative-seed", "shift-tol-inf",
+                              "refine-tol-inf"])
 def test_reduce_bad_config_exit1(tmp_path, capsys, monkeypatch, flags):
-    # rejected while building the config: no warning, no reduction, no --out
+    # rejected before any reduction: no warning, no reduction, no --out (the
+    # tolerance flags are removed, so they fail as unknown arguments)
     monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
     out = tmp_path / "out"
     argv = ["reduce", "--model", _model_file(tmp_path, make_siso([-1.0, -3.0], [1.0, 0.5])),
