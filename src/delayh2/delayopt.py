@@ -24,7 +24,11 @@ common spacing (:meth:`precision.Backend.path_lattice`), in float64 on a
 float model and in double-double on a payload, whose cancelling objective
 float64 would misrank by O(1). A cell is an index sum whose rounding bound
 lies far below the landscape's relief, so the exact kernel ranks only the
-peaks within that bound of the best (usually one).
+peaks within that bound of the best (usually one). When the full model's
+payload carries a memo (as in :func:`delayh2.iodirka.io_dirka`, see
+:class:`delayh2.precision.TermMemo`), the exponentials e^{mu_j d} of
+each exact delay d and the lattice's power tables of mu are taken from it,
+so the searches of one run form each of them once.
 
 The box is grown (doubling, up to EXTEND_CAP times its initial size)
 while the winner presses against the right boundary with positive
@@ -232,7 +236,7 @@ class _Objective:
         if entry is None:
             if len(self.terms) >= MEMO_POINTS:
                 del self.terms[next(iter(self.terms))]
-            core = _delayed_terms(self.bk, self.mu, self.k, tau, gam)
+            core = _delayed_terms(self.bk, self.mu, self.k, tau, gam, self.g.memo)
             bound = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(core)))
             entry = self.terms[key] = (core, bound)
         return entry
@@ -242,7 +246,7 @@ class _Objective:
         (tau, gamma), from the memoized terms where the search kept them."""
         entry = self.terms.get(tau.tobytes() + gam.tobytes())
         core = entry[0] if entry is not None \
-            else _delayed_terms(self.bk, self.mu, self.k, tau, gam)
+            else _delayed_terms(self.bk, self.mu, self.k, tau, gam, self.g.memo)
         return _term_sums(self.bk, self.mu, core, 0)[0]
 
     def _sum(self, x: np.ndarray, order: int):
@@ -302,7 +306,8 @@ class _Objective:
             reach += max((int(i[-1]) for i, _ in points), default=0)
             offset += max((float(np.max(np.abs(d))) for _, d in points), default=0.0)
         table, slope, bound = self.bk.path_lattice(
-            self.mu, self.k.reshape(self.mu.size, -1), spacing, reach + 1, offset)
+            self.mu, self.k.reshape(self.mu.size, -1), spacing, reach + 1, offset,
+            self.g.memo)
         bound += self.round_cap \
             + 2.0 ** -52 * (table.shape[0] + 1) * float(np.sum(np.max(np.abs(table), axis=1)))
 

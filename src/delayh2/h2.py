@@ -50,7 +50,7 @@ from .models import (
     _as_delayed,
     transfer_values,
 )
-from .precision import Backend, backend_for
+from .precision import Backend, TermMemo, backend_for
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,18 @@ def _cross_tensor(bk: Backend, g: PoleResidueModel, h: PoleResidueModel):
         return mu, gl[:, :, None] * hval * gr[:, None, :]
 
 
-def _delayed_terms(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray):
+def _delayed_terms(bk: Backend, mu, ktensor, tau: np.ndarray, gam: np.ndarray,
+                   memo: TermMemo | None = None):
     """The cross terms under delays (tau, gamma),
-    K[j, m, l] e^{mu_j (gamma_m + tau_l)}, in ``bk``'s precision."""
+    K[j, m, l] e^{mu_j (gamma_m + tau_l)}, in ``bk``'s precision; ``memo``
+    is the full model's (:meth:`Backend.delay_exp`)."""
     with bk.context():
         # e^0 = 1 exactly, so a side without delays skips its exponentials
         core = ktensor
         if np.any(gam):
-            core = core * bk.exp(np.outer(mu, bk.lift(gam)))[:, :, None]
+            core = core * bk.delay_exp(mu, gam, memo)[:, :, None]
         if np.any(tau):
-            core = core * bk.exp(np.outer(mu, bk.lift(tau)))[:, None, :]
+            core = core * bk.delay_exp(mu, tau, memo)[:, None, :]
     return core
 
 
@@ -160,7 +162,7 @@ def _cross_eval(g: PoleResidueModel, h: PoleResidueModel,
     bk = backend_for(g, h)
     mu, ktensor = _cross_tensor(bk, g, h)
     core = _delayed_terms(bk, mu, ktensor, np.asarray(tau, dtype=float),
-                          np.asarray(gam, dtype=float))
+                          np.asarray(gam, dtype=float), g.memo)
     return _term_sums(bk, mu, core, order)
 
 
@@ -249,9 +251,9 @@ def build_gtilde(g: PoleResidueModel,
         mu, left, right = bk.terms(g)
         # e^0 = 1 exactly, so a side without delays keeps its residues
         if np.any(gam):
-            left = left * bk.exp(np.outer(mu, bk.lift(gam)))
+            left = left * bk.delay_exp(mu, gam, g.memo)
         if np.any(tau):
-            right = right * bk.exp(np.outer(mu, bk.lift(tau)))
+            right = right * bk.delay_exp(mu, tau, g.memo)
     hp = None if g.hp is None else HighPrecisionTerms(mu, left, right, g.hp.dps)
     return PoleResidueModel(g.poles.copy(), bk.to_complex(left), bk.to_complex(right), hp=hp)
 

@@ -19,6 +19,15 @@ optimality conditions (Hermite interpolation at the mirrored poles, one
 stationarity condition per delay) is at most ``CERT_RTOL * max(1, ||G||^2)``.
 The trace keeps every iterate's delayed model (masks included) with its
 gap, so every reported number can be recomputed from it exactly.
+
+On a payload, the run forms what depends only on G's poles mu once: each
+exponential vector e^{mu d}, per exact delay value d, serves every
+surrogate, delay search, gap and certificate of the run, and each grid
+lattice's power tables of mu serve every search on that lattice. They sit
+in a bounded memo on the run's own view of G
+(:meth:`delayh2.models.PoleResidueModel.with_memo`), which dies with the
+run; every sum keeps its arithmetic, so the results are bit for bit those
+formed without it.
 """
 
 from __future__ import annotations
@@ -126,6 +135,9 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     n = int(cfg.order)
     if not 1 <= n <= g.order:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
+    # what every outer iteration forms again from g's poles alone is formed
+    # once in this run (see PoleResidueModel.with_memo)
+    g = g.with_memo()
 
     search = cfg.search if cfg.search is not None else DelaySearchConfig()
     in_mask, out_mask, box = search_domain(g, search)

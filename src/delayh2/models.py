@@ -31,6 +31,7 @@ and the IRKA shift pairs read it. The exact-closure rules are bitwise.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -45,8 +46,8 @@ from .errors import (
     RepeatedPole,
     Unstable,
 )
-from .precision import (Backend, backend_for, checked_precision, payload_closed, payload_terms,
-                        resolvent_terms)
+from .precision import (Backend, TermMemo, backend_for, checked_precision, payload_closed,
+                        payload_terms, resolvent_terms)
 
 # Imaginary-leakage tolerance of sums that must be real (h2 scales it by max(1, |Re|)).
 IMAG_TOL = 1e-10
@@ -84,6 +85,8 @@ class HighPrecisionTerms:
     left: np.ndarray
     right: np.ndarray
     dps: int
+    # the TermMemo of a reduction run's view (PoleResidueModel.with_memo)
+    memo = None
 
     def __post_init__(self):
         checked_precision(self.dps)
@@ -195,6 +198,25 @@ class PoleResidueModel:
     @property
     def order(self) -> int:
         return self.poles.shape[0]
+
+    @property
+    def memo(self) -> TermMemo | None:
+        """The memo of this model's payload (see :meth:`with_memo`); None
+        without one."""
+        return None if self.hp is None else self.hp.memo
+
+    def with_memo(self) -> PoleResidueModel:
+        """This model for one reduction run: without a payload, the model
+        itself; else a copy sharing every array, whose payload carries a
+        fresh :class:`delayh2.precision.TermMemo`. Every sum over the copy
+        is bit for bit the one over this model."""
+        if self.hp is None:
+            return self
+        hp = copy.copy(self.hp)
+        object.__setattr__(hp, "memo", TermMemo())
+        view = copy.copy(self)
+        object.__setattr__(view, "hp", hp)
+        return view
 
     @property
     def ny(self) -> int:

@@ -271,8 +271,13 @@ def _coerce(v):
 
 def _exp(z: XComplex) -> XComplex:
     """e^z at the working width: mpmath's exponential on the raw parts
-    (mpmath is loaded by :func:`_xc_exp`, the one caller)."""
+    (mpmath is loaded by :func:`_xc_exp`, the one caller). A real z goes
+    straight to the real exponential, which is what ``mpc_exp`` runs for a
+    zero imaginary part."""
     lib = _mp.libmp
+    if not z.im:
+        m, e = _mpf_parts(lib.mpf_exp(lib.from_man_exp(z.re, z.exp), _bits))
+        return _round(m, 0, e)
     re, im = lib.mpc_exp((lib.from_man_exp(z.re, z.exp), lib.from_man_exp(z.im, z.exp)), _bits)
     z = _from_parts(*_mpf_parts(re), *_mpf_parts(im))
     return _round(z.re, z.im, z.exp)
@@ -499,7 +504,8 @@ class Backend:
         terms = m.hp.resolvent_terms if m.hp is not None else resolvent_terms(*self.terms(m))
         return _resolvent_sums(s, terms, derivative)
 
-    def path_lattice(self, mu, coef, spacing: float, length: int, offset: float):
+    def path_lattice(self, mu, coef, spacing: float, length: int, offset: float,
+                     memo: TermMemo | None = None):
         """(table, slope, bound): Re F_p and Re F_p' at i spacing, i < length,
         of F_p(t) = sum_j coef[j, p] e^{mu_j t}, as (P, length) float64
         arrays, for ``mu`` (N,) and ``coef`` (N, P) in this backend's
@@ -518,7 +524,8 @@ class Backend:
         So a float64 table errs by (2N + 16) u S + 2u S1 t_max, the slope
         correction by ((2N + 16) S1 + 2 S2 t_max) u offset, and dropping
         the second order of e^{mu d} by S (max|mu| offset)^2 while
-        max|mu| offset < ln 2.
+        max|mu| offset < ln 2. A ``memo`` of ``mu`` (:class:`TermMemo`) keeps
+        the double-double power tables of mu alone.
         """
         n = coef.shape[0]
         mu_f, coef_f = self.to_complex(mu), self.to_complex(coef)
@@ -532,11 +539,22 @@ class Backend:
         if self.dps is None:
             return table, slope, bound + 2.0 ** -53 * ((2 * n + 16) * s0 + 2 * s1 * t_max)
         with self.context():
-            table, unit = _path_lattice(mu, coef, spacing, length)
+            table, unit = _path_lattice(mu, coef, spacing, length, memo)
         return table, slope, bound + unit * s0
 
     def exp(self, x):
         return np.exp(x) if self.dps is None else _xc_exp(x)
+
+    def delay_exp(self, mu, delays: np.ndarray, memo: TermMemo | None = None):
+        """e^{mu_j d_c} as an (N, C) array in this backend's precision, for
+        poles ``mu`` (N,) and binary64 delays d (C,). With a ``memo`` of
+        ``mu`` (:class:`TermMemo`), each column is formed once per exact d."""
+        if memo is None:
+            return self.exp(np.outer(mu, self.lift(delays)))
+        out = np.empty((mu.size, delays.size), dtype=object)
+        for c, x in enumerate(delays.tolist()):
+            out[:, c] = memo.get(("exp", x), lambda: _xc_exp(mu * _coerce(x)))
+        return out
 
     def to_complex(self, x):
         """Round working-precision data to complex128."""
@@ -546,6 +564,34 @@ class Backend:
 
 
 FLOAT = Backend()
+
+# entries a TermMemo keeps; the oldest is dropped first
+MEMO_ENTRIES = 128
+
+
+class TermMemo:
+    """What a reduction forms again and again from one payload's poles mu
+    alone: the exponential vector e^{mu d} per exact delay d
+    (:meth:`Backend.delay_exp`) and the power tables of a lattice
+    (:func:`_lattice_powers`), each per working width; no caller writes
+    to an entry. It holds at most ``MEMO_ENTRIES`` entries, and each
+    reduction run makes its own
+    (:meth:`delayh2.models.PoleResidueModel.with_memo`), which dies with it.
+    """
+
+    def __init__(self):
+        self.entries = {}
+
+    def get(self, key: tuple, make):
+        """The entry under ``key`` at the working width, from ``make()`` the
+        first time."""
+        key = (_bits,) + key
+        entry = self.entries.get(key)
+        if entry is None:
+            if len(self.entries) >= MEMO_ENTRIES:
+                del self.entries[next(iter(self.entries))]
+            entry = self.entries[key] = make()
+        return entry
 
 
 def backend_for(*models) -> Backend:
@@ -693,7 +739,19 @@ def _dd_sum_rows(hi, lo):
     return hi[0], lo[0]
 
 
-def _path_lattice(mu, coef, spacing: float, length: int):
+def _lattice_powers(mu, spacing: float, b: int, q: int):
+    """(z^r for r < b, w^s for s < q), complex double-doubles along the
+    last axis, (N, 1, b) and (N, q), of z = e^{mu spacing} and w = z^b, for
+    the XComplex poles ``mu`` (N,) inside their backend's context (see
+    :func:`_path_lattice`)."""
+    z = w = _xc_exp(mu * _coerce(spacing))
+    for _ in range(b.bit_length() - 1):
+        w = w * w
+    zw = _cdd_powers(_to_dd(np.concatenate([z, w])), max(b, q))
+    return _cmap(lambda a: a[:mu.size, None, :b], zw), _cmap(lambda a: a[mu.size:, :q], zw)
+
+
+def _path_lattice(mu, coef, spacing: float, length: int, memo: TermMemo | None = None):
     """(table, error per unit of sum |coef|) of :meth:`Backend.path_lattice`
     in double-double, for XComplex ``mu`` and ``coef`` inside their
     backend's context.
@@ -701,9 +759,10 @@ def _path_lattice(mu, coef, spacing: float, length: int):
     z = e^{mu spacing} and the block power w = z^B (B the power of two
     with B^2 >= length, so w takes log2 B squarings) are formed in
     XComplex and rounded to double-double. Their power tables have B and
-    Q = ceil(length / B) columns, and z^{qB + r} = w^q z^r makes one
-    full-size product per channel pair, formed over blocks of w-powers of
-    at most DD_BLOCK entries; an entry is the high part of its sum.
+    Q = ceil(length / B) columns (:func:`_lattice_powers`, kept in
+    ``memo`` when given), and z^{qB + r} = w^q z^r makes one full-size
+    product per channel pair, formed over blocks of w-powers of at most
+    DD_BLOCK entries; an entry is the high part of its sum.
 
     With U = DD_UNIT: z and w round by U/2 each and every complex product
     errs by at most 4U, so z^r and w^q carry 4.5U per power; coef w^q adds
@@ -714,12 +773,8 @@ def _path_lattice(mu, coef, spacing: float, length: int):
     n, pairs = coef.shape
     b = 1 << ((length - 1).bit_length() + 1) // 2
     q = -(-length // b)
-    z = w = _xc_exp(mu * _coerce(spacing))
-    for _ in range(b.bit_length() - 1):
-        w = w * w
-    zw = _cdd_powers(_to_dd(np.concatenate([z, w])), max(b, q))
-    zp = _cmap(lambda a: a[:n, None, :b], zw)
-    wp = _cmap(lambda a: a[n:, :q], zw)
+    make = lambda: _lattice_powers(mu, spacing, b, q)
+    zp, wp = make() if memo is None else memo.get(("lattice", spacing, b, q), make)
     k = _to_dd(coef)
     table = np.empty((pairs, q * b))
     rows = max(1, DD_BLOCK // (n * b))

@@ -134,3 +134,23 @@ def test_fingerprint_script_prints_the_workload_fingerprint(harness, monkeypatch
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["fingerprint differs: mimo-float s1 n4",
                           f"1 of 3 fingerprints differ from {saved}"]
+
+
+def test_ab_runner_pairs_two_trees(monkeypatch, tmp_path, capsys):
+    # two ABBA pairs of mimo-float with this tree on both sides: every
+    # unit's fingerprints agree, and the summary counts the pairs
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab
+    out = tmp_path / "ab.json"
+    assert ab.main([str(ROOT), "--workload", "mimo-float", "--pairs", "2",
+                    "--json", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert len(written["pairs"]) == 2
+    assert all(r["agree"] and r["a_verdicts"] == r["b_verdicts"] == ["ok"]
+               for r in written["pairs"])
+    s = written["summary"]
+    assert s["agree"] == 2 and 0 <= s["b_faster"] <= 2
+    assert s["a"]["q1_s"] <= s["a"]["median_s"] <= s["a"]["q3_s"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "fingerprints agree in 2 of 2 pairs"
+    assert lines[-2].startswith("median B/A ")

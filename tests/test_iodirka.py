@@ -22,6 +22,7 @@ from delayh2 import (
     iodirka,
     irka_reduce,
     optimality_residuals,
+    precision,
 )
 from delayh2.delayopt import representative
 from delayh2.serialize import dumps_canonical, report_to_obj
@@ -365,3 +366,48 @@ def test_delay_step_is_a_broyden_step(monkeypatch, g, search):
     assert [e.delay_jump for e in rep.trace] \
         == [i > 0 and not np.array_equal(built[i], out[i - 1]) for i in range(n)]
     assert sum(e.delay_jump for e in rep.trace) >= n - 3
+
+
+def _bench_config(order):
+    """The benchmark study's input-delay reduction at ``order``."""
+    return IoDirkaConfig(order=order, outer_max_iters=80, irka=IrkaConfig(order=order, seed=0),
+                         search=DelaySearchConfig(input_mask=(True,), output_mask=(False,)))
+
+
+@pytest.mark.parametrize("order, vectors, screens, tables", [(2, 47, 9, 2), (4, 50, 12, 2)])
+def test_payload_exponentials_are_formed_once_per_run(bench20, monkeypatch,
+                                                      order, vectors, screens, tables):
+    # Deterministic work counts of one benchmark run: exponential vectors
+    # e^{mu d} of the full model (68 and 78 when every surrogate, search
+    # objective, gap and certificate formed its own; each lattice's
+    # z = e^{mu spacing} included), lattice screens, and builds of the
+    # lattices' power tables of mu (9 and 12, one per screen). A second
+    # run on the same model object forms the same again.
+    counted = {}
+
+    def exp(x, _orig=precision._xc_exp):
+        counted["vectors"] += x.size // bench20.order
+        return _orig(x)
+
+    def screen(*args, _orig=precision._path_lattice):
+        counted["screens"] += 1
+        return _orig(*args)
+
+    def powers(*args, _orig=precision._lattice_powers):
+        counted["tables"] += 1
+        return _orig(*args)
+
+    monkeypatch.setattr(precision, "_xc_exp", exp)
+    monkeypatch.setattr(precision, "_path_lattice", screen)
+    monkeypatch.setattr(precision, "_lattice_powers", powers)
+    for _ in range(2):
+        counted.update(vectors=0, screens=0, tables=0)
+        io_dirka(bench20, _bench_config(order))
+        assert counted == {"vectors": vectors, "screens": screens, "tables": tables}
+
+
+def test_memo_bound_leaves_the_report_bit_identical(bench20, monkeypatch):
+    # a memo of one entry forms nearly everything again, with the same bits
+    want = dumps_canonical(report_to_obj(io_dirka(bench20, _bench_config(2))))
+    monkeypatch.setattr(precision, "MEMO_ENTRIES", 1)
+    assert dumps_canonical(report_to_obj(io_dirka(bench20, _bench_config(2)))) == want

@@ -477,3 +477,17 @@ def test_conjugate_pairs_pick_the_nearest_partner():
     assert realify_check(m, tol=0.0)
     assert m.poles == pytest.approx([-1 + 1j, -1 - 1j, -1 + 2j, -1 - 2j], abs=1e-15)
     assert m.left[:, 0] * m.right[:, 0] == pytest.approx(left[[2, 1, 0, 3], 0], rel=1e-15)
+
+
+def test_run_view_shares_the_terms_and_carries_a_fresh_memo():
+    g = random_pr(np.random.default_rng(5), 4)
+    assert g.with_memo() is g and g.memo is None
+    hp = payload_model(g, 30)
+    a, b = hp.with_memo(), hp.with_memo()
+    assert hp.memo is None and a.memo is not None and b.memo is not None
+    assert a.memo is not b.memo
+    for view in (a, b):
+        assert view.poles is hp.poles and view.left is hp.left
+        assert view.hp.dps == hp.hp.dps
+        assert all(getattr(view.hp, name) is getattr(hp.hp, name)
+                   for name in ("poles", "left", "right"))

@@ -443,6 +443,59 @@ def test_payload_sums_do_no_mpmath_arithmetic(monkeypatch):
     build_gtilde(g, DelayBlock((1.3,)), DelayBlock((0.4,)))
 
 
+def test_real_exponential_is_mpmaths_complex_one():
+    # a real argument goes straight to mpmath's real exponential, the path
+    # its complex exponential takes for a zero imaginary part: the same
+    # bits at every sign and size, zero included
+    lib = mpmath.libmp
+    with precision.Backend(50).context():
+        for x, d in ((-1.7, 0.3), (-1.0, 0.0), (2.5, 1e-30), (-12.25, 57.0), (3.0, -1.1)):
+            z = precision._coerce(x) * precision._coerce(d)
+            got = precision._xc_exp(np.array([z], dtype=object))[0]
+            re, im = lib.mpc_exp((lib.from_man_exp(z.re, z.exp), lib.fzero), precision._bits)
+            want = precision._from_parts(*precision._mpf_parts(re), *precision._mpf_parts(im))
+            want = precision._round(want.re, want.im, want.exp)
+            assert (got.re, got.im, got.exp) == (want.re, want.im, want.exp)
+
+
+def test_term_memo_keeps_its_newest_entries(monkeypatch):
+    # at most MEMO_ENTRIES entries, the oldest dropped first; keys hold the
+    # working width
+    monkeypatch.setattr(precision, "MEMO_ENTRIES", 2)
+    memo = precision.TermMemo()
+    made = []
+    with precision.Backend(50).context():
+        for key in (1, 2, 1, 3, 1):
+            assert memo.get((key,), lambda: made.append(key) or key) == key
+    assert made == [1, 2, 3, 1]
+    assert list(memo.entries) == [(precision.working_bits(50), 3),
+                                  (precision.working_bits(50), 1)]
+
+
+def test_memoized_exponentials_and_lattices_are_the_formed_ones():
+    # a memo's exponential columns and lattice tables are bit for bit those
+    # formed without it, on the first call and on a repeat
+    g = payload_model(random_pr(np.random.default_rng(13), 6, ny=2, nu=2), 30)
+    obj = _Objective(g, random_pr(np.random.default_rng(14), 2, ny=2, nu=2),
+                     np.array([0, 1]), np.array([0, 1]))
+    coef = obj.k.reshape(obj.mu.size, -1)
+    memo = precision.TermMemo()
+    delays = np.array([0.7, 0.0, 1.9, 0.7])
+    with obj.bk.context():
+        want = obj.bk.delay_exp(obj.mu, delays)
+        for _ in range(2):
+            got = obj.bk.delay_exp(obj.mu, delays, memo)
+            assert [(v.re, v.im, v.exp) for v in got.flat] \
+                == [(v.re, v.im, v.exp) for v in want.flat]
+    assert len(memo.entries) == 3
+    lattice = obj.bk.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
+    for _ in range(2):
+        got = obj.bk.path_lattice(obj.mu, coef, 0.05, 157, 1e-16, memo)
+        assert all(np.array_equal(u, v) for u, v in zip(got[:2], lattice[:2]))
+        assert got[2] == lattice[2]
+    assert len(memo.entries) == 4
+
+
 @pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
 def test_objective_forms_delayed_terms_once_per_point(monkeypatch, payload):
     rng = np.random.default_rng(91)
