@@ -11,11 +11,12 @@ pair i runs A then B for even i, B then A for odd i, so a drift in the
 host's speed falls on both sides alike. A unit is timed as the benchmark
 times it (``reduce`` alone) and checked outside the timed region.
 
-Prints each side's median and quartiles of the unit time, the median of
-the per-pair ratios B/A and the number of pairs in which B was faster, and
-checks that both sides' fingerprints (see ``scripts/fingerprints.py``)
-agree unit by unit. ``--json PATH`` writes the pairs and the summary.
-Exits 1 if any fingerprint differs, and 2 on bad arguments.
+Prints each side's minimum (min-of-k over the k pairs), median and
+quartiles of the unit time, the median of the per-pair ratios B/A and the
+number of pairs in which B was faster, and checks that both sides'
+fingerprints (see ``scripts/fingerprints.py``) agree unit by unit.
+``--json PATH`` writes the pairs and the summary. Exits 1 if any
+fingerprint differs, and 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class Side:
 
 def _spread(xs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median_s": median, "q1_s": q1, "q3_s": q3}
+    return {"min_s": min(xs), "median_s": median, "q1_s": q1, "q3_s": q3}
 
 
 def compare(base: Path, name: str, pairs: int) -> dict:
@@ -136,10 +137,10 @@ def main(argv=None) -> int:
     result = compare(base, args.workload, args.pairs)
     s = result["summary"]
     print(f"{args.workload}: {args.pairs} ABBA pairs; A = {base}, B = {ROOT}")
-    print(f"{'side':<5} {'median_s':>9} {'q1_s':>9} {'q3_s':>9}")
+    names = ("min_s", "median_s", "q1_s", "q3_s")
+    print(f"{'side':<5}" + "".join(f" {n:>9}" for n in names))
     for side in ("a", "b"):
-        r = s[side]
-        print(f"{side.upper():<5} {r['median_s']:>9.4f} {r['q1_s']:>9.4f} {r['q3_s']:>9.4f}")
+        print(f"{side.upper():<5}" + "".join(f" {s[side][n]:>9.4f}" for n in names))
     print(f"median B/A {s['median_ratio']:.3f}; B faster in {s['b_faster']} of {args.pairs} pairs")
     print(f"fingerprints agree in {s['agree']} of {args.pairs} pairs")
     if args.json:

@@ -28,7 +28,8 @@ peaks within that bound of the best (usually one). When the full model's
 payload carries a memo (as in :func:`delayh2.iodirka.io_dirka`, see
 :class:`delayh2.precision.TermMemo`), the exponentials e^{mu_j d} of
 each exact delay d and the lattice's power tables of mu are taken from it,
-so the searches of one run form each of them once.
+so the searches of one run form each of them once; the search itself
+keeps no state per point.
 
 The box is grown (doubling, up to EXTEND_CAP times its initial size)
 while the winner presses against the right boundary with positive
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +75,6 @@ TOP_STARTS = 5
 # screen peaks the exact kernel ranks at most, when that many lie within the
 # screen's rounding bound of the best
 CONFIRM_CAP = 25
-# evaluated points whose delayed terms a search keeps for revisits
-MEMO_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,16 @@ class DelaySearchConfig:
     tau_max: float | None = None
     input_mask: tuple | None = None
     output_mask: tuple | None = None
+    # only tests set it; it stays a field because perfbench/tracing.py reads it
     joint_grid_budget: int = 400_000
 
     def __post_init__(self):
         check_int("grid_points_per_channel", self.grid_points_per_channel, 2)
         check_int("joint_grid_budget", self.joint_grid_budget, 1)
-        if self.tau_max is not None and not 0.0 < self.tau_max < np.inf:
-            raise DelayH2Error("tau_max must be positive and finite")
+        if self.tau_max is not None:
+            check_kind("tau_max", self.tau_max, 0.0)
+            if not 0.0 < self.tau_max < np.inf:
+                raise DelayH2Error("tau_max must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,28 @@ class DelaySearchResult:
     cross: complex
 
 
+def check_kind(name: str, value, fill) -> None:
+    """DelayH2Error naming the setting ``name`` unless ``value`` is a bool
+    (Python or numpy) where ``fill`` is one, else a real number, not a bool."""
+    flag = isinstance(fill, bool)
+    if isinstance(value, (bool, np.bool_)) != flag or not (flag or isinstance(value, numbers.Real)):
+        raise DelayH2Error(f"{name} {value!r} is not {'a boolean' if flag else 'a real number'}")
+
+
 def per_channel(g: PoleResidueModel, name: str, values, fill) -> np.ndarray:
     """Setting ``name`` as an array of ``fill``'s type, one entry per input
-    (``name`` holds ``input``) or output of ``g``; ``fill`` where unset."""
+    (``name`` holds ``input``) or output of ``g``; ``fill`` where unset.
+    Each entry must be of ``fill``'s kind (:func:`check_kind`)."""
     side, count = ("input", g.nu) if "input" in name else ("output", g.ny)
-    arr = np.full(count, fill) if values is None \
-        else np.atleast_1d(np.asarray(values, dtype=type(fill)))
+    if values is None:
+        return np.full(count, fill)
+    arr = np.atleast_1d(np.asarray(values, dtype=object))
+    for v in arr.flat:
+        check_kind(name, v, fill)
     if arr.shape != (count,):
         raise DimensionMismatch(
             f"{name} has {arr.size} entries for a model with {count} {side}s")
-    return arr
+    return arr.astype(type(fill))
 
 
 def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
@@ -178,7 +193,8 @@ class _Objective:
     tau_max]. Grids are screened by channel-pair lattice tables with a
     stated rounding bound (:meth:`path_screen`); the exact kernel gives
     every value that is kept: the best-ranked peaks, refinement iterates,
-    and the returned optimum.
+    and the returned optimum. It keeps no state per point: each evaluation
+    forms its delayed terms (exponentials from the payload's memo, if any).
     """
 
     def __init__(self, g: PoleResidueModel, h: PoleResidueModel,
@@ -192,16 +208,14 @@ class _Objective:
         self.mu, self.k = _cross_tensor(self.bk, g, h)
         with self.bk.context():
             self.mu2 = self.mu * self.mu
-        # rounding bound of a float value per unit of its terms' abs-sum, and
-        # its largest value at delays >= 0, where no term grows (see rounding)
+        # rounding bound of a float value per unit of its terms' abs-sum (see
+        # value_grad_hess), and its largest value at delays >= 0, where no term grows
         self.round_scale = (math.ceil(math.log2(self.k.size)) + 24) * 2.0 ** -53
         self.round_cap = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(self.k)))
-        # (delayed terms, rounding bound) per evaluated point, shared by the
-        # gauge faces
-        self.terms = {}
 
     def gauge_face(self, m: int) -> "_Objective":
-        """The face gamma_m = 0 of the gauge, inputs over [0, 2 tau_max]."""
+        """The face gamma_m = 0 of the gauge, inputs over [0, 2 tau_max]; the
+        faces share only the kernel data."""
         face = copy.copy(self)
         face.act_out = self.act_out[self.act_out != m]
         face.span = np.concatenate([np.full(self.act_in.size, 2),
@@ -225,63 +239,45 @@ class _Objective:
         gam[self.act_out] = x[self.act_in.size:]
         return tau, gam
 
-    def _terms(self, x: np.ndarray) -> tuple:
-        # a search revisits points (a line-search value and then its
-        # derivatives, a confirmed grid leader as a start, the box check at
-        # the winner, the rounding bound of an iterate): their delayed terms
-        # are formed once, keyed by the exact delays
-        tau, gam = self.full_vectors(x)
-        key = tau.tobytes() + gam.tobytes()
-        entry = self.terms.get(key)
-        if entry is None:
-            if len(self.terms) >= MEMO_POINTS:
-                del self.terms[next(iter(self.terms))]
-            core = _delayed_terms(self.bk, self.mu, self.k, tau, gam, self.g.memo)
-            bound = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(core)))
-            entry = self.terms[key] = (core, bound)
-        return entry
-
     def kernel_sum(self, tau: np.ndarray, gam: np.ndarray) -> complex:
-        """The complex sum of the delayed terms at full delay vectors
-        (tau, gamma), from the memoized terms where the search kept them."""
-        entry = self.terms.get(tau.tobytes() + gam.tobytes())
-        core = entry[0] if entry is not None \
-            else _delayed_terms(self.bk, self.mu, self.k, tau, gam, self.g.memo)
+        """The complex sum of the delayed terms at full delay vectors (tau, gamma)."""
+        core = _delayed_terms(self.bk, self.mu, self.k, tau, gam, self.g.memo)
         return _term_sums(self.bk, self.mu, core, 0)[0]
 
     def _sum(self, x: np.ndarray, order: int):
+        """(delayed terms at x, their sums up to derivative ``order``)."""
+        core = _delayed_terms(self.bk, self.mu, self.k, *self.full_vectors(x), self.g.memo)
         # derivatives only for the sides that hold an active coordinate
         sides = (self.act_in.size > 0, self.act_out.size > 0)
-        return _term_sums(self.bk, self.mu, self._terms(x)[0], order, sides, self.mu2)
-
-    def rounding(self, x: np.ndarray) -> float:
-        """Rounding bound of :meth:`value` at x.
-
-        Float: c u sum_jml |K_jml e^{mu_j (gamma_m + tau_l)}| with
-        u = 2^-53, over the n delayed terms. numpy sums a contiguous array
-        pairwise (blocks of at most 64 complex values on four accumulators
-        per component, halved above that), so each term passes through at
-        most ceil(log2 n) + 13 additions of relative error u (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2002, 4.2). Forming
-        a term (two exponentials, two complex products) adds about 11u while
-        the exponent mu_j x is of order one; the rounding of a larger
-        exponent is not covered. Hence c = ceil(log2 n) + 24. Payload: 0,
-        since its sums keep at least 175 bits and their one rounding, to
-        binary64, already shows in any comparison of two values.
-        """
-        return self._terms(x)[1]
+        return core, _term_sums(self.bk, self.mu, core, order, sides, self.mu2)
 
     def value(self, x: np.ndarray) -> float:
-        return float(np.real(self._sum(x, 0)[0]))
+        return float(np.real(self._sum(x, 0)[1][0]))
 
     def value_grad_hess(self, x: np.ndarray):
-        f, g_in, g_out, hess = self._sum(x, 2)
+        """(value, gradient, Hessian, rounding bound of the value) at x.
+
+        The bound, for a float model: c u sum_jml |K_jml e^{mu_j (gamma_m +
+        tau_l)}| with u = 2^-53, over the n delayed terms. numpy sums a
+        contiguous array pairwise (blocks of at most 64 complex values on
+        four accumulators per component, halved above that), so each term
+        passes through at most ceil(log2 n) + 13 additions of relative
+        error u (Higham, Accuracy and Stability of Numerical Algorithms,
+        2002, 4.2). Forming a term (two exponentials, two complex products)
+        adds about 11u while the exponent mu_j x is of order one; the
+        rounding of a larger exponent is not covered. Hence c = ceil(log2
+        n) + 24. Payload: 0, since its sums keep at least 175 bits and
+        their one rounding, to binary64, already shows in any comparison
+        of two values.
+        """
+        core, (f, g_in, g_out, hess) = self._sum(x, 2)
         # hess holds the input side only when an input is active
         offset = self.g.nu if self.act_in.size else 0
         idx = np.concatenate([self.act_in, offset + self.act_out])
         grad = np.concatenate([np.real(d)[act] for d, act in
                                ((g_in, self.act_in), (g_out, self.act_out)) if act.size])
-        return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)]
+        bound = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(core)))
+        return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)], bound
 
     def path_screen(self, axes: list[np.ndarray], spacing: float):
         """(screen, bound) of a grid with these axes and common spacing.
@@ -343,18 +339,18 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
     is 0, Newton's step, where lambda_max < -r, r = n 2^-52 max|lambda|
     the rounding level of the n eigenvalues; that step is kept unless it
     lowers f by more than the rounding bound of the two compared values
-    (:meth:`_Objective.rounding`), under which the true gain near a maximum
-    of a cancelling float sum lies. Otherwise damp carries over from the
-    last step, at least r, or starts at 1e-3 max|lambda| (More, 1978), and
-    a step is kept if it gains 1e-4 pg.(x+ - x). A refused trial grows
-    damp 4-fold (from 0, to 1e-3 max|lambda|), for at most 60 trials, and
-    a kept one lowers it 4-fold; each trial is one
-    :meth:`_Objective.value_grad_hess`. Stops when the projected gradient
-    is below ``REFINE_TOL``, when no trial ascends, or after
-    ``MAX_REFINE_ITERS`` steps.
+    (the last element of :meth:`_Objective.value_grad_hess`, kept beside
+    f), under which the true gain near a maximum of a cancelling float sum
+    lies. Otherwise damp carries over from the last step, at least r, or
+    starts at 1e-3 max|lambda| (More, 1978), and a step is kept if it gains
+    1e-4 pg.(x+ - x). A refused trial grows damp 4-fold (from 0, to 1e-3
+    max|lambda|), for at most 60 trials, and a kept one lowers it 4-fold;
+    each trial is one :meth:`_Objective.value_grad_hess`. Stops when the
+    projected gradient is below ``REFINE_TOL``, when no trial ascends, or
+    after ``MAX_REFINE_ITERS`` steps.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
-    f, grad, hess = obj.value_grad_hess(x)
+    f, grad, hess, err = obj.value_grad_hess(x)
     damp = 0.0
     for _ in range(MAX_REFINE_ITERS):
         pg = grad.copy()
@@ -375,11 +371,11 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
             d = np.zeros_like(x)
             d[free] = np.linalg.solve(mu * np.eye(sub.shape[0]) - sub, pg[free])
             xn = np.clip(x + d, 0.0, hi)
-            fn, gn, hn = obj.value_grad_hess(xn)
-            kept = fn >= f - (obj.rounding(x) + obj.rounding(xn)) if damp == 0.0 \
+            fn, gn, hn, err_n = obj.value_grad_hess(xn)
+            kept = fn >= f - (err + err_n) if damp == 0.0 \
                 else fn > f + 1e-4 * float(pg @ (xn - x))
             if kept:
-                x, f, grad, hess = xn, fn, gn, hn
+                x, f, grad, hess, err = xn, fn, gn, hn, err_n
                 damp *= 0.25
                 break
             damp = 4.0 * damp if damp else damp0
@@ -530,7 +526,7 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
 
         if tau_max >= EXTEND_CAP * tau_max0:
             break
-        _, grad, _ = obj.value_grad_hess(best_x)
+        grad = obj.value_grad_hess(best_x)[1]
         _, spacing = _grid_axes(obj.span, tau_max, cfg)
         pressing = (best_x >= hi - 2 * spacing) & (grad > 0)
         if not np.any(pressing):

@@ -524,8 +524,9 @@ class Backend:
         So a float64 table errs by (2N + 16) u S + 2u S1 t_max, the slope
         correction by ((2N + 16) S1 + 2 S2 t_max) u offset, and dropping
         the second order of e^{mu d} by S (max|mu| offset)^2 while
-        max|mu| offset < ln 2. A ``memo`` of ``mu`` (:class:`TermMemo`) keeps
-        the double-double power tables of mu alone.
+        max|mu| offset < ln 2; beyond that ``bound`` is infinite. A ``memo``
+        of ``mu`` (:class:`TermMemo`) keeps the double-double power tables of
+        mu alone.
         """
         n = coef.shape[0]
         mu_f, coef_f = self.to_complex(mu), self.to_complex(coef)
@@ -534,8 +535,9 @@ class Backend:
         table, slope = np.split((e @ np.concatenate([coef_f, dk], axis=1)).real.T, 2)
         s0, s1, s2 = (float(np.sum(np.abs(mu_f[:, None] ** k * coef_f))) for k in range(3))
         t_max = (length - 1) * spacing
+        reach = float(np.max(np.abs(mu_f))) * offset
         bound = (2.0 ** -53 * ((2 * n + 16) * s1 + 2 * s2 * t_max) * offset
-                 + s0 * (float(np.max(np.abs(mu_f))) * offset) ** 2)
+                 + s0 * reach ** 2) if reach < math.log(2.0) else math.inf
         if self.dps is None:
             return table, slope, bound + 2.0 ** -53 * ((2 * n + 16) * s0 + 2 * s1 * t_max)
         with self.context():

@@ -151,6 +151,19 @@ def test_reduce_mask_spec(tmp_path, capsys):
     assert h.output_delays.delays[0] == 0.0
 
 
+def test_reduce_huge_tau_max_converges(tmp_path, capsys):
+    # a box of 1e300 puts the screen's lattice offsets past the range of its
+    # stated bound: the bound is infinite and the exact kernel ranks the
+    # peaks, where an OverflowError escaped before
+    g = random_pr(np.random.default_rng(0), 6)
+    out = tmp_path / "out"
+    rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "2",
+               "--tau-max", "1e300", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in captured.err
+    assert read_json(out / "report.json")["converged"] is True
+
+
 def test_reduce_bad_mask_exit1(tmp_path, capsys):
     g = make_siso([-1.0], [1.0])
     rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "1",

@@ -415,7 +415,7 @@ def test_objective_derivatives_are_full_kernel_blocks(payload, input_mask,
     if pinned is not None:
         obj = obj.gauge_face(pinned)
     x = rng.uniform(0.1, 2.0, obj.span.size)
-    f, grad, hess = obj.value_grad_hess(x)
+    f, grad, hess, _ = obj.value_grad_hess(x)
     tau, gam = obj.full_vectors(x)
     core = _delayed_terms(obj.bk, obj.mu, obj.k, tau, gam)
     f_full, g_in, g_out, h_full = _term_sums(obj.bk, obj.mu, core, 2)
@@ -606,6 +606,21 @@ def test_config_validation():
         DelaySearchConfig(tau_max=0.0)
     with pytest.raises(DelayH2Error):
         DelaySearchConfig(tau_max=np.inf)
+    # tau_max is a real number, not a bool or a string; numpy reals pass
+    for value in (True, np.True_, "3"):
+        with pytest.raises(DelayH2Error, match=f"^tau_max {value!r} is not a real number"):
+            DelaySearchConfig(tau_max=value)
+    assert DelaySearchConfig(tau_max=np.float64(2.0)).tau_max == 2.0
+    # mask entries are booleans, Python's or numpy's
+    rng = np.random.default_rng(86)
+    g = random_pr(rng, 4, ny=2, nu=2)
+    h = random_pr(rng, 2, ny=2, nu=2)
+    for mask in (("x", "y"), (1, 0), (True, None)):
+        with pytest.raises(DelayH2Error, match=r"^input_mask .* is not a boolean"):
+            optimize_delays(g, h, DelaySearchConfig(tau_max=2.0, input_mask=mask))
+    got = optimize_delays(g, h, DelaySearchConfig(
+        tau_max=2.0, grid_points_per_channel=20, input_mask=np.array([True, False])))
+    assert got.input_delays.mask == (True, False)
 
 
 @pytest.mark.parametrize("field, value", [

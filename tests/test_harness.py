@@ -150,7 +150,8 @@ def test_ab_runner_pairs_two_trees(monkeypatch, tmp_path, capsys):
                for r in written["pairs"])
     s = written["summary"]
     assert s["agree"] == 2 and 0 <= s["b_faster"] <= 2
-    assert s["a"]["q1_s"] <= s["a"]["median_s"] <= s["a"]["q3_s"]
+    for side in ("a", "b"):
+        assert s[side]["min_s"] <= s[side]["q1_s"] <= s[side]["median_s"] <= s[side]["q3_s"]
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "fingerprints agree in 2 of 2 pairs"
     assert lines[-2].startswith("median B/A ")

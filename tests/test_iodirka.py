@@ -228,17 +228,26 @@ def test_config_validation():
         io_dirka(g, IoDirkaConfig(order=5))
 
 
-@pytest.mark.parametrize("kw, message", [
-    (dict(init_input_delays=(1.0,)), "init_input_delays has 1 entries for a model with 2 inputs"),
-    (dict(init_output_delays=(0.0, 0.0, 0.0)),
+@pytest.mark.parametrize("kw, error, message", [
+    (dict(init_input_delays=(1.0,)), DimensionMismatch,
+     "init_input_delays has 1 entries for a model with 2 inputs"),
+    (dict(init_output_delays=(0.0, 0.0, 0.0)), DimensionMismatch,
      "init_output_delays has 3 entries for a model with 2 outputs"),
-    (dict(search=DelaySearchConfig(input_mask=(True,))),
-     "input_mask has 1 entries for a model with 2 inputs")],
-    ids=["init-input-delays", "init-output-delays", "input-mask"])
-def test_per_channel_settings_must_fit_the_model(kw, message):
-    # named before the first core reduction, not as a bare length mismatch
+    (dict(search=DelaySearchConfig(input_mask=(True,))), DimensionMismatch,
+     "input_mask has 1 entries for a model with 2 inputs"),
+    (dict(init_input_delays=("x", 0.0)), DelayH2Error,
+     "init_input_delays 'x' is not a real number"),
+    (dict(init_output_delays=(0.5, True)), DelayH2Error,
+     "init_output_delays True is not a real number"),
+    (dict(search=DelaySearchConfig(output_mask=("x", "y"))), DelayH2Error,
+     "output_mask 'x' is not a boolean")],
+    ids=["init-input-delays", "init-output-delays", "input-mask", "init-input-delays-str",
+         "init-output-delays-bool", "output-mask-str"])
+def test_per_channel_settings_must_fit_the_model(kw, error, message):
+    # named before the first core reduction, not as a bare length mismatch,
+    # a raw ValueError or a string read as a mask
     g = random_pr(np.random.default_rng(105), 4, ny=2, nu=2)
-    with pytest.raises(DimensionMismatch, match=message):
+    with pytest.raises(error, match=message):
         io_dirka(g, IoDirkaConfig(order=2, **kw))
 
 

@@ -112,7 +112,7 @@ def test_parity_delay_objective(mimo_pair):
     x = np.array([TAU[0], TAU[1], GAM[0], GAM[1]])
     got = _Objective(hp, h, act_in, act_out).value_grad_hess(x)
     want = _Objective(fp, h, act_in, act_out).value_grad_hess(x)
-    for a, b in zip(got, want):
+    for a, b in zip(got[:3], want[:3]):
         assert _rel(a, b) < PARITY_RTOL
 
 
@@ -386,6 +386,24 @@ def test_path_lattice_blocks_give_the_same_sums(monkeypatch):
         assert got[2] == want[2]
 
 
+@pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
+def test_path_lattice_bound_is_infinite_past_its_offset_range(payload):
+    # the stated bound holds while max|mu| offset < ln 2; past that it is
+    # infinite (a huge offset raised OverflowError), the tables unchanged
+    g = random_pr(np.random.default_rng(13), 6, ny=2, nu=2)
+    if payload:
+        g = payload_model(g, 30)
+    obj = _Objective(g, random_pr(np.random.default_rng(14), 2, ny=2, nu=2),
+                     np.array([0, 1]), np.array([0, 1]))
+    coef = obj.k.reshape(obj.mu.size, -1)
+    edge = np.log(2.0) / float(np.max(np.abs(obj.bk.to_complex(obj.mu))))
+    small = obj.bk.path_lattice(obj.mu, coef, 0.05, 157, 1e-16)
+    for offset, finite in ((0.99 * edge, True), (1.01 * edge, False), (1e300, False)):
+        got = obj.bk.path_lattice(obj.mu, coef, 0.05, 157, offset)
+        assert all(np.array_equal(u, v) for u, v in zip(got[:2], small[:2]))
+        assert np.isfinite(got[2]) == finite and got[2] >= small[2]
+
+
 def _scaled(g, k):
     """``g`` with its left residues times the exact power 2^k."""
     hp = None
@@ -497,7 +515,10 @@ def test_memoized_exponentials_and_lattices_are_the_formed_ones():
 
 
 @pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
-def test_objective_forms_delayed_terms_once_per_point(monkeypatch, payload):
+def test_objective_keeps_no_state_per_point(monkeypatch, payload):
+    # a used objective answers at x bit for bit as a fresh one does, forming
+    # the delayed terms once per evaluation; value_grad_hess's last element
+    # is the value's rounding bound, 0 on a payload
     rng = np.random.default_rng(91)
     g = random_pr(rng, 6, ny=2, nu=2)
     h = random_pr(rng, 2, ny=2, nu=2)
@@ -512,13 +533,23 @@ def test_objective_forms_delayed_terms_once_per_point(monkeypatch, payload):
     monkeypatch.setattr(delayopt, "_delayed_terms",
                         lambda *args: calls.append(args) or formed(*args))
     obj = _Objective(g, h, act_in, act_out)
-    value = obj.value(x)
-    f, grad, hess = obj.value_grad_hess(x)
-    assert len(calls) == 1
-    assert value == fresh_value == f == fresh[0]
-    assert np.array_equal(grad, fresh[1]) and np.array_equal(hess, fresh[2])
-    obj.value(x + 0.5)
-    assert len(calls) == 2
+    for point in (x, x + 0.5, 2.0 * x, x):
+        value = obj.value(point)
+        f, grad, hess, bound = obj.value_grad_hess(point)
+        if point is x:
+            assert value == fresh_value == f == fresh[0]
+            assert np.array_equal(grad, fresh[1]) and np.array_equal(hess, fresh[2])
+            assert bound == fresh[3]
+    assert len(calls) == 8
+    if payload:
+        assert bound == 0.0
+        return
+    tau, gam = obj.full_vectors(x)
+    core = formed(obj.bk, obj.mu, obj.k, tau, gam)
+    assert bound == obj.round_scale * float(np.sum(np.abs(core)))
+    # the same bound from the terms K e^{mu (gamma + tau)} formed directly
+    direct = obj.k * np.exp(obj.mu[:, None, None] * (gam[:, None] + tau[None, :]))
+    assert bound == pytest.approx(obj.round_scale * float(np.sum(np.abs(direct))), rel=1e-12)
 
 
 # the bytes save_model writes for this surrogate, unchanged since its payload
