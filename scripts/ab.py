@@ -1,12 +1,13 @@
 """delayh2 A/B: paired reduction units of one benchmark workload in two trees.
 
-    python3 scripts/ab.py BASE_DIR --workload NAME [--pairs N] [--json PATH]
+    python3 scripts/ab.py BASE_DIR --workload NAME [--pairs N] [--seed N] [--json PATH]
 
 Side A is the tree at BASE_DIR (for example a ``git archive`` of the parent
 commit), side B the tree this script is in. Each side runs in one
 long-lived worker process that imports its own tree's ``src/`` and
-``perfbench/workloads.py``, builds the workload at seed 0 and runs one
-warm-up unit. Then the two workers run units in ABBA order, one at a time:
+``perfbench/workloads.py``, builds the workload at ``--seed`` (0 by
+default; another seed checks a claim on a model the change was not tuned
+on) and runs one warm-up unit. Then the two workers run units in ABBA order, one at a time:
 pair i runs A then B for even i, B then A for odd i, so a drift in the
 host's speed falls on both sides alike. A unit is timed as the benchmark
 times it (``reduce`` alone) and checked outside the timed region.
@@ -34,9 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def worker(tree: str, name: str) -> None:
-    """Serve reduction units of workload ``name`` from ``tree``: one JSON
-    line (seconds, fingerprints, verdicts) per line read on stdin."""
+def worker(tree: str, name: str, seed: int) -> None:
+    """Serve reduction units of workload ``name`` at ``seed`` from ``tree``:
+    one JSON line (seconds, fingerprints, verdicts) per line read on stdin."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     from workloads import WORKLOADS
 
@@ -44,7 +45,7 @@ def worker(tree: str, name: str) -> None:
     out, sys.stdout = sys.stdout, sys.stderr
     direct = lambda label, layer, fn, *args: fn(*args)
     with tempfile.TemporaryDirectory() as tmp:
-        w = WORKLOADS[name](0, Path(tmp))
+        w = WORKLOADS[name](seed, Path(tmp))
         w.check(w.reduce(direct))
         for _ in sys.stdin:
             t0 = time.perf_counter()
@@ -60,11 +61,11 @@ def worker(tree: str, name: str) -> None:
 class Side:
     """A worker process on one tree."""
 
-    def __init__(self, tree: Path, name: str):
+    def __init__(self, tree: Path, name: str, seed: int):
         self.tree = tree
         self.proc = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
-             "--workload", name],
+             "--workload", name, "--seed", str(seed)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def unit(self) -> dict:
@@ -88,13 +89,14 @@ def _spread(xs: list[float]) -> dict:
     return {"min_s": min(xs), "median_s": median, "q1_s": q1, "q3_s": q3}
 
 
-def compare(base: Path, name: str, pairs: int) -> dict:
-    """Run ``pairs`` ABBA pairs of workload ``name``; the pairs and a summary."""
+def compare(base: Path, name: str, pairs: int, seed: int = 0) -> dict:
+    """Run ``pairs`` ABBA pairs of workload ``name`` at ``seed``; the pairs
+    and a summary."""
     sides = {}
     try:
         # each worker's start-up and warm-up unit run before any timed unit
-        sides["a"] = Side(base, name)
-        sides["b"] = Side(ROOT, name)
+        sides["a"] = Side(base, name, seed)
+        sides["b"] = Side(ROOT, name, seed)
         rows = []
         for i in range(pairs):
             units = {s: sides[s].unit() for s in ("ab" if i % 2 == 0 else "ba")}
@@ -102,7 +104,9 @@ def compare(base: Path, name: str, pairs: int) -> dict:
             rows.append({"a_s": a["seconds"], "b_s": b["seconds"],
                          "ratio": b["seconds"] / a["seconds"],
                          "agree": a["fingerprints"] == b["fingerprints"],
-                         "a_verdicts": a["verdicts"], "b_verdicts": b["verdicts"]})
+                         "a_verdicts": a["verdicts"], "b_verdicts": b["verdicts"],
+                         "a_fingerprints": a["fingerprints"],
+                         "b_fingerprints": b["fingerprints"]})
     finally:
         for side in sides.values():
             side.close()
@@ -111,7 +115,7 @@ def compare(base: Path, name: str, pairs: int) -> dict:
                "median_ratio": statistics.median(r["ratio"] for r in rows),
                "b_faster": sum(r["b_s"] < r["a_s"] for r in rows),
                "agree": sum(r["agree"] for r in rows)}
-    return {"workload": name, "base": str(base), "tree": str(ROOT), "pairs": rows,
+    return {"workload": name, "seed": seed, "base": str(base), "tree": str(ROOT), "pairs": rows,
             "summary": summary,
             "environment": {"python": sys.version.split()[0], "cpu_count": os.cpu_count()}}
 
@@ -122,21 +126,22 @@ def main(argv=None) -> int:
                    help="the tree of side A (side B is this script's tree)")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10, help="ABBA pairs to run (at least 2)")
+    p.add_argument("--seed", type=int, default=0, help="the workload's seed (default 0)")
     p.add_argument("--json", metavar="PATH", help="also write the pairs and summary here")
     p.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        worker(args.worker, args.workload)
+        worker(args.worker, args.workload, args.seed)
         return 0
-    if args.base is None or args.pairs < 2:
-        p.error("give BASE_DIR and --pairs of at least 2")
+    if args.base is None or args.pairs < 2 or args.seed < 0:
+        p.error("give BASE_DIR, --pairs of at least 2 and a --seed of at least 0")
     base = Path(args.base).resolve()
     for tree in (base, ROOT):
         if not (tree / "perfbench" / "workloads.py").is_file():
             p.error(f"no perfbench/workloads.py under {tree}")
-    result = compare(base, args.workload, args.pairs)
+    result = compare(base, args.workload, args.pairs, args.seed)
     s = result["summary"]
-    print(f"{args.workload}: {args.pairs} ABBA pairs; A = {base}, B = {ROOT}")
+    print(f"{args.workload} seed {args.seed}: {args.pairs} ABBA pairs; A = {base}, B = {ROOT}")
     names = ("min_s", "median_s", "q1_s", "q3_s")
     print(f"{'side':<5}" + "".join(f" {n:>9}" for n in names))
     for side in ("a", "b"):

@@ -9,15 +9,17 @@ default settings, for seeds 0-5 in four shapes: N=20 SISO at orders 2 and
 4 and N=50 SISO at order 4 (input delay), and N=30 2x2 at order 4 (input
 and output delays). A row gives whether the run converged, its outer
 iterations, its IRKA iterations summed over the trace, J/||G||^2, the max
-first-order residual, the delay search's objective evaluations (values and
-derivative sets) and the most of them any one refinement start took, and
-its wall time; then one line per shape gives the runs converged in it, and
-the last line the converged total. ``--json PATH`` writes the same rows
-and counts; each row there also carries a ``fingerprint``, the sha256 of
-its counts and of the exact (hex) J, max residual, delays and poles, so
-two trees' files can be compared run by run. The evaluations are counted
-by wrapping ``_Objective`` and ``delayopt._refine`` here, so the library
-carries no counter.
+first-order residual, the delay search's objective evaluations (each a
+value with its derivatives) and the most of them any one refinement
+start took, and its wall time; then one line per shape gives the runs
+converged in it, and the last line the converged total. ``--json PATH``
+writes the same rows and counts; each row there also carries a
+``fingerprint``, the sha256 of its outer and IRKA counts and of the exact
+(hex) J, max residual, delays and poles, so two trees' files can be
+compared run by run. The search's evaluation counts measure effort, not
+the result, and stay out of it. The evaluations are counted by wrapping
+``_Objective`` and ``delayopt._refine`` here, so the library carries no
+counter.
 """
 
 from __future__ import annotations
@@ -55,12 +57,12 @@ def counting():
     """[``_Objective`` evaluations, the most of them in one ``_refine``
     call] while open."""
     count = [0, 0]
-    saved = {name: getattr(_Objective, name) for name in ("value", "value_grad_hess")}
-    for name, orig in saved.items():
-        def counted(self, x, _orig=orig):
-            count[0] += 1
-            return _orig(self, x)
-        setattr(_Objective, name, counted)
+    orig = _Objective.value_grad_hess
+
+    def counted(self, x):
+        count[0] += 1
+        return orig(self, x)
+    _Objective.value_grad_hess = counted
     refine = delayopt._refine
 
     def refine_counted(*args):
@@ -72,8 +74,7 @@ def counting():
     try:
         yield count
     finally:
-        for name, orig in saved.items():
-            setattr(_Objective, name, orig)
+        _Objective.value_grad_hess = orig
         delayopt._refine = refine
 
 
@@ -90,7 +91,7 @@ def run(shape: str, seed: int) -> dict:
               "evaluations": count[0], "max_start": count[1]}
     max_res = float(rep.residuals.max_residual())
     m = rep.model
-    exact = (sorted(counts.items()), float(rep.gap.j).hex(), max_res.hex(),
+    exact = (counts["outer"], counts["irka"], float(rep.gap.j).hex(), max_res.hex(),
              [float(v).hex() for v in m.input_delays.delays + m.output_delays.delays],
              [(complex(p).real.hex(), complex(p).imag.hex()) for p in m.core.poles])
     return {"shape": shape, "seed": seed, "converged": rep.converged, **counts,

@@ -3,19 +3,26 @@
 The objective sum_j sum_{m,l} K_jml e^{mu_j (gamma_m + tau_l)} oscillates
 through the complex poles mu_j, so a single local ascent is not
 trustworthy: the search screens a coarse grid over the box [0, tau_max]^k
-(joint for up to three searched coordinates, cyclic coordinate scans
-above) and refines one start per peak of that screen, a cell at least as
-high as every axis neighbour (every neighbour along its line on a cyclic
-scan). The TOP_STARTS highest peaks and the caller's start are refined;
-neighbouring cells of one peak would all climb to the same maximum. Peaks
-are ranked by a stable sort, ties in index order. A refinement step moves
-the coordinates not held at a bound, by Newton's step on the analytic
-delay Hessian where their block of it is negative definite, and a damped
-step otherwise. A Newton step is kept unless it lowers the objective by
-more than the rounding bound of the compared values (zero on a payload),
-so a start next to a maximum of a cancelling float sum converges instead
-of stalling on rounding noise. A start stops once its projected gradient
-is below ``REFINE_TOL``.
+and refines one start per peak of that screen, a cell at least as high as
+every axis neighbour (every neighbour along its line on a cyclic scan).
+How the grid is screened depends on the face (see :func:`_scan`). With
+only inputs or only outputs searched, each channel pair's term depends on
+one coordinate, so the landscape is a sum of one-dimensional path
+functions and its peaks are the products of the peaks of its axis lines:
+each axis is screened as a line, summing only the pairs that hold it, and
+the joint screen runs only on the product of each line's CONFIRM_CAP
+highest peaks. A face with both an input and an output searched is coupled
+through every pair and screens the joint grid (up to three coordinates)
+or cyclic coordinate scans (above). The TOP_STARTS highest peaks and the
+caller's start are refined; neighbouring cells of one peak would all climb
+to the same maximum. Peaks are ranked by a stable sort, ties in index
+order. A refinement step moves the coordinates not held at a bound, by
+Newton's step on the analytic delay Hessian where their block of it is
+negative definite, and a damped step otherwise. A Newton step is kept
+unless it lowers the objective by more than the rounding bound of the
+compared values (zero on a payload), so a start next to a maximum of a
+cancelling float sum converges instead of stalling on rounding noise. A
+start stops once its projected gradient is below ``REFINE_TOL``.
 
 Each term couples one output delay with one input delay, so the screen
 sums ny*nu channel-pair tables: each pair's path function
@@ -24,7 +31,12 @@ common spacing (:meth:`precision.Backend.path_lattice`), in float64 on a
 float model and in double-double on a payload, whose cancelling objective
 float64 would misrank by O(1). A cell is an index sum whose rounding bound
 lies far below the landscape's relief, so the exact kernel ranks only the
-peaks within that bound of the best (usually one). When the full model's
+peaks within that bound of the best (usually one); each of those
+evaluations, with derivatives, is also the first of its start's
+refinement, the winner's complex sum is the result's ``cross``, and its
+gradient decides the box growth, so a search repeats no evaluation it has
+made (two starts that climb to the same point still both evaluate it). When
+the full model's
 payload carries a memo (as in :func:`delayh2.iodirka.io_dirka`, see
 :class:`delayh2.precision.TermMemo`), the exponentials e^{mu_j d} of
 each exact delay d and the lattice's power tables of mu are taken from it,
@@ -36,7 +48,8 @@ while the winner presses against the right boundary with positive
 outward derivative, so a too-small default horizon cannot truncate the
 optimum. The result reports the box the search ended in, so a caller
 running one search after another can start the next from it, and each
-face's last grid scan, for :func:`write_landscape`. Ties are broken toward
+face's last grid screen, for :func:`write_landscape` (a per-axis face
+screens its whole grid only there). Ties are broken toward
 the lexicographically smallest delay vector; everything is deterministic.
 
 Only the path delays gamma_m + tau_l enter the objective. When every input
@@ -116,9 +129,11 @@ class DelaySearchResult:
 
     ``tau_max`` is the box the search ended in, after any growth (the
     largest over the gauge faces); ``scans`` holds each face's last grid
-    scan as (face objective, grid, screening values), empty when nothing
-    was delayable. ``cross`` is the cross kernel's complex sum at the
-    returned delays, bit for bit the one :func:`delayh2.h2.compute_gap`
+    screen as (face objective, grid, screening values), empty when nothing
+    was delayable; on a per-axis face (see :func:`_scan`) the values are
+    the screen itself, which forms them from the grid's axes. ``cross`` is
+    the cross kernel's complex sum at the returned delays, the winner's
+    own evaluation, bit for bit the one :func:`delayh2.h2.compute_gap`
     forms there (see :func:`delayh2.h2.gap_from_cross`).
     """
 
@@ -191,10 +206,11 @@ class _Objective:
     Active coordinates are the unmasked channels, inputs first; masked
     channels stay pinned at 0. Coordinate c ranges over [0, span[c] *
     tau_max]. Grids are screened by channel-pair lattice tables with a
-    stated rounding bound (:meth:`path_screen`); the exact kernel gives
-    every value that is kept: the best-ranked peaks, refinement iterates,
-    and the returned optimum. It keeps no state per point: each evaluation
-    forms its delayed terms (exponentials from the payload's memo, if any).
+    stated rounding bound (:meth:`path_screen`); the exact kernel
+    (:meth:`value_grad_hess`) gives every value that is kept: the
+    best-ranked peaks, refinement iterates, and the returned optimum. It
+    keeps no state per point: each evaluation forms its delayed terms
+    (exponentials from the payload's memo, if any).
     """
 
     def __init__(self, g: PoleResidueModel, h: PoleResidueModel,
@@ -239,23 +255,16 @@ class _Objective:
         gam[self.act_out] = x[self.act_in.size:]
         return tau, gam
 
-    def kernel_sum(self, tau: np.ndarray, gam: np.ndarray) -> complex:
-        """The complex sum of the delayed terms at full delay vectors (tau, gamma)."""
-        core = _delayed_terms(self.bk, self.mu, self.k, tau, gam, self.g.memo)
-        return _term_sums(self.bk, self.mu, core, 0)[0]
-
-    def _sum(self, x: np.ndarray, order: int):
-        """(delayed terms at x, their sums up to derivative ``order``)."""
+    def _sum(self, x: np.ndarray):
+        """(delayed terms at x, their sums up to the second derivative)."""
         core = _delayed_terms(self.bk, self.mu, self.k, *self.full_vectors(x), self.g.memo)
         # derivatives only for the sides that hold an active coordinate
         sides = (self.act_in.size > 0, self.act_out.size > 0)
-        return core, _term_sums(self.bk, self.mu, core, order, sides, self.mu2)
-
-    def value(self, x: np.ndarray) -> float:
-        return float(np.real(self._sum(x, 0)[1][0]))
+        return core, _term_sums(self.bk, self.mu, core, 2, sides, self.mu2)
 
     def value_grad_hess(self, x: np.ndarray):
-        """(value, gradient, Hessian, rounding bound of the value) at x.
+        """(value, gradient, Hessian, rounding bound of the value, complex
+        sum) at x; the value is the sum's real part.
 
         The bound, for a float model: c u sum_jml |K_jml e^{mu_j (gamma_m +
         tau_l)}| with u = 2^-53, over the n delayed terms. numpy sums a
@@ -270,14 +279,14 @@ class _Objective:
         their one rounding, to binary64, already shows in any comparison
         of two values.
         """
-        core, (f, g_in, g_out, hess) = self._sum(x, 2)
+        core, (f, g_in, g_out, hess) = self._sum(x)
         # hess holds the input side only when an input is active
         offset = self.g.nu if self.act_in.size else 0
         idx = np.concatenate([self.act_in, offset + self.act_out])
         grad = np.concatenate([np.real(d)[act] for d, act in
                                ((g_in, self.act_in), (g_out, self.act_out)) if act.size])
         bound = 0.0 if self.hp else self.round_scale * float(np.sum(np.abs(core)))
-        return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)], bound
+        return float(np.real(f)), grad, np.real(hess)[np.ix_(idx, idx)], bound, f
 
     def path_screen(self, axes: list[np.ndarray], spacing: float):
         """(screen, bound) of a grid with these axes and common spacing.
@@ -288,8 +297,10 @@ class _Objective:
         (a + b) spacing plus a tiny offset. ``screen`` takes one subset per
         grid axis and returns the values raveled like ``np.meshgrid(*sub,
         indexing="ij")``, each the in-place sum over pairs of table +
-        slope * offset (:meth:`precision.Backend.path_lattice`). ``bound``
-        covers the difference from :meth:`value` at any cell: the lattice
+        slope * offset (:meth:`precision.Backend.path_lattice`), over only
+        the pairs with a channel on grid axis ``axis`` when one is given; a
+        non-finite value raises NonFiniteObjective. ``bound``
+        covers the difference from the exact value at any cell: the lattice
         bound, a float value's rounding bound, and 2^-52 (P + 1) times the
         sum of the tables' largest entries for the rounding of the tables,
         the P pair sums, their P - 1 additions and the value's rounding.
@@ -307,31 +318,36 @@ class _Objective:
         bound += self.round_cap \
             + 2.0 ** -52 * (table.shape[0] + 1) * float(np.sum(np.max(np.abs(table), axis=1)))
 
-        def screen(sub: list[np.ndarray]) -> np.ndarray:
+        def screen(sub: list[np.ndarray], axis: int | None = None) -> np.ndarray:
             shape = [a.size for a in sub]
-            # (lattice index, offset) per channel, placed on its grid axis;
-            # a masked or pinned channel sits at delay 0
+            # (lattice index, offset, grid axis) per channel, placed on its
+            # grid axis; a masked or pinned channel sits at delay 0
             sides = []
             for act, first, count in coords:
-                side = [(0, 0.0)] * count
+                side = [(0, 0.0, None)] * count
                 for i, c in enumerate(act):
                     place = [1] * len(sub)
                     place[first + i] = shape[first + i]
                     idx, off = lattice_points(sub[first + i], spacing)
-                    side[c] = idx.reshape(place), off.reshape(place)
+                    side[c] = idx.reshape(place), off.reshape(place), first + i
                 sides.append(side)
             total = np.zeros(shape)
-            for m, (b, db) in enumerate(sides[1]):
-                for l, (a, da) in enumerate(sides[0]):
-                    p = m * self.g.nu + l
-                    total += table[p][a + b] + slope[p][a + b] * (da + db)
+            for m, (b, db, on_m) in enumerate(sides[1]):
+                for l, (a, da, on_l) in enumerate(sides[0]):
+                    if axis in (None, on_l, on_m):
+                        p = m * self.g.nu + l
+                        total += table[p][a + b] + slope[p][a + b] * (da + db)
+            if not np.all(np.isfinite(total)):
+                raise NonFiniteObjective("grid scan produced non-finite objective values")
             return total.ravel()
 
         return screen, bound
 
 
-def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Damped Newton ascent from x0 within [0, hi]; returns (x, f).
+def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray, first=None):
+    """Damped Newton ascent from x0 within [0, hi]; returns (x, f,
+    gradient, complex sum) at the last kept iterate. ``first`` is the
+    evaluation at x0 when the caller has made it already.
 
     A step moves the free coordinates (nonzero projected gradient pg): it
     solves (mu I - H) d = pg, H their Hessian block with eigenvalues lambda
@@ -339,7 +355,7 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
     is 0, Newton's step, where lambda_max < -r, r = n 2^-52 max|lambda|
     the rounding level of the n eigenvalues; that step is kept unless it
     lowers f by more than the rounding bound of the two compared values
-    (the last element of :meth:`_Objective.value_grad_hess`, kept beside
+    (the fourth element of :meth:`_Objective.value_grad_hess`, kept beside
     f), under which the true gain near a maximum of a cancelling float sum
     lies. Otherwise damp carries over from the last step, at least r, or
     starts at 1e-3 max|lambda| (More, 1978), and a step is kept if it gains
@@ -350,7 +366,7 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
     after ``MAX_REFINE_ITERS`` steps.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
-    f, grad, hess, err = obj.value_grad_hess(x)
+    f, grad, hess, err, total = first or obj.value_grad_hess(x)
     damp = 0.0
     for _ in range(MAX_REFINE_ITERS):
         pg = grad.copy()
@@ -371,17 +387,17 @@ def _refine(obj: _Objective, x0: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
             d = np.zeros_like(x)
             d[free] = np.linalg.solve(mu * np.eye(sub.shape[0]) - sub, pg[free])
             xn = np.clip(x + d, 0.0, hi)
-            fn, gn, hn, err_n = obj.value_grad_hess(xn)
+            fn, gn, hn, err_n, total_n = obj.value_grad_hess(xn)
             kept = fn >= f - (err + err_n) if damp == 0.0 \
                 else fn > f + 1e-4 * float(pg @ (xn - x))
             if kept:
-                x, f, grad, hess, err = xn, fn, gn, hn, err_n
+                x, f, grad, hess, err, total = xn, fn, gn, hn, err_n, total_n
                 damp *= 0.25
                 break
             damp = 4.0 * damp if damp else damp0
         else:
             break
-    return x, f
+    return x, f, grad, total
 
 
 def _grid_axes(span: np.ndarray, tau_max: float,
@@ -398,22 +414,47 @@ def _grid_axes(span: np.ndarray, tau_max: float,
 
 
 def _scan(obj: _Objective, k_act: int, tau_max: float, cfg: DelaySearchConfig):
-    """Coarse scan: joint grid for <=3 coordinates, cyclic scans above.
+    """Coarse screen of the face's grid (:func:`_grid_axes`).
 
-    Returns (grid, screening values, peaks, bound) of every evaluated grid
-    point. A joint grid is its list of axes, the values raveled like
-    ``np.meshgrid(*axes, indexing="ij")``; the cyclic scans give their
-    points as rows. The peaks are the indices of the local maxima (see
-    :func:`_peaks`): on a joint grid against every axis neighbour, on the
-    cyclic scans against the neighbours along each scanned line. ``bound``
-    is the screen's rounding bound (:meth:`_Objective.path_screen`).
+    Returns (grid, screening values, peaks, bound, landscape). ``grid`` is
+    a list of axes, its values raveled like ``np.meshgrid(*axes,
+    indexing="ij")``, or the cyclic scans' points as rows; the peaks are
+    indices of local maxima (see :func:`_peaks`), and ``bound`` is the
+    screen's rounding bound (:meth:`_Objective.path_screen`). By face:
+
+    * Per-axis, where only inputs or only outputs are searched (at least
+      two coordinates): a pair's term then depends on one coordinate, so a
+      cell is a peak of the sum when each coordinate is a peak of its axis
+      line. Each axis is screened as a line over only the pairs that hold
+      it (the other pairs would add a constant, under whose rounding a
+      decaying tail goes flat), and the joint screen runs on the grid of
+      each line's CONFIRM_CAP highest peaks (fewer where that grid would
+      exceed ``joint_grid_budget`` cells), every cell of which is a peak.
+      Each cell gets the bits the whole grid's screen gives it.
+    * Joint, up to three coordinates otherwise: the whole grid, peaks
+      against every axis neighbour.
+    * Cyclic coordinate scans from the origin, two sweeps, above that:
+      peaks against the neighbours along each scanned line.
+
+    ``landscape`` is (grid, values) of the whole screen for
+    :func:`write_landscape`; on a per-axis face the values are the screen,
+    which forms them from those axes when asked.
     """
     axes, spacing = _grid_axes(obj.span, tau_max, cfg)
     screen, bound = obj.path_screen(axes, spacing)
+    if k_act > 1 and (obj.act_in.size == 0 or obj.act_out.size == 0):
+        keep = min(CONFIRM_CAP, max(1, int(cfg.joint_grid_budget ** (1.0 / k_act))))
+        sub = []
+        for i in range(k_act):
+            line = screen([a if c == i else a[:1] for c, a in enumerate(axes)], i)
+            peaks = _peaks(line)
+            sub.append(axes[i][np.sort(peaks[_top(line[peaks], keep)])])
+        values = screen(sub)
+        return sub, values, np.arange(values.size), bound, (axes, screen)
     if k_act <= 3:
         values = screen(axes)
-        return axes, values, _peaks(values.reshape([a.size for a in axes])), bound
-    # cyclic coordinate scans from the origin, two sweeps
+        return axes, values, _peaks(values.reshape([a.size for a in axes])), bound, \
+            (axes, values)
     x = np.zeros(k_act)
     pts, vals, peaks = [], [], []
     count = 0
@@ -427,7 +468,8 @@ def _scan(obj: _Objective, k_act: int, tau_max: float, cfg: DelaySearchConfig):
             peaks.append(_peaks(v) + count)
             count += v.size
             x = block[int(np.argmax(v))].copy()
-    return np.concatenate(pts), np.concatenate(vals), np.concatenate(peaks), bound
+    pts, vals = np.concatenate(pts), np.concatenate(vals)
+    return pts, vals, np.concatenate(peaks), bound, (pts, vals)
 
 
 def _peaks(values: np.ndarray) -> np.ndarray:
@@ -471,6 +513,8 @@ def write_landscape(path: str, result: DelaySearchResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for obj, grid, values in result.scans:
+            if callable(values):
+                values = values(grid)
             for p, v in zip(_grid_points(grid), values):
                 tau, gam = obj.full_vectors(p)
                 row = np.concatenate([tau, gam, [v]])
@@ -487,21 +531,24 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
                  start: tuple | None):
     """Grid scan and refinement over one face, growing its box.
 
-    Returns (x, f, final box, (obj, grid, values) of the last scan).
+    Returns (x, f, complex sum at x, final box, (obj, grid, values) of the
+    last scan's landscape).
     """
     k_act = obj.span.size
     tau_max = float(tau_max0)
     while True:
-        grid, values, peaks, bound = _scan(obj, k_act, tau_max, cfg)
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteObjective("grid scan produced non-finite objective values")
+        grid, values, peaks, bound, landscape = _scan(obj, k_act, tau_max, cfg)
         ranked = peaks[_top(values[peaks], CONFIRM_CAP)]
         # only peaks within the screen's rounding bound of the best can be
-        # the best: the exact kernel ranks those
+        # the best: the exact kernel ranks those, once per distinct point (a
+        # cyclic scan lists its current point on every line), and each
+        # evaluation is the first of its refinement start
         near = ranked[values[ranked] >= values[ranked[0]] - 2.0 * bound]
-        exact = np.array([obj.value(_grid_point(grid, i)) for i in near])
-        order = np.argsort(-exact, kind="stable")
-        grid_best = float(exact[order[0]])
+        points = [_grid_point(grid, i) for i in near]
+        known = {x0.tobytes(): x0 for x0 in points}
+        known = {key: obj.value_grad_hess(x0) for key, x0 in known.items()}
+        exact = [known[x0.tobytes()][0] for x0 in points]
+        order = np.argsort(-np.array(exact), kind="stable")
         ranked = np.concatenate([near[order], ranked[near.size:]])
         top = ranked[:TOP_STARTS]
         hi = obj.span * tau_max
@@ -512,27 +559,28 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
         # lies on every line, and the caller's start may be a peak
         starts = list({x0.tobytes(): x0 for x0 in starts}.values())
 
-        best_x, best_f = None, 0.0
+        best = None
         for x0 in starts:
-            x, f = _refine(obj, x0, hi)
-            if best_x is None or _better(f, x, best_f, best_x):
-                best_x, best_f = x, f
+            found = _refine(obj, x0, hi, known.get(x0.tobytes()))
+            if best is None or _better(found[1], found[0], best[1], best[0]):
+                best = found
 
-        if best_f < grid_best:
+        cell = _grid_point(grid, top[0])
+        f0, grad0, _, _, total0 = known[cell.tobytes()]
+        if best[1] < f0:
             # refinement can only improve on the best start; keep the grid
             # winner if numerical ties land the other way
-            best_x = _grid_point(grid, top[0])
-            best_f = grid_best
+            best = cell, f0, grad0, total0
+        best_x, best_f, grad, total = best
 
         if tau_max >= EXTEND_CAP * tau_max0:
             break
-        grad = obj.value_grad_hess(best_x)[1]
         _, spacing = _grid_axes(obj.span, tau_max, cfg)
         pressing = (best_x >= hi - 2 * spacing) & (grad > 0)
         if not np.any(pressing):
             break
         tau_max *= 2.0
-    return best_x, best_f, tau_max, (obj, grid, values)
+    return best_x, best_f, total, tau_max, (obj, *landscape)
 
 
 def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
@@ -566,17 +614,15 @@ def optimize_delays(g: PoleResidueModel, h: PoleResidueModel,
         if has_gauge(in_mask, out_mask) else [obj]
     best, box, scans = None, float(tau_max0), []
     for face in faces:
-        x, f, face_box, scan = _search_face(face, tau_max0, cfg, start)
+        x, f, total, face_box, scan = _search_face(face, tau_max0, cfg, start)
         box = max(box, face_box)
         scans.append(scan)
         full = np.concatenate(face.full_vectors(x))
-        if best is None or _better(f, full, *best):
-            best = f, full
+        if best is None or _better(f, full, *best[:2]):
+            best = f, full, total
 
-    tau, gam = best[1][:g.nu], best[1][g.nu:]
-    # snap near-zero coordinates produced by clipping
-    tau[np.abs(tau) < 1e-300] = 0.0
-    gam[np.abs(gam) < 1e-300] = 0.0
-    return DelaySearchResult(DelayBlock(tuple(tau), tuple(in_mask)),
-                             DelayBlock(tuple(gam), tuple(out_mask)),
-                             box, tuple(scans), obj.kernel_sum(tau, gam))
+    # + 0.0 turns a clipped -0.0 into 0.0; the sum is the same at either
+    delays = best[1] + 0.0
+    return DelaySearchResult(DelayBlock(tuple(delays[:g.nu]), tuple(in_mask)),
+                             DelayBlock(tuple(delays[g.nu:]), tuple(out_mask)),
+                             box, tuple(scans), best[2])

@@ -208,26 +208,30 @@ def inner_product_delayed(hd: DelayedModel | PoleResidueModel,
 
 
 def compute_gap(g: PoleResidueModel, hd: DelayedModel | PoleResidueModel,
-                g_norm_sq: float) -> GapValue:
+                g_norm_sq: float, norm_h_sq: float | None = None) -> GapValue:
     """Assemble the squared mismatch from its three terms.
 
     ``g_norm_sq`` is passed in because it is constant across a reduction run
-    (compute it once with :func:`h2_norm_sq`).
+    (compute it once with :func:`h2_norm_sq`); ``norm_h_sq`` as in
+    :func:`gap_from_cross`.
     """
     hd = _as_delayed(hd)
     f, _, _, _ = _cross_eval(g, hd.core, hd.input_delays.as_array(),
                              hd.output_delays.as_array(), order=0)
-    return gap_from_cross(g_norm_sq, f, hd.core)
+    return gap_from_cross(g_norm_sq, f, hd.core, norm_h_sq)
 
 
 def gap_from_cross(g_norm_sq: float, cross_sum: complex,
-                   core: PoleResidueModel) -> GapValue:
+                   core: PoleResidueModel, norm_h_sq: float | None = None) -> GapValue:
     """The gap of a delayed model with this core, from the cross kernel's
     complex sum at its delays (as :func:`compute_gap` forms it, or as
-    :class:`delayh2.delayopt.DelaySearchResult` carries it). A gap below
-    -1e-9 max(1, ||G||^2 + ||H||^2) raises NegativeNormSquared."""
+    :class:`delayh2.delayopt.DelaySearchResult` carries it). ``norm_h_sq``
+    is :func:`h2_norm_sq` of the core when the caller has it (as
+    :class:`delayh2.irka.IrkaResult` carries it), formed here otherwise. A
+    gap below -1e-9 max(1, ||G||^2 + ||H||^2) raises NegativeNormSquared."""
     cross = _real_or_raise(cross_sum, "inner product")
-    norm_h_sq = h2_norm_sq(core)
+    if norm_h_sq is None:
+        norm_h_sq = h2_norm_sq(core)
     j = g_norm_sq - 2.0 * cross + norm_h_sq
     if j < -1e-9 * max(1.0, g_norm_sq + norm_h_sq):
         raise NegativeNormSquared(f"gap {j:.3e} below -1e-9 max(1, |G|^2 + |H|^2)")

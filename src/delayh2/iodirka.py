@@ -12,7 +12,9 @@ the inverse Jacobian of phi. M starts at zero, so the first step is the
 plain step F(x); after that, every outer evaluation updates H by the
 "good" inverse rule from the last two points built, and so extrapolates.
 The loop stops once the poles and the delays both move by less than
-``OUTER_TOL``. One more core reduction at the final delays follows. The
+``OUTER_TOL``. One more core reduction at the final delays follows; when
+the loop did not stop it runs at the lowest-gap iterate's delays, and that
+iterate is returned instead if the pass raised the gap. The
 result is ``converged`` only if the loop stopped and the returned model
 passes the first-order certificate: every residual of the paper's
 optimality conditions (Hermite interpolation at the mirrored poles, one
@@ -128,7 +130,9 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
 
     Alternates surrogate reduction and delay search until poles and delays
     stop moving, then re-reduces the core at the final delays. On hitting
-    ``outer_max_iters`` the lowest-gap iterate is used instead. ``converged``
+    ``outer_max_iters`` the lowest-gap iterate is re-reduced instead, and
+    returned in place of that pass's model when the pass raised the gap, so a
+    best-effort model is never worse than its trace. ``converged``
     is True only if the loop stopped and the returned model's max
     first-order residual is at most ``CERT_RTOL * max(1, ||G||^2)``.
     """
@@ -180,7 +184,7 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         # the next search starts from the box this one grew into
         search = replace(search, tau_max=found.tau_max)
         hd = DelayedModel(h, din, dout)
-        gap = gap_from_cross(norm_g_sq, found.cross, h)
+        gap = gap_from_cross(norm_g_sq, found.cross, h, res.norm_sq)
         trace.append(TraceEntry(outer=outer, model=hd, gap=gap,
                                 irka_iterations=res.iterations,
                                 irka_converged=res.converged,
@@ -226,13 +230,16 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         write_landscape(cfg.landscape_csv, found)
     del found
 
-    hd = (trace[-1] if stopped else min(trace, key=lambda e: e.gap.j)).model
-    gt = build_gtilde(g, hd.input_delays, hd.output_delays)
-    res = irka_reduce(gt, irka_cfg, hd.core)
+    chosen = trace[-1] if stopped else min(trace, key=lambda e: e.gap.j)
+    din, dout = chosen.model.input_delays, chosen.model.output_delays
+    res = irka_reduce(build_gtilde(g, din, dout), irka_cfg, chosen.model.core)
     reflections += res.reflections
-    hd = DelayedModel(res.model, hd.input_delays, hd.output_delays)
+    hd = DelayedModel(res.model, din, dout)
+    gap = compute_gap(g, hd, norm_g_sq, res.norm_sq)
+    if not stopped and chosen.gap.j < gap.j:
+        # best effort: the pass went uphill from the lowest-gap iterate
+        hd, gap = chosen.model, chosen.gap
 
-    gap = compute_gap(g, hd, norm_g_sq)
     residuals = optimality_residuals(g, hd)
     converged = stopped and residuals.max_residual() \
         <= CERT_RTOL * max(1.0, float(norm_g_sq))

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirections, DelayH2Error, check_int
-from .h2 import h2_norm_pole_residue, optimality_residuals
+from .h2 import h2_norm_sq, optimality_residuals
 from .models import (
     PoleResidueModel,
     _sort_permutation,
@@ -109,13 +109,16 @@ class IrkaConfig:
 @dataclass(frozen=True)
 class IrkaResult:
     """``jumps`` counts the Aitken extrapolations taken (see
-    :func:`irka_reduce`); ``iterations`` counts projections."""
+    :func:`irka_reduce`); ``iterations`` counts projections; ``norm_sq``
+    is :func:`delayh2.h2.h2_norm_sq` of ``model``, which the exit
+    certificate forms."""
 
     model: PoleResidueModel
     iterations: int
     converged: bool
     reflections: int
     jumps: int
+    norm_sq: float
 
 
 def aitken_delta2(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -292,18 +295,19 @@ def _project(g: PoleResidueModel, shifts, bdirs, cdirs, groups):
 
 def _aitken_jump(history):
     """Aitken jump (shifts, bdirs, cdirs) from three consecutive plain
-    iterates, or None where one of :func:`irka_reduce`'s guards refuses it.
-    Real and imaginary parts are extrapolated separately on one flat view."""
-    if len({tuple(conjugate_pairs(-s)) for s, _, _ in history}) != 1:
+    iterates (shifts, bdirs, cdirs, pair groups), or None where one of
+    :func:`irka_reduce`'s guards refuses it. Real and imaginary parts are
+    extrapolated separately on one flat view."""
+    if len({tuple(groups) for *_, groups in history}) != 1:
         return None
     x0, x1, x2 = (np.concatenate([s, b.ravel(), c.ravel()]).view(float)
-                  for s, b, c in history)
+                  for s, b, c, _ in history)
     ext = aitken_delta2(x0, x1, x2)
     moved = ext != x2
     if not np.any(moved) or not np.all(np.isfinite(ext)) \
             or np.any(np.abs(x2 - x1)[moved] >= np.abs(x1 - x0)[moved]):
         return None
-    s, b, c = history[-1]
+    s, b, c, _ = history[-1]
     ext = ext.view(complex)
     shifts = ext[:s.size]
     if np.any(shifts.real <= 0.0):
@@ -331,7 +335,9 @@ def _next_iterate(lam, CX, BX):
 def _realify_pencil(*mats: np.ndarray) -> list[np.ndarray]:
     out = []
     for M in mats:
-        if np.abs(M.imag).max() > 1e-6 * max(1.0, np.abs(M).max()):
+        # max|Im M| > 1e-6 max(1, max|M|); max|M| is needed only above 1e-6
+        leak = np.abs(M.imag).max()
+        if leak > 1e-6 and leak > 1e-6 * np.abs(M).max():
             raise DelayH2Error("projected pencil failed to realify; "
                                "input data is not conjugate-closed")
         out.append(np.ascontiguousarray(M.real))
@@ -371,13 +377,15 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
     if not 1 <= n <= g.order:
         raise DelayH2Error(f"reduced order {n} outside [1, {g.order}]")
     shifts, bdirs, cdirs = _initial_iterate(g, cfg, start)
+    # each iterate's conjugate_pairs groups, formed once: its projection
+    # and the Aitken guard read them
+    groups = conjugate_pairs(-shifts)
     moved_ok = False
     reflections = 0
     jumps = 0
     plain = []
 
     for iterations in range(1, MAX_ITERS + 1):
-        groups = conjugate_pairs(-shifts)
         Er, Ar, Br, Cr = _realify_pencil(
             *_project(g, shifts, bdirs, cdirs, groups))
         try:
@@ -404,17 +412,20 @@ def irka_reduce(g: PoleResidueModel, cfg: IrkaConfig,
         if movement < SHIFT_TOL:
             moved_ok = True
             break
-        plain.append((shifts, bdirs, cdirs))
+        groups = conjugate_pairs(-shifts)
+        plain.append((shifts, bdirs, cdirs, groups))
         if len(plain) == 3:
             jump = _aitken_jump(plain)
             plain.clear()
             if jump is not None:
                 shifts, bdirs, cdirs = jump
+                groups = conjugate_pairs(-shifts)
                 jumps += 1
 
     shifts, bdirs, cdirs = last
     model = PoleResidueModel(-shifts, cdirs, bdirs)
+    norm_sq = h2_norm_sq(model)
     converged = moved_ok and optimality_residuals(g, model).max_residual() \
-        <= 1e-6 * max(h2_norm_pole_residue(model), 1.0)
+        <= 1e-6 * max(float(np.sqrt(norm_sq)), 1.0)
     return IrkaResult(model=model, iterations=iterations, converged=converged,
-                      reflections=reflections, jumps=jumps)
+                      reflections=reflections, jumps=jumps, norm_sq=norm_sq)

@@ -722,11 +722,14 @@ def lattice_points(x: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarra
     """(i, x - i spacing) of points x within rounding of the lattice i spacing.
 
     The offset is exact but for its one rounding: i spacing is split exactly
-    into fl(i spacing) + e (TwoProduct), and x - fl(i spacing) is exact.
+    into fl(i spacing) + e (TwoProduct), and x - fl(i spacing) is exact. A
+    spacing of 2^996 or more, where Dekker's split would overflow, is split
+    as spacing 2^-64, and both parts are scaled back by 2^64, exactly.
     """
     i = np.rint(x / spacing)
-    p, e = _dd_mul((i, 0.0), (spacing, 0.0))
-    return i.astype(np.intp), (x - p) - e
+    scale = 2.0 ** 64 if spacing >= 2.0 ** 996 else 1.0
+    p, e = _dd_mul((i, 0.0), (spacing / scale, 0.0))
+    return i.astype(np.intp), (x - p * scale) - e * scale
 
 
 def _dd_sum_rows(hi, lo):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, files, determinism."""
 
 import builtins
+import hashlib
 import json
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_reduce_writes_landscape_once(tmp_path, capsys, monkeypatch):
     assert data.shape == (80, 3) and np.all(data[:, 1] == 0.0)
 
 
+def test_reduce_landscape_of_a_per_axis_search_keeps_its_bytes(tmp_path, capsys):
+    # both inputs of a 2x2 model delayed: the search screens axis lines and
+    # their peaks' grid, and forms the whole 30 x 30 grid only for the
+    # file, whose bytes are those the whole-grid screen wrote (sha256
+    # recorded from it)
+    mpath = _model_file(tmp_path, random_pr(np.random.default_rng(94), 5, ny=2, nu=2))
+    csv = tmp_path / "landscape.csv"
+    rc = main(["reduce", "--model", mpath, "--order", "2", "--delays", "mask:11,00",
+               "--out", str(tmp_path / "out"), "--grid-points", "30", "--tau-max", "2.0",
+               "--landscape-csv", str(csv)])
+    assert rc == 0
+    capsys.readouterr()
+    data = csv.read_bytes()
+    assert data.count(b"\n") == 1 + 30 * 30
+    assert hashlib.sha256(data).hexdigest() == \
+        "38d4107447af0a009cf960231437311c1cbb7032c2a4a69d0d1aa6ba23899882"
+
+
 def test_reduce_without_delays_writes_the_landscape_header(tmp_path, capsys):
     # with nothing delayable the search scans no grid: the file is the
     # header line alone, not an empty file
@@ -159,6 +178,19 @@ def test_reduce_huge_tau_max_converges(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "2",
                "--tau-max", "1e300", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in captured.err
+    assert read_json(out / "report.json")["converged"] is True
+
+
+def test_reduce_tau_max_near_the_float_limit_converges(tmp_path, capsys):
+    # a box of 1e307 spaces the grid by 2.5e304, where the lattice offsets
+    # were NaN (an overflowing split) and the run exited 1 with a
+    # non-finite grid scan
+    g = random_pr(np.random.default_rng(0), 6)
+    out = tmp_path / "out"
+    rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "2",
+               "--tau-max", "1e307", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 0 and "Traceback" not in captured.err
     assert read_json(out / "report.json")["converged"] is True

@@ -93,7 +93,7 @@ def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
     # own wrappers, removed again when the run ends
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import corpus
-    value, refine = _Objective.value, delayopt._refine
+    value, refine = _Objective.value_grad_hess, delayopt._refine
     out = tmp_path / "corpus.json"
     assert corpus.main(["--shape", "N20-o2", "--seed", "3", "--json", str(out)]) == 0
     written = json.loads(out.read_text(encoding="utf-8"))
@@ -104,7 +104,7 @@ def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
     assert 0 < row["max_start"] <= row["evaluations"]
     assert len(row["fingerprint"]) == 64 and int(row["fingerprint"], 16) >= 0
     assert corpus.run("N20-o2", 3)["fingerprint"] == row["fingerprint"]
-    assert _Objective.value is value and delayopt._refine is refine
+    assert _Objective.value_grad_hess is value and delayopt._refine is refine
     lines = capsys.readouterr().out.splitlines()
     assert f" {row['irka']:>5} " in lines[1]
     assert f" {row['evaluations']:>7} {row['max_start']:>5} " in lines[1]
@@ -155,3 +155,46 @@ def test_ab_runner_pairs_two_trees(monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "fingerprints agree in 2 of 2 pairs"
     assert lines[-2].startswith("median B/A ")
+
+
+def test_ab_runner_takes_the_workload_seed(harness, monkeypatch, tmp_path, capsys):
+    # --seed 1 builds mimo-float at seed 1 on both sides: each unit's
+    # fingerprint is the one the workload's own check gives that model
+    workloads, _ = harness
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab
+    out = tmp_path / "ab.json"
+    assert ab.main([str(ROOT), "--workload", "mimo-float", "--pairs", "2", "--seed", "1",
+                    "--json", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    rep = iodirka.io_dirka(workloads.mimo_float_model(1), workloads.MimoFloat.cfg)
+    want = [workloads._report_outcome("n4", rep, 1.0).fingerprint]
+    assert written["seed"] == 1
+    assert all(r["a_fingerprints"] == r["b_fingerprints"] == want for r in written["pairs"])
+    assert capsys.readouterr().out.startswith("mimo-float seed 1: 2 ABBA pairs")
+    with pytest.raises(SystemExit) as exc:
+        ab.main([str(ROOT), "--workload", "mimo-float", "--seed", "-1"])
+    assert exc.value.code == 2
+
+
+def test_searchdiff_lists_the_searches_that_differ(monkeypatch, tmp_path, capsys):
+    # this tree on both sides: no search differs. A row whose objective
+    # moved by one unit in the last place is listed with +1 ulps
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import searchdiff
+    out = tmp_path / "searchdiff.json"
+    assert searchdiff.main([str(ROOT), "--shape", "2x2-inputs", "--shape", "3x1-outputs",
+                            "--seed", "0", "--json", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["a"] == written["b"] and written["differences"] == []
+    assert [(r["shape"], r["seed"]) for r in written["a"]] == [("2x2-inputs", 0),
+                                                               ("3x1-outputs", 0)]
+    assert len(written["a"][0]["delays"]) == 4 and len(written["a"][1]["delays"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("0 of 2 searches differ")
+    a = written["a"][0]
+    b = dict(a, cross=[np.nextafter(float.fromhex(a["cross"][0]), np.inf).hex(),
+                       a["cross"][1]])
+    (diff,) = searchdiff.differences([a, written["a"][1]], [b, written["a"][1]])
+    assert diff["shape"] == "2x2-inputs" and diff["ulps"] == 1.0
+    assert diff["a_delays"] == diff["b_delays"] == [float.fromhex(d) for d in a["delays"]]

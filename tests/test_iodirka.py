@@ -187,6 +187,23 @@ def test_outer_max_returns_best_effort():
     assert rep.gap.j >= 0.0
 
 
+@pytest.mark.parametrize("seed, uphill", [(1, True), (0, False)])
+def test_best_effort_is_no_worse_than_its_trace(seed, uphill):
+    # corpus N20-o4 at two outer iterations: on s1 (IRKA cycles at every
+    # call) the pass from the lowest-gap iterate raises J/||G||^2 from
+    # 0.620724 to 0.622078, so that iterate is returned; on s0 the pass
+    # lowers it and its model is returned
+    g = corpus_model(np.random.default_rng(1000 + seed), 20)
+    rep = io_dirka(g, IoDirkaConfig(order=4, outer_max_iters=2, search=DelaySearchConfig(
+        input_mask=(True,), output_mask=(False,))))
+    assert not rep.converged and rep.outer_iterations == 2
+    best = min(rep.trace, key=lambda e: e.gap.j)
+    assert rep.gap.j <= best.gap.j
+    assert (rep.model is best.model and rep.gap == best.gap) == uphill
+    assert rep.gap == compute_gap(g, rep.model, rep.norm_g_sq)
+    assert rep.residuals == optimality_residuals(g, rep.model)
+
+
 def test_explicit_init_delays_respected():
     # the first core is reduced from the surrogate at the initial delays,
     # so a nonzero init must change the first-iteration poles

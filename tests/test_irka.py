@@ -235,14 +235,17 @@ def test_aitken_is_odd_bit_for_bit():
 
 
 def geometric_history(shifts, directions, rate=0.5, step=None):
-    """Three plain iterates (shifts, bdirs, cdirs) converging geometrically
-    at ``rate`` to the given limits, moving by ``step`` (per shift) at first."""
+    """Three plain iterates (shifts, bdirs, cdirs, pair groups) converging
+    geometrically at ``rate`` to the given limits, moving by ``step`` (per
+    shift) at first; the groups are conjugate_pairs(-shifts), as
+    irka_reduce forms them for each iterate."""
     shifts = np.asarray(shifts, dtype=complex)
     d = np.asarray(directions, dtype=complex)[:, None]
     step = 0.25 * shifts if step is None else np.asarray(step, dtype=complex)
     rate = np.broadcast_to(np.asarray(rate, dtype=float), shifts.shape)
-    return [(shifts + step * rate ** k, d + 0.125 * rate[:, None] ** k * d,
-             d.conj() + 0.125 * rate[:, None] ** k) for k in range(3)]
+    history = [(shifts + step * rate ** k, d + 0.125 * rate[:, None] ** k * d,
+                d.conj() + 0.125 * rate[:, None] ** k) for k in range(3)]
+    return [(s, b, c, conjugate_pairs(-s)) for s, b, c in history]
 
 
 def test_aitken_jump_keeps_mirror_pairs():
@@ -270,7 +273,7 @@ def test_aitken_jump_refuses_a_changed_pair_structure():
     # shifts.
     history = geometric_history([1.0, 1.0], [1.0, 1.0],
                                 step=[0.5 + 4e-8j, 0.5 - 4e-8j])
-    assert [len(conjugate_pairs(-s)) for s, _, _ in history] == [1, 1, 2]
+    assert [len(groups) for *_, groups in history] == [1, 1, 2]
     assert _aitken_jump(history) is None
 
 
@@ -280,7 +283,7 @@ def test_aitken_jump_refuses_a_shift_in_the_closed_left_half_plane(limit, step):
     # only the extrapolated shift is not (exactly 0 for limit 0)
     history = geometric_history([limit + 0j, 2.0], [1.0, 1.0],
                                 step=[step, 0.5])
-    assert all(np.all(s.real > 0.0) for s, _, _ in history)
+    assert all(np.all(s.real > 0.0) for s, *_ in history)
     assert _aitken_jump(history) is None
     ok = geometric_history([0.0625 + 0j, 2.0], [1.0, 1.0],
                            step=[0.8 + 0.0j, 0.5])

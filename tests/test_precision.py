@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -404,6 +405,21 @@ def test_path_lattice_bound_is_infinite_past_its_offset_range(payload):
         assert np.isfinite(got[2]) == finite and got[2] >= small[2]
 
 
+@pytest.mark.parametrize("spacing", [0.05, 3.0 / 399, 2.0 ** 995, 1e307 / 399, 2.0 ** 1000],
+                         ids=["0.05", "3/399", "2^995", "1e307/399", "2^1000"])
+def test_lattice_points_round_each_offset_once(spacing):
+    # each offset x - i spacing is the exact difference rounded once, also
+    # from a spacing of 2^996 up, where Dekker's split of the spacing
+    # overflowed and every offset was NaN
+    rng = np.random.default_rng(15)
+    x = np.linspace(0.0, 300 * spacing, 301) * (1.0 + 1e-15 * rng.standard_normal(301))
+    x[0] = 0.0
+    idx, off = precision.lattice_points(x, spacing)
+    assert idx.tolist() == np.rint(x / spacing).astype(int).tolist()
+    assert off.tolist() == [float(Fraction(v) - i * Fraction(spacing))
+                            for v, i in zip(x.tolist(), idx.tolist())]
+
+
 def _scaled(g, k):
     """``g`` with its left residues times the exact power 2^k."""
     hp = None
@@ -517,8 +533,9 @@ def test_memoized_exponentials_and_lattices_are_the_formed_ones():
 @pytest.mark.parametrize("payload", [False, True], ids=["float", "payload"])
 def test_objective_keeps_no_state_per_point(monkeypatch, payload):
     # a used objective answers at x bit for bit as a fresh one does, forming
-    # the delayed terms once per evaluation; value_grad_hess's last element
-    # is the value's rounding bound, 0 on a payload
+    # the delayed terms once per evaluation; value_grad_hess's fourth element
+    # is the value's rounding bound, 0 on a payload, and its fifth the
+    # complex sum whose real part is the value
     rng = np.random.default_rng(91)
     g = random_pr(rng, 6, ny=2, nu=2)
     h = random_pr(rng, 2, ny=2, nu=2)
@@ -526,7 +543,6 @@ def test_objective_keeps_no_state_per_point(monkeypatch, payload):
         g = payload_model(g, 30)
     act_in, act_out = np.array([0, 1]), np.array([1])
     x = np.array([0.7, 1.9, 0.3])
-    fresh_value = _Objective(g, h, act_in, act_out).value(x)
     fresh = _Objective(g, h, act_in, act_out).value_grad_hess(x)
     calls = []
     formed = delayopt._delayed_terms
@@ -534,13 +550,12 @@ def test_objective_keeps_no_state_per_point(monkeypatch, payload):
                         lambda *args: calls.append(args) or formed(*args))
     obj = _Objective(g, h, act_in, act_out)
     for point in (x, x + 0.5, 2.0 * x, x):
-        value = obj.value(point)
-        f, grad, hess, bound = obj.value_grad_hess(point)
+        f, grad, hess, bound, total = obj.value_grad_hess(point)
         if point is x:
-            assert value == fresh_value == f == fresh[0]
+            assert f == fresh[0] == float(np.real(total)) and total == fresh[4]
             assert np.array_equal(grad, fresh[1]) and np.array_equal(hess, fresh[2])
             assert bound == fresh[3]
-    assert len(calls) == 8
+    assert len(calls) == 4
     if payload:
         assert bound == 0.0
         return
