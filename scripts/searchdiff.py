@@ -9,17 +9,22 @@ process, which imports its own tree's ``src/`` and this tree's
 models. Every search is ``optimize_delays(g, h, cfg)`` on float models
 ``g = random_pr(default_rng(seed), 6, ny, nu)`` and ``h =
 random_pr(default_rng(1000 + seed), 2, ny, nu)`` at the default grid, for
-seeds 0-11 in five shapes: a SISO input delay, two inputs of a 2x2 model,
+seeds 0-11 in eight shapes: a SISO input delay, two inputs of a 2x2 model,
 three inputs of a 2x3 model, three outputs of a 3x1 model (the masks that
-search only inputs or only outputs), and every channel of a 2x2 model (the
-coupled io mask).
+search only inputs or only outputs), and every channel of a 2x2, 2x3, 3x3
+and 4x4 model (the coupled io mask, whose gauge faces have 3, 4, 5 and 7
+coordinates).
 
 Prints one line per search whose delays or ``cross`` (the kernel's complex
 sum at the delays) differ between the sides: the delays of each side and
 the objective Re(cross) of B minus that of A, in units in the last place
-of A's and relative to it; then the number of searches that differ.
-``--json PATH`` writes every search of both sides. Exits 1 if any search
-differs, and 2 on bad arguments.
+of A's and relative to it. Then one line per shape: how many of its
+searches reach a higher, the same or a lower objective on side B, and each
+side's search time and objective evaluations (each a value with its
+derivatives, counted by wrapping ``_Objective`` here), summed over the
+shape; and last the number of searches that differ. ``--json PATH``
+writes every search of both sides. Exits 1 if any search differs, and 2
+on bad arguments.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +47,9 @@ SHAPES = {
     "2x3-inputs": (2, 3, (True, True, True), (False, False)),
     "3x1-outputs": (3, 1, (False,), (True, True, True)),
     "2x2-io": (2, 2, (True, True), (True, True)),
+    "2x3-io": (2, 3, (True,) * 3, (True,) * 2),
+    "3x3-io": (3, 3, (True,) * 3, (True,) * 3),
+    "4x4-io": (4, 4, (True,) * 4, (True,) * 4),
 }
 SEEDS = range(12)
 
@@ -51,19 +60,32 @@ def worker(tree: str, cases: list) -> None:
     sys.path[:0] = [str(Path(tree) / "src"), str(ROOT / "tests")]
     from conftest import random_pr
     from delayh2 import DelaySearchConfig, optimize_delays
+    from delayh2.delayopt import _Objective
+
+    count = [0]
+    evaluate = _Objective.value_grad_hess
+
+    def counted(self, x):
+        count[0] += 1
+        return evaluate(self, x)
+    _Objective.value_grad_hess = counted
 
     rows = []
     for shape, seed in cases:
         ny, nu, in_mask, out_mask = SHAPES[shape]
         g = random_pr(np.random.default_rng(seed), 6, ny=ny, nu=nu)
         h = random_pr(np.random.default_rng(1000 + seed), 2, ny=ny, nu=nu)
+        count[0] = 0
+        start = time.perf_counter()
         found = optimize_delays(g, h, DelaySearchConfig(input_mask=in_mask,
                                                         output_mask=out_mask))
+        seconds = time.perf_counter() - start
         delays = found.input_delays.delays + found.output_delays.delays
         rows.append({"shape": shape, "seed": seed,
                      "delays": [float(d).hex() for d in delays],
                      "cross": [complex(found.cross).real.hex(),
-                               complex(found.cross).imag.hex()]})
+                               complex(found.cross).imag.hex()],
+                     "seconds": seconds, "evaluations": count[0]})
     print(json.dumps(rows))
 
 
@@ -89,6 +111,22 @@ def differences(a_rows: list[dict], b_rows: list[dict]) -> list[dict]:
                     "ulps": (fb - fa) / float(np.spacing(abs(fa))),
                     "rel": (fb - fa) / max(abs(fa), 1e-300)})
     return out
+
+
+def shape_summary(a_rows: list[dict], b_rows: list[dict]) -> list[str]:
+    """One line per shape: searches whose objective is higher, the same or
+    lower on side B, and each side's summed time and evaluations."""
+    lines = []
+    for shape in dict.fromkeys(r["shape"] for r in a_rows):
+        pairs = [(a, b) for a, b in zip(a_rows, b_rows) if a["shape"] == shape]
+        sign = [np.sign(float.fromhex(b["cross"][0]) - float.fromhex(a["cross"][0]))
+                for a, b in pairs]
+        secs = [sum(r["seconds"] for r in side) for side in zip(*pairs)]
+        evals = [sum(r["evaluations"] for r in side) for side in zip(*pairs)]
+        lines.append(f"{shape}: B higher {sign.count(1)}, equal {sign.count(0)}, "
+                     f"lower {sign.count(-1)}; time A {secs[0]:.2f} s, B {secs[1]:.2f} s "
+                     f"({secs[1] / secs[0]:.2f}x); evaluations A {evals[0]}, B {evals[1]}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -119,6 +157,7 @@ def main(argv=None) -> int:
         print(f"{d['shape']} s{d['seed']}: delays A {fmt(d['a_delays'])} "
               f"B {fmt(d['b_delays'])}; objective B - A {d['ulps']:+.3g} ulps "
               f"({d['rel']:+.3g} relative)")
+    print("\n".join(shape_summary(a_rows, b_rows)))
     print(f"{len(diff)} of {len(cases)} searches differ; A = {base}, B = {ROOT}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .delayopt import DelaySearchConfig
+from .delayopt import DelaySearchConfig, search_domain
 from .errors import DelayH2Error
 from .h2 import compute_gap, h2_norm_sq, optimality_residuals
 from .iodirka import IoDirkaConfig, io_dirka
@@ -99,6 +99,8 @@ def _cmd_reduce(args) -> int:
     irka = IrkaConfig(order=args.order, **_given(args, "seed", "init"))
     cfg = IoDirkaConfig(order=args.order, irka=irka, search=search, **_given(
         args, "outer_max_iters", "landscape_csv"))
+    # a box or face the delay search refuses fails now, before --out exists
+    search_domain(g, search)
     os.makedirs(args.out, exist_ok=True)
     if cfg.landscape_csv:
         # fail on an unwritable path now, not after the first delay search

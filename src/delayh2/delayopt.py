@@ -4,25 +4,26 @@ The objective sum_j sum_{m,l} K_jml e^{mu_j (gamma_m + tau_l)} oscillates
 through the complex poles mu_j, so a single local ascent is not
 trustworthy: the search screens a coarse grid over the box [0, tau_max]^k
 and refines one start per peak of that screen, a cell at least as high as
-every axis neighbour (every neighbour along its line on a cyclic scan).
-How the grid is screened depends on the face (see :func:`_scan`). With
-only inputs or only outputs searched, each channel pair's term depends on
-one coordinate, so the landscape is a sum of one-dimensional path
-functions and its peaks are the products of the peaks of its axis lines:
-each axis is screened as a line, summing only the pairs that hold it, and
-the joint screen runs only on the product of each line's CONFIRM_CAP
-highest peaks. A face with both an input and an output searched is coupled
-through every pair and screens the joint grid (up to three coordinates)
-or cyclic coordinate scans (above). The TOP_STARTS highest peaks and the
-caller's start are refined; neighbouring cells of one peak would all climb
-to the same maximum. Peaks are ranked by a stable sort, ties in index
-order. A refinement step moves the coordinates not held at a bound, by
-Newton's step on the analytic delay Hessian where their block of it is
-negative definite, and a damped step otherwise. A Newton step is kept
-unless it lowers the objective by more than the rounding bound of the
-compared values (zero on a payload), so a start next to a maximum of a
-cancelling float sum converges instead of stalling on rounding noise. A
-start stops once its projected gradient is below ``REFINE_TOL``.
+every axis neighbour. How the grid is screened depends on the face (see
+:func:`_scan`). With only inputs or only outputs searched, each channel
+pair's term depends on one coordinate, so the landscape is a sum of
+one-dimensional path functions and its peaks are the products of the peaks
+of its axis lines: each axis is screened as a line, summing only the pairs
+that hold it, and the joint screen runs only on the product of each line's
+CONFIRM_CAP highest peaks. A face with both an input and an output
+searched is coupled through every pair and screens its whole joint grid,
+with fewer points per axis where it would exceed ``joint_grid_budget``
+(refused past it at two points per axis, see :func:`search_domain`). The
+TOP_STARTS highest peaks and the caller's start are refined; neighbouring
+cells of one peak would all climb to the same maximum. Peaks are ranked by
+a stable sort, ties in index order. A refinement step moves the
+coordinates not held at a bound, by Newton's step on the analytic delay
+Hessian where their block of it is negative definite, and a damped step
+otherwise. A Newton step is kept unless it lowers the objective by more
+than the rounding bound of the compared values (zero on a payload), so a
+start next to a maximum of a cancelling float sum converges instead of
+stalling on rounding noise. A start stops once its projected gradient is
+below ``REFINE_TOL``.
 
 Each term couples one output delay with one input delay, so the screen
 sums ny*nu channel-pair tables: each pair's path function
@@ -43,14 +44,15 @@ each exact delay d and the lattice's power tables of mu are taken from it,
 so the searches of one run form each of them once; the search itself
 keeps no state per point.
 
-The box is grown (doubling, up to EXTEND_CAP times its initial size)
-while the winner presses against the right boundary with positive
-outward derivative, so a too-small default horizon cannot truncate the
-optimum. The result reports the box the search ended in, so a caller
-running one search after another can start the next from it, and each
-face's last grid screen, for :func:`write_landscape` (a per-axis face
-screens its whole grid only there). Ties are broken toward
-the lexicographically smallest delay vector; everything is deterministic.
+The box is grown (doubling, up to EXTEND_CAP times its initial size) while
+the winner presses against the right boundary with positive outward
+derivative, so a too-small default horizon cannot truncate the optimum,
+short of a box binary64 cannot screen (:func:`box_fits`). The result
+reports the box the search ended in, so a caller running one search after
+another can start the next from it, and each face's last grid screen, for
+:func:`write_landscape` (a per-axis face screens its whole grid only
+there). Ties are broken toward the lexicographically smallest delay
+vector; everything is deterministic.
 
 Only the path delays gamma_m + tau_l enter the objective. When every input
 and every output channel is delayed, (tau + c, gamma - c) is therefore the
@@ -94,17 +96,18 @@ CONFIRM_CAP = 25
 class DelaySearchConfig:
     """Settings for :func:`optimize_delays`.
 
-    ``tau_max=None`` defaults to five times the slowest time constant of the
-    full model (5 / min|Re mu|); the box doubles, up to EXTEND_CAP times,
-    while the optimum sits on the right boundary with positive gradient,
-    and the result reports the box it ended in. ``input_mask`` and
-    ``output_mask``, one entry per channel, pin masked-off channels to delay
-    0. The grid has ``grid_points_per_channel`` points per box axis, fewer
-    when a joint grid would exceed ``joint_grid_budget`` points; its screen
-    only picks the refinement starts (see the module docstring). With every
-    channel delayed the search returns the representative with min
-    gamma = 0, and each input delay then spans the path range
-    [0, 2 tau_max] at the same grid spacing.
+    ``tau_max=None`` defaults to five times the slowest time constant of
+    the full model (5 / min|Re mu|); the box doubles, up to EXTEND_CAP
+    times, while the optimum sits on the right boundary with positive
+    gradient, and the result reports the box it ended in. ``input_mask``
+    and ``output_mask``, one entry per channel, pin masked-off channels
+    to delay 0. The grid has ``grid_points_per_channel`` points per box
+    axis, fewer when a joint grid would exceed ``joint_grid_budget``
+    points; :func:`search_domain` refuses a box or face the search
+    cannot screen. Its screen only picks the refinement starts (see the
+    module docstring). With every channel delayed the search returns the
+    representative with min gamma = 0, and each input delay then spans
+    the path range [0, 2 tau_max] at the same grid spacing.
     """
 
     grid_points_per_channel: int = 400
@@ -129,10 +132,10 @@ class DelaySearchResult:
 
     ``tau_max`` is the box the search ended in, after any growth (the
     largest over the gauge faces); ``scans`` holds each face's last grid
-    screen as (face objective, grid, screening values), empty when nothing
-    was delayable; on a per-axis face (see :func:`_scan`) the values are
-    the screen itself, which forms them from the grid's axes. ``cross`` is
-    the cross kernel's complex sum at the returned delays, the winner's
+    screen as (face objective, grid axes, screening values), empty when
+    nothing was delayable; on a per-axis face (see :func:`_scan`) the values
+    are the screen itself, which forms them from the axes. ``cross`` is the
+    cross kernel's complex sum at the returned delays, the winner's
     own evaluation, bit for bit the one :func:`delayh2.h2.compute_gap`
     forms there (see :func:`delayh2.h2.gap_from_cross`).
     """
@@ -173,12 +176,39 @@ def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
 
     Unset masks make every channel delayable; an unset ``tau_max`` is
     5 / min|Re mu|, five of the full model's slowest time constants.
+    Refused by name: a box whose screen binary64 cannot hold
+    (:func:`box_fits`), and a coupled face whose joint grid, exponential in
+    the channels, exceeds ``joint_grid_budget`` even at two points per axis.
     """
     in_mask = per_channel(g, "input_mask", cfg.input_mask, True)
     out_mask = per_channel(g, "output_mask", cfg.output_mask, True)
     tau_max = cfg.tau_max if cfg.tau_max is not None \
         else 5.0 / float(np.min(np.abs(np.real(g.poles))))
+    span, n_in = face_span(in_mask, out_mask), int(np.sum(in_mask))
+    if not box_fits(g, span, n_in, tau_max):
+        raise DelayH2Error(f"tau_max {tau_max:g} is too large: the delay screen's "
+                           "exponents mu t overflow binary64")
+    cells = math.prod(a.size for a in _grid_axes(span, 1.0, cfg)[0]) if 0 < n_in < span.size else 0
+    if cells > cfg.joint_grid_budget:
+        raise DelayH2Error(f"a coupled face of {span.size} delays needs {cells} grid cells, "
+                           f"over joint_grid_budget {cfg.joint_grid_budget}; delay fewer channels")
     return in_mask, out_mask, tau_max
+
+
+def face_span(in_mask, out_mask) -> np.ndarray:
+    """Each searched coordinate's range in boxes, inputs first, on every face
+    of a search with these masks (see :meth:`_Objective.gauge_face`)."""
+    gauge = has_gauge(in_mask, out_mask)
+    return np.concatenate([np.full(np.sum(in_mask), 1 + gauge),
+                           np.ones(np.sum(out_mask) - gauge, int)])
+
+
+def box_fits(g: PoleResidueModel, span: np.ndarray, n_in: int, tau_max: float) -> bool:
+    """Whether binary64 holds the exponents mu_j t of a face's screen over the
+    box ``tau_max`` (:meth:`precision.Backend.path_lattice`): t reaches the
+    largest span of the ``n_in`` inputs plus the largest output span, in boxes."""
+    reach = max(span[:n_in], default=0) + max(span[n_in:], default=0)
+    return math.isfinite(int(reach) * float(tau_max) * float(np.max(np.abs(g.poles))))
 
 
 def has_gauge(in_mask, out_mask) -> bool:
@@ -205,10 +235,10 @@ class _Objective:
 
     Active coordinates are the unmasked channels, inputs first; masked
     channels stay pinned at 0. Coordinate c ranges over [0, span[c] *
-    tau_max]. Grids are screened by channel-pair lattice tables with a
-    stated rounding bound (:meth:`path_screen`); the exact kernel
-    (:meth:`value_grad_hess`) gives every value that is kept: the
-    best-ranked peaks, refinement iterates, and the returned optimum. It
+    tau_max] (:func:`face_span`). Grids are screened by channel-pair
+    lattice tables with a stated rounding bound (:meth:`path_screen`); the
+    exact kernel (:meth:`value_grad_hess`) gives every value that is kept:
+    the best-ranked peaks, refinement iterates, and the returned optimum. It
     keeps no state per point: each evaluation forms its delayed terms
     (exponentials from the payload's memo, if any).
     """
@@ -234,8 +264,7 @@ class _Objective:
         faces share only the kernel data."""
         face = copy.copy(self)
         face.act_out = self.act_out[self.act_out != m]
-        face.span = np.concatenate([np.full(self.act_in.size, 2),
-                                    np.ones(face.act_out.size, dtype=int)])
+        face.span = face_span(self.g.nu * [True], self.g.ny * [True])
         face.pinned = m
         return face
 
@@ -404,8 +433,9 @@ def _grid_axes(span: np.ndarray, tau_max: float,
                cfg: DelaySearchConfig) -> tuple[list, float]:
     """(one axis per coordinate over [0, span[c] * tau_max], common spacing).
 
-    A box axis has ``grid_points_per_channel`` points, fewer when the joint
-    grid (one axis alone included) would exceed ``joint_grid_budget`` points.
+    A box axis has ``grid_points_per_channel`` points, fewer (at least 2)
+    when the joint grid (one axis alone included) would exceed
+    ``joint_grid_budget`` points.
     """
     per_axis = min(cfg.grid_points_per_channel, max(2, int(
         (cfg.joint_grid_budget / np.prod(span)) ** (1.0 / span.size))))
@@ -413,14 +443,14 @@ def _grid_axes(span: np.ndarray, tau_max: float,
     return axes, tau_max / (per_axis - 1)
 
 
-def _scan(obj: _Objective, k_act: int, tau_max: float, cfg: DelaySearchConfig):
+def _scan(obj: _Objective, tau_max: float, cfg: DelaySearchConfig):
     """Coarse screen of the face's grid (:func:`_grid_axes`).
 
     Returns (grid, screening values, peaks, bound, landscape). ``grid`` is
     a list of axes, its values raveled like ``np.meshgrid(*axes,
-    indexing="ij")``, or the cyclic scans' points as rows; the peaks are
-    indices of local maxima (see :func:`_peaks`), and ``bound`` is the
-    screen's rounding bound (:meth:`_Objective.path_screen`). By face:
+    indexing="ij")``; the peaks are indices of local maxima (see
+    :func:`_peaks`), and ``bound`` is the screen's rounding bound
+    (:meth:`_Objective.path_screen`). By face:
 
     * Per-axis, where only inputs or only outputs are searched (at least
       two coordinates): a pair's term then depends on one coordinate, so a
@@ -431,10 +461,7 @@ def _scan(obj: _Objective, k_act: int, tau_max: float, cfg: DelaySearchConfig):
       each line's CONFIRM_CAP highest peaks (fewer where that grid would
       exceed ``joint_grid_budget`` cells), every cell of which is a peak.
       Each cell gets the bits the whole grid's screen gives it.
-    * Joint, up to three coordinates otherwise: the whole grid, peaks
-      against every axis neighbour.
-    * Cyclic coordinate scans from the origin, two sweeps, above that:
-      peaks against the neighbours along each scanned line.
+    * Joint otherwise: the whole grid, peaks against every axis neighbour.
 
     ``landscape`` is (grid, values) of the whole screen for
     :func:`write_landscape`; on a per-axis face the values are the screen,
@@ -442,34 +469,18 @@ def _scan(obj: _Objective, k_act: int, tau_max: float, cfg: DelaySearchConfig):
     """
     axes, spacing = _grid_axes(obj.span, tau_max, cfg)
     screen, bound = obj.path_screen(axes, spacing)
-    if k_act > 1 and (obj.act_in.size == 0 or obj.act_out.size == 0):
-        keep = min(CONFIRM_CAP, max(1, int(cfg.joint_grid_budget ** (1.0 / k_act))))
+    if len(axes) > 1 and (obj.act_in.size == 0 or obj.act_out.size == 0):
+        keep = min(CONFIRM_CAP, max(1, int(cfg.joint_grid_budget ** (1.0 / len(axes)))))
         sub = []
-        for i in range(k_act):
+        for i, axis in enumerate(axes):
             line = screen([a if c == i else a[:1] for c, a in enumerate(axes)], i)
             peaks = _peaks(line)
-            sub.append(axes[i][np.sort(peaks[_top(line[peaks], keep)])])
+            sub.append(axis[np.sort(peaks[_top(line[peaks], keep)])])
         values = screen(sub)
         return sub, values, np.arange(values.size), bound, (axes, screen)
-    if k_act <= 3:
-        values = screen(axes)
-        return axes, values, _peaks(values.reshape([a.size for a in axes])), bound, \
-            (axes, values)
-    x = np.zeros(k_act)
-    pts, vals, peaks = [], [], []
-    count = 0
-    for _ in range(2):
-        for i in range(k_act):
-            block = np.repeat(x[None, :], axes[i].size, axis=0)
-            block[:, i] = axes[i]
-            v = screen([axes[i] if c == i else x[c:c + 1] for c in range(k_act)])
-            pts.append(block)
-            vals.append(v)
-            peaks.append(_peaks(v) + count)
-            count += v.size
-            x = block[int(np.argmax(v))].copy()
-    pts, vals = np.concatenate(pts), np.concatenate(vals)
-    return pts, vals, np.concatenate(peaks), bound, (pts, vals)
+    values = screen(axes)
+    return axes, values, _peaks(values.reshape([a.size for a in axes])), bound, \
+        (axes, values)
 
 
 def _peaks(values: np.ndarray) -> np.ndarray:
@@ -484,18 +495,14 @@ def _peaks(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _grid_point(grid: list | np.ndarray, i: int) -> np.ndarray:
+def _grid_point(grid: list, i: int) -> np.ndarray:
     """Point ``i`` of a :func:`_scan` grid, bit for bit its meshgrid row."""
-    if isinstance(grid, np.ndarray):
-        return grid[i]
     idx = np.unravel_index(i, [a.size for a in grid])
     return np.array([a[j] for a, j in zip(grid, idx)])
 
 
-def _grid_points(grid: list | np.ndarray) -> np.ndarray:
+def _grid_points(grid: list) -> np.ndarray:
     """Every point of a :func:`_scan` grid, one row each."""
-    if isinstance(grid, np.ndarray):
-        return grid
     return np.stack([m.ravel() for m in np.meshgrid(*grid, indexing="ij")], axis=1)
 
 
@@ -529,34 +536,29 @@ def _better(f: float, x: np.ndarray, best_f: float, best_x: np.ndarray) -> bool:
 
 def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
                  start: tuple | None):
-    """Grid scan and refinement over one face, growing its box.
+    """Grid scan and refinement over one face, growing its box (:func:`box_fits`).
 
     Returns (x, f, complex sum at x, final box, (obj, grid, values) of the
     last scan's landscape).
     """
-    k_act = obj.span.size
     tau_max = float(tau_max0)
     while True:
-        grid, values, peaks, bound, landscape = _scan(obj, k_act, tau_max, cfg)
+        grid, values, peaks, bound, landscape = _scan(obj, tau_max, cfg)
         ranked = peaks[_top(values[peaks], CONFIRM_CAP)]
         # only peaks within the screen's rounding bound of the best can be
-        # the best: the exact kernel ranks those, once per distinct point (a
-        # cyclic scan lists its current point on every line), and each
-        # evaluation is the first of its refinement start
+        # the best: the exact kernel ranks those, and each evaluation is the
+        # first of its refinement start
         near = ranked[values[ranked] >= values[ranked[0]] - 2.0 * bound]
         points = [_grid_point(grid, i) for i in near]
-        known = {x0.tobytes(): x0 for x0 in points}
-        known = {key: obj.value_grad_hess(x0) for key, x0 in known.items()}
-        exact = [known[x0.tobytes()][0] for x0 in points]
-        order = np.argsort(-np.array(exact), kind="stable")
+        known = {x0.tobytes(): obj.value_grad_hess(x0) for x0 in points}
+        order = np.argsort([-v[0] for v in known.values()], kind="stable")
         ranked = np.concatenate([near[order], ranked[near.size:]])
         top = ranked[:TOP_STARTS]
         hi = obj.span * tau_max
         starts = [_grid_point(grid, i) for i in top]
         if start is not None:
             starts.append(np.clip(obj.coords(*start), 0.0, hi))
-        # one refinement per distinct start: a cyclic scan's current point
-        # lies on every line, and the caller's start may be a peak
+        # one refinement per distinct start: the caller's start may be a peak
         starts = list({x0.tobytes(): x0 for x0 in starts}.values())
 
         best = None
@@ -573,11 +575,10 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
             best = cell, f0, grad0, total0
         best_x, best_f, grad, total = best
 
-        if tau_max >= EXTEND_CAP * tau_max0:
-            break
         _, spacing = _grid_axes(obj.span, tau_max, cfg)
         pressing = (best_x >= hi - 2 * spacing) & (grad > 0)
-        if not np.any(pressing):
+        if not np.any(pressing) or tau_max >= EXTEND_CAP * tau_max0 \
+                or not box_fits(obj.g, obj.span, obj.act_in.size, 2.0 * tau_max):
             break
         tau_max *= 2.0
     return best_x, best_f, total, tau_max, (obj, *landscape)

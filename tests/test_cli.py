@@ -196,6 +196,39 @@ def test_reduce_tau_max_near_the_float_limit_converges(tmp_path, capsys):
     assert read_json(out / "report.json")["converged"] is True
 
 
+@pytest.mark.parametrize("delays", ["io", "input"])
+def test_reduce_tau_max_past_the_float_limit_exit1(tmp_path, capsys, monkeypatch, delays):
+    # a box of 1.7e308 makes the io path range 2 tau_max infinite (an empty
+    # screen table raised a bare ValueError) and overflows t mu on the
+    # input screen (a non-finite grid scan): both are refused by name
+    # before any reduction and before --out exists
+    monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
+    g = random_pr(np.random.default_rng(0), 6)
+    out = tmp_path / "out"
+    rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "2",
+               "--delays", delays, "--tau-max", "1.7e308", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.startswith("error: tau_max 1.7e+308 ")
+    assert not out.exists()
+
+
+def test_reduce_coupled_face_past_the_grid_budget_exit1(tmp_path, capsys, monkeypatch):
+    # --delays io on a 10x10 model: each face's joint grid exceeds the
+    # delay search's budget even at two points per box axis, refused by
+    # name before any reduction and before --out exists
+    monkeypatch.setattr("delayh2.cli.io_dirka", _fail_if_reduced)
+    g = random_pr(np.random.default_rng(0), 8, ny=10, nu=10)
+    out = tmp_path / "out"
+    rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "2",
+               "--delays", "io", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.startswith("error: a coupled face of 19 delays needs ")
+    assert "joint_grid_budget" in err
+    assert not out.exists()
+
+
 def test_reduce_bad_mask_exit1(tmp_path, capsys):
     g = make_siso([-1.0], [1.0])
     rc = main(["reduce", "--model", _model_file(tmp_path, g), "--order", "1",

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,53 @@ def test_result_reports_the_box(bench20, ref_core, tau_max, box):
     assert found.tau_max == box
     assert found.input_delays.delays[0] == pytest.approx(8.69862, abs=1e-3)
     assert len(found.scans) == 1
+
+
+def test_box_growth_stops_before_the_screen_overflows(bench20, ref_core, monkeypatch):
+    # the optimum presses on a box of 3, which doubles to 12 (above); where
+    # box_fits refuses a doubled box the growth stops short of it
+    monkeypatch.setattr(delayopt, "box_fits", lambda g, span, n_in, tau_max: tau_max <= 6.0)
+    found = optimize_delays(bench20, ref_core, DelaySearchConfig(
+        input_mask=(True,), output_mask=(False,), tau_max=3.0))
+    assert found.tau_max == 6.0
+    assert found.input_delays.delays[0] == 6.0
+
+
+@pytest.mark.parametrize("ny, nu, input_mask, output_mask, face, sides", [
+    (1, 1, (True,), (False,), None, 1),
+    (1, 1, (True,), (True,), 0, 2),
+    (2, 2, (True, True), (False, True), None, 2),
+    (2, 2, (True, True), (True, True), 0, 3),
+], ids=["siso-input", "siso-io-face", "2x2-mask-11-01", "2x2-io-face"])
+def test_box_fits_up_to_the_float_limit(ny, nu, input_mask, output_mask, face, sides):
+    # the screen's path delays reach `sides` boxes: on the largest box
+    # box_fits accepts, the whole screen is finite, and a search on a box
+    # 1% past that limit is refused by name. The search's face has the
+    # spans face_span gives for the masks
+    rng = np.random.default_rng(95)
+    g = random_pr(rng, 6, ny=ny, nu=nu)
+    h = random_pr(rng, 2, ny=ny, nu=nu)
+    in_mask, out_mask = np.array(input_mask), np.array(output_mask)
+    span, n_in = delayopt.face_span(in_mask, out_mask), int(np.sum(in_mask))
+    limit = np.finfo(float).max / (sides * float(np.max(np.abs(g.poles))))
+    assert not delayopt.box_fits(g, span, n_in, 1.01 * limit)
+    tau = limit
+    while not delayopt.box_fits(g, span, n_in, tau):
+        tau = np.nextafter(tau, 0.0)
+    assert tau > 0.99 * limit
+    obj = _Objective(g, h, np.flatnonzero(in_mask), np.flatnonzero(out_mask))
+    if face is not None:
+        obj = obj.gauge_face(face)
+    assert np.array_equal(obj.span, span)
+    # the screen's rounding bound overflows to inf there, as it may
+    with np.errstate(over="ignore"):
+        _, _, _, _, (grid, values) = _scan(obj, tau, DelaySearchConfig(grid_points_per_channel=10))
+        if callable(values):
+            values = values(grid)
+    assert np.all(np.isfinite(values))
+    with pytest.raises(DelayH2Error, match="^tau_max .* is too large"):
+        optimize_delays(g, h, DelaySearchConfig(tau_max=1.01 * limit, input_mask=input_mask,
+                                                output_mask=output_mask))
 
 
 def test_returned_point_dominates_grid():
@@ -284,22 +332,20 @@ def test_mimo_io_dominates_full_box_grid():
         assert got >= sample - 1e-11 * max(1.0, abs(sample))
 
 
-def test_cyclic_scan_search_end_to_end(tmp_path, evaluations, start_evaluations):
+def test_coupled_search_end_to_end(tmp_path, evaluations, start_evaluations):
     # 3x2 with every channel delayed: three gauge faces of four
-    # coordinates each, so every face runs the cyclic scans (two sweeps
-    # over 29 + 29 + 15 + 15 points) and refines from their rows. Two of
-    # its starts reach iterates that hold a coordinate at 0 with an outward
-    # gradient: steps on the free coordinates take 81 evaluations (33 at
-    # most per start; 108 and 34 when the ranking and the pressing test
-    # evaluated their points again), where full Newton steps beside a
-    # damped branch took 480 (310), to the same delays bit for bit
+    # coordinates each, every one screening its joint grid, 9 x 9 x 5 x 5
+    # under this budget (29 x 29 x 15 x 15 under the default one, with the
+    # same delays and cross bit for bit). Most starts reach iterates that
+    # hold a coordinate at 0 with an outward gradient: steps on the free
+    # coordinates take 537 evaluations here, 91 at most per start
     g = lag_cascade(np.random.default_rng(90), 3, 2)
     h = irka_reduce(g, IrkaConfig(order=2)).model
-    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0)
+    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0, joint_grid_budget=3000)
     evaluations[0] = 0
     found = optimize_delays(g, h, cfg)
-    assert evaluations[0] <= 130
-    assert max(start_evaluations) <= 40
+    assert evaluations[0] <= 560
+    assert max(start_evaluations) <= 100
     delays = found.input_delays.delays + found.output_delays.delays
     assert [d.hex() for d in delays] == ["0x1.522d4c88e8045p-8", "0x1.1ae486470ae8ap-8",
                                          "0x1.50a5fe8550575p-7", "0x1.ba3bfbb8a898ep-6",
@@ -308,7 +354,8 @@ def test_cyclic_scan_search_end_to_end(tmp_path, evaluations, start_evaluations)
     assert (found.input_delays, found.output_delays, found.tau_max) == \
         (again.input_delays, again.output_delays, again.tau_max)
     for (_, grid, values), (_, grid2, values2) in zip(found.scans, again.scans):
-        assert np.array_equal(grid, grid2) and np.array_equal(values, values2)
+        assert all(np.array_equal(a, b) for a, b in zip(grid, grid2))
+        assert np.array_equal(values, values2)
 
     tau, gam = found.input_delays.as_array(), found.output_delays.as_array()
     assert min(gam) == 0.0
@@ -319,7 +366,7 @@ def test_cyclic_scan_search_end_to_end(tmp_path, evaluations, start_evaluations)
     got = cross_at(g, h, tau, gam)
     assert len(found.scans) == 3
     for _, grid, values in found.scans:
-        assert grid.shape == (176, 4)
+        assert [a.size for a in grid] == [9, 9, 5, 5] and values.size == 2025
         # the screen agrees with the kernel within a bound of 1e-12
         # relative (see test_scan_matches_exact_kernel), and faces tie at
         # 1e-14 relative
@@ -328,25 +375,37 @@ def test_cyclic_scan_search_end_to_end(tmp_path, evaluations, start_evaluations)
 
     path = tmp_path / "landscape.csv"
     write_landscape(str(path), found)
-    assert path.read_bytes().count(b"\n") == 1 + 3 * 176
+    assert path.read_bytes().count(b"\n") == 1 + 3 * 2025
 
 
-@pytest.mark.parametrize("ny, nu, input_mask, output_mask, payload, face", [
-    (1, 1, (True,), (True,), False, False),
-    (2, 2, (True, True), (False, False), False, False),
-    (2, 3, (True, False, True), (False, True), False, False),
-    (2, 2, (True, True), (True, True), False, False),
-    (1, 1, (True,), (True,), True, True),
-    (2, 2, (True, True), (False, False), True, False),
-    (2, 2, (True, True), (True, True), True, False),
-], ids=["siso-io", "2x2-inputs", "2x3-mask-101-01", "2x2-io-cyclic",
-        "payload-siso-io-face", "payload-2x2-inputs", "payload-2x2-io-cyclic"])
-def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, face):
-    # the screen against the exact kernel at every returned point, on the
-    # joint grid (k <= 3), a gauge face and the cyclic scans (k = 4): the
-    # lattice tables, float64 or double-double, within their stated
-    # rounding bound, and that bound tight enough that CONFIRM_CAP peaks
-    # seldom tie within it
+def test_coupled_search_finds_the_joint_grid_maximum():
+    # a 3x2 search over every channel: each gauge face has four
+    # coordinates, and its joint grid holds a maximum (Re cross 0.1608)
+    # that coordinate scans from the origin missed (0.0896)
+    rng = np.random.default_rng(501)
+    g = random_pr(rng, 8, 3, 2)
+    h = random_pr(rng, 2, 3, 2)
+    found = optimize_delays(g, h, DelaySearchConfig())
+    assert found.cross.real >= 0.16
+
+
+@pytest.mark.parametrize("ny, nu, input_mask, output_mask, payload, face, budget, size", [
+    (1, 1, (True,), (True,), False, False, 400_000, 20 ** 2),
+    (2, 2, (True, True), (False, False), False, False, 400_000, 20 ** 2),
+    (2, 3, (True, False, True), (False, True), False, False, 400_000, 20 ** 3),
+    (2, 2, (True, True), (True, True), False, False, 700, 5 ** 4),
+    (1, 1, (True,), (True,), True, True, 400_000, 2 * 20 - 1),
+    (2, 2, (True, True), (False, False), True, False, 400_000, 20 ** 2),
+    (2, 2, (True, True), (True, True), True, False, 700, 5 ** 4),
+], ids=["siso-io", "2x2-inputs", "2x3-mask-101-01", "2x2-io",
+        "payload-siso-io-face", "payload-2x2-inputs", "payload-2x2-io"])
+def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, face,
+                                   budget, size):
+    # the screen against the exact kernel at every returned point, on joint
+    # grids (k <= 3, and k = 4 under a budget of 5 points per axis), a gauge
+    # face and per-axis faces: the lattice tables, float64 or double-double,
+    # within their stated rounding bound, and that bound tight enough that
+    # CONFIRM_CAP peaks seldom tie within it
     rng = np.random.default_rng(89)
     g = random_pr(rng, 5, ny=ny, nu=nu)
     h = random_pr(rng, 2, ny=ny, nu=nu)
@@ -355,16 +414,14 @@ def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, fac
     obj = _Objective(g, h, np.flatnonzero(input_mask), np.flatnonzero(output_mask))
     if face:
         obj = obj.gauge_face(0)
-    k_act = obj.span.size
-    _, _, _, bound, (grid, values) = _scan(obj, k_act, 3.0,
-                                           DelaySearchConfig(grid_points_per_channel=20))
+    _, _, _, bound, (grid, values) = _scan(obj, 3.0, DelaySearchConfig(
+        grid_points_per_channel=20, joint_grid_budget=budget))
     if callable(values):
         # a per-axis face: the whole grid through the same screen
         values = values(grid)
     points = _grid_points(grid)
-    size = 20 ** k_act if k_act <= 3 else 2 * k_act * 20
-    assert points.shape == (values.size, k_act)
-    assert values.size == (2 * 20 - 1 if face else size)
+    assert points.shape == (values.size, obj.span.size)
+    assert values.size == size
     exact = np.array([obj.value_grad_hess(p)[0] for p in points])
     assert np.all(np.abs(values - exact) <= bound)
     assert bound <= 1e-12 * np.max(np.abs(exact))
@@ -375,7 +432,7 @@ def test_payload_scan_ranks_the_benchmark_landscape(bench20):
     # spanning 0.013-0.089 and has 51 local maxima; the lattice screen is
     # within its bound everywhere and has the exact objective's one peak
     obj = _Objective(bench20, RECORDED_REF_CORE, np.array([0]), np.array([], dtype=int))
-    grid, values, peaks, bound, _ = _scan(obj, 1, 10.0, DelaySearchConfig())
+    grid, values, peaks, bound, _ = _scan(obj, 10.0, DelaySearchConfig())
     exact = np.array([obj.value_grad_hess(p)[0] for p in _grid_points(grid)])
     assert np.all(np.abs(values - exact) <= bound)
     assert bound <= 1e-12 * np.max(np.abs(exact))
@@ -393,7 +450,7 @@ def test_joint_budget_caps_one_axis_grids(output_mask, face):
     if face:
         obj = obj.gauge_face(0)
     assert obj.span.size == 1
-    grid, values, _, _, _ = _scan(obj, 1, 3.0, DelaySearchConfig(
+    grid, values, _, _, _ = _scan(obj, 3.0, DelaySearchConfig(
         grid_points_per_channel=10 ** 5, joint_grid_budget=500))
     assert 2 <= values.size == _grid_points(grid).shape[0] <= 500
 
@@ -416,7 +473,7 @@ def test_per_axis_search_dominates_the_joint_screen(ny, nu, input_mask, output_m
                             output_mask=output_mask)
     found = optimize_delays(g, h, cfg)
     obj = found.scans[0][0]
-    sub, values, peaks, bound, (axes, screen) = _scan(obj, obj.span.size, found.tau_max, cfg)
+    sub, values, peaks, bound, (axes, screen) = _scan(obj, found.tau_max, cfg)
     whole = screen(axes)
     assert whole.size == 40 ** obj.span.size and values.size <= 25 ** obj.span.size
     assert np.array_equal(peaks, np.arange(values.size))
@@ -428,10 +485,12 @@ def test_per_axis_search_dominates_the_joint_screen(ny, nu, input_mask, output_m
 @pytest.mark.parametrize("ny, nu, input_mask, output_mask, face", [
     (2, 3, (True, False, True), (False, True), None),
     (2, 2, (True, True), (True, True), 0),
-], ids=["2x3-mask-101-01", "2x2-io-face"])
+    (2, 3, (True,) * 3, (True,) * 2, 0),
+], ids=["2x3-mask-101-01", "2x2-io-face", "2x3-io-face"])
 def test_coupled_faces_scan_the_joint_grid(ny, nu, input_mask, output_mask, face):
     # an input and an output searched couple every pair: the whole joint
-    # grid is screened, its peaks against every axis neighbour
+    # grid is screened, its peaks against every axis neighbour, at any
+    # number of coordinates (four on the 2x3 io face)
     rng = np.random.default_rng(89)
     g = random_pr(rng, 5, ny=ny, nu=nu)
     h = random_pr(rng, 2, ny=ny, nu=nu)
@@ -439,13 +498,45 @@ def test_coupled_faces_scan_the_joint_grid(ny, nu, input_mask, output_mask, face
     if face is not None:
         obj = obj.gauge_face(face)
     cfg = DelaySearchConfig(grid_points_per_channel=20)
-    grid, values, peaks, _, landscape = _scan(obj, obj.span.size, 3.0, cfg)
+    grid, values, peaks, _, landscape = _scan(obj, 3.0, cfg)
     axes, spacing = delayopt._grid_axes(obj.span, 3.0, cfg)
-    assert len(grid) == len(axes) == 3
+    assert len(grid) == len(axes) == obj.span.size
     assert all(np.array_equal(a, b) for a, b in zip(grid, axes))
     assert np.array_equal(values, obj.path_screen(axes, spacing)[0](axes))
     assert np.array_equal(peaks, delayopt._peaks(values.reshape([a.size for a in axes])))
     assert landscape[0] is grid and landscape[1] is values
+
+
+@pytest.mark.parametrize("ny, nu, output_mask, cells", [
+    (3, 3, None, 3 ** 3 * 2 ** 2),
+    (3, 3, (True, True, False), 2 ** 5),
+], ids=["3x3-io", "3x3-mask-111-110"])
+def test_joint_grid_stays_within_the_budget(ny, nu, output_mask, cells):
+    # at two points per box axis a coupled face's joint grid has `cells`
+    # cells (a gauge face's inputs span two boxes, so three points): a
+    # budget of that many runs the search on grids within it, one fewer is
+    # refused by name before any screen
+    rng = np.random.default_rng(97)
+    g = random_pr(rng, 4, ny=ny, nu=nu)
+    h = random_pr(rng, 2, ny=ny, nu=nu)
+    cfg = DelaySearchConfig(tau_max=3.0, output_mask=output_mask, joint_grid_budget=cells)
+    found = optimize_delays(g, h, cfg)
+    assert all(values.size <= cells for _, _, values in found.scans)
+    with pytest.raises(DelayH2Error, match=f" needs {cells} grid cells, "
+                                           f"over joint_grid_budget {cells - 1}; delay fewer"):
+        optimize_delays(g, h, replace(cfg, joint_grid_budget=cells - 1))
+
+
+def test_many_channel_coupled_face_is_refused():
+    # a 10x10 io face holds 19 coordinates: even two points per box axis
+    # make 3^10 * 2^9 (about 3.0e7) cells, past the default budget, and the
+    # grid grows exponentially with the channels, so the search is refused
+    rng = np.random.default_rng(98)
+    g = random_pr(rng, 8, ny=10, nu=10)
+    h = random_pr(rng, 2, ny=10, nu=10)
+    with pytest.raises(DelayH2Error, match="^a coupled face of 19 delays "
+                                           f"needs {3 ** 10 * 2 ** 9} grid cells"):
+        optimize_delays(g, h, DelaySearchConfig())
 
 
 def test_one_search_evaluates_no_point_twice(bench20, monkeypatch):

@@ -178,19 +178,28 @@ def test_ab_runner_takes_the_workload_seed(harness, monkeypatch, tmp_path, capsy
 
 
 def test_searchdiff_lists_the_searches_that_differ(monkeypatch, tmp_path, capsys):
-    # this tree on both sides: no search differs. A row whose objective
-    # moved by one unit in the last place is listed with +1 ulps
+    # this tree on both sides: no search differs, and each shape's line
+    # counts its one search as equal, with the same evaluations on both
+    # sides (the times differ run to run). A row whose objective moved by
+    # one unit in the last place is listed with +1 ulps
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import searchdiff
     out = tmp_path / "searchdiff.json"
     assert searchdiff.main([str(ROOT), "--shape", "2x2-inputs", "--shape", "3x1-outputs",
                             "--seed", "0", "--json", str(out)]) == 0
     written = json.loads(out.read_text(encoding="utf-8"))
-    assert written["a"] == written["b"] and written["differences"] == []
+    untimed = [[{k: v for k, v in r.items() if k != "seconds"} for r in written[side]]
+               for side in "ab"]
+    assert untimed[0] == untimed[1] and written["differences"] == []
     assert [(r["shape"], r["seed"]) for r in written["a"]] == [("2x2-inputs", 0),
                                                                ("3x1-outputs", 0)]
     assert len(written["a"][0]["delays"]) == 4 and len(written["a"][1]["delays"]) == 4
+    assert all(r["evaluations"] > 0 and r["seconds"] > 0 for r in written["a"])
     lines = capsys.readouterr().out.splitlines()
+    evals = [r["evaluations"] for r in written["a"]]
+    for line, shape, n in zip(lines, ("2x2-inputs", "3x1-outputs"), evals):
+        assert line.startswith(f"{shape}: B higher 0, equal 1, lower 0; time A ")
+        assert line.endswith(f"evaluations A {n}, B {n}")
     assert lines[-1].startswith("0 of 2 searches differ")
     a = written["a"][0]
     b = dict(a, cross=[np.nextafter(float.fromhex(a["cross"][0]), np.inf).hex(),
