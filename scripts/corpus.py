@@ -1,6 +1,7 @@
 """delayh2 corpus: the seeded reductions beyond the benchmark, one row per run.
 
     python3 scripts/corpus.py [--shape N20-o2 ...] [--seed 3 ...] [--json corpus.json]
+                              [--compare corpus.json]
 
 Run from anywhere; the program is imported from ``src/`` and the models
 from ``tests/conftest.py``. Each run reduces
@@ -17,7 +18,11 @@ writes the same rows and counts; each row there also carries a
 ``fingerprint``, the sha256 of its outer and IRKA counts and of the exact
 (hex) J, max residual, delays and poles, so two trees' files can be
 compared run by run. The search's evaluation counts measure effort, not
-the result, and stay out of it. The evaluations are counted by wrapping
+the result, and stay out of it. ``--compare PATH`` reads rows written that
+way and, after the run, lists each row run here whose fingerprint or
+verdict differs from that file's row of the same run (or that the file
+lacks), prints the converged totals of those runs here and there, and
+exits 1 if any row differs. The evaluations are counted by wrapping
 ``_Objective`` and ``delayopt._refine`` here, so the library carries no
 counter.
 """
@@ -107,7 +112,13 @@ def main(argv=None) -> int:
     p.add_argument("--seed", action="append", type=int, choices=list(SEEDS),
                    help="run only this seed (repeatable; default 0-5)")
     p.add_argument("--json", metavar="PATH", help="also write the rows here")
+    p.add_argument("--compare", metavar="PATH",
+                   help="exit 1 if a fingerprint or verdict differs from this --json file")
     args = p.parse_args(argv)
+    saved = None
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as fh:
+            saved = {(r["shape"], r["seed"]): r for r in json.load(fh)["rows"]}
     rows = []
     print(f"{'run':<10} {'conv':<5} {'outer':>5} {'irka':>5} {'J/|G|^2':>10} "
           f"{'max res':>9} {'evals':>7} {'start':>5} {'s':>6}")
@@ -133,7 +144,20 @@ def main(argv=None) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"rows": rows, "shapes": shapes, "converged": converged}, fh, indent=1)
             fh.write("\n")
-    return 0
+    if saved is None:
+        return 0
+    key = lambda r: (r["shape"], r["seed"])
+    differ = [r for r in rows if key(r) not in saved
+              or (saved[key(r)]["fingerprint"], saved[key(r)]["converged"])
+              != (r["fingerprint"], r["converged"])]
+    for r in differ:
+        old = saved.get(key(r))
+        was = "missing there" if old is None else f"{old['converged']} there"
+        print(f"differs: {r['shape']} s{r['seed']} (converged {r['converged']} here, {was})")
+    there = sum(bool(saved.get(key(r), {}).get("converged")) for r in rows)
+    print(f"converged {converged} of {len(rows)} here, {there} in {args.compare}")
+    print(f"{len(differ)} of {len(rows)} rows differ from {args.compare}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

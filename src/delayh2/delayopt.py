@@ -12,8 +12,8 @@ of its axis lines: each axis is screened as a line, summing only the pairs
 that hold it, and the joint screen runs only on the product of each line's
 CONFIRM_CAP highest peaks. A face with both an input and an output
 searched is coupled through every pair and screens its whole joint grid,
-with fewer points per axis where it would exceed ``joint_grid_budget``
-(refused past it at two points per axis, see :func:`search_domain`). The
+with fewer points per axis where it would exceed ``JOINT_GRID_BUDGET``
+cells (refused past it at two points per axis, see :func:`search_domain`). The
 TOP_STARTS highest peaks and the caller's start are refined; neighbouring
 cells of one peak would all climb to the same maximum. Peaks are ranked by
 a stable sort, ties in index order. A refinement step moves the
@@ -49,9 +49,9 @@ the winner presses against the right boundary with positive outward
 derivative, so a too-small default horizon cannot truncate the optimum,
 short of a box binary64 cannot screen (:func:`box_fits`). The result
 reports the box the search ended in, so a caller running one search after
-another can start the next from it, and each face's last grid screen, for
-:func:`write_landscape` (a per-axis face screens its whole grid only
-there). Ties are broken toward the lexicographically smallest delay
+another can start the next from it, and each face's last grid screen as
+its axes and screen function, from which :func:`write_landscape` forms the
+whole grid's values. Ties are broken toward the lexicographically smallest delay
 vector; everything is deterministic.
 
 Only the path delays gamma_m + tau_l enter the objective. When every input
@@ -90,6 +90,8 @@ TOP_STARTS = 5
 # screen peaks the exact kernel ranks at most, when that many lie within the
 # screen's rounding bound of the best
 CONFIRM_CAP = 25
+# cells a face's joint grid holds at most (see _grid_axes and search_domain)
+JOINT_GRID_BUDGET = 400_000
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ class DelaySearchConfig:
     gradient, and the result reports the box it ended in. ``input_mask``
     and ``output_mask``, one entry per channel, pin masked-off channels
     to delay 0. The grid has ``grid_points_per_channel`` points per box
-    axis, fewer when a joint grid would exceed ``joint_grid_budget``
-    points; :func:`search_domain` refuses a box or face the search
+    axis, fewer when a joint grid would exceed ``JOINT_GRID_BUDGET``
+    cells; :func:`search_domain` refuses a box or face the search
     cannot screen. Its screen only picks the refinement starts (see the
     module docstring). With every channel delayed the search returns the
     representative with min gamma = 0, and each input delay then spans
@@ -114,12 +116,14 @@ class DelaySearchConfig:
     tau_max: float | None = None
     input_mask: tuple | None = None
     output_mask: tuple | None = None
-    # only tests set it; it stays a field because perfbench/tracing.py reads it
-    joint_grid_budget: int = 400_000
+
+    @property
+    def joint_grid_budget(self) -> int:
+        """``JOINT_GRID_BUDGET``, read by ``perfbench/tracing.py``."""
+        return JOINT_GRID_BUDGET
 
     def __post_init__(self):
         check_int("grid_points_per_channel", self.grid_points_per_channel, 2)
-        check_int("joint_grid_budget", self.joint_grid_budget, 1)
         if self.tau_max is not None:
             check_kind("tau_max", self.tau_max, 0.0)
             if not 0.0 < self.tau_max < np.inf:
@@ -132,9 +136,9 @@ class DelaySearchResult:
 
     ``tau_max`` is the box the search ended in, after any growth (the
     largest over the gauge faces); ``scans`` holds each face's last grid
-    screen as (face objective, grid axes, screening values), empty when
-    nothing was delayable; on a per-axis face (see :func:`_scan`) the values
-    are the screen itself, which forms them from the axes. ``cross`` is the
+    screen as (face objective, grid axes, screen), empty when nothing was
+    delayable; ``screen(axes)`` forms the whole grid's screening values
+    (see :meth:`_Objective.path_screen`). ``cross`` is the
     cross kernel's complex sum at the returned delays, the winner's
     own evaluation, bit for bit the one :func:`delayh2.h2.compute_gap`
     forms there (see :func:`delayh2.h2.gap_from_cross`).
@@ -178,7 +182,8 @@ def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
     5 / min|Re mu|, five of the full model's slowest time constants.
     Refused by name: a box whose screen binary64 cannot hold
     (:func:`box_fits`), and a coupled face whose joint grid, exponential in
-    the channels, exceeds ``joint_grid_budget`` even at two points per axis.
+    the channels, exceeds ``JOINT_GRID_BUDGET`` cells even at two points per
+    axis.
     """
     in_mask = per_channel(g, "input_mask", cfg.input_mask, True)
     out_mask = per_channel(g, "output_mask", cfg.output_mask, True)
@@ -189,9 +194,9 @@ def search_domain(g: PoleResidueModel, cfg: DelaySearchConfig):
         raise DelayH2Error(f"tau_max {tau_max:g} is too large: the delay screen's "
                            "exponents mu t overflow binary64")
     cells = math.prod(a.size for a in _grid_axes(span, 1.0, cfg)[0]) if 0 < n_in < span.size else 0
-    if cells > cfg.joint_grid_budget:
+    if cells > JOINT_GRID_BUDGET:
         raise DelayH2Error(f"a coupled face of {span.size} delays needs {cells} grid cells, "
-                           f"over joint_grid_budget {cfg.joint_grid_budget}; delay fewer channels")
+                           f"over joint_grid_budget {JOINT_GRID_BUDGET}; delay fewer channels")
     return in_mask, out_mask, tau_max
 
 
@@ -435,10 +440,10 @@ def _grid_axes(span: np.ndarray, tau_max: float,
 
     A box axis has ``grid_points_per_channel`` points, fewer (at least 2)
     when the joint grid (one axis alone included) would exceed
-    ``joint_grid_budget`` points.
+    ``JOINT_GRID_BUDGET`` points.
     """
     per_axis = min(cfg.grid_points_per_channel, max(2, int(
-        (cfg.joint_grid_budget / np.prod(span)) ** (1.0 / span.size))))
+        (JOINT_GRID_BUDGET / np.prod(span)) ** (1.0 / span.size))))
     axes = [np.linspace(0.0, s * tau_max, s * (per_axis - 1) + 1) for s in span]
     return axes, tau_max / (per_axis - 1)
 
@@ -459,18 +464,17 @@ def _scan(obj: _Objective, tau_max: float, cfg: DelaySearchConfig):
       it (the other pairs would add a constant, under whose rounding a
       decaying tail goes flat), and the joint screen runs on the grid of
       each line's CONFIRM_CAP highest peaks (fewer where that grid would
-      exceed ``joint_grid_budget`` cells), every cell of which is a peak.
+      exceed ``JOINT_GRID_BUDGET`` cells), every cell of which is a peak.
       Each cell gets the bits the whole grid's screen gives it.
     * Joint otherwise: the whole grid, peaks against every axis neighbour.
 
-    ``landscape`` is (grid, values) of the whole screen for
-    :func:`write_landscape`; on a per-axis face the values are the screen,
-    which forms them from those axes when asked.
+    ``landscape`` is (axes, screen) of the whole grid, from which
+    :func:`write_landscape` forms its values.
     """
     axes, spacing = _grid_axes(obj.span, tau_max, cfg)
     screen, bound = obj.path_screen(axes, spacing)
     if len(axes) > 1 and (obj.act_in.size == 0 or obj.act_out.size == 0):
-        keep = min(CONFIRM_CAP, max(1, int(cfg.joint_grid_budget ** (1.0 / len(axes)))))
+        keep = min(CONFIRM_CAP, max(1, int(JOINT_GRID_BUDGET ** (1.0 / len(axes)))))
         sub = []
         for i, axis in enumerate(axes):
             line = screen([a if c == i else a[:1] for c, a in enumerate(axes)], i)
@@ -479,8 +483,7 @@ def _scan(obj: _Objective, tau_max: float, cfg: DelaySearchConfig):
         values = screen(sub)
         return sub, values, np.arange(values.size), bound, (axes, screen)
     values = screen(axes)
-    return axes, values, _peaks(values.reshape([a.size for a in axes])), bound, \
-        (axes, values)
+    return axes, values, _peaks(values.reshape([a.size for a in axes])), bound, (axes, screen)
 
 
 def _peaks(values: np.ndarray) -> np.ndarray:
@@ -512,17 +515,16 @@ def _top(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def write_landscape(path: str, result: DelaySearchResult) -> None:
-    """One CSV row per grid point of each face's last scan in ``result``;
-    the header alone when nothing was delayable."""
+    """One CSV row per grid point of each face's last scan in ``result``,
+    its value formed by the scan's screen; the header alone when nothing
+    was delayable."""
     header = ",".join([f"tau_{i + 1}" for i in range(len(result.input_delays))]
                       + [f"gamma_{i + 1}" for i in range(len(result.output_delays))]
                       + ["objective"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for obj, grid, values in result.scans:
-            if callable(values):
-                values = values(grid)
-            for p, v in zip(_grid_points(grid), values):
+        for obj, grid, screen in result.scans:
+            for p, v in zip(_grid_points(grid), screen(grid)):
                 tau, gam = obj.full_vectors(p)
                 row = np.concatenate([tau, gam, [v]])
                 fh.write(",".join("%.12e" % c for c in row) + "\n")
@@ -538,7 +540,7 @@ def _search_face(obj: _Objective, tau_max0: float, cfg: DelaySearchConfig,
                  start: tuple | None):
     """Grid scan and refinement over one face, growing its box (:func:`box_fits`).
 
-    Returns (x, f, complex sum at x, final box, (obj, grid, values) of the
+    Returns (x, f, complex sum at x, final box, (obj, axes, screen) of the
     last scan's landscape).
     """
     tau_max = float(tau_max0)

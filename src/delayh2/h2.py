@@ -12,15 +12,15 @@ gap is assembled from three such numbers. :func:`gap_gradient` is the one
 first-order computation: the gap's gradient in the residues and poles
 (transfer-value defects at the mirrored poles against the delay-advanced
 surrogate, from :func:`delayh2.models.transfer_values`, the kernel the IRKA
-pencil reads, one sum per exact mirror pair of poles on a conjugate-closed
-payload) and in the delays (-2x the cross derivative). The optimality
+pencil reads, summed at every pole) and in the delays (-2x the cross
+derivative). The optimality
 residuals, and with them every first-order certificate, are half its
 magnitudes. The kernel has two stages: the zero-delay term
 tensor K[j, m, l] = l_jm H(-mu_j)_ml r_jl, with H(-mu_j) read from the
 transfer kernel that the IRKA pencil reads
 (:meth:`delayh2.precision.Backend.resolvent_sums`), and the delayed sum of
 K against e^{mu_j (gamma_m + tau_l)}, which the delay search reuses on a
-cached K (and, per evaluated point, on the cached delayed terms). Both are
+cached K. Both are
 written once against :mod:`delayh2.precision`: when a model carries the
 high-precision payload they run in its precision, on the backend's
 Gaussian-integer scalar (which takes only its own operands), because the

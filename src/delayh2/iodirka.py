@@ -6,16 +6,18 @@ the previous reduced model), then re-optimizes the delays against the new
 core, starting from x and from the box the previous search ended in; the
 search's output is F(x), and its kernel sum there gives the iterate's gap.
 The delays take Broyden steps on phi(x) = F(x) - x (Broyden, Math. Comp.
-19, 1965): the next surrogate is built at F(x) - M phi(x), clipped to the
-path range and put in the search's gauge, where M = H + I and H estimates
-the inverse Jacobian of phi. M starts at zero, so the first step is the
-plain step F(x); after that, every outer evaluation updates H by the
-"good" inverse rule from the last two points built, and so extrapolates.
-The loop stops once the poles and the delays both move by less than
-``OUTER_TOL``. One more core reduction at the final delays follows; when
-the loop did not stop it runs at the lowest-gap iterate's delays, and that
-iterate is returned instead if the pass raised the gap. The
-result is ``converged`` only if the loop stopped and the returned model
+19, 1965): the next surrogate is built at F(x) - M phi(x), put in the
+search's gauge, where M = H + I and H estimates the inverse Jacobian of
+phi. M starts at zero, so the first step is the plain step F(x); after
+that, every outer evaluation updates H by the "good" inverse rule from the
+last two points built, and so extrapolates. A point outside the path range
+[0, 2 tau_max] resets M to zero, and the surrogate is built at F(x). The
+loop stops at a fixed point: once the poles and the delays both move by
+less than ``OUTER_TOL``, relative, and F(x) lies within ``OUTER_TOL`` of x,
+relative to max(1, max|x|). One more core reduction at the final delays
+follows; when the loop did not stop it runs at the lowest-gap iterate's
+delays, and that iterate is returned instead if the pass raised the gap.
+The result is ``converged`` only if the loop stopped and the returned model
 passes the first-order certificate: every residual of the paper's
 optimality conditions (Hermite interpolation at the mirrored poles, one
 stationarity condition per delay) is at most ``CERT_RTOL * max(1, ||G||^2)``.
@@ -61,7 +63,7 @@ from .models import DelayBlock, DelayedModel, PoleResidueModel
 
 # bound on the max first-order residual, relative to max(1, ||G||^2)
 CERT_RTOL = 1e-6
-# the outer loop stops once the pole and delay movements are both below this
+# the outer loop stops once the pole and delay movements and |F(x) - x| are below this
 OUTER_TOL = 1e-6
 
 
@@ -69,8 +71,9 @@ OUTER_TOL = 1e-6
 class IoDirkaConfig:
     """Settings for :func:`io_dirka`.
 
-    The loop stops when both the relative pole-set movement and the delay
-    movement fall below ``OUTER_TOL``, or after ``outer_max_iters`` outer
+    The loop stops when the relative pole-set movement, the delay movement
+    and the distance of the search output from the delays it searched at
+    all fall below ``OUTER_TOL``, or after ``outer_max_iters`` outer
     iterations. Delays start at ``init_input_delays``/``init_output_delays``,
     zero where unset; with every channel delayed they start, like every
     iterate, at the representative with min gamma = 0 (see
@@ -129,8 +132,9 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
     """Reduce ``g`` to a delayed model of the configured order.
 
     Alternates surrogate reduction and delay search until poles and delays
-    stop moving, then re-reduces the core at the final delays. On hitting
-    ``outer_max_iters`` the lowest-gap iterate is re-reduced instead, and
+    stop moving at a fixed point of the search, then re-reduces the core at
+    the final delays. On hitting ``outer_max_iters`` the lowest-gap iterate
+    is re-reduced instead, and
     returned in place of that pass's model when the pass raised the gap, so a
     best-effort model is never worse than its trace. ``converged``
     is True only if the loop stopped and the returned model's max
@@ -174,8 +178,6 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
             raise type(exc)(f"outer iteration {outer}: {exc}") from exc
         reflections += res.reflections
         h = res.model
-        # drop the previous search's grid screen before the next one runs
-        found = None
         try:
             found = optimize_delays(g, h, search, start=(din.delays, dout.delays))
         except DelayH2Error as exc:
@@ -193,12 +195,17 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                                 delay_jump=jumped))
 
         delays_now = np.concatenate([din.as_array(), dout.as_array()])
+        phi = delays_now - x
         if prev_model is not None:
             pmove = float(np.max(np.abs(h.poles - prev_model.poles))) \
                 / max(float(np.max(np.abs(prev_model.poles))), 1e-300)
             dmove = float(np.max(np.abs(delays_now - prev_delays), initial=0.0)) \
                 / max(float(np.max(np.abs(prev_delays), initial=0.0)), 1.0)
-            stopped = pmove < OUTER_TOL and dmove < OUTER_TOL
+            # a fixed point of F too: two iterates built at one point can
+            # agree while F(x) is far from x
+            fixed = float(np.max(np.abs(phi), initial=0.0)) \
+                / max(float(np.max(np.abs(x), initial=0.0)), 1.0)
+            stopped = pmove < OUTER_TOL and dmove < OUTER_TOL and fixed < OUTER_TOL
         prev_model, prev_delays = h, delays_now
         if stopped:
             break
@@ -208,10 +215,12 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
         # inverse update H += (s - Hy)(s^T H) / (s^T H y), with s and y the
         # steps in x and in phi between the last two points built (skipped
         # when s^T H y is not finite or negligible); the next surrogate is
-        # built at x+ = F(x) - M phi(x), clipped and in the search's gauge.
-        # Masked coordinates have s = y = phi = 0 and so stay 0; the next
-        # delay search re-optimizes globally, so a bad step is undone
-        phi = delays_now - x
+        # built at x+ = F(x) - M phi(x), in the search's gauge. Where x+
+        # leaves the path range [0, 2 tau_max], M restarts at zero and the
+        # surrogate is built at F(x): a clipped x+ can land on the last x
+        # again and stall there. Masked coordinates have s = y = phi = 0 and
+        # so stay 0; the next delay search re-optimizes globally, so a bad
+        # step is undone
         if last_x is not None:
             s, y = x - last_x, phi - last_phi
             hy = mix @ y - y
@@ -220,7 +229,10 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
                     and abs(den) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(hy)):
                 mix += np.outer(s - hy, s @ mix - s) / den
         last_x, last_phi = x, phi
-        ext = np.clip(delays_now - mix @ phi, 0.0, 2.0 * search.tau_max)
+        ext = delays_now - mix @ phi
+        if np.any((ext < 0.0) | (ext > 2.0 * search.tau_max)):
+            mix = np.zeros_like(mix)
+            ext = delays_now
         din, dout = representative(DelayBlock(tuple(ext[: g.nu]), tuple(in_mask)),
                                    DelayBlock(tuple(ext[g.nu:]), tuple(out_mask)))
         x = np.concatenate([din.as_array(), dout.as_array()])
@@ -228,7 +240,6 @@ def io_dirka(g: PoleResidueModel, cfg: IoDirkaConfig) -> ReductionReport:
 
     if cfg.landscape_csv:
         write_landscape(cfg.landscape_csv, found)
-    del found
 
     chosen = trace[-1] if stopped else min(trace, key=lambda e: e.gap.j)
     din, dout = chosen.model.input_delays, chosen.model.output_delays

@@ -16,8 +16,8 @@ backend:
   residues.
 * Models with a high-precision payload build the same pencil in Loewner
   form from the transfer data G(s_i) and -G'(s_i) at the n shifts, which
-  :func:`delayh2.models.transfer_data` computes, the kernel the exit
-  certificate and ``eval_transfer`` read too: O(N n ny nu) exact integer
+  :meth:`delayh2.precision.Backend.resolvent_sums` computes, the kernel the
+  exit certificate and ``eval_transfer`` read too: O(N n ny nu) exact integer
   products instead of O(N n^2). The divided differences cancel
   log10(max|s| / min|s_i - s_j|) digits, so the pencil runs at the payload
   precision raised by that many plus one, and is rounded to float64 only
@@ -31,7 +31,8 @@ backend:
   imaginary parts of the one row, rounded, which is exactly what combining
   the conjugate rows gives. Any other pair (a payload that is not closed,
   or a warm start conjugate only to rounding) computes both rows, and
-  combines them in working precision.
+  combines them in working precision. This is the library's one
+  conjugate-point shortcut: the exit certificate sums every point.
 
 The fixed point converges only linearly, so every third plain step the
 iterate (shifts and tangential directions, real and imaginary parts
@@ -72,7 +73,6 @@ from .models import (
     canonicalize_terms,
     checked_order,
     conjugate_pairs,
-    transfer_data,
 )
 from .precision import Backend, backend_for
 
@@ -221,7 +221,7 @@ def _loewner_pencil(bk: Backend, g: PoleResidueModel, shifts, bdirs, cdirs,
     Er_ij = (c_i^T G(s_i) b_j - c_i^T G(s_j) b_j) / (s_j - s_i), or
     -c_i^T G'(s_i) b_j where s_i = s_j; Ar = Er diag(s) - [c_i^T G(s_i) b_j],
     Br_i = c_i^T G(s_i) and Cr_j = G(s_j) b_j. G and -G' come from
-    :func:`delayh2.models.transfer_data`, O(N n ny nu) products instead of
+    :meth:`Backend.resolvent_sums`, O(N n ny nu) products instead of
     O(N n^2), and conjugate pairs are combined on the n-by-n rows and
     columns in working precision.
 
@@ -240,7 +240,7 @@ def _loewner_pencil(bk: Backend, g: PoleResidueModel, shifts, bdirs, cdirs,
         # would cost more than the arithmetic
         half, mhalfj, *s = bk.lift(np.concatenate([[0.5, -0.5j], shifts])).tolist()
         b, c = bk.lift(bdirs).tolist(), bk.lift(cdirs).tolist()
-        gval, gder = (a.tolist() for a in transfer_data(bk, g, shifts[rows]))
+        gval, gder = (a.tolist() for a in bk.resolvent_sums(shifts[rows], g))
         Br = [[dot(c[i], col) for col in zip(*G)] for i, G in zip(rows, gval)]
         Cr = {j: [dot(row, b[j]) for row in G] for j, G in zip(rows, gval)}
         for k, kc in mirrored:

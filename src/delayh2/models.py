@@ -18,10 +18,9 @@ written once against :mod:`delayh2.precision`, which runs them in the
 payload precision when a payload is present and in float64 otherwise.
 Transfer data has one kernel,
 :meth:`delayh2.precision.Backend.resolvent_sums`: the IRKA pencil, the
-optimality certificate and :func:`eval_transfer` read it through
-:func:`transfer_data`, which on an exactly conjugate-closed payload sums
-one point of each exactly conjugate pair, and the H2 cross kernel reads it
-at the full model's mirrored poles. All reduced-order models produced by
+optimality certificate (through :func:`transfer_values`) and
+:func:`eval_transfer` read it at their points, and the H2 cross kernel at
+the full model's mirrored poles. All reduced-order models produced by
 this package are plain float64.
 
 Whether a pole is real or pairs with a conjugate is decided once, relative
@@ -47,7 +46,7 @@ from .errors import (
     RepeatedPole,
     Unstable,
 )
-from .precision import (Backend, TermMemo, backend_for, checked_precision, payload_closed,
+from .precision import (TermMemo, backend_for, checked_precision, payload_closed,
                         payload_terms, resolvent_terms)
 
 # Imaginary-leakage tolerance of sums that must be real (h2 scales it by max(1, |Re|)).
@@ -474,39 +473,19 @@ def pole_residue_from_state_space(m: StateSpaceModel) -> PoleResidueModel:
 # evaluation
 
 
-def transfer_data(bk: Backend, m: PoleResidueModel, s: np.ndarray):
-    """(G(s_i), -G'(s_i)) of ``m`` at binary64 points ``s``, each an
-    (n, ny, nu) array in ``bk``'s precision; call inside ``bk.context()``.
-
-    The one kernel of transfer data, read by the IRKA pencil, the optimality
-    certificate and :func:`eval_transfer`: one reciprocal per (point, term)
-    (see :meth:`delayh2.precision.Backend.resolvent_sums`). Mirror rule: on
-    an exactly conjugate-closed payload a point that is the exact conjugate
-    of the point before it (and not itself a mirror) is not summed; its
-    data are the conjugates of that point's.
-    """
-    mirror = bk.dps is not None and m.hp is not None and m.hp.conjugate_closed
-    part = np.zeros(s.size, dtype=bool)
-    for i in range(1, s.size):
-        part[i] = mirror and s[i].imag != 0 and not part[i - 1] and s[i] == np.conj(s[i - 1])
-    val, nder = bk.resolvent_sums(s[~part], m)
-    if part.any():
-        at = np.cumsum(~part) - 1
-        val, nder = val[at], nder[at]
-        val[part], nder[part] = np.conj(val[part]), np.conj(nder[part])
-    return val, nder
-
-
 def transfer_values(m: PoleResidueModel, s) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`transfer_data` in ``m``'s precision, rounded to complex128; a
-    point within EVAL_POLE_RTOL max(1, |p|) of a pole p raises EvalAtPole."""
+    """(G(s_i), -G'(s_i)) of ``m`` at the points ``s``, each an (n, ny, nu)
+    array, summed in ``m``'s precision by the transfer kernel
+    (:meth:`delayh2.precision.Backend.resolvent_sums`) and rounded to
+    complex128; a point within EVAL_POLE_RTOL max(1, |p|) of a pole p raises
+    EvalAtPole."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     near = np.abs(s[:, None] - m.poles) < EVAL_POLE_RTOL * np.maximum(1.0, np.abs(m.poles))
     if near.any():
         raise EvalAtPole(f"evaluation point {s[near.any(axis=1)][0]} is within tolerance of a pole")
     bk = backend_for(m)
     with bk.context():
-        return tuple(map(bk.to_complex, transfer_data(bk, m, s)))
+        return tuple(map(bk.to_complex, bk.resolvent_sums(s, m)))
 
 
 def eval_transfer(m: PoleResidueModel, s: complex) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import hashlib
 import itertools
-from dataclasses import replace
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from delayh2 import (
     DelaySearchConfig,
     DimensionMismatch,
     IrkaConfig,
+    NonFiniteObjective,
     PoleResidueModel,
     compute_gap,
     delayopt,
@@ -315,6 +316,34 @@ def test_landscape_csv_keeps_its_bytes(tmp_path):
         "718fac797f76c13702e6019f52d898a1aca4f296b405fb2bd93bde65b0ad6bc6"
 
 
+def test_joint_face_landscape_keeps_its_bytes(tmp_path):
+    # a 2x2 io search: two gauge faces, each screening its 11 x 11 x 6
+    # joint grid (inputs over the path range), written through each face's
+    # screen (sha256 recorded when a joint face still kept its values)
+    rng = np.random.default_rng(95)
+    g = lag_cascade(rng, ny=2, nu=2)
+    h = random_pr(rng, 2, ny=2, nu=2)
+    found = optimize_delays(g, h, DelaySearchConfig(grid_points_per_channel=6, tau_max=3.0))
+    assert [[a.size for a in grid] for _, grid, _ in found.scans] == [[11, 11, 6]] * 2
+    path = tmp_path / "landscape.csv"
+    write_landscape(str(path), found)
+    data = path.read_bytes()
+    assert data.count(b"\n") == 1 + 2 * 11 * 11 * 6
+    assert hashlib.sha256(data).hexdigest() == \
+        "cbf9377424ac640b53078d7b6a3a01566efdde2c51f6679f5c28288dc9f4d2b5"
+
+
+def test_overflowing_objective_is_refused_by_name():
+    # residues scaled by 1e160 overflow the cross tensor's products, so the
+    # grid screen holds non-finite values: a named error, not a NaN delay
+    rng = np.random.default_rng(5)
+    g, h = (PoleResidueModel(m.poles, m.left * 1e160, m.right)
+            for m in (random_pr(rng, 4), random_pr(rng, 2)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteObjective, match="non-finite objective values"):
+        optimize_delays(g, h, DelaySearchConfig(input_mask=(True,), tau_max=2.0))
+
+
 def test_mimo_io_dominates_full_box_grid():
     # 2x2 with every channel delayed: the gauge faces cover every model of
     # the full box grid, and the result is the min gamma = 0 representative
@@ -332,7 +361,7 @@ def test_mimo_io_dominates_full_box_grid():
         assert got >= sample - 1e-11 * max(1.0, abs(sample))
 
 
-def test_coupled_search_end_to_end(tmp_path, evaluations, start_evaluations):
+def test_coupled_search_end_to_end(tmp_path, monkeypatch, evaluations, start_evaluations):
     # 3x2 with every channel delayed: three gauge faces of four
     # coordinates each, every one screening its joint grid, 9 x 9 x 5 x 5
     # under this budget (29 x 29 x 15 x 15 under the default one, with the
@@ -341,7 +370,8 @@ def test_coupled_search_end_to_end(tmp_path, evaluations, start_evaluations):
     # coordinates take 537 evaluations here, 91 at most per start
     g = lag_cascade(np.random.default_rng(90), 3, 2)
     h = irka_reduce(g, IrkaConfig(order=2)).model
-    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0, joint_grid_budget=3000)
+    monkeypatch.setattr(delayopt, "JOINT_GRID_BUDGET", 3000)
+    cfg = DelaySearchConfig(grid_points_per_channel=15, tau_max=2.0)
     evaluations[0] = 0
     found = optimize_delays(g, h, cfg)
     assert evaluations[0] <= 560
@@ -353,9 +383,9 @@ def test_coupled_search_end_to_end(tmp_path, evaluations, start_evaluations):
     again = optimize_delays(g, h, cfg)
     assert (found.input_delays, found.output_delays, found.tau_max) == \
         (again.input_delays, again.output_delays, again.tau_max)
-    for (_, grid, values), (_, grid2, values2) in zip(found.scans, again.scans):
+    for (_, grid, screen), (_, grid2, screen2) in zip(found.scans, again.scans):
         assert all(np.array_equal(a, b) for a, b in zip(grid, grid2))
-        assert np.array_equal(values, values2)
+        assert np.array_equal(screen(grid), screen2(grid2))
 
     tau, gam = found.input_delays.as_array(), found.output_delays.as_array()
     assert min(gam) == 0.0
@@ -365,7 +395,8 @@ def test_coupled_search_end_to_end(tmp_path, evaluations, start_evaluations):
 
     got = cross_at(g, h, tau, gam)
     assert len(found.scans) == 3
-    for _, grid, values in found.scans:
+    for _, grid, screen in found.scans:
+        values = screen(grid)
         assert [a.size for a in grid] == [9, 9, 5, 5] and values.size == 2025
         # the screen agrees with the kernel within a bound of 1e-12
         # relative (see test_scan_matches_exact_kernel), and faces tie at
@@ -400,7 +431,7 @@ def test_coupled_search_finds_the_joint_grid_maximum():
 ], ids=["siso-io", "2x2-inputs", "2x3-mask-101-01", "2x2-io",
         "payload-siso-io-face", "payload-2x2-inputs", "payload-2x2-io"])
 def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, face,
-                                   budget, size):
+                                   budget, size, monkeypatch):
     # the screen against the exact kernel at every returned point, on joint
     # grids (k <= 3, and k = 4 under a budget of 5 points per axis), a gauge
     # face and per-axis faces: the lattice tables, float64 or double-double,
@@ -414,11 +445,9 @@ def test_scan_matches_exact_kernel(ny, nu, input_mask, output_mask, payload, fac
     obj = _Objective(g, h, np.flatnonzero(input_mask), np.flatnonzero(output_mask))
     if face:
         obj = obj.gauge_face(0)
-    _, _, _, bound, (grid, values) = _scan(obj, 3.0, DelaySearchConfig(
-        grid_points_per_channel=20, joint_grid_budget=budget))
-    if callable(values):
-        # a per-axis face: the whole grid through the same screen
-        values = values(grid)
+    monkeypatch.setattr(delayopt, "JOINT_GRID_BUDGET", budget)
+    _, _, _, bound, (grid, screen) = _scan(obj, 3.0, DelaySearchConfig(grid_points_per_channel=20))
+    values = screen(grid)
     points = _grid_points(grid)
     assert points.shape == (values.size, obj.span.size)
     assert values.size == size
@@ -441,7 +470,7 @@ def test_payload_scan_ranks_the_benchmark_landscape(bench20):
 
 @pytest.mark.parametrize("output_mask, face", [((False,), False), ((True,), True)],
                          ids=["siso-input", "siso-io-face"])
-def test_joint_budget_caps_one_axis_grids(output_mask, face):
+def test_joint_budget_caps_one_axis_grids(output_mask, face, monkeypatch):
     # a search with one coordinate scans one axis; the budget caps it too,
     # whatever grid_points_per_channel asks for
     rng = np.random.default_rng(90)
@@ -450,8 +479,8 @@ def test_joint_budget_caps_one_axis_grids(output_mask, face):
     if face:
         obj = obj.gauge_face(0)
     assert obj.span.size == 1
-    grid, values, _, _, _ = _scan(obj, 3.0, DelaySearchConfig(
-        grid_points_per_channel=10 ** 5, joint_grid_budget=500))
+    monkeypatch.setattr(delayopt, "JOINT_GRID_BUDGET", 500)
+    grid, values, _, _, _ = _scan(obj, 3.0, DelaySearchConfig(grid_points_per_channel=10 ** 5))
     assert 2 <= values.size == _grid_points(grid).shape[0] <= 500
 
 
@@ -504,14 +533,14 @@ def test_coupled_faces_scan_the_joint_grid(ny, nu, input_mask, output_mask, face
     assert all(np.array_equal(a, b) for a, b in zip(grid, axes))
     assert np.array_equal(values, obj.path_screen(axes, spacing)[0](axes))
     assert np.array_equal(peaks, delayopt._peaks(values.reshape([a.size for a in axes])))
-    assert landscape[0] is grid and landscape[1] is values
+    assert landscape[0] is grid and np.array_equal(landscape[1](grid), values)
 
 
 @pytest.mark.parametrize("ny, nu, output_mask, cells", [
     (3, 3, None, 3 ** 3 * 2 ** 2),
     (3, 3, (True, True, False), 2 ** 5),
 ], ids=["3x3-io", "3x3-mask-111-110"])
-def test_joint_grid_stays_within_the_budget(ny, nu, output_mask, cells):
+def test_joint_grid_stays_within_the_budget(ny, nu, output_mask, cells, monkeypatch):
     # at two points per box axis a coupled face's joint grid has `cells`
     # cells (a gauge face's inputs span two boxes, so three points): a
     # budget of that many runs the search on grids within it, one fewer is
@@ -519,12 +548,14 @@ def test_joint_grid_stays_within_the_budget(ny, nu, output_mask, cells):
     rng = np.random.default_rng(97)
     g = random_pr(rng, 4, ny=ny, nu=nu)
     h = random_pr(rng, 2, ny=ny, nu=nu)
-    cfg = DelaySearchConfig(tau_max=3.0, output_mask=output_mask, joint_grid_budget=cells)
+    cfg = DelaySearchConfig(tau_max=3.0, output_mask=output_mask)
+    monkeypatch.setattr(delayopt, "JOINT_GRID_BUDGET", cells)
     found = optimize_delays(g, h, cfg)
-    assert all(values.size <= cells for _, _, values in found.scans)
+    assert all(math.prod(a.size for a in grid) <= cells for _, grid, _ in found.scans)
+    monkeypatch.setattr(delayopt, "JOINT_GRID_BUDGET", cells - 1)
     with pytest.raises(DelayH2Error, match=f" needs {cells} grid cells, "
                                            f"over joint_grid_budget {cells - 1}; delay fewer"):
-        optimize_delays(g, h, replace(cfg, joint_grid_budget=cells - 1))
+        optimize_delays(g, h, cfg)
 
 
 def test_many_channel_coupled_face_is_refused():
@@ -798,7 +829,6 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("joint_grid_budget", -5), ("joint_grid_budget", 0),
     ("grid_points_per_channel", 2.5), ("grid_points_per_channel", True)])
 def test_grid_sizes_are_named_integers(field, value):
     # rejected on construction, naming the field, not as a NaN or a float

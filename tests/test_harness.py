@@ -111,6 +111,33 @@ def test_corpus_runner_prints_and_writes_one_row(monkeypatch, tmp_path, capsys):
     assert lines[-2:] == ["N20-o2     converged 1 of 1", "converged 1 of 1"]
 
 
+def test_corpus_runner_compares_with_a_saved_run(monkeypatch, tmp_path, capsys):
+    # one corpus run against its own --json rows: nothing differs; then
+    # against rows whose fingerprint, or verdict, was changed, or that lack
+    # the run: the row is listed and the exit is 1
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import corpus
+    saved = tmp_path / "corpus.json"
+    args = ["--shape", "N50-o4", "--seed", "0"]
+    assert corpus.main(args + ["--json", str(saved)]) == 0
+    written = json.loads(saved.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert corpus.main(args + ["--compare", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"converged 1 of 1 here, 1 in {saved}", f"0 of 1 rows differ from {saved}"]
+    for change, there in ((dict(fingerprint="0" * 64), "True there"),
+                          (dict(converged=False), "False there"),
+                          (dict(seed=1), "missing there")):
+        edited = json.loads(json.dumps(written))
+        edited["rows"][0].update(change)
+        saved.write_text(json.dumps(edited), encoding="utf-8")
+        assert corpus.main(args + ["--compare", str(saved)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3] == f"differs: N50-o4 s0 (converged True here, {there})"
+        assert lines[-1] == f"1 of 1 rows differ from {saved}"
+    assert lines[-2] == f"converged 1 of 1 here, 0 in {saved}"
+
+
 def test_fingerprint_script_prints_the_workload_fingerprint(harness, monkeypatch,
                                                             tmp_path, capsys):
     # the script's row for mimo-float seed 0 carries the fingerprint the

@@ -166,6 +166,21 @@ def test_corpus_n50_s4_certifies():
     assert rep.gap.j / rep.norm_g_sq == pytest.approx(0.25162, abs=5e-6)
 
 
+def test_corpus_n20_o2_s4_stops_only_at_a_fixed_point():
+    # corpus N20-o2 s4 (order 2, input delay, seed 1000 + 4): the Broyden
+    # point fell below 0 and was clipped back to the first build point, so
+    # two outer iterations built at delay 0 agreed and the loop stopped at
+    # outer 4 with F(x) = 7.6e-4 and a delay residual of 6.9. Stopping
+    # needs F(x) = x, and a point outside the path range restarts the plain
+    # map: it certifies after 20 outer iterations
+    g = corpus_model(np.random.default_rng(1004), 20)
+    rep = io_dirka(g, IoDirkaConfig(order=2, search=DelaySearchConfig(
+        input_mask=(True,), output_mask=(False,))))
+    assert rep.converged
+    assert rep.residuals.max_residual() <= iodirka.CERT_RTOL * max(1.0, rep.norm_g_sq)
+    assert rep.gap.j / rep.norm_g_sq == pytest.approx(0.103617, abs=5e-7)
+
+
 def test_mimo_float_residual(monkeypatch):
     # the benchmark's float workload at seed 0 ends at max residual
     # 1.07e-10; Steffensen steps ended at 8.3e-8

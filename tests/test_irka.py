@@ -514,7 +514,8 @@ def test_extended_precision_work_is_capped(bench20, gt_half_delay, monkeypatch):
     # extended-precision scalar (1346 and 960 when the pencil and the
     # certificate summed on XComplex objects, the certificate at all 2n
     # points), and the points the transfer kernel sums, one reciprocal per
-    # term each (one per mirror pair). The H2 cross kernel reads H(-mu_j)
+    # term each (the pencil one per exact mirror pair, the certificate
+    # every point). The H2 cross kernel reads H(-mu_j)
     # from the same transfer kernel, so a norm of a fresh benchmark model
     # (its payload conversion included), a gap at tau = 0.5 and a delay-
     # search objective build divide no XComplex at all (2099, 305 and 246
@@ -543,8 +544,8 @@ def test_extended_precision_work_is_capped(bench20, gt_half_delay, monkeypatch):
 
     for call, ceilings in (
             (lambda: irka_reduce(gt_half_delay, IrkaConfig(order=4), core),
-             {"round": 114, "points": 4}),
-            (lambda: optimality_residuals(gt_half_delay, core), {"round": 6, "points": 2}),
+             {"round": 114, "points": 6}),
+            (lambda: optimality_residuals(gt_half_delay, core), {"round": 8, "points": 4}),
             (lambda: h2_norm_sq(build_bench_model()), {"round": 139, "points": 20, "div": 0}),
             (lambda: compute_gap(bench20, delayed2, norm_g),
              {"round": 145, "points": 20, "div": 0}),
